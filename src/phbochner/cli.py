@@ -11,13 +11,15 @@ Commands:
 
 The PHB_SEED environment variable overrides --seed.  Identical configuration
 (including the seed) produces byte-identical JSON output.  Exit status is 0
-exactly when every requested verification or condition passed.
+when every requested verification or condition passed, 1 when one failed,
+and 2 on a usage or input error, reported as one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -70,18 +72,23 @@ def _text_lines(obj, prefix="") -> list[str]:
     return lines
 
 
+def _input_error(message: str):
+    print(f"phbochner: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_points(path: str) -> list[PointData]:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"{path}: {exc}")
+    except (OSError, ValueError) as exc:
+        _input_error(f"{path}: {exc}")
     if not isinstance(data, list) or not data:
-        raise SystemExit(f"{path}: expected a non-empty JSON array of points")
+        _input_error(f"{path}: expected a non-empty JSON array of points")
     try:
         return [PointData.from_mapping(rec) for rec in data]
-    except (ValueError, TypeError) as exc:
-        raise SystemExit(f"{path}: {exc}")
+    except ValueError as exc:
+        _input_error(f"{path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +135,10 @@ def cmd_verify(cfg: RunConfig, ids: list[str], mutate: bool) -> int:
 
 def cmd_check(cfg: RunConfig, path: str, conditions: list[str]) -> int:
     points = _load_points(path)
-    evaluated = [rigidity.evaluate_conditions(p, conditions, cfg.eps)
-                 for p in points]
+    try:
+        evaluated = rigidity.evaluate_conditions(points, conditions, cfg.eps)
+    except ValueError as exc:
+        _input_error(f"{path}: {exc}")
     reports = [r.to_dict() for r in evaluated]
     ok = all(r.ok() for r in evaluated)
     summary = {
@@ -145,7 +154,10 @@ def cmd_check(cfg: RunConfig, path: str, conditions: list[str]) -> int:
 
 def cmd_scaletest(cfg: RunConfig, path: str, ks: list[float]) -> int:
     points = _load_points(path)
-    rows = [rigidity.scaling_report(p, ks, cfg.eps) for p in points]
+    try:
+        rows = rigidity.scaling_report(points, ks, cfg.eps)
+    except ValueError as exc:
+        _input_error(f"{path}: {exc}")
     ok = all(r["ok"] for r in rows)
     _emit({"command": "scaletest", "k": ks, "points": rows, "ok": ok},
           cfg.output_format)
@@ -227,8 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="evaluate conditions on point data")
     p_check.add_argument("points", help="JSON array of point records")
     p_check.add_argument("--cond", action="append", required=True,
-                         choices=("thm-a", "thm-b", "corollaryC",
-                                  "3.11", "3.12", "bianchi"),
+                         choices=list(rigidity.CONDITIONS),
                          help="condition to evaluate (repeatable)")
 
     p_scale = sub.add_parser("scaletest", help="contact-form scaling battery")
@@ -250,19 +261,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_k_list(text: str) -> list[float]:
     out = []
     for piece in text.split(","):
-        piece = piece.strip()
-        if "/" in piece:
-            num, den = piece.split("/")
-            out.append(float(num) / float(den))
-        else:
-            out.append(float(piece))
-    if any(k <= 0 for k in out):
-        raise SystemExit("scale factors must be positive")
+        num, _, den = piece.strip().partition("/")
+        try:
+            k = float(num) / float(den or 1)
+        except (ValueError, ZeroDivisionError):
+            _input_error(f"--k: {piece.strip()!r} is not a number or fraction")
+        if not (math.isfinite(k) and k > 0):
+            _input_error(f"--k: scale factors must be positive and finite, "
+                         f"got {piece.strip()!r}")
+        out.append(k)
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.samples < 1:
+        _input_error(f"--samples must be at least 1, got {args.samples}")
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        _input_error(f"--eps must be finite and nonnegative, got {args.eps}")
     seed = args.seed
     if os.environ.get("PHB_SEED"):
         seed = int(os.environ["PHB_SEED"])

@@ -34,10 +34,6 @@ def conj_letter(letter: str) -> str:
     return _LETTER_CONJ[letter]
 
 
-def letter_weight(letter: str) -> int:
-    return _LETTER_WEIGHT[letter]
-
-
 # ---------------------------------------------------------------------------
 # Symbol table
 # ---------------------------------------------------------------------------
@@ -142,10 +138,6 @@ class Term(NamedTuple):
     def alpha(self) -> int:
         """Net index balance; 0 for every term of a real integrand."""
         return sum(f.alpha() for f in self.factors)
-
-
-def term_weight(t: Term) -> int:
-    return t.weight()
 
 
 TermKey = tuple[bool, tuple[Factor, ...]]
@@ -346,10 +338,6 @@ class Expression:
             prev = out.get(key)
             out[key] = coeff if prev is None else prev + coeff
         return Expression(out)
-
-    def max_weight(self) -> int:
-        return max((Term(c, k[1], k[0]).weight() for k, c in self._terms.items()),
-                   default=0)
 
     def is_real(self) -> bool:
         """Syntactic reality: conj(e) == e after collection.

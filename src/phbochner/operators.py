@@ -78,11 +78,6 @@ def apply_template(template: OperatorTemplate, argument: Expression) -> Expressi
     return template.expr.map_terms(expand)
 
 
-def compose(outer: OperatorTemplate, inner: OperatorTemplate) -> Expression:
-    """Coefficient expression of outer(inner(placeholder))."""
-    return apply_template(outer, inner.expr)
-
-
 def is_linear(template: OperatorTemplate) -> bool:
     conj_placeholder = SYMBOLS[template.placeholder].conj
     names = {template.placeholder, conj_placeholder}

@@ -5,6 +5,12 @@ the caller supplies directly (computing R, A from a contact form is out of
 scope).  Fractional powers |z|^{2/3}, |z|^{4/3} are evaluated as (|z|^2)^{1/3}
 and its square, via the real cube root, so no complex branch is involved.
 
+Each form entry and each condition formula is written once, as a function of
+the point quantities (`FormInputs`) and a constant constructor `K(n, d)`.  The
+float path runs it on numpy arrays holding a whole batch of points, the exact
+path on `ScalarExact`, and `identities.verify_3_5_to_3_8` on catalog
+expressions.  Per-point functions are batches of one.
+
 Boundary behaviour: strict ">0" verdicts use a configurable epsilon scaled by
 the magnitude of the quantity; "= 0" cases (the borderline automorphism
 condition) are reported as "within epsilon of zero", never asserted exactly
@@ -13,31 +19,31 @@ from floats.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .scalar import ScalarExact
 
 __all__ = [
-    "PointData", "HermitianForm", "ConditionReport",
+    "PointData", "HermitianForm", "ConditionReport", "Condition", "CONDITIONS",
+    "FormInputs", "form_entries", "exact_constant",
     "thmA_condition", "cond_3_11", "cond_3_12", "corollary_C",
     "build_form_4", "build_form_5", "is_positive_definite",
-    "check_equiv_3_9_3_11", "check_equiv_3_10_3_12",
-    "scale", "bianchi_residual", "bianchi_consistent",
+    "scale", "bianchi_consistent",
     "random_point", "equivalence_battery", "sylvester_battery",
-    "scaling_report",
+    "evaluate_conditions", "scaling_report",
 ]
 
 DEFAULT_EPS = 1e-12
+_SQRT3 = 3.0 ** 0.5
 
-
-def _to_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(re, im)
-    return complex(value)
+_REAL_FIELDS = ("R", "R0", "lapR")
+_COMPLEX_FIELDS = ("R1", "A11", "A11_1", "A11_b", "A11_bb")
+_TORSION_FIELDS = ("A11", "A11_1", "A11_b", "A11_bb")
 
 
 @dataclass(frozen=True)
@@ -62,98 +68,205 @@ class PointData:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "PointData":
-        if "R" not in data:
-            raise ValueError("point record is missing the field 'R'")
-        kwargs = {"R": float(data["R"]), "id": str(data.get("id", ""))}
-        for name in ("R0", "lapR"):
-            if name in data:
-                kwargs[name] = float(data[name])
-        for name in ("R1", "A11", "A11_1", "A11_b", "A11_bb"):
-            if name in data:
-                kwargs[name] = _to_complex(data[name])
+        """A point record: finite numbers, complex ones as [re, im] pairs."""
+        if not isinstance(data, dict) or "R" not in data:
+            raise ValueError(f"point record is not an object with the "
+                             f"field 'R': {data!r}")
+        pid = str(data.get("id", ""))
+        kwargs = {"id": pid}
+        for name in (n for n in _REAL_FIELDS + _COMPLEX_FIELDS if n in data):
+            value = data[name]
+            pair = name in _COMPLEX_FIELDS and isinstance(value, (list, tuple))
+            parts = value if pair and len(value) == 2 else [value]
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and abs(v) <= sys.float_info.max for v in parts):
+                raise ValueError(f"point {pid!r}: field {name!r} is not a "
+                                 f"finite number: {value!r}")
+            kwargs[name] = (complex(*parts) if name in _COMPLEX_FIELDS
+                            else float(value))
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
         out = {"id": self.id, "R": self.R, "R0": self.R0,
                "R1": [self.R1.real, self.R1.imag], "lapR": self.lapR}
-        for name in ("A11", "A11_1", "A11_b", "A11_bb"):
+        for name in _TORSION_FIELDS:
             z = getattr(self, name)
             out[name] = [z.real, z.imag]
         return out
 
     def grad_b_R_sq(self) -> float:
-        return 2.0 * abs(self.R1) ** 2
-
-    def torsion_free(self, eps: float = DEFAULT_EPS) -> bool:
-        return all(abs(getattr(self, n)) <= eps
-                   for n in ("A11", "A11_1", "A11_b", "A11_bb"))
+        return _float_inputs(_stack([self])).grad2.item()
 
 
-def _cbrt_abs_sq(z: complex) -> float:
-    """|z|^{2/3} computed as the real cube root of |z|^2."""
-    return (abs(z) ** 2) ** (1.0 / 3.0)
+def _stack(points: list[PointData]) -> dict[str, np.ndarray]:
+    """Point data as one array per field."""
+    return {name: np.array([getattr(p, name) for p in points],
+                           dtype=complex if name in _COMPLEX_FIELDS else float)
+            for name in _REAL_FIELDS + _COMPLEX_FIELDS}
+
+
+def _torsion_free(s: dict) -> np.ndarray:
+    return np.logical_and.reduce(
+        [np.abs(s[name]) <= DEFAULT_EPS for name in _TORSION_FIELDS])
 
 
 # ---------------------------------------------------------------------------
-# Scalar conditions
+# The kernel: each form entry and condition formula, written once
 # ---------------------------------------------------------------------------
 
-def bianchi_residual(p: PointData) -> float:
-    """R_{,0} - 2 Re(A11_{,bb}); zero for consistent data."""
-    return p.R0 - 2.0 * p.A11_bb.real
+class FormInputs(NamedTuple):
+    """Point quantities the formulas read, all real or conjugated data."""
+
+    R: object
+    t: object            # |A11_1|^{2/3}
+    a2: object           # |A11|^2
+    lapR: object = 0     # sublaplacian of R
+    imbb: object = 0     # Im A11_bb
+    Rb: object = 0       # conj(R1) = R_{,b}
+    Ab: object = 0       # conj(A11) = A_{b1b1}
+    Ab1: object = 0      # conj(A11_b) = A_{b1b1,1}
+    R0: object = 0
+    rebb: object = 0     # Re A11_bb
+    grad2: object = 0    # |grad_b R|^2 = 2|R1|^2
 
 
-def bianchi_consistent(p: PointData, tol: float = 1e-9) -> bool:
-    scale_ = max(1.0, abs(p.R0), 2.0 * abs(p.A11_bb))
-    return abs(bianchi_residual(p)) <= tol * scale_
+def _float(n, d=1):
+    """Constant constructor of the float path."""
+    return n / d
 
 
-def thmA_condition(p: PointData, eps: float = DEFAULT_EPS
-                   ) -> tuple[float, bool, bool]:
-    """Automorphism-rigidity value sqrt3 R_{,0} - 2 Im(A11_{,bb}).
+def _magnitude(n, d=1):
+    """Constant constructor that evaluates a formula's M (see form_entries)."""
+    return abs(n / d)
 
-    Returns (value, strict verdict, borderline verdict): the strict verdict
-    requires R < 0 and value > 0; the borderline verdict requires R < 0 and
-    value within eps of zero (then only a one-parameter family can survive).
-    The identification i(Z - conj Z) = -2 Im(Z) ties this to the integrand of
-    the final scalar identity.
+
+def exact_constant(n, d=1) -> ScalarExact:
+    """Constant constructor of the exact path; n is an integer or an
+    imaginary integer such as 5j."""
+    n = complex(n)
+    return ScalarExact(Fraction(int(n.real), d), 0, Fraction(int(n.imag), d), 0)
+
+
+def _abs2(z):
+    return abs(z) ** 2
+
+
+def _exact_abs2(z: ScalarExact) -> ScalarExact:
+    return z * z.conjugate()
+
+
+def form_entries(x: FormInputs, K) -> dict[tuple[int, int], object]:
+    """Upper triangle (i <= j) of the 5x5 Hermitian form; zero entries omitted.
+
+    Basis (E11_{,b1}, iE11_{,0}, E11_{,1}, E11_{,b}, E11); the form is
+    sum_ij m_ij u_i conj(u_j).  It is display 3.8 with the 3.7 cube-root
+    terms (the t parts of (3,3) and (4,4)); its leading 4x4 block is the 4x4
+    form.  The float operation order fixes the `equiv` output bytes.
+
+    Here and in the condition formulas every sign sits in a constant, so the
+    formula run on |inputs| with `_magnitude` gives M, the sum of the
+    magnitudes of its summands.
     """
-    value = 3.0 ** 0.5 * p.R0 - 2.0 * p.A11_bb.imag
-    band = eps * max(1.0, abs(3.0 ** 0.5 * p.R0), 2.0 * abs(p.A11_bb.imag))
-    verdict_a = bool(p.R < 0 and value > band)
-    verdict_b = bool(p.R < 0 and abs(value) <= band)
-    return float(value), verdict_a, verdict_b
+    return {
+        (0, 0): K(29, 48), (0, 1): K(-1), (1, 1): K(2),
+        (2, 2): x.R / K(3), (2, 3): K(5j, 3) * x.Ab,
+        (3, 3): x.R / K(8) + K(-2, 3) * x.t,
+        (0, 4): x.R / K(-6), (1, 4): K(2) * x.R / K(3),
+        (2, 4): K(5, 48) * x.Rb + K(-2j) * x.Ab1,
+        (4, 4): (K(29, 48) * (x.R * x.R) + K(11, 48) * x.lapR + K(6) * x.a2
+                 + K(-2, 3) * (x.t * x.t) + K(-16, 3) * x.imbb),
+    }
 
 
-def cond_3_11(p: PointData) -> float:
-    t = _cbrt_abs_sq(p.A11_1)
-    return 0.375 * p.R ** 2 - 2.0 * p.R * t - 25.0 * abs(p.A11) ** 2
+def _thm_a(x: FormInputs, K):
+    """Automorphism-rigidity value sqrt3 R_{,0} - 2 Im(A11_{,bb}) (floats)."""
+    return _SQRT3 * x.R0 + K(-2) * x.imbb
 
 
-def _cross_entry(p: PointData) -> complex:
-    """(5/48) R_{,b} - 2i Ab1b1_{,1} = (5/48) conj(R1) - 2i conj(A11_b)."""
-    return (5.0 / 48.0) * p.R1.conjugate() - 2j * p.A11_b.conjugate()
+def _cond_3_11(x: FormInputs, K):
+    """9 det of the form's (E11_{,1}, E11_{,b}) block."""
+    return K(3, 8) * (x.R * x.R) + K(-2) * x.R * x.t + K(-25) * x.a2
 
 
-def cond_3_12(p: PointData) -> float:
-    t = _cbrt_abs_sq(p.A11_1)
-    a2 = abs(p.A11) ** 2
-    brace = ((83.0 / 3456.0) * p.R ** 2 + (55.0 / 1152.0) * p.lapR
-             + 1.25 * a2 - (5.0 / 36.0) * t ** 2
-             - (10.0 / 9.0) * p.A11_bb.imag)
-    cross = abs(_cross_entry(p)) ** 2
-    return (cond_3_11(p) * brace
-            - (15.0 / 8.0) * (p.R / 8.0 - (2.0 / 3.0) * t) * cross)
+def _cond_3_12(x: FormInputs, K, abs2=_abs2):
+    """9 det of the 5x5 form, through its Schur steps."""
+    e = form_entries(x, K)
+    brace = (K(83, 3456) * (x.R * x.R) + K(55, 1152) * x.lapR + K(5, 4) * x.a2
+             + K(-5, 36) * (x.t * x.t) + K(-10, 9) * x.imbb)
+    return _cond_3_11(x, K) * brace + K(-15, 8) * e[3, 3] * abs2(e[2, 4])
 
 
-def corollary_C(p: PointData, eps: float = DEFAULT_EPS) -> tuple[float, bool]:
-    """Torsion-free rigidity value 4R(5R^2 + 3 lap_b R) - 3 |grad_b R|^2."""
-    if not p.torsion_free():
-        raise ValueError("the torsion-free condition requires A = 0 input")
-    value = 4.0 * p.R * (5.0 * p.R ** 2 + 3.0 * p.lapR) - 3.0 * p.grad_b_R_sq()
-    band = eps * max(1.0, abs(value))
-    verdict = p.R > 0 and value > band
-    return value, verdict
+def _corollary_c(x: FormInputs, K):
+    """Torsion-free value 4R(5R^2 + 3 lap_b R) - 3|grad_b R|^2."""
+    return K(4) * x.R * (K(5) * (x.R * x.R) + K(3) * x.lapR) + K(-3) * x.grad2
+
+
+def _bianchi(x: FormInputs, K):
+    """R_{,0} - 2 Re(A11_{,bb}); zero for consistent data."""
+    return x.R0 + K(-2) * x.rebb
+
+
+def _float_inputs(s: dict) -> FormInputs:
+    return FormInputs(
+        R=s["R"], t=(np.abs(s["A11_1"]) ** 2) ** (1.0 / 3.0),
+        a2=np.abs(s["A11"]) ** 2, lapR=s["lapR"], imbb=s["A11_bb"].imag,
+        Rb=np.conj(s["R1"]), Ab=np.conj(s["A11"]), Ab1=np.conj(s["A11_b"]),
+        R0=s["R0"], rebb=s["A11_bb"].real, grad2=2.0 * np.abs(s["R1"]) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# The condition table
+# ---------------------------------------------------------------------------
+
+class Condition(NamedTuple):
+    """One row of the condition table (its key is the CLI name).
+
+    `values` maps each reported value's JSON key to (formula, scaling power
+    under theta -> k theta); a power of None marks a verdict that is not
+    scale-invariant.  `verdict(fields, values, eps)` returns one array per
+    key of `verdicts`, and the condition passes where any of them holds.
+    """
+
+    values: dict[str, tuple[Callable, float | None]]
+    verdicts: tuple[str, ...]
+    verdict: Callable
+    torsion_free: bool = False   # defined only where A = 0
+    minors: bool = False         # also reports the leading minors of both forms
+
+
+def _thm_a_verdicts(s, v, eps):
+    band = eps * np.maximum(1.0, np.maximum(np.abs(_SQRT3 * s["R0"]),
+                                            2.0 * np.abs(s["A11_bb"].imag)))
+    negative = s["R"] < 0
+    return negative & (v[0] > band), negative & (np.abs(v[0]) <= band)
+
+
+def _bianchi_verdict(s, v, eps):
+    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(s["R0"]),
+                                            2.0 * np.abs(s["A11_bb"])))
+    return (np.abs(v[0]) <= tol,)
+
+
+_V_3_11 = {"3.11": (_cond_3_11, -2.0)}
+_V_3_12 = {"3.12": (_cond_3_12, -4.0)}
+
+CONDITIONS: dict[str, Condition] = {
+    "thm-a": Condition({"thm_a": (_thm_a, -2.0)},
+                       ("thm_a", "thm_a_borderline"), _thm_a_verdicts),
+    "thm-b": Condition({**_V_3_11, **_V_3_12}, ("thm_b",),
+                       lambda s, v, eps: ((s["R"] > 0) & (v[0] > 0)
+                                          & (v[1] > 0),),
+                       minors=True),
+    "corollaryC": Condition(
+        {"corollaryC": (_corollary_c, -3.0)}, ("corollaryC",),
+        lambda s, v, eps: ((s["R"] > 0)
+                           & (v[0] > eps * np.maximum(1.0, np.abs(v[0]))),),
+        torsion_free=True),
+    "3.11": Condition(_V_3_11, ("3.11",), lambda s, v, eps: (v[0] > 0,)),
+    "3.12": Condition(_V_3_12, ("3.12",), lambda s, v, eps: (v[0] > 0,)),
+    "bianchi": Condition({"bianchi_residual": (_bianchi, None)}, ("bianchi",),
+                         _bianchi_verdict),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +284,8 @@ class HermitianForm:
             raise ValueError("matrix is not exactly Hermitian")
         self.matrix = m
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
     def leading_minors(self) -> list[float]:
-        out = []
-        for k in range(1, self.n + 1):
-            det = np.linalg.det(self.matrix[:k, :k])
-            out.append(float(det.real))
-        return out
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        return _stacked_minors(self.matrix[None])[0].tolist()
 
 
 def is_positive_definite(h: HermitianForm) -> tuple[bool, list[float]]:
@@ -192,41 +294,30 @@ def is_positive_definite(h: HermitianForm) -> tuple[bool, list[float]]:
     return all(m > 0 for m in minors), minors
 
 
-def _form_entries(p: PointData):
-    t = _cbrt_abs_sq(p.A11_1)
-    c = _cross_entry(p)
-    m55 = ((29.0 / 48.0) * p.R ** 2 + (11.0 / 48.0) * p.lapR
-           + 6.0 * abs(p.A11) ** 2 - (2.0 / 3.0) * t ** 2
-           - (16.0 / 3.0) * p.A11_bb.imag)
-    return t, c, m55
+def _stacked_forms(x: FormInputs) -> tuple[np.ndarray, np.ndarray]:
+    """The 4x4 and 5x5 forms of a batch, shapes (n, 4, 4) and (n, 5, 5)."""
+    m5 = np.zeros((len(x.R), 5, 5), dtype=complex)
+    for (i, j), entry in form_entries(x, _float).items():
+        m5[:, i, j] = entry
+        if i != j:
+            m5[:, j, i] = np.conj(entry)
+    return m5[:, :4, :4], m5
+
+
+def _stacked_minors(m: np.ndarray) -> np.ndarray:
+    n = m.shape[1]
+    return np.stack([np.linalg.det(m[:, :k, :k]).real
+                     for k in range(1, n + 1)], axis=1)
 
 
 def build_form_4(p: PointData) -> HermitianForm:
     """4x4 form in (E11_{,b1}, iE11_{,0}, E11_{,1}, E11_{,b})."""
-    t, _, _ = _form_entries(p)
-    a = p.A11
-    m = np.array([
-        [29.0 / 48.0, -1.0, 0.0, 0.0],
-        [-1.0, 2.0, 0.0, 0.0],
-        [0.0, 0.0, p.R / 3.0, (5j / 3.0) * a.conjugate()],
-        [0.0, 0.0, (-5j / 3.0) * a, p.R / 8.0 - (2.0 / 3.0) * t],
-    ], dtype=complex)
-    return HermitianForm(m)
+    return HermitianForm(_stacked_forms(_float_inputs(_stack([p])))[0][0])
 
 
 def build_form_5(p: PointData) -> HermitianForm:
     """5x5 form in (E11_{,b1}, iE11_{,0}, E11_{,1}, E11_{,b}, E11)."""
-    t, c, m55 = _form_entries(p)
-    a = p.A11
-    m = np.zeros((5, 5), dtype=complex)
-    m[:4, :4] = build_form_4(p).matrix
-    m[0, 4] = -p.R / 6.0
-    m[1, 4] = 2.0 * p.R / 3.0
-    m[2, 4] = c
-    m[3, 4] = 0.0
-    m[4, :4] = np.conj(m[:4, 4])
-    m[4, 4] = m55
-    return HermitianForm(m)
+    return HermitianForm(_stacked_forms(_float_inputs(_stack([p])))[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,195 +341,45 @@ def exact_det(matrix: list[list[ScalarExact]]) -> ScalarExact:
     return out
 
 
-def form4_exact(R: Fraction, a11: tuple[Fraction, Fraction],
-                t: Fraction) -> list[list[ScalarExact]]:
+def _exact_inputs(R, a11, t, lapR=Fraction(0), r1=(0, 0), a11_b=(0, 0),
+                  im_a11_bb=Fraction(0)) -> FormInputs:
+    """Rational point data; complex entries as (re, im) pairs of Fractions."""
+    a = _sx(*a11)
+    return FormInputs(R=_sx(R), t=_sx(t), a2=_exact_abs2(a), lapR=_sx(lapR),
+                      imbb=_sx(im_a11_bb), Rb=_sx(*r1).conjugate(),
+                      Ab=a.conjugate(), Ab1=_sx(*a11_b).conjugate())
+
+
+def _exact_form(x: FormInputs, n: int) -> list[list[ScalarExact]]:
+    m = [[ScalarExact(0)] * n for _ in range(n)]
+    for (i, j), entry in form_entries(x, exact_constant).items():
+        if j < n:
+            m[i][j], m[j][i] = entry, entry.conjugate()
+    return m
+
+
+def form4_exact(R, a11, t) -> list[list[ScalarExact]]:
     """Exact 4x4 form with the cube-root magnitude t supplied as a rational."""
-    i5_3 = ScalarExact(0, 0, Fraction(5, 3), 0)
-    a = _sx(*a11)
-    z = ScalarExact(0)
-    return [
-        [_sx(Fraction(29, 48)), _sx(Fraction(-1)), z, z],
-        [_sx(Fraction(-1)), _sx(Fraction(2)), z, z],
-        [z, z, _sx(R / 3), i5_3 * a.conjugate()],
-        [z, z, -i5_3 * a, _sx(R / 8 - Fraction(2, 3) * t)],
-    ]
+    return _exact_form(_exact_inputs(R, a11, t), 4)
 
 
-def form5_exact(R: Fraction, a11: tuple[Fraction, Fraction], t: Fraction,
-                lapR: Fraction, r1: tuple[Fraction, Fraction],
-                a11_b: tuple[Fraction, Fraction],
-                im_a11_bb: Fraction) -> list[list[ScalarExact]]:
-    m = form4_exact(R, a11, t)
-    a = _sx(*a11)
-    c = (_sx(Fraction(5, 48)) * _sx(*r1).conjugate()
-         - ScalarExact(0, 0, 2, 0) * _sx(*a11_b).conjugate())
-    abs_a_sq = (a * a.conjugate())
-    m55 = (_sx(Fraction(29, 48) * R * R + Fraction(11, 48) * lapR
-               - Fraction(16, 3) * im_a11_bb
-               - Fraction(2, 3) * t * t)
-           + _sx(Fraction(6)) * abs_a_sq)
-    col = [_sx(-R / 6), _sx(2 * R / 3), c, ScalarExact(0)]
-    out = [m[k] + [col[k]] for k in range(4)]
-    out.append([col[k].conjugate() for k in range(4)] + [m55])
-    return out
+def form5_exact(*data) -> list[list[ScalarExact]]:
+    """Exact 5x5 form; data (R, a11, t, lapR, r1, a11_b, im_a11_bb)."""
+    return _exact_form(_exact_inputs(*data), 5)
 
 
-def cond_3_11_exact(R: Fraction, a11: tuple[Fraction, Fraction],
-                    t: Fraction) -> Fraction:
-    a2 = a11[0] ** 2 + a11[1] ** 2
-    return Fraction(3, 8) * R * R - 2 * R * t - 25 * a2
+def cond_3_11_exact(R, a11, t) -> Fraction:
+    return _cond_3_11(_exact_inputs(R, a11, t), exact_constant).as_fraction()
 
 
-def cond_3_12_exact(R: Fraction, a11: tuple[Fraction, Fraction], t: Fraction,
-                    lapR: Fraction, r1: tuple[Fraction, Fraction],
-                    a11_b: tuple[Fraction, Fraction],
-                    im_a11_bb: Fraction) -> Fraction:
-    a2 = a11[0] ** 2 + a11[1] ** 2
-    brace = (Fraction(83, 3456) * R * R + Fraction(55, 1152) * lapR
-             + Fraction(5, 4) * a2 - Fraction(5, 36) * t * t
-             - Fraction(10, 9) * im_a11_bb)
-    c = (_sx(Fraction(5, 48)) * _sx(*r1).conjugate()
-         - ScalarExact(0, 0, 2, 0) * _sx(*a11_b).conjugate())
-    cross = (c * c.conjugate()).as_fraction()
-    return (cond_3_11_exact(R, a11, t) * brace
-            - Fraction(15, 8) * (R / 8 - Fraction(2, 3) * t) * cross)
+def cond_3_12_exact(*data) -> Fraction:
+    """Exact 3.12 value; data as for form5_exact."""
+    x = _exact_inputs(*data)
+    return _cond_3_12(x, exact_constant, _exact_abs2).as_fraction()
 
 
 # ---------------------------------------------------------------------------
-# Equivalence checks
-# ---------------------------------------------------------------------------
-
-def check_equiv_3_9_3_11(p: PointData, eps: float = 1e-9) -> dict:
-    """Torsion-block determinant identity and PD(form 4) <=> R>0 and 3.11>0."""
-    form = build_form_4(p)
-    block = form.matrix[2:, 2:]
-    block_det = float(np.linalg.det(block).real)
-    target = cond_3_11(p) / 9.0
-    scale_ = max(1.0, abs(block_det), abs(target))
-    det_ok = abs(block_det - target) <= eps * scale_
-
-    pd, minors = is_positive_definite(form)
-    v311 = cond_3_11(p)
-    rhs = p.R > 0 and v311 > 0
-    boundary = (min(abs(m) for m in minors) <= eps * max(1.0, *map(abs, minors))
-                or abs(v311) <= eps * max(1.0, abs(v311))
-                or abs(p.R) <= eps * max(1.0, abs(p.R)))
-    return {
-        "id": p.id,
-        "block_det": block_det,
-        "block_det_equals_ninth_of_3_11": det_ok,
-        "pd_form4": pd,
-        "equiv_holds": boundary or (pd == rhs),
-        "boundary": boundary,
-        "minors": minors,
-        "cond_3_11": v311,
-    }
-
-
-def check_equiv_3_10_3_12(p: PointData, eps: float = 1e-9) -> dict:
-    """PD(form 5) <=> PD(form 4) and 3.12 > 0; det5 = (1/9) * 3.12 value."""
-    form5 = build_form_5(p)
-    pd5, minors5 = is_positive_definite(form5)
-    pd4, _ = is_positive_definite(build_form_4(p))
-    v312 = cond_3_12(p)
-    det5 = minors5[-1]
-    kappa = det5 / v312 if v312 != 0 else float("nan")
-    rhs = pd4 and v312 > 0
-    boundary = (min(abs(m) for m in minors5)
-                <= eps * max(1.0, *map(abs, minors5))
-                or abs(v312) <= eps * max(1.0, abs(v312)))
-    return {
-        "id": p.id,
-        "pd_form5": pd5,
-        "equiv_holds": boundary or (pd5 == rhs),
-        "boundary": boundary,
-        "kappa": kappa,
-        "det5": det5,
-        "cond_3_12": v312,
-        "minors": minors5,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Contact-form scaling
-# ---------------------------------------------------------------------------
-
-def scale(p: PointData, k: float) -> PointData:
-    """Data after rescaling the contact form by the positive constant k.
-
-    R and A11 scale by k^-1; first derivatives (R1, A11_1, A11_b) by k^-3/2;
-    second derivatives (A11_bb, lapR, R0) by k^-2.  All condition verdicts
-    are invariant under this rescaling.
-    """
-    if k <= 0:
-        raise ValueError("scale factor must be positive")
-    s1 = 1.0 / k
-    s32 = k ** -1.5
-    s2 = k ** -2.0
-    return replace(
-        p,
-        R=p.R * s1, A11=p.A11 * s1,
-        R1=p.R1 * s32, A11_1=p.A11_1 * s32, A11_b=p.A11_b * s32,
-        A11_bb=p.A11_bb * s2, lapR=p.lapR * s2, R0=p.R0 * s2,
-    )
-
-
-# scaling exponent of each condition value under theta -> k theta
-CONDITION_POWERS = {"thm_a": -2.0, "3.11": -2.0, "3.12": -4.0,
-                    "corollaryC": -3.0}
-
-
-def scaling_report(p: PointData, ks: list[float], eps: float = 1e-12) -> dict:
-    """Check value homogeneity and verdict invariance for each k."""
-    base = {
-        "thm_a": thmA_condition(p)[0],
-        "3.11": cond_3_11(p),
-        "3.12": cond_3_12(p),
-    }
-    if p.torsion_free():
-        base["corollaryC"] = corollary_C(p)[0]
-    verdicts0 = _verdicts(p)
-    rows = []
-    ok = True
-    for k in ks:
-        q = scale(p, k)
-        row = {"k": k, "errors": {}, "verdicts_invariant": None}
-        for name, v0 in base.items():
-            if name == "corollaryC":
-                vk = corollary_C(q)[0]
-            elif name == "thm_a":
-                vk = thmA_condition(q)[0]
-            elif name == "3.11":
-                vk = cond_3_11(q)
-            else:
-                vk = cond_3_12(q)
-            expected = v0 * k ** CONDITION_POWERS[name]
-            denom = max(abs(expected), abs(vk), 1e-300)
-            rel = abs(vk - expected) / denom
-            row["errors"][name] = rel
-            ok &= rel < eps
-        inv = _verdicts(q) == verdicts0
-        row["verdicts_invariant"] = inv
-        ok &= inv
-        rows.append(row)
-    return {"id": p.id, "ok": ok, "rows": rows}
-
-
-def _verdicts(p: PointData) -> dict:
-    _, va, vb = thmA_condition(p)
-    out = {
-        "thm_a": va, "thm_a_borderline": vb,
-        "3.11": cond_3_11(p) > 0,
-        "3.12": cond_3_12(p) > 0,
-        "thm_b": p.R > 0 and cond_3_11(p) > 0 and cond_3_12(p) > 0,
-    }
-    if p.torsion_free():
-        out["corollaryC"] = corollary_C(p)[1]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Condition reports / batteries
+# Condition reports
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -459,62 +400,199 @@ class ConditionReport:
                 "passed": self.passed, "errors": self.errors}
 
 
-def evaluate_conditions(p: PointData, conditions: list[str],
-                        eps: float = DEFAULT_EPS) -> ConditionReport:
-    rep = ConditionReport(p.id)
-    for cond in conditions:
-        try:
-            if cond == "thm-a":
-                value, va, vb = thmA_condition(p, eps)
-                rep.values["thm_a"] = value
-                rep.verdicts["thm_a"] = va
-                rep.verdicts["thm_a_borderline"] = vb
-                rep.passed[cond] = va or vb
-            elif cond == "3.11":
-                rep.values["3.11"] = cond_3_11(p)
-                rep.verdicts["3.11"] = rep.values["3.11"] > 0
-                rep.passed[cond] = rep.verdicts["3.11"]
-            elif cond == "3.12":
-                rep.values["3.12"] = cond_3_12(p)
-                rep.verdicts["3.12"] = rep.values["3.12"] > 0
-                rep.passed[cond] = rep.verdicts["3.12"]
-            elif cond == "thm-b":
-                v11, v12 = cond_3_11(p), cond_3_12(p)
-                rep.values["3.11"] = v11
-                rep.values["3.12"] = v12
-                rep.verdicts["thm_b"] = p.R > 0 and v11 > 0 and v12 > 0
-                rep.minors["form_4"] = build_form_4(p).leading_minors()
-                rep.minors["form_5"] = build_form_5(p).leading_minors()
-                rep.passed[cond] = rep.verdicts["thm_b"]
-            elif cond == "corollaryC":
-                value, verdict = corollary_C(p, eps)
-                rep.values["corollaryC"] = value
-                rep.verdicts["corollaryC"] = verdict
-                rep.passed[cond] = verdict
-            elif cond == "bianchi":
-                rep.values["bianchi_residual"] = bianchi_residual(p)
-                rep.verdicts["bianchi"] = bianchi_consistent(p)
-                rep.passed[cond] = rep.verdicts["bianchi"]
-            else:
-                raise ValueError(f"unknown condition {cond!r}")
-        except ValueError as exc:
-            rep.errors.append(str(exc))
-            rep.passed[cond] = False
-    return rep
+def _require_finite(points: list[PointData], arrays, where: str = "") -> None:
+    """Raise ValueError naming the first point with a non-finite value."""
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).reshape(len(points), -1).all(axis=1) for a in arrays])
+    if not finite.all():
+        raise ValueError(f"point {points[int(np.argmin(finite))].id!r}: values "
+                         f"overflow double precision{where}")
 
+
+@np.errstate(all="ignore")
+def evaluate_conditions(points, conditions: list[str],
+                        eps: float = DEFAULT_EPS):
+    """Reports for a list of points, each condition evaluated on the batch.
+
+    A single PointData gives a single report (a batch of one).  Raises
+    ValueError when a value overflows double precision.
+    """
+    if isinstance(points, PointData):
+        return evaluate_conditions([points], conditions, eps)[0]
+    s = _stack(points)
+    x = _float_inputs(s)
+    torsion_free = _torsion_free(s).tolist()
+    reports = [ConditionReport(p.id) for p in points]
+    for name in conditions:
+        row = CONDITIONS[name]
+        values = [fn(x, _float) for fn, _ in row.values.values()]
+        minors = ([_stacked_minors(m) for m in _stacked_forms(x)]
+                  if row.minors else [])
+        _require_finite(points, values + minors)
+        verdicts = row.verdict(s, values, eps)
+        passed = np.logical_or.reduce(verdicts).tolist()
+        values = [v.tolist() for v in values]
+        verdicts = [v.tolist() for v in verdicts]
+        minors = [m.tolist() for m in minors]
+        for i, rep in enumerate(reports):
+            rep.passed[name] = False
+            if row.torsion_free and not torsion_free[i]:
+                rep.errors.append("the torsion-free condition requires "
+                                  "A = 0 input")
+                continue
+            rep.values.update(zip(row.values, (v[i] for v in values)))
+            rep.verdicts.update(zip(row.verdicts, (v[i] for v in verdicts)))
+            if minors:
+                rep.minors["form_4"] = minors[0][i]
+                rep.minors["form_5"] = minors[1][i]
+            rep.passed[name] = passed[i]
+    return reports
+
+
+def thmA_condition(p: PointData, eps: float = DEFAULT_EPS
+                   ) -> tuple[float, bool, bool]:
+    """Automorphism-rigidity value sqrt3 R_{,0} - 2 Im(A11_{,bb}).
+
+    Returns (value, strict verdict, borderline verdict): the strict verdict
+    requires R < 0 and value > 0; the borderline verdict requires R < 0 and
+    value within eps of zero (then only a one-parameter family can survive).
+    The identification i(Z - conj Z) = -2 Im(Z) ties this to the integrand of
+    the final scalar identity.
+    """
+    rep = evaluate_conditions(p, ["thm-a"], eps)
+    return (rep.values["thm_a"], rep.verdicts["thm_a"],
+            rep.verdicts["thm_a_borderline"])
+
+
+def cond_3_11(p: PointData) -> float:
+    return evaluate_conditions(p, ["3.11"]).values["3.11"]
+
+
+def cond_3_12(p: PointData) -> float:
+    return evaluate_conditions(p, ["3.12"]).values["3.12"]
+
+
+def corollary_C(p: PointData, eps: float = DEFAULT_EPS) -> tuple[float, bool]:
+    """Torsion-free rigidity value 4R(5R^2 + 3 lap_b R) - 3 |grad_b R|^2."""
+    rep = evaluate_conditions(p, ["corollaryC"], eps)
+    if rep.errors:
+        raise ValueError(rep.errors[0])
+    return rep.values["corollaryC"], rep.verdicts["corollaryC"]
+
+
+def bianchi_consistent(p: PointData) -> bool:
+    return evaluate_conditions(p, ["bianchi"]).verdicts["bianchi"]
+
+
+# ---------------------------------------------------------------------------
+# Contact-form scaling
+# ---------------------------------------------------------------------------
+
+# weight w of each field: it scales by k^-w under theta -> k theta
+_SCALE_WEIGHTS = {"R": 1.0, "A11": 1.0, "R1": 1.5, "A11_1": 1.5, "A11_b": 1.5,
+                  "A11_bb": 2.0, "lapR": 2.0, "R0": 2.0}
+
+# Homogeneity bound constant C in |v_k - k^p v_0| <= C u (M_k + |k^p| M_0).
+# Counting roundings as Higham does (ch. 3, |theta_n| <= gamma_n ~ n u), the
+# deepest value, 3.12 on scaled data, carries at most 44 along one path: a
+# scaled field carries 3 (pow, product), |z|^2 of one 11 (hypot, square), t
+# 10 (4 through the cube root, 2 for pow, 4 for the rounded exponent 1/3,
+# which moves t_k / t_0 by about |ln k| u / 2: within 4u while |ln k| <= 8),
+# and the products and sums of 3.12 the rest.  k^p v_0 adds 3 (pow, product).
+_HOMOGENEITY_C = 48
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _scaled(fields, k: float) -> dict:
+    return {name: fields[name] * k ** -w for name, w in _SCALE_WEIGHTS.items()}
+
+
+def scale(p: PointData, k: float) -> PointData:
+    """Data after rescaling the contact form by the positive constant k.
+
+    R and A11 scale by k^-1; first derivatives (R1, A11_1, A11_b) by k^-3/2;
+    second derivatives (A11_bb, lapR, R0) by k^-2.  All condition verdicts
+    are invariant under this rescaling.
+    """
+    if k <= 0:
+        raise ValueError("scale factor must be positive")
+    return replace(p, **_scaled(vars(p), k))
+
+
+def _scaling_pass(s: dict, eps: float) -> tuple[dict, dict]:
+    """The scale-invariant rows on one batch: {key: (v, M, power)} for their
+    values and {key: verdict} for their verdicts."""
+    rows = [row for row in CONDITIONS.values()
+            if all(power is not None for _, power in row.values.values())]
+    x = _float_inputs(s)
+    magnitudes = FormInputs(*(np.abs(v) for v in x))
+    values = {key: (fn(x, _float), fn(magnitudes, _magnitude), power)
+              for row in rows for key, (fn, power) in row.values.items()}
+    verdicts = {}
+    for row in rows:
+        verdicts.update(zip(row.verdicts, row.verdict(
+            s, [values[key][0] for key in row.values], eps)))
+    return values, verdicts
+
+
+@np.errstate(all="ignore")
+def scaling_report(points, ks: list[float], eps: float = DEFAULT_EPS):
+    """Value homogeneity and verdict invariance, one batched pass per k.
+
+    A value v of power p passes at k when |v_k - k^p v_0| <= C u (M_k +
+    |k^p| M_0), with M the sum of the magnitudes of v's summands, u the unit
+    roundoff and C = _HOMOGENEITY_C; `errors` reports |v_k - k^p v_0|
+    relative to the larger of |v_k| and |k^p v_0|.  Verdicts use the band
+    eps, as in `evaluate_conditions`.  A single PointData gives a single
+    report (a batch of one).  Raises ValueError when a value or its M
+    overflows double precision.
+    """
+    if isinstance(points, PointData):
+        return scaling_report([points], ks, eps)[0]
+    s = _stack(points)
+    values0, verdicts0 = _scaling_pass(s, eps)
+    _require_finite(points, [a for v, m, _ in values0.values() for a in (v, m)])
+    # values of torsion-free rows are reported at torsion-free points only
+    torsion_free = _torsion_free(s).tolist()
+    partial = {key for row in CONDITIONS.values() if row.torsion_free
+               for key in row.values}
+    ok = np.ones(len(points), dtype=bool)
+    reports = [{"id": p.id, "ok": True, "rows": []} for p in points]
+    for k in ks:
+        values, verdicts = _scaling_pass(_scaled(s, np.float64(k)), eps)
+        _require_finite(points, [a for v, m, _ in values.values()
+                                 for a in (v, m)], f" at k = {k}")
+        invariant = np.logical_and.reduce(
+            [verdicts[key] == v0 for key, v0 in verdicts0.items()])
+        errors = {}
+        for key, (v0, m0, power) in values0.items():
+            vk, mk, _ = values[key]
+            kp = np.float64(k) ** power
+            diff = np.abs(vk - v0 * kp)
+            ok &= diff <= _HOMOGENEITY_C * _UNIT_ROUNDOFF * (mk + abs(kp) * m0)
+            errors[key] = (diff / np.maximum(np.maximum(np.abs(v0 * kp),
+                                                        np.abs(vk)), 1e-300)
+                           ).tolist()
+        ok &= invariant
+        for i, (rep, inv) in enumerate(zip(reports, invariant.tolist())):
+            rep["rows"].append({
+                "k": k,
+                "errors": {key: rel[i] for key, rel in errors.items()
+                           if torsion_free[i] or key not in partial},
+                "verdicts_invariant": inv})
+    for rep, good in zip(reports, ok.tolist()):
+        rep["ok"] = good
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# Sampling batteries
+# ---------------------------------------------------------------------------
 
 def random_point(rng: np.random.Generator) -> PointData:
     """Random point data with mixed magnitudes to exercise both verdicts."""
-    mag = 10.0 ** rng.uniform(-1.5, 1.0)
-
-    def c() -> complex:
-        return mag * complex(rng.standard_normal(), rng.standard_normal())
-
-    return PointData(
-        R=mag * rng.standard_normal(), R0=mag * rng.standard_normal(),
-        R1=c(), lapR=mag * rng.standard_normal(),
-        A11=0.3 * c(), A11_1=0.3 * c(), A11_b=0.3 * c(), A11_bb=0.3 * c(),
-    )
+    return PointData(**{name: v.item()
+                        for name, v in _sample_fields(rng, 1).items()})
 
 
 def _sample_fields(rng: np.random.Generator, n: int) -> dict:
@@ -531,67 +609,30 @@ def _sample_fields(rng: np.random.Generator, n: int) -> dict:
     }
 
 
-def _stacked_forms(s: dict) -> tuple[np.ndarray, np.ndarray]:
-    n = len(s["R"])
-    R, a = s["R"], s["A11"]
-    t = (np.abs(s["A11_1"]) ** 2) ** (1.0 / 3.0)
-    c = (5.0 / 48.0) * np.conj(s["R1"]) - 2j * np.conj(s["A11_b"])
-    m55 = ((29.0 / 48.0) * R ** 2 + (11.0 / 48.0) * s["lapR"]
-           + 6.0 * np.abs(a) ** 2 - (2.0 / 3.0) * t ** 2
-           - (16.0 / 3.0) * s["A11_bb"].imag)
-    m5 = np.zeros((n, 5, 5), dtype=complex)
-    m5[:, 0, 0] = 29.0 / 48.0
-    m5[:, 0, 1] = m5[:, 1, 0] = -1.0
-    m5[:, 1, 1] = 2.0
-    m5[:, 2, 2] = R / 3.0
-    m5[:, 2, 3] = (5j / 3.0) * np.conj(a)
-    m5[:, 3, 2] = np.conj(m5[:, 2, 3])
-    m5[:, 3, 3] = R / 8.0 - (2.0 / 3.0) * t
-    m5[:, 0, 4] = -R / 6.0
-    m5[:, 1, 4] = 2.0 * R / 3.0
-    m5[:, 2, 4] = c
-    m5[:, 4, :4] = np.conj(m5[:, :4, 4])
-    m5[:, 4, 4] = m55
-    return m5[:, :4, :4], m5
-
-
-def _stacked_minors(m: np.ndarray) -> np.ndarray:
-    n = m.shape[1]
-    return np.stack([np.linalg.det(m[:, :k, :k]).real
-                     for k in range(1, n + 1)], axis=1)
+def _in_band(a: np.ndarray, eps: float) -> np.ndarray:
+    """Rows of a whose smallest magnitude is within eps of zero, relative to
+    max(1, the largest); a 1-D a is taken as one-entry rows."""
+    a = np.abs(a if a.ndim == 2 else a[:, None])
+    return np.min(a, axis=1) <= eps * np.maximum(1.0, np.max(a, axis=1))
 
 
 def equivalence_battery(samples: int, seed: int, eps: float = 1e-9) -> dict:
     """Sampled verification of both determinant equivalences (vectorized)."""
     rng = np.random.default_rng(seed)
-    s = _sample_fields(rng, samples)
-    R, a = s["R"], s["A11"]
-    t = (np.abs(s["A11_1"]) ** 2) ** (1.0 / 3.0)
-    c = (5.0 / 48.0) * np.conj(s["R1"]) - 2j * np.conj(s["A11_b"])
-    v311 = 0.375 * R ** 2 - 2.0 * R * t - 25.0 * np.abs(a) ** 2
-    brace = ((83.0 / 3456.0) * R ** 2 + (55.0 / 1152.0) * s["lapR"]
-             + 1.25 * np.abs(a) ** 2 - (5.0 / 36.0) * t ** 2
-             - (10.0 / 9.0) * s["A11_bb"].imag)
-    v312 = (v311 * brace
-            - (15.0 / 8.0) * (R / 8.0 - (2.0 / 3.0) * t) * np.abs(c) ** 2)
+    x = _float_inputs(_sample_fields(rng, samples))
+    v311 = _cond_3_11(x, _float)
+    v312 = _cond_3_12(x, _float)
 
-    m4, m5 = _stacked_forms(s)
+    m4, m5 = _stacked_forms(x)
     minors4 = _stacked_minors(m4)
     minors5 = _stacked_minors(m5)
     pd4 = np.all(minors4 > 0, axis=1)
     pd5 = np.all(minors5 > 0, axis=1)
 
-    scale4 = np.maximum(1.0, np.max(np.abs(minors4), axis=1))
-    scale5 = np.maximum(1.0, np.max(np.abs(minors5), axis=1))
-    boundary = (
-        (np.min(np.abs(minors4), axis=1) <= eps * scale4)
-        | (np.min(np.abs(minors5), axis=1) <= eps * scale5)
-        | (np.abs(v311) <= eps * np.maximum(1.0, np.abs(v311)))
-        | (np.abs(v312) <= eps * np.maximum(1.0, np.abs(v312)))
-        | (np.abs(R) <= eps * np.maximum(1.0, np.abs(R)))
-    )
+    boundary = np.logical_or.reduce(
+        [_in_band(a, eps) for a in (minors4, minors5, v311, v312, x.R)])
     live = ~boundary
-    rhs4 = (R > 0) & (v311 > 0)
+    rhs4 = (x.R > 0) & (v311 > 0)
     rhs5 = pd4 & (v312 > 0)
     mism4 = int(np.sum(live & (pd4 != rhs4)))
     mism5 = int(np.sum(live & (pd5 != rhs5)))
@@ -640,10 +681,7 @@ def sylvester_battery(samples: int, seed: int, eps: float = 1e-9) -> dict:
         eig = np.linalg.eigvalsh(mats)
         pd_minor = np.all(minors > 0, axis=1)
         pd_eig = np.all(eig > 0, axis=1)
-        scale_m = np.maximum(1.0, np.max(np.abs(minors), axis=1))
-        boundary = ((np.min(np.abs(minors), axis=1) <= eps * scale_m)
-                    | (np.min(np.abs(eig), axis=1)
-                       <= eps * np.maximum(1.0, np.max(np.abs(eig), axis=1))))
+        boundary = _in_band(minors, eps) | _in_band(eig, eps)
         boundary_skips += int(np.sum(boundary))
         disagreements += int(np.sum(~boundary & (pd_minor != pd_eig)))
     return {"samples": samples, "seed": seed,

@@ -8,6 +8,7 @@ from phbochner import identities as ids
 from phbochner.calculus import check_certificate
 from phbochner.expr import Expression, Factor
 from phbochner.parser import parse
+from phbochner.rigidity import form_entries
 from phbochner.scalar import ScalarExact
 
 
@@ -107,6 +108,20 @@ def test_certificates_replay():
     paired = (diff * Factor("f")).integrate()
     assert check_certificate(paired, corpus.expr("2.8", "integrals"),
                              result.trace)
+
+
+def test_3_8_judges_the_numeric_form(monkeypatch):
+    """A numeric form entry that differs from the catalog's 3.8 fails it."""
+    def perturbed(x, K):
+        entries = form_entries(x, K)
+        entries[4, 4] = entries[4, 4] + K(1, 48) * x.lapR
+        return entries
+
+    monkeypatch.setattr(ids, "form_entries", perturbed)
+    result = ids.verify_3_5_to_3_8()
+    assert result.status == "FAIL"
+    assert ("numeric form entries against the catalog", "PASS") \
+        not in result.steps
 
 
 @pytest.mark.parametrize("ident", ["2.ibp", "3.2", "2.11"])
