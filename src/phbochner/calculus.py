@@ -17,12 +17,21 @@ The engine implements
   T-direction a = 0 (the divergence theorem holds in all three directions;
   the 0-direction rule is required to close several catalog identities);
 * a complete decision procedure for equality modulo integration by parts:
-  the difference is canonicalized and reduced, by exact Gaussian elimination,
-  against the full space of divergence relations of its weight class.  The
-  reduction returns a replayable certificate (which relation was used with
-  which coefficient), so every equality decision doubles as an audit trail.
+  the difference is canonicalized, and each (weight, balance) class of it is
+  reduced, by exact Gaussian elimination, against the divergence relations
+  generated from its monomials (the query's relation closure).  The residual
+  is the normal form modulo the span of that closure: every pivot lead is
+  eliminated, so it depends on the query alone, not on row order or on other
+  queries.  The reduction returns a replayable certificate (which relation
+  was used with which coefficient); a zero residual found by elimination is
+  replayed with `check_certificate` from freshly built rows before it is
+  returned, so every such equality decision doubles as an audit trail.
 
-All operations are pure; the only module state is a cache of canonical forms.
+All operations are pure.  The module state is three caches: canonical forms
+of factors (`_canon_cache`), relation rows by (parent, direction)
+(`_row_cache`, at most MAX_CACHED_ROWS) and eliminated systems by class,
+relation set and `modulo` generators (`_system_cache`, at most
+MAX_CACHED_SYSTEMS); the bounded two evict their oldest entry first.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .expr import DERIV_LETTERS, Expression, Factor, Term
-from .scalar import I, ONE, ScalarExact
+from .scalar import I, ONE, ZERO, ScalarExact
 
 __all__ = [
     "CalculusError", "RewriteTrace", "Rule",
@@ -46,6 +55,11 @@ _LETTER_ORDER = {"1": 0, "b": 1, "0": 2}
 # Hard cap on the relation system built per equality query; the catalog
 # needs well under a thousand relations.
 MAX_RELATIONS = 10_000
+# Bounds of the caches shared across queries: relation rows, and eliminated
+# systems per relation set.  The oldest entry is evicted first.  The whole of
+# `verify all --mutate` uses 152 rows and 13 systems.
+MAX_CACHED_ROWS = 10_000
+MAX_CACHED_SYSTEMS = 64
 
 
 class CalculusError(RuntimeError):
@@ -218,24 +232,27 @@ def canonicalize(e: Expression, trace: RewriteTrace | None = None) -> Expression
     leftmost out-of-order pair of each factor, and corrections are recursively
     canonicalized.
     """
-    out = Expression.zero()
+    acc: dict = {}
     for key, coeff in e.items():
         integrated, factors = key
-        prod = Expression.scalar(coeff)
-        dirty = False
-        for f in factors:
-            if f.is_canonical():
-                prod = prod * Expression.from_factor(f)
-            else:
-                dirty = True
-                prod = prod * canonicalize_factor(f)
-        if integrated:
-            prod = prod.integrate()
-        if dirty and trace is not None:
-            before = Expression.from_term(coeff, factors, integrated)
-            trace.record("canonicalize", str(before), str(prod))
-        out = out + prod
-    return out
+        if all(f.is_canonical() for f in factors):
+            expanded = ((key, coeff),)
+        else:
+            prod = Expression.from_term(
+                coeff, [f for f in factors if f.is_canonical()])
+            for f in factors:
+                if not f.is_canonical():
+                    prod = prod * canonicalize_factor(f)
+            if integrated:
+                prod = prod.integrate()
+            if trace is not None:
+                before = Expression.from_term(coeff, factors, integrated)
+                trace.record("canonicalize", str(before), str(prod))
+            expanded = prod.items()
+        for k, c in expanded:
+            prev = acc.get(k)
+            acc[k] = c if prev is None else prev + c
+    return Expression(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +365,11 @@ def apply_rule(e: Expression, rule: Rule, max_rounds: int = 64,
 
 Monomial = tuple[Factor, ...]
 
+# (parent, direction) -> canonical relation row; never mutated
+_row_cache: dict[tuple[Monomial, str], dict[Monomial, ScalarExact]] = {}
+# (weight, balance, relation ids, modulo) -> eliminated system
+_system_cache: dict[tuple, "_LinearSystem"] = {}
+
 
 def _monomial_weight(m: Monomial) -> int:
     return sum(f.weight() for f in m)
@@ -388,50 +410,73 @@ def _relation_row(parent: Monomial, direction: str) -> dict[Monomial, ScalarExac
 
 
 class _LinearSystem:
-    """Exact row reduction with a certificate over the original rows."""
+    """Exact row reduction with a certificate over the original rows.
+
+    The pivot rows form an echelon basis (distinct leading monomials) that is
+    not reduced: `add_row` eliminates leading terms only.  `reduce_vector`
+    eliminates every pivot lead from the vector, largest first, so what is
+    left avoids all leads and is the unique normal form modulo the span.
+    """
 
     def __init__(self):
-        # leading monomial -> (vector, combo over original row ids)
+        # leading monomial -> (vector, combo over original row ids); the
+        # entries are never mutated, so copies may share them
         self.pivots: dict[Monomial, tuple[dict, dict]] = {}
+
+    def copy(self) -> "_LinearSystem":
+        clone = _LinearSystem()
+        clone.pivots = dict(self.pivots)
+        return clone
 
     @staticmethod
     def _leading(vec: dict) -> Monomial:
         return max(vec, key=_monomial_sort_key)
 
-    def _reduce(self, vec: dict, combo: dict, sign: int) -> tuple[dict, dict]:
+    def _eliminate(self, vec: dict, combo: dict, lead: Monomial,
+                   sign: int) -> None:
         # Pivot rows maintain the invariant  pvec = sum(pcombo * rows), so an
         # elimination vec -= f*pvec updates combo by -f*pcombo when combo
         # tracks "vec as a combination of rows" (sign = -1, used when adding
         # rows), and by +f*pcombo when combo tracks "what was subtracted from
         # the original vector" (sign = +1, used when reducing a query).
-        while vec:
-            lead = self._leading(vec)
-            pivot = self.pivots.get(lead)
-            if pivot is None:
-                return vec, combo
-            pvec, pcombo = pivot
-            factor = vec[lead] / pvec[lead]
-            for m, c in pvec.items():
-                val = vec.get(m, ScalarExact(0)) - factor * c
-                if val.is_zero():
-                    vec.pop(m, None)
-                else:
-                    vec[m] = val
-            for rid, c in pcombo.items():
-                val = combo.get(rid, ScalarExact(0)) + sign * factor * c
-                if val.is_zero():
-                    combo.pop(rid, None)
-                else:
-                    combo[rid] = val
-        return vec, combo
+        # Pivot rows are stored with leading coefficient 1, so f = vec[lead]
+        # and no division is needed.
+        pvec, pcombo = self.pivots[lead]
+        factor = vec[lead]
+        for m, c in pvec.items():
+            val = vec.get(m, ZERO) - factor * c
+            if val.is_zero():
+                vec.pop(m, None)
+            else:
+                vec[m] = val
+        if sign < 0:
+            factor = -factor
+        for rid, c in pcombo.items():
+            val = combo.get(rid, ZERO) + factor * c
+            if val.is_zero():
+                combo.pop(rid, None)
+            else:
+                combo[rid] = val
 
     def add_row(self, row_id, vec: dict):
-        vec, combo = self._reduce(dict(vec), {row_id: ONE}, sign=-1)
-        if vec:
-            self.pivots[self._leading(vec)] = (vec, combo)
+        vec, combo = dict(vec), {row_id: ONE}
+        while vec:
+            lead = self._leading(vec)
+            if lead not in self.pivots:
+                scale = vec[lead].inverse()
+                self.pivots[lead] = ({m: c * scale for m, c in vec.items()},
+                                     {r: c * scale for r, c in combo.items()})
+                return
+            self._eliminate(vec, combo, lead, sign=-1)
 
     def reduce_vector(self, vec: dict) -> tuple[dict, dict]:
-        return self._reduce(dict(vec), {}, sign=+1)
+        vec, combo = dict(vec), {}
+        while True:
+            leads = [m for m in vec if m in self.pivots]
+            if not leads:
+                return vec, combo
+            self._eliminate(vec, combo, max(leads, key=_monomial_sort_key),
+                            sign=+1)
 
 
 def _enumerate_strings(weight: int) -> list[tuple[str, ...]]:
@@ -483,13 +528,29 @@ def _enumerate_e_linear(weight: int, balance: int) -> list[Monomial]:
     return sorted(set(out), key=_monomial_sort_key)
 
 
-def _build_relations(seed: Iterable[Monomial], system: _LinearSystem,
-                     trace: RewriteTrace | None) -> None:
-    """Saturate the divergence relations touching the seed's weight class."""
-    seen_rel: set[tuple[Monomial, str]] = set()
+def _remember(cache: dict, key, value, bound: int) -> None:
+    """Insert into a bounded cache, evicting the oldest entries first."""
+    while cache and len(cache) >= bound:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+def _cached_row(parent: Monomial, direction: str) -> dict:
+    row = _row_cache.get((parent, direction))
+    if row is None:
+        row = _relation_row(parent, direction)
+        _remember(_row_cache, (parent, direction), row, MAX_CACHED_ROWS)
+    return row
+
+
+def _build_relations(seed: Iterable[Monomial]) -> dict[tuple, dict]:
+    """Saturate the divergence relations touching the seed's weight class.
+
+    Returns the relation rows by row id, in the order they were generated.
+    """
+    relations: dict[tuple, dict] = {}
     seen_mono: set[Monomial] = set(seed)
     frontier = list(seen_mono)
-    count = 0
     while frontier:
         mono = frontier.pop()
         new_rels: list[tuple[Monomial, str]] = []
@@ -504,23 +565,61 @@ def _build_relations(seed: Iterable[Monomial], system: _LinearSystem,
                 for gparent, letter2 in _single_deletions(parent):
                     if letter2 != "0":
                         new_rels.append((gparent, "0"))
-        for rel in new_rels:
-            if rel in seen_rel:
+        for parent, direction in new_rels:
+            rid = ("ibp", parent, direction)
+            if rid in relations:
                 continue
-            seen_rel.add(rel)
-            count += 1
-            if count > MAX_RELATIONS:
+            if len(relations) >= MAX_RELATIONS:
                 offending = "*".join(str(f) for f in mono)
                 raise CalculusError(
                     f"relation cap ({MAX_RELATIONS}) exceeded while "
                     f"processing the class of INT[{offending}]")
-            row = _relation_row(*rel)
-            rid = ("ibp", rel[0], rel[1])
-            system.add_row(rid, row)
+            row = relations[rid] = _cached_row(parent, direction)
             for m in row:
                 if m not in seen_mono:
                     seen_mono.add(m)
                     frontier.append(m)
+    return relations
+
+
+def _modulo_rows(weight: int, balance: int, modulo: Sequence[Expression]):
+    """(row id, row) for INT[S * N] = 0, N of the class's remaining weight."""
+    for gi, gen in enumerate(modulo):
+        gen_weights = {Term(c, k[1], k[0]).weight() for k, c in gen.items()}
+        gen_balances = {Term(c, k[1], k[0]).alpha() for k, c in gen.items()}
+        if len(gen_weights) != 1 or len(gen_balances) != 1:
+            raise CalculusError("modulo generators must be homogeneous")
+        gw, gb = gen_weights.pop(), gen_balances.pop()
+        mw, mb = weight - gw, balance - gb
+        if mw < 0:
+            continue
+        for mult in _enumerate_e_linear(mw, mb):
+            prod = gen
+            for f in mult:
+                prod = prod * Expression.from_factor(f)
+            yield ("modulo", gi, mult), _canonical_vector(canonicalize(prod))
+
+
+def _eliminated_system(weight: int, balance: int, relations: dict[tuple, dict],
+                       modulo: tuple[Expression, ...]) -> _LinearSystem:
+    """The echelon system of a relation set (plus `modulo` rows), cached.
+
+    Rows are added in generation order on a miss; a system with `modulo`
+    rows extends a copy of the plain system of the same relations.
+    """
+    key = (weight, balance, frozenset(relations), modulo)
+    system = _system_cache.get(key)
+    if system is None:
+        if modulo:
+            system = _eliminated_system(weight, balance, relations, ()).copy()
+            rows = _modulo_rows(weight, balance, modulo)
+        else:
+            system = _LinearSystem()
+            rows = relations.items()
+        for rid, row in rows:
+            system.add_row(rid, row)
+        _remember(_system_cache, key, system, MAX_CACHED_SYSTEMS)
+    return system
 
 
 def _row_id_str(rid) -> str:
@@ -545,7 +644,9 @@ def ibp_residual(a: Expression, b: Expression,
     identically on the configurations considered (for instance a divergence
     constraint); the reduction may use INT[S * N] = 0 for any monomial
     multiplier N of matching weight.  Returns (residual, trace); the residual
-    is zero exactly when a == b modulo the stated relations.
+    is zero exactly when a == b modulo the stated relations.  A zero found by
+    elimination is replayed with `check_certificate`, and CalculusError is
+    raised if the replay fails.
     """
     if trace is None:
         trace = RewriteTrace()
@@ -566,23 +667,8 @@ def ibp_residual(a: Expression, b: Expression,
 
     residual = Expression.zero()
     for (weight, balance), gvec in sorted(groups.items()):
-        system = _LinearSystem()
-        _build_relations(list(gvec), system, trace)
-        for gi, gen in enumerate(modulo):
-            gen_weights = {Term(c, k[1], k[0]).weight() for k, c in gen.items()}
-            gen_balances = {Term(c, k[1], k[0]).alpha() for k, c in gen.items()}
-            if len(gen_weights) != 1 or len(gen_balances) != 1:
-                raise CalculusError("modulo generators must be homogeneous")
-            gw, gb = gen_weights.pop(), gen_balances.pop()
-            mw, mb = weight - gw, balance - gb
-            if mw < 0:
-                continue
-            for mult in _enumerate_e_linear(mw, mb):
-                prod = gen
-                for f in mult:
-                    prod = prod * Expression.from_factor(f)
-                row = _canonical_vector(canonicalize(prod))
-                system.add_row(("modulo", gi, mult), row)
+        relations = _build_relations(list(gvec))
+        system = _eliminated_system(weight, balance, relations, tuple(modulo))
         reduced, combo = system.reduce_vector(gvec)
         for rid, coeff in sorted(combo.items(), key=lambda kv: str(kv[0])):
             trace.record("relation", _row_id_str(rid), "0",
@@ -592,6 +678,8 @@ def ibp_residual(a: Expression, b: Expression,
             residual = residual + Expression.from_term(coeff, mono, True)
 
     trace.residual = None if residual.is_zero() else residual
+    if trace.residual is None and not check_certificate(a, b, trace, modulo):
+        raise CalculusError("the equality certificate does not replay")
     return residual, trace
 
 
@@ -607,9 +695,10 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
                       modulo: Sequence[Expression] = ()) -> bool:
     """Replay an equality certificate: a - b == sum(c * relation) + residual.
 
-    Every relation row is rebuilt from its id and the combination is checked
-    by exact arithmetic, so a True result is an independent proof that the
-    recorded decision was sound.
+    Every relation row is rebuilt from its id, never read from the row or
+    system caches (canonical forms of factors still come from `_canon_cache`),
+    and the combination is checked by exact arithmetic, so a True result is
+    an independent proof that the recorded elimination was sound.
     """
     total = _canonical_vector(canonicalize(a - b))
     for rid, coeff in trace.certificate:

@@ -281,7 +281,11 @@ def main(argv: list[str] | None = None) -> int:
         _input_error(f"--eps must be finite and nonnegative, got {args.eps}")
     seed = args.seed
     if os.environ.get("PHB_SEED"):
-        seed = int(os.environ["PHB_SEED"])
+        try:
+            seed = int(os.environ["PHB_SEED"])
+        except ValueError:
+            _input_error(f"PHB_SEED must be an integer, "
+                         f"got {os.environ['PHB_SEED']!r}")
     if seed is None:
         seed = DEFAULT_SEED
     cfg = RunConfig(command=args.command, eps=args.eps, samples=args.samples,

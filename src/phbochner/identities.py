@@ -344,7 +344,8 @@ def verify_3_7_pointwise(samples: int = 100_000, seed: int = 0) -> ScriptResult:
     violations = int(np.sum(lhs - rhs < -1e-12 * scale))
 
     # tight family: with omega^3 = w, a = -i u, equality needs omega^2 v = -conj(omega a)
-    wt, ut = cplx(samples // 10), cplx(samples // 10)
+    tight = max(1, samples // 10)
+    wt, ut = cplx(tight), cplx(tight)
     omega = np.abs(wt) ** (1.0 / 3.0) * np.exp(1j * np.angle(wt) / 3.0)
     a = -1j * ut
     lhs_t, rhs_t = sides(wt, ut, -np.conj(omega * a) / omega ** 2)

@@ -64,6 +64,14 @@ class ScalarExact:
 
     def __mul__(self, other):
         o = ScalarExact.coerce(other)
+        # a rational factor scales the components (almost every product in
+        # the IBP engine has one)
+        if not (o.b or o.c or o.d):
+            r = o.a
+            return ScalarExact(self.a * r, self.b * r, self.c * r, self.d * r)
+        if not (self.b or self.c or self.d):
+            r = self.a
+            return ScalarExact(r * o.a, r * o.b, r * o.c, r * o.d)
         # (x1 + i y1)(x2 + i y2) with x, y in Q(sqrt3); on Q(sqrt3):
         # (a + b s)(a' + b' s) = (aa' + 3bb') + (ab' + a'b) s
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d

@@ -265,10 +265,26 @@ def test_equivalence_relation_on_samples():
 
 
 def test_relation_cap_guard(monkeypatch):
+    a, b = parse("INT[ R*E11_{1b}*Eb1b1 ]"), parse("INT[ 2*R*E11_{1b}*Eb1b1 ]")
+    equal_mod_ibp(a, b)  # the cap holds with the query's rows cached
     monkeypatch.setattr(calc, "MAX_RELATIONS", 3)
     with pytest.raises(CalculusError):
-        equal_mod_ibp(parse("INT[ R*E11_{1b}*Eb1b1 ]"),
-                      parse("INT[ 2*R*E11_{1b}*Eb1b1 ]"))
+        equal_mod_ibp(a, b)
+
+
+def test_pass_replays_certificate_from_fresh_rows(monkeypatch):
+    a = parse("INT[ Ab1b1_{1}*f_{1}*f ]")
+    b = parse("INT[ (-1/2)*Ab1b1_{11}*f*f ]")
+    ok, trace = equal_mod_ibp(a, b)
+    assert ok
+    # doubling a cached row keeps the span, so the query still reduces to
+    # zero, but with a certificate that the true row does not satisfy
+    key = trace.certificate[0][0][1:]
+    doubled = {m: c * 2 for m, c in calc._row_cache[key].items()}
+    monkeypatch.setitem(calc._row_cache, key, doubled)
+    monkeypatch.setattr(calc, "_system_cache", {})
+    with pytest.raises(CalculusError):
+        equal_mod_ibp(a, b)
 
 
 def test_trace_export_formats():

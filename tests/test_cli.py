@@ -89,35 +89,39 @@ def test_check_empty_file(tmp_path):
 ONE_POINT = '[{"id": "p0", "R": 1.0}]'
 
 
-@pytest.mark.parametrize("content, args, names", [
+@pytest.mark.parametrize("content, args, names, env", [
     ('[{"id": "q", "R": 1.0, "lapR": Infinity}]',
-     ["check", "{}", "--cond", "3.12"], ["'q'", "'lapR'"]),
+     ["check", "{}", "--cond", "3.12"], ["'q'", "'lapR'"], {}),
     ('[{"id": "q", "R": NaN}]', ["check", "{}", "--cond", "thm-b"],
-     ["'q'", "'R'"]),
+     ["'q'", "'R'"], {}),
     ('[{"id": "q", "R": 1.0, "A11": "abc"}]',
-     ["check", "{}", "--cond", "thm-b"], ["'q'", "'A11'"]),
+     ["check", "{}", "--cond", "thm-b"], ["'q'", "'A11'"], {}),
     ('[{"id": "q", "R": 1.0, "R1": [1.0, 2.0, 3.0]}]',
-     ["scaletest", "{}"], ["'q'", "'R1'"]),
+     ["scaletest", "{}"], ["'q'", "'R1'"], {}),
     ('[{"id": "q", "R": 1e200}]', ["check", "{}", "--cond", "thm-b"],
-     ["'q'", "overflow"]),
-    (ONE_POINT, ["scaletest", "{}", "--k", "1e-200"], ["'p0'", "1e-200"]),
-    ("[5]", ["check", "{}", "--cond", "thm-b"], []),
-    ("[]", ["check", "{}", "--cond", "thm-b"], []),
-    ("not json", ["check", "{}", "--cond", "thm-b"], []),
-    (ONE_POINT, ["scaletest", "{}", "--k", "1/0"], ["1/0"]),
-    (ONE_POINT, ["scaletest", "{}", "--k", "abc"], ["abc"]),
-    (ONE_POINT, ["scaletest", "{}", "--k", "1/2,-3"], ["-3"]),
-    (ONE_POINT, ["--samples", "-3", "equiv"], ["--samples"]),
-    (ONE_POINT, ["--samples", "0", "equiv"], ["--samples"]),
-    (ONE_POINT, ["--samples", "0", "verify", "3.7"], ["--samples"]),
+     ["'q'", "overflow"], {}),
+    (ONE_POINT, ["scaletest", "{}", "--k", "1e-200"], ["'p0'", "1e-200"], {}),
+    ("[5]", ["check", "{}", "--cond", "thm-b"], [], {}),
+    ("[]", ["check", "{}", "--cond", "thm-b"], [], {}),
+    ("not json", ["check", "{}", "--cond", "thm-b"], [], {}),
+    (ONE_POINT, ["scaletest", "{}", "--k", "1/0"], ["1/0"], {}),
+    (ONE_POINT, ["scaletest", "{}", "--k", "abc"], ["abc"], {}),
+    (ONE_POINT, ["scaletest", "{}", "--k", "1/2,-3"], ["-3"], {}),
+    (ONE_POINT, ["--samples", "-3", "equiv"], ["--samples"], {}),
+    (ONE_POINT, ["--samples", "0", "equiv"], ["--samples"], {}),
+    (ONE_POINT, ["--samples", "0", "verify", "3.7"], ["--samples"], {}),
     (ONE_POINT, ["--eps=-1e-12", "check", "{}", "--cond", "thm-b"],
-     ["--eps"]),
+     ["--eps"], {}),
+    (ONE_POINT, ["equiv"], ["PHB_SEED", "abc"], {"PHB_SEED": "abc"}),
 ], ids=["infinite-field", "nan-field", "string-field", "long-pair",
         "value-overflow", "k-overflow", "not-a-record", "empty-array",
         "not-json", "k-divides-by-zero", "k-not-a-number", "k-negative",
         "samples-negative", "samples-zero", "samples-zero-verify",
-        "eps-negative"])
-def test_input_error_exits_2(capsys, tmp_path, content, args, names):
+        "eps-negative", "seed-env-not-a-number"])
+def test_input_error_exits_2(capsys, monkeypatch, tmp_path, content, args,
+                             names, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
     path = tmp_path / "points.json"
     path.write_text(content)
     with pytest.raises(SystemExit) as exc:

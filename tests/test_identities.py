@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import phbochner.calculus as calc
 from phbochner import identities as ids
 from phbochner.calculus import check_certificate
 from phbochner.expr import Expression, Factor
@@ -27,6 +28,12 @@ def test_3_7_numeric():
     assert result.passed
     assert result.details["violations"] == 0
     assert result.details["tight_max_rel"] < 1e-12
+
+
+def test_3_7_tight_family_below_ten_samples():
+    result = ids.verify_3_7_pointwise(samples=5, seed=0)
+    assert result.passed
+    assert result.details["tight_max_rel"] > 0  # the family is not empty
 
 
 def test_2_7_wrong_alpha_leaves_T_residual():
@@ -149,3 +156,57 @@ def test_result_serialization():
     assert d["status"] == "PASS"
     assert d["residual"] is None
     assert all(isinstance(s["value"], str) for s in d["steps"])
+
+
+# ---------------------------------------------------------------------------
+# relation caches: a residual depends on its query alone
+# ---------------------------------------------------------------------------
+
+def _mutants() -> list[tuple[str, str, Expression]]:
+    """(name "id#k", identity, target with term k bumped) in catalog order."""
+    out = []
+    for ident in ids.MUTABLE_IDS:
+        base = ids._mutation_base(ident)
+        for k, term in enumerate(base.term_list()):
+            bump = Expression.from_term(1, term.factors, term.integrated)
+            out.append((f"{ident}#{k}", ident, base + bump))
+    return out
+
+
+def _residual(ident: str, mutated: Expression) -> Expression:
+    return ids._run_mutated(ident, mutated).residual
+
+
+def _clear_ibp_caches():
+    calc._row_cache.clear()
+    calc._system_cache.clear()
+
+
+def test_residual_independent_of_cache_state():
+    # a cache shared per (weight, balance) class changed both residuals
+    targets = ("3.6#1", "3.8#4")
+    mutants = _mutants()
+    others = [m for m in mutants if m[0] not in targets]
+    cold = {}
+    for name, ident, mutated in mutants:
+        if name in targets:
+            _clear_ibp_caches()
+            cold[name] = _residual(ident, mutated)
+    for warm_up in (others, others[::-1]):
+        _clear_ibp_caches()
+        for _, ident, mutated in warm_up:
+            _residual(ident, mutated)
+        for name, ident, mutated in mutants:
+            if name in targets:
+                assert _residual(ident, mutated) == cold[name], name
+
+
+def test_cache_eviction_keeps_residuals(monkeypatch):
+    mutants = [m for m in _mutants() if m[1] == "3.4"]
+    default = [_residual(ident, mutated) for _, ident, mutated in mutants]
+    monkeypatch.setattr(calc, "MAX_CACHED_ROWS", 1)
+    monkeypatch.setattr(calc, "MAX_CACHED_SYSTEMS", 1)
+    _clear_ibp_caches()
+    assert [_residual(ident, mutated)
+            for _, ident, mutated in mutants] == default
+    assert len(calc._row_cache) == len(calc._system_cache) == 1
