@@ -27,11 +27,13 @@ The engine implements
   replayed with `check_certificate` from freshly built rows before it is
   returned, so every such equality decision doubles as an audit trail.
 
-All operations are pure.  The module state is three caches: canonical forms
-of factors (`_canon_cache`), relation rows by (parent, direction)
-(`_row_cache`, at most MAX_CACHED_ROWS) and eliminated systems by class,
-relation set and `modulo` generators (`_system_cache`, at most
-MAX_CACHED_SYSTEMS); the bounded two evict their oldest entry first.
+All operations are pure.  The module state is four bounded caches:
+canonical forms of factors (`_canon_cache`, at most MAX_CACHED_FACTORS),
+relation rows by (parent, direction) (`_row_cache`, at most
+MAX_CACHED_ROWS) and eliminated systems by class, relation set and `modulo`
+generators (`_system_cache`, at most MAX_CACHED_SYSTEMS), which evict their
+oldest entry first; and the relation ids each monomial seeds
+(`_seeded_relations`, an LRU cache of MAX_CACHED_EXPANSIONS monomials).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .expr import DERIV_LETTERS, Expression, Factor, Term
@@ -55,11 +58,14 @@ _LETTER_ORDER = {"1": 0, "b": 1, "0": 2}
 # Hard cap on the relation system built per equality query; the catalog
 # needs well under a thousand relations.
 MAX_RELATIONS = 10_000
-# Bounds of the caches shared across queries: relation rows, and eliminated
-# systems per relation set.  The oldest entry is evicted first.  The whole of
-# `verify all --mutate` uses 152 rows and 13 systems.
+# Bounds of the caches shared across queries: canonical forms of factors,
+# relation rows, eliminated systems per relation set, and the relation ids
+# seeded by one monomial.  The whole of `verify all --mutate` uses 116
+# factors, 152 rows, 13 systems and 216 monomials.
+MAX_CACHED_FACTORS = 10_000
 MAX_CACHED_ROWS = 10_000
 MAX_CACHED_SYSTEMS = 64
+MAX_CACHED_EXPANSIONS = 10_000
 
 
 class CalculusError(RuntimeError):
@@ -221,7 +227,7 @@ def canonicalize_factor(factor: Factor) -> Expression:
             for f in factors:
                 prod = prod * canonicalize_factor(f)
             out = out + prod
-    _canon_cache[factor] = out
+    _remember(_canon_cache, factor, out, MAX_CACHED_FACTORS)
     return out
 
 
@@ -387,7 +393,7 @@ def _canonical_vector(e: Expression) -> dict[Monomial, ScalarExact]:
     vec: dict[Monomial, ScalarExact] = {}
     for key, coeff in e.items():
         _, factors = key
-        vec[factors] = vec.get(factors, ScalarExact(0)) + coeff
+        vec[factors] = vec.get(factors, ZERO) + coeff
     return {m: c for m, c in vec.items() if not c.is_zero()}
 
 
@@ -543,6 +549,24 @@ def _cached_row(parent: Monomial, direction: str) -> dict:
     return row
 
 
+@lru_cache(maxsize=MAX_CACHED_EXPANSIONS)
+def _seeded_relations(mono: Monomial) -> tuple[tuple, ...]:
+    """Ids of the relations a monomial seeds, in search order, once each."""
+    rids: dict[tuple, None] = {}
+    for parent, letter in _single_deletions(mono):
+        if letter == "0":
+            rids[("ibp", parent, "0")] = None
+        else:
+            rids[("ibp", parent, "1")] = None
+            rids[("ibp", parent, "b")] = None
+            # grandparents reached by removing two single-weight letters
+            # feed the 0-direction relations of the same weight class
+            for gparent, letter2 in _single_deletions(parent):
+                if letter2 != "0":
+                    rids[("ibp", gparent, "0")] = None
+    return tuple(rids)
+
+
 def _build_relations(seed: Iterable[Monomial]) -> dict[tuple, dict]:
     """Saturate the divergence relations touching the seed's weight class.
 
@@ -553,20 +577,7 @@ def _build_relations(seed: Iterable[Monomial]) -> dict[tuple, dict]:
     frontier = list(seen_mono)
     while frontier:
         mono = frontier.pop()
-        new_rels: list[tuple[Monomial, str]] = []
-        for parent, letter in _single_deletions(mono):
-            if letter == "0":
-                new_rels.append((parent, "0"))
-            else:
-                new_rels.append((parent, "1"))
-                new_rels.append((parent, "b"))
-                # grandparents reached by removing two single-weight letters
-                # feed the 0-direction relations of the same weight class
-                for gparent, letter2 in _single_deletions(parent):
-                    if letter2 != "0":
-                        new_rels.append((gparent, "0"))
-        for parent, direction in new_rels:
-            rid = ("ibp", parent, direction)
+        for rid in _seeded_relations(mono):
             if rid in relations:
                 continue
             if len(relations) >= MAX_RELATIONS:
@@ -574,7 +585,7 @@ def _build_relations(seed: Iterable[Monomial]) -> dict[tuple, dict]:
                 raise CalculusError(
                     f"relation cap ({MAX_RELATIONS}) exceeded while "
                     f"processing the class of INT[{offending}]")
-            row = relations[rid] = _cached_row(parent, direction)
+            row = relations[rid] = _cached_row(rid[1], rid[2])
             for m in row:
                 if m not in seen_mono:
                     seen_mono.add(m)
@@ -712,7 +723,7 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
         else:  # pragma: no cover
             raise CalculusError(f"unknown certificate row {rid!r}")
         for mono, c in row.items():
-            val = total.get(mono, ScalarExact(0)) - coeff * c
+            val = total.get(mono, ZERO) - coeff * c
             if val.is_zero():
                 total.pop(mono, None)
             else:

@@ -279,8 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         _input_error(f"--samples must be at least 1, got {args.samples}")
     if not (math.isfinite(args.eps) and args.eps >= 0):
         _input_error(f"--eps must be finite and nonnegative, got {args.eps}")
-    seed = args.seed
+    seed, seed_name = args.seed, "--seed"
     if os.environ.get("PHB_SEED"):
+        seed_name = "PHB_SEED"
         try:
             seed = int(os.environ["PHB_SEED"])
         except ValueError:
@@ -288,6 +289,8 @@ def main(argv: list[str] | None = None) -> int:
                          f"got {os.environ['PHB_SEED']!r}")
     if seed is None:
         seed = DEFAULT_SEED
+    elif seed < 0:
+        _input_error(f"{seed_name} must be nonnegative, got {seed}")
     cfg = RunConfig(command=args.command, eps=args.eps, samples=args.samples,
                     seed=seed, output_format=args.format)
     if args.command == "verify":

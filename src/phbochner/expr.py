@@ -14,6 +14,7 @@ All values are immutable; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .scalar import ScalarExact, ZERO
@@ -74,6 +75,10 @@ SYMBOLS: dict[str, SymbolInfo] = {
 SYMBOL_ORDER = ["f", "g", "gb", "R", "A11", "Ab1b1", "E11", "Eb1b1", "Q11", "Qb1b1"]
 _SYMBOL_INDEX = {name: k for k, name in enumerate(SYMBOL_ORDER)}
 
+# Bound of the LRU cache of factor sort keys; the catalog uses a few hundred
+# distinct factors.
+MAX_CACHED_SORT_KEYS = 4096
+
 
 # ---------------------------------------------------------------------------
 # Factor
@@ -109,6 +114,7 @@ class Factor(NamedTuple):
     def with_deriv(self, letter: str) -> "Factor":
         return Factor(self.symbol, self.derivs + (letter,))
 
+    @lru_cache(maxsize=MAX_CACHED_SORT_KEYS)
     def sort_key(self):
         return (_SYMBOL_INDEX[self.symbol], len(self.derivs),
                 tuple(_LETTER_ORDER[l] for l in self.derivs))

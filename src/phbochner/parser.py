@@ -20,11 +20,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .expr import DERIV_LETTERS, Expression, Factor, SYMBOLS
 from .scalar import I, SQRT3, ScalarExact
 
 __all__ = ["parse", "ParseError"]
+
+# Bound of the LRU cache of parsed texts; the corpus holds a few dozen.
+MAX_CACHED_PARSES = 1024
 
 
 class ParseError(ValueError):
@@ -185,9 +189,12 @@ class _Parser:
         return Expression.from_factor(Factor(symbol, derivs))
 
 
+@lru_cache(maxsize=MAX_CACHED_PARSES)
 def parse(text: str) -> Expression:
     """Parse grammar text into an Expression.
 
-    Raises ParseError (with position) on syntax errors or unknown symbols.
+    Raises ParseError (with position) on syntax errors or unknown symbols;
+    errors are not cached.  Results are cached by text, which is safe since
+    an Expression is immutable.
     """
     return _Parser(text).parse()

@@ -2,14 +2,17 @@
 
 Every coefficient that occurs in the identity catalog lives in this field:
 rationals, i, sqrt(3), and combinations such as (sqrt(3) - i)/2 or 4 + i*sqrt(3).
-Elements are stored as (a + b*sqrt3) + i*(c + d*sqrt3) with exact rational
-components, so equality tests are exact and no floating point ever enters
-the symbolic layer.
+An element (a + b*sqrt3) + i*(c + d*sqrt3) is stored as four integer
+numerators over one positive common denominator q, reduced so that
+gcd(a, b, c, d, q) = 1.  That form is unique, so equality tests are integer
+tuple comparisons, each result costs one gcd, and no floating point ever
+enters the symbolic layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 RatLike = Union[int, Fraction]
@@ -24,18 +27,43 @@ def _frac(x: RatLike) -> Fraction:
 
 
 class ScalarExact:
-    """Element (a + b*sqrt3) + i*(c + d*sqrt3) of Q(i, sqrt3)."""
+    """Element (a + b*sqrt3) + i*(c + d*sqrt3) of Q(i, sqrt3).
 
-    __slots__ = ("a", "b", "c", "d")
+    `_v` is (a, b, c, d, q) with integer numerators, q > 0 and
+    gcd(a, b, c, d, q) = 1; the properties a, b, c, d give the components
+    as Fractions.
+    """
 
-    def __init__(self, a: RatLike = 0, b: RatLike = 0, c: RatLike = 0, d: RatLike = 0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-        object.__setattr__(self, "c", _frac(c))
-        object.__setattr__(self, "d", _frac(d))
+    __slots__ = ("_v",)
+
+    def __new__(cls, a: RatLike = 0, b: RatLike = 0, c: RatLike = 0,
+                d: RatLike = 0):
+        parts = [_frac(x) for x in (a, b, c, d)]
+        q = lcm(*(p.denominator for p in parts))
+        # with q the lcm of reduced denominators the form is already reduced
+        return _wrap(tuple(p.numerator * (q // p.denominator) for p in parts)
+                     + (q,))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ScalarExact is immutable")
+
+    # -- components ----------------------------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._v[0], self._v[4])
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._v[1], self._v[4])
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._v[2], self._v[4])
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self._v[3], self._v[4])
 
     # -- constructors ------------------------------------------------------
 
@@ -43,18 +71,26 @@ class ScalarExact:
     def coerce(x: "ScalarExact | RatLike") -> "ScalarExact":
         if isinstance(x, ScalarExact):
             return x
-        return ScalarExact(_frac(x))
+        if isinstance(x, int):
+            return _wrap((x, 0, 0, 0, 1))
+        x = _frac(x)
+        return _wrap((x.numerator, 0, 0, 0, x.denominator))
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        o = ScalarExact.coerce(other)
-        return ScalarExact(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = ScalarExact.coerce(other)._v
+        if q1 == q2:
+            return _make(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1)
+        return _make(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
+                     c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExact(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, q = self._v
+        return _wrap((-a, -b, -c, -d, q))
 
     def __sub__(self, other):
         return self + (-ScalarExact.coerce(other))
@@ -63,38 +99,38 @@ class ScalarExact:
         return (-self) + ScalarExact.coerce(other)
 
     def __mul__(self, other):
-        o = ScalarExact.coerce(other)
-        # a rational factor scales the components (almost every product in
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = ScalarExact.coerce(other)._v
+        q = q1 * q2
+        # a rational factor scales the numerators (almost every product in
         # the IBP engine has one)
-        if not (o.b or o.c or o.d):
-            r = o.a
-            return ScalarExact(self.a * r, self.b * r, self.c * r, self.d * r)
-        if not (self.b or self.c or self.d):
-            r = self.a
-            return ScalarExact(r * o.a, r * o.b, r * o.c, r * o.d)
+        if not (b2 or c2 or d2):
+            return _make(a1 * a2, b1 * a2, c1 * a2, d1 * a2, q)
+        if not (b1 or c1 or d1):
+            return _make(a1 * a2, a1 * b2, a1 * c2, a1 * d2, q)
         # (x1 + i y1)(x2 + i y2) with x, y in Q(sqrt3); on Q(sqrt3):
         # (a + b s)(a' + b' s) = (aa' + 3bb') + (ab' + a'b) s
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        ra = a1 * a2 + 3 * b1 * b2 - (c1 * c2 + 3 * d1 * d2)
-        rb = a1 * b2 + a2 * b1 - (c1 * d2 + c2 * d1)
-        ia = a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2)
-        ib = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-        return ScalarExact(ra, rb, ia, ib)
+        return _make(a1 * a2 + 3 * b1 * b2 - (c1 * c2 + 3 * d1 * d2),
+                     a1 * b2 + a2 * b1 - (c1 * d2 + c2 * d1),
+                     a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
+                     a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ScalarExact":
         if self.is_zero():
             raise ZeroDivisionError("ScalarExact division by zero")
-        # 1/z = conj(z) / (z * conj(z)); the denominator lies in Q(sqrt3)
-        conj = self.conjugate()
-        den = self * conj  # real: (p + q sqrt3) with c = d = 0
-        p, q = den.a, den.b
-        # 1/(p + q sqrt3) = (p - q sqrt3)/(p^2 - 3 q^2)
-        norm = p * p - 3 * q * q
-        inv_den = ScalarExact(p / norm, -q / norm)
-        return conj * inv_den
+        # 1/z = conj(z) / (z * conj(z)); with z = (x + i y)/q and x, y in
+        # Z[sqrt3], z * conj(z) = (p + r sqrt3)/q^2 and
+        # 1/(p + r sqrt3) = (p - r sqrt3)/(p^2 - 3 r^2); the norm
+        # p^2 - 3 r^2 is positive, the product of the two real embeddings of
+        # z * conj(z), each a sum of squares
+        a, b, c, d, q = self._v
+        p = a * a + 3 * b * b + c * c + 3 * d * d
+        r = 2 * (a * b + c * d)
+        norm = p * p - 3 * r * r
+        return _make(q * (a * p - 3 * b * r), q * (b * p - a * r),
+                     -q * (c * p - 3 * d * r), -q * (d * p - c * r), norm)
 
     def __truediv__(self, other):
         return self * ScalarExact.coerce(other).inverse()
@@ -117,19 +153,20 @@ class ScalarExact:
     # -- involution and predicates ------------------------------------------
 
     def conjugate(self) -> "ScalarExact":
-        return ScalarExact(self.a, self.b, -self.c, -self.d)
+        a, b, c, d, q = self._v
+        return _wrap((a, b, -c, -d, q))
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return self._v == _ZERO_V
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._v != _ZERO_V
 
     def is_real(self) -> bool:
-        return not (self.c or self.d)
+        return not (self._v[2] or self._v[3])
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return not (self._v[1] or self._v[2] or self._v[3])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -148,7 +185,7 @@ class ScalarExact:
             other = ScalarExact.coerce(other)
         if not isinstance(other, ScalarExact):
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return self._v == other._v
 
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d))
@@ -162,11 +199,9 @@ class ScalarExact:
     def parts(self) -> list[tuple[Fraction, str]]:
         """Nonzero basis components as (rational, token) with token in
         {"", "s3", "i", "i*s3"}."""
-        out = []
-        for r, tok in ((self.a, ""), (self.b, "s3"), (self.c, "i"), (self.d, "i*s3")):
-            if r:
-                out.append((r, tok))
-        return out
+        q = self._v[4]
+        return [(Fraction(n, q), tok)
+                for n, tok in zip(self._v, ("", "s3", "i", "i*s3")) if n]
 
     def __str__(self):
         parts = self.parts()
@@ -190,6 +225,30 @@ class ScalarExact:
 
     def __repr__(self):
         return f"ScalarExact({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
+
+
+_new = object.__new__
+_set_v = ScalarExact._v.__set__
+_ZERO_V = (0, 0, 0, 0, 1)
+
+
+def _wrap(v: tuple) -> ScalarExact:
+    """A ScalarExact from an (a, b, c, d, q) tuple already in normal form."""
+    out = _new(ScalarExact)
+    _set_v(out, v)
+    return out
+
+
+def _make(a: int, b: int, c: int, d: int, q: int) -> ScalarExact:
+    """(a + b*sqrt3 + i*(c + d*sqrt3))/q for q > 0, reduced by one gcd."""
+    g = gcd(a, b, c, d, q)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+        d //= g
+        q //= g
+    return _wrap((a, b, c, d, q))
 
 
 ZERO = ScalarExact(0)

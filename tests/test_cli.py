@@ -113,11 +113,17 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
     (ONE_POINT, ["--eps=-1e-12", "check", "{}", "--cond", "thm-b"],
      ["--eps"], {}),
     (ONE_POINT, ["equiv"], ["PHB_SEED", "abc"], {"PHB_SEED": "abc"}),
+    (ONE_POINT, ["--seed", "-5", "--samples", "100", "sylvester"],
+     ["--seed", "-5"], {}),
+    (ONE_POINT, ["--seed", "-5", "--samples", "100", "verify", "3.7"],
+     ["--seed", "-5"], {}),
+    (ONE_POINT, ["equiv"], ["PHB_SEED", "-5"], {"PHB_SEED": "-5"}),
 ], ids=["infinite-field", "nan-field", "string-field", "long-pair",
         "value-overflow", "k-overflow", "not-a-record", "empty-array",
         "not-json", "k-divides-by-zero", "k-not-a-number", "k-negative",
         "samples-negative", "samples-zero", "samples-zero-verify",
-        "eps-negative", "seed-env-not-a-number"])
+        "eps-negative", "seed-env-not-a-number", "seed-negative",
+        "seed-negative-verify", "seed-env-negative"])
 def test_input_error_exits_2(capsys, monkeypatch, tmp_path, content, args,
                              names, env):
     for key, value in env.items():

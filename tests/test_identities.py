@@ -178,6 +178,7 @@ def _residual(ident: str, mutated: Expression) -> Expression:
 
 
 def _clear_ibp_caches():
+    calc._canon_cache.clear()
     calc._row_cache.clear()
     calc._system_cache.clear()
 
@@ -204,9 +205,33 @@ def test_residual_independent_of_cache_state():
 def test_cache_eviction_keeps_residuals(monkeypatch):
     mutants = [m for m in _mutants() if m[1] == "3.4"]
     default = [_residual(ident, mutated) for _, ident, mutated in mutants]
+    monkeypatch.setattr(calc, "MAX_CACHED_FACTORS", 1)
     monkeypatch.setattr(calc, "MAX_CACHED_ROWS", 1)
     monkeypatch.setattr(calc, "MAX_CACHED_SYSTEMS", 1)
     _clear_ibp_caches()
     assert [_residual(ident, mutated)
             for _, ident, mutated in mutants] == default
-    assert len(calc._row_cache) == len(calc._system_cache) == 1
+    assert len(calc._canon_cache) == len(calc._row_cache) \
+        == len(calc._system_cache) == 1
+
+
+@pytest.mark.parametrize("ident", ["3.4", "3.8"])
+def test_memoized_relation_search_matches_cold(monkeypatch, ident):
+    seeds = []
+    build = calc._build_relations
+
+    def recording(seed):
+        seeds.append(list(seed))
+        return build(seed)
+
+    monkeypatch.setattr(calc, "_build_relations", recording)
+    ids.run_script(ident)
+    assert seeds
+    for seed in seeds:
+        calc._seeded_relations.cache_clear()
+        Factor.sort_key.cache_clear()
+        parse.cache_clear()
+        cold = list(build(seed))
+        hits = calc._seeded_relations.cache_info().hits
+        assert list(build(seed)) == cold
+        assert calc._seeded_relations.cache_info().hits > hits

@@ -82,6 +82,16 @@ def test_parse_errors(text):
         parse(text)
 
 
+def test_parse_cache_keeps_no_errors():
+    parse.cache_clear()
+    text = "f_{11} + i*A_{11}*f"
+    assert parse(text) is parse(text)
+    for _ in range(3):
+        with pytest.raises(ParseError):
+            parse("f + zzz")
+    assert parse.cache_info().currsize == 1
+
+
 def test_error_position_reported():
     with pytest.raises(ParseError) as err:
         parse("f + zzz")

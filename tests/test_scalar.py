@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -85,3 +86,113 @@ def test_str_forms():
     assert str(-I) == "-i"
     assert str(SQRT3 * rational(-2)) == "-2*s3"
     assert str(rational(4) + I * SQRT3) == "4 + i*s3"
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator representation against the component-wise Fraction
+# formulas
+# ---------------------------------------------------------------------------
+
+def _ref_mul(x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 + 3 * b1 * b2 - (c1 * c2 + 3 * d1 * d2),
+            a1 * b2 + a2 * b1 - (c1 * d2 + c2 * d1),
+            a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+
+
+def _ref_inverse(x):
+    a, b, c, d = x
+    conj = (a, b, -c, -d)
+    p, q, _, _ = _ref_mul(x, conj)
+    norm = p * p - 3 * q * q
+    return _ref_mul(conj, (p / norm, -q / norm, Fraction(0), Fraction(0)))
+
+
+def _parts(z):
+    return (z.a, z.b, z.c, z.d)
+
+
+def _normal(z):
+    *nums, q = z._v
+    return q > 0 and gcd(*nums, q) == 1
+
+
+def _given_pairs(check):
+    """Run check(x, y) on generated pairs of Fraction 4-tuples."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    comp = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                  st.integers(1, 10 ** 4)))
+    elem = st.tuples(comp, comp, comp, comp)
+    hyp.settings(max_examples=150, deadline=None, derandomize=True,
+                 database=None)(hyp.given(elem, elem)(check))()
+
+
+def test_ops_match_fraction_reference():
+    def check(x, y):
+        zx, zy = ScalarExact(*x), ScalarExact(*y)
+        want = {
+            "+": tuple(p + q for p, q in zip(x, y)),
+            "-": tuple(p - q for p, q in zip(x, y)),
+            "*": _ref_mul(x, y),
+            "conj": (x[0], x[1], -x[2], -x[3]),
+        }
+        got = {"+": zx + zy, "-": zx - zy, "*": zx * zy,
+               "conj": zx.conjugate()}
+        if any(y):
+            want["/"] = _ref_mul(x, _ref_inverse(y))
+            want["inv"] = _ref_inverse(y)
+            got["/"] = zx / zy
+            got["inv"] = zy.inverse()
+        for op, z in got.items():
+            assert _parts(z) == want[op], op
+            assert _normal(z), op
+            # equal values give equal objects and equal hashes
+            rebuilt = ScalarExact(*want[op])
+            assert z == rebuilt and hash(z) == hash(rebuilt), op
+    _given_pairs(check)
+
+
+def test_rational_operands_match_reference():
+    def check(x, y):
+        r = ScalarExact(x[0])
+        for z, want in ((r * ScalarExact(*y), _ref_mul((x[0], 0, 0, 0), y)),
+                        (ScalarExact(*y) * r, _ref_mul(y, (x[0], 0, 0, 0))),
+                        (ScalarExact(*y) * x[0], _ref_mul(y, (x[0], 0, 0, 0))),
+                        (x[0] + ScalarExact(*y), (x[0] + y[0],) + y[1:])):
+            assert _parts(z) == want and _normal(z)
+    _given_pairs(check)
+
+
+def test_zero_and_rationals_have_one_form():
+    assert ZERO._v == (0, 0, 0, 0, 1)
+    assert (rational(3, 7) - rational(3, 7))._v == ZERO._v
+    assert rational(6, 4)._v == (3, 0, 0, 0, 2)
+    assert ScalarExact(Fraction(1, 2), Fraction(1, 3))._v == (3, 2, 0, 0, 6)
+    assert ScalarExact(Fraction(-2, 4)) == Fraction(-1, 2)
+    assert ONE == 1 and ONE * 2 == 2
+
+
+@pytest.mark.parametrize("value, text, rep", [
+    (ZERO, "0",
+     "ScalarExact(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))"),
+    (rational(-29, 48), "-29/48",
+     "ScalarExact(Fraction(-29, 48), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))"),
+    (ScalarExact(0, 1, 0, 0), "s3",
+     "ScalarExact(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))"),
+    (ScalarExact(4, 0, 0, 1), "4 + i*s3",
+     "ScalarExact(Fraction(4, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))"),
+    (ScalarExact(Fraction(1, 2), Fraction(-1, 3), Fraction(-2, 3),
+                 Fraction(5, 6)),
+     "1/2 - 1/3*s3 - 2/3*i + 5/6*i*s3",
+     "ScalarExact(Fraction(1, 2), Fraction(-1, 3), Fraction(-2, 3), Fraction(5, 6))"),
+    (ScalarExact(0, 0, -1, -2), "-i - 2*i*s3",
+     "ScalarExact(Fraction(0, 1), Fraction(0, 1), Fraction(-1, 1), Fraction(-2, 1))"),
+])
+def test_print_bytes(value, text, rep):
+    assert str(value) == text
+    assert repr(value) == rep
