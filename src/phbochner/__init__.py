@@ -7,7 +7,6 @@ from .expr import Expression, Factor, Term
 from .parser import parse, ParseError
 from .calculus import (canonicalize, commute_swap, differentiate,
                        equal_mod_ibp, integrate_by_parts)
-from .rigidity import PointData, HermitianForm
 
 __all__ = [
     "ScalarExact", "Expression", "Factor", "Term", "parse", "ParseError",
@@ -16,3 +15,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_NUMERIC = ("PointData", "HermitianForm")
+
+
+def __getattr__(name: str):
+    # The numeric names come from `rigidity`, imported on first use (PEP 562),
+    # so importing the package does not import the float path.
+    if name in _NUMERIC:
+        from . import rigidity
+        return getattr(rigidity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,6 +13,10 @@ The PHB_SEED environment variable overrides --seed.  Identical configuration
 (including the seed) produces byte-identical JSON output.  Exit status is 0
 when every requested verification or condition passed, 1 when one failed,
 and 2 on a usage or input error, reported as one line on stderr.
+
+Each command imports only what it runs: numpy is loaded by `check`,
+`scaletest`, `equiv`, `sylvester` and `verify 3.7`, never by the exact
+commands.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import identities, rigidity
-from .operators import registry
+from . import rigidity
 from .rigidity import PointData
 
 DEFAULT_SEED = 20240814
@@ -96,6 +99,8 @@ def _load_points(path: str) -> list[PointData]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(cfg: RunConfig, ids: list[str], mutate: bool) -> int:
+    from . import identities
+
     wanted = identities.catalog_ids() if ids == ["all"] else ids
     for ident in wanted:
         if ident not in identities.catalog_ids():
@@ -179,6 +184,8 @@ def cmd_sylvester(cfg: RunConfig) -> int:
 
 
 def cmd_trace(cfg: RunConfig, ident: str) -> int:
+    from . import identities
+
     if ident not in identities.catalog_ids():
         print(f"unknown identity id: {ident}", file=sys.stderr)
         return 2
@@ -198,6 +205,8 @@ def cmd_trace(cfg: RunConfig, ident: str) -> int:
 
 
 def cmd_ops(cfg: RunConfig, name: str | None) -> int:
+    from .operators import registry
+
     reg = registry()
     if name is None:
         _emit({"command": "ops", "operators": sorted(reg)}, cfg.output_format)

@@ -19,14 +19,35 @@ from floats.
 
 from __future__ import annotations
 
+import importlib.util
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .scalar import ScalarExact
+
+
+def _lazy_import(name: str):
+    """The module `name`, executed on its first attribute access.
+
+    This is the `importlib.util.LazyLoader` recipe.  Only the float path
+    touches numpy, so the exact kernel and the symbolic commands that import
+    this module never pay for loading it.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 __all__ = [
     "PointData", "HermitianForm", "ConditionReport", "Condition", "CONDITIONS",
@@ -409,7 +430,6 @@ def _require_finite(points: list[PointData], arrays, where: str = "") -> None:
                          f"overflow double precision{where}")
 
 
-@np.errstate(all="ignore")
 def evaluate_conditions(points, conditions: list[str],
                         eps: float = DEFAULT_EPS):
     """Reports for a list of points, each condition evaluated on the batch.
@@ -419,34 +439,36 @@ def evaluate_conditions(points, conditions: list[str],
     """
     if isinstance(points, PointData):
         return evaluate_conditions([points], conditions, eps)[0]
-    s = _stack(points)
-    x = _float_inputs(s)
-    torsion_free = _torsion_free(s).tolist()
-    reports = [ConditionReport(p.id) for p in points]
-    for name in conditions:
-        row = CONDITIONS[name]
-        values = [fn(x, _float) for fn, _ in row.values.values()]
-        minors = ([_stacked_minors(m) for m in _stacked_forms(x)]
-                  if row.minors else [])
-        _require_finite(points, values + minors)
-        verdicts = row.verdict(s, values, eps)
-        passed = np.logical_or.reduce(verdicts).tolist()
-        values = [v.tolist() for v in values]
-        verdicts = [v.tolist() for v in verdicts]
-        minors = [m.tolist() for m in minors]
-        for i, rep in enumerate(reports):
-            rep.passed[name] = False
-            if row.torsion_free and not torsion_free[i]:
-                rep.errors.append("the torsion-free condition requires "
-                                  "A = 0 input")
-                continue
-            rep.values.update(zip(row.values, (v[i] for v in values)))
-            rep.verdicts.update(zip(row.verdicts, (v[i] for v in verdicts)))
-            if minors:
-                rep.minors["form_4"] = minors[0][i]
-                rep.minors["form_5"] = minors[1][i]
-            rep.passed[name] = passed[i]
-    return reports
+    with np.errstate(all="ignore"):
+        s = _stack(points)
+        x = _float_inputs(s)
+        torsion_free = _torsion_free(s).tolist()
+        reports = [ConditionReport(p.id) for p in points]
+        for name in conditions:
+            row = CONDITIONS[name]
+            values = [fn(x, _float) for fn, _ in row.values.values()]
+            minors = ([_stacked_minors(m) for m in _stacked_forms(x)]
+                      if row.minors else [])
+            _require_finite(points, values + minors)
+            verdicts = row.verdict(s, values, eps)
+            passed = np.logical_or.reduce(verdicts).tolist()
+            values = [v.tolist() for v in values]
+            verdicts = [v.tolist() for v in verdicts]
+            minors = [m.tolist() for m in minors]
+            for i, rep in enumerate(reports):
+                rep.passed[name] = False
+                if row.torsion_free and not torsion_free[i]:
+                    rep.errors.append("the torsion-free condition requires "
+                                      "A = 0 input")
+                    continue
+                rep.values.update(zip(row.values, (v[i] for v in values)))
+                rep.verdicts.update(zip(row.verdicts,
+                                        (v[i] for v in verdicts)))
+                if minors:
+                    rep.minors["form_4"] = minors[0][i]
+                    rep.minors["form_5"] = minors[1][i]
+                rep.passed[name] = passed[i]
+        return reports
 
 
 def thmA_condition(p: PointData, eps: float = DEFAULT_EPS
@@ -535,7 +557,6 @@ def _scaling_pass(s: dict, eps: float) -> tuple[dict, dict]:
     return values, verdicts
 
 
-@np.errstate(all="ignore")
 def scaling_report(points, ks: list[float], eps: float = DEFAULT_EPS):
     """Value homogeneity and verdict invariance, one batched pass per k.
 
@@ -549,40 +570,43 @@ def scaling_report(points, ks: list[float], eps: float = DEFAULT_EPS):
     """
     if isinstance(points, PointData):
         return scaling_report([points], ks, eps)[0]
-    s = _stack(points)
-    values0, verdicts0 = _scaling_pass(s, eps)
-    _require_finite(points, [a for v, m, _ in values0.values() for a in (v, m)])
-    # values of torsion-free rows are reported at torsion-free points only
-    torsion_free = _torsion_free(s).tolist()
-    partial = {key for row in CONDITIONS.values() if row.torsion_free
-               for key in row.values}
-    ok = np.ones(len(points), dtype=bool)
-    reports = [{"id": p.id, "ok": True, "rows": []} for p in points]
-    for k in ks:
-        values, verdicts = _scaling_pass(_scaled(s, np.float64(k)), eps)
-        _require_finite(points, [a for v, m, _ in values.values()
-                                 for a in (v, m)], f" at k = {k}")
-        invariant = np.logical_and.reduce(
-            [verdicts[key] == v0 for key, v0 in verdicts0.items()])
-        errors = {}
-        for key, (v0, m0, power) in values0.items():
-            vk, mk, _ = values[key]
-            kp = np.float64(k) ** power
-            diff = np.abs(vk - v0 * kp)
-            ok &= diff <= _HOMOGENEITY_C * _UNIT_ROUNDOFF * (mk + abs(kp) * m0)
-            errors[key] = (diff / np.maximum(np.maximum(np.abs(v0 * kp),
-                                                        np.abs(vk)), 1e-300)
-                           ).tolist()
-        ok &= invariant
-        for i, (rep, inv) in enumerate(zip(reports, invariant.tolist())):
-            rep["rows"].append({
-                "k": k,
-                "errors": {key: rel[i] for key, rel in errors.items()
-                           if torsion_free[i] or key not in partial},
-                "verdicts_invariant": inv})
-    for rep, good in zip(reports, ok.tolist()):
-        rep["ok"] = good
-    return reports
+    with np.errstate(all="ignore"):
+        s = _stack(points)
+        values0, verdicts0 = _scaling_pass(s, eps)
+        _require_finite(points, [a for v, m, _ in values0.values()
+                                 for a in (v, m)])
+        # values of torsion-free rows are reported at torsion-free points only
+        torsion_free = _torsion_free(s).tolist()
+        partial = {key for row in CONDITIONS.values() if row.torsion_free
+                   for key in row.values}
+        ok = np.ones(len(points), dtype=bool)
+        reports = [{"id": p.id, "ok": True, "rows": []} for p in points]
+        for k in ks:
+            values, verdicts = _scaling_pass(_scaled(s, np.float64(k)), eps)
+            _require_finite(points, [a for v, m, _ in values.values()
+                                     for a in (v, m)], f" at k = {k}")
+            invariant = np.logical_and.reduce(
+                [verdicts[key] == v0 for key, v0 in verdicts0.items()])
+            errors = {}
+            for key, (v0, m0, power) in values0.items():
+                vk, mk, _ = values[key]
+                kp = np.float64(k) ** power
+                diff = np.abs(vk - v0 * kp)
+                ok &= diff <= (_HOMOGENEITY_C * _UNIT_ROUNDOFF
+                               * (mk + abs(kp) * m0))
+                errors[key] = (diff / np.maximum(np.maximum(np.abs(v0 * kp),
+                                                            np.abs(vk)), 1e-300)
+                               ).tolist()
+            ok &= invariant
+            for i, (rep, inv) in enumerate(zip(reports, invariant.tolist())):
+                rep["rows"].append({
+                    "k": k,
+                    "errors": {key: rel[i] for key, rel in errors.items()
+                               if torsion_free[i] or key not in partial},
+                    "verdicts_invariant": inv})
+        for rep, good in zip(reports, ok.tolist()):
+            rep["ok"] = good
+        return reports
 
 
 # ---------------------------------------------------------------------------

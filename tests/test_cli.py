@@ -1,10 +1,17 @@
 """Command-line interface behaviour and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from phbochner import cli
 from phbochner.cli import main
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -190,3 +197,31 @@ def test_verify_all_smoke(capsys):
     assert main(["--samples", "5000", "verify", "all"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") >= 12
+
+
+# Runs cli.main on argv in a fresh interpreter, then prints whether any numpy
+# submodule was imported (a lazily loaded numpy leaves none).
+_NUMPY_PROBE = """
+import contextlib, io, sys
+from phbochner import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, any(name.startswith("numpy.") for name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("args, loads_numpy", [
+    ("ops", False),
+    ("verify 3.8", False),
+    ("trace 3.5", False),
+    ("verify all --mutate", False),
+    ("--samples 100 verify 3.7", True),
+    ("check {points} --cond bianchi", True),
+])
+def test_numpy_loaded_only_by_float_commands(args, loads_numpy, sphere_file):
+    argv = args.format(points=sphere_file).split()
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out.split() == ["0", str(loads_numpy)]

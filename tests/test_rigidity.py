@@ -14,6 +14,17 @@ from phbochner.rigidity import (HermitianForm, PointData, build_form_4,
 from phbochner.scalar import ScalarExact
 
 
+def test_package_reexports_numeric_names():
+    import phbochner
+    assert phbochner.PointData is PointData
+    assert phbochner.HermitianForm is HermitianForm
+    names = {}
+    exec("from phbochner import *", names)
+    assert names["PointData"] is PointData
+    with pytest.raises(AttributeError):
+        phbochner.no_such_name
+
+
 def test_thmA_examples():
     value, va, vb = thmA_condition(PointData(R=-1.0, R0=1.0))
     assert abs(value - 3 ** 0.5) < 1e-15 and va and not vb
