@@ -571,10 +571,12 @@ def _build_relations(seed: Iterable[Monomial]) -> dict[tuple, dict]:
     """Saturate the divergence relations touching the seed's weight class.
 
     Returns the relation rows by row id, in the order they were generated.
+    The frontier starts in monomial order, so that order (and with it the
+    echelon basis and the certificate) does not follow string hashing.
     """
     relations: dict[tuple, dict] = {}
-    seen_mono: set[Monomial] = set(seed)
-    frontier = list(seen_mono)
+    frontier = sorted(set(seed), key=_monomial_sort_key)
+    seen_mono: set[Monomial] = set(frontier)
     while frontier:
         mono = frontier.pop()
         for rid in _seeded_relations(mono):

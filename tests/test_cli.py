@@ -199,6 +199,13 @@ def test_verify_all_smoke(capsys):
     assert out.count("PASS") >= 12
 
 
+def _python(*args, **env) -> str:
+    """Stdout of a fresh interpreter run on this checkout's package."""
+    return subprocess.run(
+        [sys.executable, *args], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC, **env}).stdout
+
+
 # Runs cli.main on argv in a fresh interpreter, then prints whether any numpy
 # submodule was imported (a lazily loaded numpy leaves none).
 _NUMPY_PROBE = """
@@ -219,9 +226,12 @@ print(code, any(name.startswith("numpy.") for name in sys.modules))
     ("check {points} --cond bianchi", True),
 ])
 def test_numpy_loaded_only_by_float_commands(args, loads_numpy, sphere_file):
-    argv = args.format(points=sphere_file).split()
-    out = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *argv], check=True,
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": SRC}).stdout
+    out = _python("-c", _NUMPY_PROBE, *args.format(points=sphere_file).split())
     assert out.split() == ["0", str(loads_numpy)]
+
+
+@pytest.mark.parametrize("ident", ["3.4", "3.5"])
+def test_trace_bytes_independent_of_hash_seed(ident):
+    outs = {_python("-m", "phbochner.cli", "--format", "json", "trace", ident,
+                    PYTHONHASHSEED=seed) for seed in ("1", "2", "3")}
+    assert len(outs) == 1
