@@ -127,15 +127,15 @@ def differentiate(e: Expression, letters: str | Iterable[str]) -> Expression:
     for letter in letters:
         if letter not in DERIV_LETTERS:
             raise CalculusError(f"unknown derivative letter {letter!r}")
-        acc = Expression.zero()
+        parts = []
         for key, coeff in out.items():
             integrated, factors = key
             if integrated:
                 raise CalculusError("cannot differentiate an integrated expression")
             for j in range(len(factors)):
                 new = factors[:j] + (factors[j].with_deriv(letter),) + factors[j + 1:]
-                acc = acc + Expression.from_term(coeff, new)
-        out = acc
+                parts.append(Expression.from_term(coeff, new))
+        out = Expression.sum(parts)
     return out
 
 
@@ -220,13 +220,14 @@ def canonicalize_factor(factor: Factor) -> Expression:
     if p is None:
         out = Expression.from_factor(factor)
     else:
-        out = Expression.zero()
+        parts = []
         for key, coeff in commute_swap(factor, p).items():
             _, factors = key
             prod = Expression.scalar(coeff)
             for f in factors:
                 prod = prod * canonicalize_factor(f)
-            out = out + prod
+            parts.append(prod)
+        out = Expression.sum(parts)
     _remember(_canon_cache, factor, out, MAX_CACHED_FACTORS)
     return out
 
@@ -271,11 +272,10 @@ def _ibp_term(coeff: ScalarExact, factors: tuple[Factor, ...],
     letter = factors[j].derivs[-1]
     shortened = Factor(factors[j].symbol, factors[j].derivs[:-1])
     rest = factors[:j] + factors[j + 1:]
-    out = Expression.zero()
-    for k in range(len(rest)):
-        new = rest[:k] + (rest[k].with_deriv(letter),) + rest[k + 1:]
-        out = out + Expression.from_term(-coeff, new + (shortened,), True)
-    return out
+    return Expression.sum(
+        Expression.from_term(-coeff, rest[:k] + (rest[k].with_deriv(letter),)
+                             + rest[k + 1:] + (shortened,), True)
+        for k in range(len(rest)))
 
 
 def integrate_by_parts(e: Expression, term_index: int, factor_index: int,
@@ -337,13 +337,13 @@ def apply_rule(e: Expression, rule: Rule, max_rounds: int = 64,
     """Apply a substitution rule everywhere, to a fixpoint."""
     current = e
     for _ in range(max_rounds):
-        out = Expression.zero()
+        parts = []
         changed = False
         for key, coeff in current.items():
             integrated, factors = key
             hit = next((j for j, f in enumerate(factors) if rule.matches(f)), None)
             if hit is None:
-                out = out + Expression.from_term(coeff, factors, integrated)
+                parts.append(Expression.from_term(coeff, factors, integrated))
                 continue
             changed = True
             tail = factors[hit].derivs[len(rule.prefix):]
@@ -358,8 +358,8 @@ def apply_rule(e: Expression, rule: Rule, max_rounds: int = 64,
                 trace.record(f"subst:{rule.name}",
                              str(Expression.from_term(coeff, factors, integrated)),
                              str(prod))
-            out = out + prod
-        current = out
+            parts.append(prod)
+        current = Expression.sum(parts)
         if not changed:
             return current
     raise CalculusError(f"substitution rule {rule.name} did not reach a fixpoint")
@@ -408,10 +408,10 @@ def _single_deletions(m: Monomial):
 
 def _relation_row(parent: Monomial, direction: str) -> dict[Monomial, ScalarExact]:
     """INT[(product of parent)_{,direction}] = 0, canonicalized."""
-    expr = Expression.zero()
-    for k in range(len(parent)):
-        new = parent[:k] + (parent[k].with_deriv(direction),) + parent[k + 1:]
-        expr = expr + Expression.from_term(1, new)
+    expr = Expression.sum(
+        Expression.from_term(1, parent[:k] + (parent[k].with_deriv(direction),)
+                             + parent[k + 1:])
+        for k in range(len(parent)))
     return _canonical_vector(canonicalize(expr))
 
 
@@ -678,7 +678,7 @@ def ibp_residual(a: Expression, b: Expression,
         key = (_monomial_weight(mono), _monomial_balance(mono))
         groups.setdefault(key, {})[mono] = coeff
 
-    residual = Expression.zero()
+    parts = []
     for (weight, balance), gvec in sorted(groups.items()):
         relations = _build_relations(list(gvec))
         system = _eliminated_system(weight, balance, relations, tuple(modulo))
@@ -687,9 +687,10 @@ def ibp_residual(a: Expression, b: Expression,
             trace.record("relation", _row_id_str(rid), "0",
                          coefficient=str(coeff))
             trace.certificate.append((rid, coeff))
-        for mono, coeff in reduced.items():
-            residual = residual + Expression.from_term(coeff, mono, True)
+        parts.extend(Expression.from_term(coeff, mono, True)
+                     for mono, coeff in reduced.items())
 
+    residual = Expression.sum(parts)
     trace.residual = None if residual.is_zero() else residual
     if trace.residual is None and not check_certificate(a, b, trace, modulo):
         raise CalculusError("the equality certificate does not replay")

@@ -200,6 +200,21 @@ class Expression:
         return Expression({(integrated, _sorted_factors(factors)):
                            ScalarExact.coerce(coeff)})
 
+    @staticmethod
+    def sum(parts: Iterable["Expression"]) -> "Expression":
+        """parts[0] + parts[1] + ..., term for term and in the same insertion
+        order, without copying the partial sum for every part."""
+        acc: dict[TermKey, ScalarExact] = {}
+        for part in parts:
+            for key, coeff in part._terms.items():
+                prev = acc.get(key)
+                val = coeff if prev is None else prev + coeff
+                if val.is_zero():
+                    del acc[key]
+                else:
+                    acc[key] = val
+        return Expression(acc)
+
     # -- iteration ----------------------------------------------------------
 
     def items(self) -> Iterator[tuple[TermKey, ScalarExact]]:
@@ -316,10 +331,8 @@ class Expression:
 
     def map_terms(self, fn) -> "Expression":
         """fn(Term) -> Expression; results are summed."""
-        out = Expression.zero()
-        for key, coeff in self._terms.items():
-            out = out + fn(Term(coeff, key[1], key[0]))
-        return out
+        return Expression.sum(fn(Term(coeff, key[1], key[0]))
+                              for key, coeff in self._terms.items())
 
     def drop_symbols(self, symbols: set[str]) -> "Expression":
         """Set the listed symbols to zero (drop every term containing one)."""

@@ -46,6 +46,29 @@ def test_collection_confluence():
         assert total == total2
 
 
+def test_sum_matches_repeated_addition():
+    # a term that cancels and comes back moves to the end, as with +
+    f, r = parse("f"), parse("R")
+    parts = [f, r, -f, f, parse("A11") - r, r]
+    total = Expression.zero()
+    for p in parts:
+        total = total + p
+    summed = Expression.sum(parts)
+    assert summed == total
+    assert [key[1][0].symbol for key in summed._terms] == ["f", "A11", "R"]
+    assert list(summed._terms) == list(total._terms)
+    rng = random.Random(11)
+    for _ in range(50):
+        parts = [random_expression(rng, 3) for _ in range(6)]
+        parts += [-p for p in parts[:2]] + parts[:1]
+        total = Expression.zero()
+        for p in parts:
+            total = total + p
+        summed = Expression.sum(parts)
+        assert list(summed._terms.items()) == list(total._terms.items())
+    assert Expression.sum([]).is_zero()
+
+
 def test_zero_coefficients_dropped():
     e = parse("A11*f") - parse("A11*f")
     assert e.is_zero()
