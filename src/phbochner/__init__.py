@@ -16,13 +16,11 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-_NUMERIC = ("PointData", "HermitianForm")
-
 
 def __getattr__(name: str):
-    # The numeric names come from `rigidity`, imported on first use (PEP 562),
-    # so importing the package does not import the float path.
-    if name in _NUMERIC:
+    # PointData and HermitianForm come from `rigidity`, imported on first use
+    # (PEP 562), so importing the package does not import the float path.
+    if name in ("PointData", "HermitianForm"):
         from . import rigidity
         return getattr(rigidity, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
