@@ -353,7 +353,7 @@ def verify_3_7_pointwise(samples: int = 100_000, seed: int = 0) -> ScriptResult:
     rel = np.abs(lhs_t - rhs_t) / np.maximum(1e-300, np.abs(lhs_t) + np.abs(rhs_t))
     max_rel = float(np.max(rel)) if len(rel) else 0.0
 
-    lhs_0, rhs_0 = sides(0.0, u, v)
+    lhs_0, rhs_0 = sides(0.0, u[:10], v[:10])
     zero_case = not (lhs_0.any() or rhs_0.any())
 
     ok = violations == 0 and max_rel < 1e-12 and zero_case
