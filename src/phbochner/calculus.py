@@ -22,25 +22,33 @@ The engine implements
   generated from its monomials (the query's relation closure).  The residual
   is the normal form modulo the span of that closure: every pivot lead is
   eliminated, so it depends on the query alone, not on row order or on other
-  queries.  The reduction returns a replayable certificate (which relation
-  was used with which coefficient); a zero residual found by elimination is
-  replayed with `check_certificate` from freshly built rows before it is
-  returned, so every such equality decision doubles as an audit trail.
+  queries.  The reduction yields a replayable certificate (which relation
+  was used with which coefficient), computed when the trace is first read;
+  a zero residual found by elimination is replayed with `check_certificate`
+  from freshly built rows before it is returned, so every such equality
+  decision doubles as an audit trail.
 
-All operations are pure.  The module state is four bounded caches:
-canonical forms of factors (`_canon_cache`, at most MAX_CACHED_FACTORS),
-relation rows by (parent, direction) (`_row_cache`, at most
-MAX_CACHED_ROWS) and eliminated systems by class, relation set and `modulo`
-generators (`_system_cache`, at most MAX_CACHED_SYSTEMS), which evict their
-oldest entry first; and the relation ids each monomial seeds
-(`_seeded_relations`, an LRU cache of MAX_CACHED_EXPANSIONS monomials).
+All operations are pure.  The module state is six bounded caches, five of
+which evict their oldest entry first:
+
+* canonical forms of factors (`_canon_cache`) and the unit expansions of
+  non-canonical terms (`_term_cache`), each at most MAX_CACHED_FACTORS;
+* relation rows by (parent, direction) (`_row_cache`, at most
+  MAX_CACHED_ROWS);
+* the relation closure of each class support (`_closure_cache`) and
+  eliminated systems by class, relation set and `modulo` generators
+  (`_system_cache`), each at most MAX_CACHED_SYSTEMS;
+
+and the relation ids each monomial seeds (`_seeded_relations`, an LRU
+cache of MAX_CACHED_EXPANSIONS monomials).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -58,10 +66,11 @@ _LETTER_ORDER = {"1": 0, "b": 1, "0": 2}
 # Hard cap on the relation system built per equality query; the catalog
 # needs well under a thousand relations.
 MAX_RELATIONS = 10_000
-# Bounds of the caches shared across queries: canonical forms of factors,
-# relation rows, eliminated systems per relation set, and the relation ids
-# seeded by one monomial.  The whole of `verify all --mutate` uses 116
-# factors, 152 rows, 13 systems and 216 monomials.
+# Bounds of the caches shared across queries: canonical forms of factors
+# (and of non-canonical terms), relation rows, eliminated systems per
+# relation set (and closures per class support), and the relation ids
+# seeded by one monomial.  After `verify all --mutate` they hold 116
+# factors, 79 terms, 152 rows, 39 closures, 13 systems and 216 monomials.
 MAX_CACHED_FACTORS = 10_000
 MAX_CACHED_ROWS = 10_000
 MAX_CACHED_SYSTEMS = 64
@@ -76,7 +85,6 @@ class CalculusError(RuntimeError):
 # Trace
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RewriteTrace:
     """Ordered audit log: (rule id, before, after) triples.
 
@@ -85,18 +93,43 @@ class RewriteTrace:
     expression.  For equality-mod-IBP decisions the entries record the
     divergence relations used and their coefficients in the certified
     combination difference = sum(coeff * relation).
+
+    An equality query stores each reduced (system, vector) pair instead of
+    its combination; `entries` and `certificate` compute the pending
+    combinations, in query order, the first time either is read.
     """
 
-    entries: list[dict] = field(default_factory=list)
-    residual: Expression | None = None
-    # structured relation combination (row id, coefficient) backing the
-    # equality decision; see check_certificate
-    certificate: list[tuple[tuple, ScalarExact]] = field(default_factory=list)
+    def __init__(self):
+        self._entries: list[dict] = []
+        self.residual: Expression | None = None
+        # structured relation combination (row id, coefficient) backing the
+        # equality decision; see check_certificate
+        self._certificate: list[tuple[tuple, ScalarExact]] = []
+        self._pending: list[tuple["_LinearSystem", dict]] = []
+
+    @property
+    def entries(self) -> list[dict]:
+        self._settle()
+        return self._entries
+
+    @property
+    def certificate(self) -> list[tuple[tuple, ScalarExact]]:
+        self._settle()
+        return self._certificate
+
+    def _settle(self) -> None:
+        pending, self._pending = self._pending, []
+        for system, vec in pending:
+            _, combo = system.reduce_vector(vec)
+            for rid, coeff in sorted(combo.items(), key=lambda kv: str(kv[0])):
+                self._certificate.append((rid, coeff))
+                self._entries.append({"rule": "relation",
+                                      "before": _row_id_str(rid), "after": "0",
+                                      "coefficient": str(coeff)})
 
     def record(self, rule: str, before: str, after: str, **extra):
-        entry = {"rule": rule, "before": before, "after": after}
-        entry.update(extra)
-        self.entries.append(entry)
+        self.entries.append({"rule": rule, "before": before, "after": after,
+                             **extra})
 
     def to_text(self) -> str:
         lines = []
@@ -202,6 +235,9 @@ _SWAP_RULE_NAME = {
 }
 
 _canon_cache: dict[Factor, Expression] = {}
+# (integrated, factors) of a non-canonical term -> the canonical items of its
+# expansion with coefficient 1; a term's expansion is this scaled
+_term_cache: dict[tuple, tuple] = {}
 
 
 def _first_disorder(derivs: tuple[str, ...]) -> int | None:
@@ -232,6 +268,22 @@ def canonicalize_factor(factor: Factor) -> Expression:
     return out
 
 
+def _expand_term(key) -> tuple:
+    """Canonical (key, coefficient) pairs of a non-canonical unit term."""
+    cached = _term_cache.get(key)
+    if cached is None:
+        integrated, factors = key
+        prod = Expression.from_term(1, [f for f in factors if f.is_canonical()])
+        for f in factors:
+            if not f.is_canonical():
+                prod = prod * canonicalize_factor(f)
+        if integrated:
+            prod = prod.integrate()
+        cached = tuple(prod.items())
+        _remember(_term_cache, key, cached, MAX_CACHED_FACTORS)
+    return cached
+
+
 def canonicalize(e: Expression, trace: RewriteTrace | None = None) -> Expression:
     """Sort every derivative string with the commutation rules and collect.
 
@@ -245,17 +297,11 @@ def canonicalize(e: Expression, trace: RewriteTrace | None = None) -> Expression
         if all(f.is_canonical() for f in factors):
             expanded = ((key, coeff),)
         else:
-            prod = Expression.from_term(
-                coeff, [f for f in factors if f.is_canonical()])
-            for f in factors:
-                if not f.is_canonical():
-                    prod = prod * canonicalize_factor(f)
-            if integrated:
-                prod = prod.integrate()
+            expanded = [(k, c * coeff) for k, c in _expand_term(key)]
             if trace is not None:
                 before = Expression.from_term(coeff, factors, integrated)
-                trace.record("canonicalize", str(before), str(prod))
-            expanded = prod.items()
+                trace.record("canonicalize", str(before),
+                             str(Expression(dict(expanded))))
         for k, c in expanded:
             prev = acc.get(k)
             acc[k] = c if prev is None else prev + c
@@ -373,7 +419,10 @@ Monomial = tuple[Factor, ...]
 
 # (parent, direction) -> canonical relation row; never mutated
 _row_cache: dict[tuple[Monomial, str], dict[Monomial, ScalarExact]] = {}
-# (weight, balance, relation ids, modulo) -> eliminated system
+# monomials of one (weight, balance) class -> (relation ids of its closure
+# in generation order, the same ids as a set)
+_closure_cache: dict[frozenset, tuple[tuple, frozenset]] = {}
+# (weight, balance, relation id set, modulo) -> eliminated system
 _system_cache: dict[tuple, "_LinearSystem"] = {}
 
 
@@ -428,6 +477,10 @@ class _LinearSystem:
         # leading monomial -> (vector, combo over original row ids); the
         # entries are never mutated, so copies may share them
         self.pivots: dict[Monomial, tuple[dict, dict]] = {}
+        # pivot leads from largest to smallest, and each lead's position;
+        # ranked on the first reduction after the last added pivot
+        self._leads: list[Monomial] = []
+        self._rank: dict[Monomial, int] | None = None
 
     def copy(self) -> "_LinearSystem":
         clone = _LinearSystem()
@@ -438,7 +491,7 @@ class _LinearSystem:
     def _leading(vec: dict) -> Monomial:
         return max(vec, key=_monomial_sort_key)
 
-    def _eliminate(self, vec: dict, combo: dict, lead: Monomial,
+    def _eliminate(self, vec: dict, combo: dict | None, lead: Monomial,
                    sign: int) -> None:
         # Pivot rows maintain the invariant  pvec = sum(pcombo * rows), so an
         # elimination vec -= f*pvec updates combo by -f*pcombo when combo
@@ -446,7 +499,7 @@ class _LinearSystem:
         # rows), and by +f*pcombo when combo tracks "what was subtracted from
         # the original vector" (sign = +1, used when reducing a query).
         # Pivot rows are stored with leading coefficient 1, so f = vec[lead]
-        # and no division is needed.
+        # and no division is needed.  combo None skips the bookkeeping.
         pvec, pcombo = self.pivots[lead]
         factor = vec[lead]
         for m, c in pvec.items():
@@ -455,6 +508,8 @@ class _LinearSystem:
                 vec.pop(m, None)
             else:
                 vec[m] = val
+        if combo is None:
+            return
         if sign < 0:
             factor = -factor
         for rid, c in pcombo.items():
@@ -472,17 +527,39 @@ class _LinearSystem:
                 scale = vec[lead].inverse()
                 self.pivots[lead] = ({m: c * scale for m, c in vec.items()},
                                      {r: c * scale for r, c in combo.items()})
+                self._rank = None
                 return
             self._eliminate(vec, combo, lead, sign=-1)
 
-    def reduce_vector(self, vec: dict) -> tuple[dict, dict]:
-        vec, combo = dict(vec), {}
-        while True:
-            leads = [m for m in vec if m in self.pivots]
-            if not leads:
-                return vec, combo
-            self._eliminate(vec, combo, max(leads, key=_monomial_sort_key),
-                            sign=+1)
+    def reduce_vector(self, vec: dict, certify: bool = True
+                      ) -> tuple[dict, dict | None]:
+        """(normal form of vec, combination of rows subtracted from it).
+
+        Leads are taken from a heap of ranks, largest monomial first.  A
+        pivot row's other monomials are smaller than its lead, so a lead
+        once eliminated never comes back.  With `certify` False the
+        combination is not tracked and None is returned in its place.
+        """
+        if self._rank is None:
+            self._leads = sorted(self.pivots, key=_monomial_sort_key,
+                                 reverse=True)
+            self._rank = {m: k for k, m in enumerate(self._leads)}
+        rank, leads = self._rank, self._leads
+        vec, combo = dict(vec), {} if certify else None
+        heap = [rank[m] for m in vec if m in rank]
+        heapq.heapify(heap)
+        queued = set(heap)
+        while heap:
+            lead = leads[heapq.heappop(heap)]
+            if lead not in vec:
+                continue
+            self._eliminate(vec, combo, lead, sign=+1)
+            for m in self.pivots[lead][0]:
+                k = rank.get(m)
+                if k is not None and k not in queued:
+                    queued.add(k)
+                    heapq.heappush(heap, k)
+        return vec, combo
 
 
 def _enumerate_strings(weight: int) -> list[tuple[str, ...]]:
@@ -595,6 +672,21 @@ def _build_relations(seed: Iterable[Monomial]) -> dict[tuple, dict]:
     return relations
 
 
+def _closure(support: frozenset) -> tuple[tuple, frozenset]:
+    """Relation ids of a class's closure, in generation order and as a set.
+
+    `_build_relations` is a function of the support alone, so its ids are
+    cached by support.  A cached closure over MAX_RELATIONS is built again,
+    which raises.
+    """
+    hit = _closure_cache.get(support)
+    if hit is None or len(hit[0]) > MAX_RELATIONS:
+        rids = tuple(_build_relations(support))
+        hit = rids, frozenset(rids)
+        _remember(_closure_cache, support, hit, MAX_CACHED_SYSTEMS)
+    return hit
+
+
 def _modulo_rows(weight: int, balance: int, modulo: Sequence[Expression]):
     """(row id, row) for INT[S * N] = 0, N of the class's remaining weight."""
     for gi, gen in enumerate(modulo):
@@ -613,22 +705,25 @@ def _modulo_rows(weight: int, balance: int, modulo: Sequence[Expression]):
             yield ("modulo", gi, mult), _canonical_vector(canonicalize(prod))
 
 
-def _eliminated_system(weight: int, balance: int, relations: dict[tuple, dict],
+def _eliminated_system(weight: int, balance: int,
+                       closure: tuple[tuple, frozenset],
                        modulo: tuple[Expression, ...]) -> _LinearSystem:
-    """The echelon system of a relation set (plus `modulo` rows), cached.
+    """The echelon system of a relation closure (plus `modulo` rows), cached.
 
-    Rows are added in generation order on a miss; a system with `modulo`
-    rows extends a copy of the plain system of the same relations.
+    Rows are read through the row cache and added in generation order on a
+    miss; a system with `modulo` rows extends a copy of the plain system of
+    the same relations.
     """
-    key = (weight, balance, frozenset(relations), modulo)
+    rids, relation_set = closure
+    key = (weight, balance, relation_set, modulo)
     system = _system_cache.get(key)
     if system is None:
         if modulo:
-            system = _eliminated_system(weight, balance, relations, ()).copy()
+            system = _eliminated_system(weight, balance, closure, ()).copy()
             rows = _modulo_rows(weight, balance, modulo)
         else:
             system = _LinearSystem()
-            rows = relations.items()
+            rows = ((rid, _cached_row(rid[1], rid[2])) for rid in rids)
         for rid, row in rows:
             system.add_row(rid, row)
         _remember(_system_cache, key, system, MAX_CACHED_SYSTEMS)
@@ -680,13 +775,10 @@ def ibp_residual(a: Expression, b: Expression,
 
     parts = []
     for (weight, balance), gvec in sorted(groups.items()):
-        relations = _build_relations(list(gvec))
-        system = _eliminated_system(weight, balance, relations, tuple(modulo))
-        reduced, combo = system.reduce_vector(gvec)
-        for rid, coeff in sorted(combo.items(), key=lambda kv: str(kv[0])):
-            trace.record("relation", _row_id_str(rid), "0",
-                         coefficient=str(coeff))
-            trace.certificate.append((rid, coeff))
+        system = _eliminated_system(weight, balance, _closure(frozenset(gvec)),
+                                    tuple(modulo))
+        reduced, _ = system.reduce_vector(gvec, certify=False)
+        trace._pending.append((system, gvec))
         parts.extend(Expression.from_term(coeff, mono, True)
                      for mono, coeff in reduced.items())
 
@@ -710,7 +802,8 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
     """Replay an equality certificate: a - b == sum(c * relation) + residual.
 
     Every relation row is rebuilt from its id, never read from the row or
-    system caches (canonical forms of factors still come from `_canon_cache`),
+    system caches (canonical forms of factors and terms still come from
+    `_canon_cache` and `_term_cache`),
     and the combination is checked by exact arithmetic, so a True result is
     an independent proof that the recorded elimination was sound.
     """

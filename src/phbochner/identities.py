@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from . import operators as ops
@@ -224,22 +225,37 @@ def _pairing_with_E(expr: Expression) -> Expression:
     return half + half.conjugate()
 
 
+@lru_cache(maxsize=None)
 def _dqj_after_3_2() -> Expression:
     corpus = Corpus.load()
     phi = ops.build_DQJ_rhs()
     return phi - corpus.expr("3.2", "lhs") + corpus.expr("3.2", "rhs")
 
 
+# The target-independent prefixes of 3.4 and 3.5: (steps, paired integrand),
+# built once per process and shared by every run and mutant.
+
+@lru_cache(maxsize=None)
+def _paired_3_4() -> tuple[tuple[tuple[str, str], ...], Expression]:
+    phi = _dqj_after_3_2()
+    torsion_free = phi.drop_symbols({"A11", "Ab1b1"})
+    paired = _pairing_with_E(torsion_free)
+    return ((("coefficient after substituting the commutation identity",
+              str(phi)),
+             ("torsion-free reduction", str(torsion_free)),
+             ("pairing with E", str(paired))), paired)
+
+
+@lru_cache(maxsize=None)
+def _paired_3_5() -> tuple[tuple[tuple[str, str], ...], Expression]:
+    paired = _pairing_with_E(_dqj_after_3_2())
+    return (("pairing with E (torsion kept)", str(paired)),), paired
+
+
 def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
     corpus = Corpus.load()
-    steps = []
-    phi = _dqj_after_3_2()
-    steps.append(("coefficient after substituting the commutation identity",
-                  str(phi)))
-    phi = phi.drop_symbols({"A11", "Ab1b1"})
-    steps.append(("torsion-free reduction", str(phi)))
-    paired = _pairing_with_E(phi)
-    steps.append(("pairing with E", str(paired)))
+    prefix, paired = _paired_3_4()
+    steps = list(prefix)
     target = target_override or corpus.expr("3.4", "integrand")
     ok, trace = equal_mod_ibp(paired, target)
     return _finish("3.4", ok, steps, trace.residual, trace)
@@ -247,10 +263,8 @@ def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
 
 def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
     corpus = Corpus.load()
-    steps = []
-    phi = _dqj_after_3_2()
-    paired = _pairing_with_E(phi)
-    steps.append(("pairing with E (torsion kept)", str(paired)))
+    prefix, paired = _paired_3_5()
+    steps = list(prefix)
     target = target_override or corpus.expr("3.5", "integrand")
 
     residual, trace = ibp_residual(paired, target)

@@ -272,6 +272,27 @@ def test_relation_cap_guard(monkeypatch):
         equal_mod_ibp(a, b)
 
 
+def test_same_support_reuses_the_closure(monkeypatch):
+    x = parse("INT[ A11*Eb1b1_{11}*Eb1b1 ]")
+    y = parse("INT[ A11*Eb1b1_{1}*Eb1b1_{1} ]")
+    first, second = x + y, x * 2 - y * 3
+    for cache in ("_canon_cache", "_term_cache", "_row_cache",
+                  "_closure_cache", "_system_cache"):
+        monkeypatch.setattr(calc, cache, {})
+    cold, _ = ibp_residual(second, parse("0"))
+    calc._closure_cache.clear()
+    calc._system_cache.clear()
+    ibp_residual(first, parse("0"))
+    builds = []
+    build = calc._build_relations
+    monkeypatch.setattr(calc, "_build_relations",
+                        lambda seed: builds.append(seed) or build(seed))
+    residual, trace = ibp_residual(second, parse("0"))
+    assert builds == []
+    assert not residual.is_zero() and residual == cold
+    assert check_certificate(second, parse("0"), trace)
+
+
 def test_pass_replays_certificate_from_fresh_rows(monkeypatch):
     a = parse("INT[ Ab1b1_{1}*f_{1}*f ]")
     b = parse("INT[ (-1/2)*Ab1b1_{11}*f*f ]")

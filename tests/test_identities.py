@@ -179,7 +179,9 @@ def _residual(ident: str, mutated: Expression) -> Expression:
 
 def _clear_ibp_caches():
     calc._canon_cache.clear()
+    calc._term_cache.clear()
     calc._row_cache.clear()
+    calc._closure_cache.clear()
     calc._system_cache.clear()
 
 
@@ -225,6 +227,7 @@ def test_memoized_relation_search_matches_cold(monkeypatch, ident):
         return build(seed)
 
     monkeypatch.setattr(calc, "_build_relations", recording)
+    monkeypatch.setattr(calc, "_closure_cache", {})
     ids.run_script(ident)
     assert seeds
     for seed in seeds:
@@ -235,3 +238,42 @@ def test_memoized_relation_search_matches_cold(monkeypatch, ident):
         hits = calc._seeded_relations.cache_info().hits
         assert list(build(seed)) == cold
         assert calc._seeded_relations.cache_info().hits > hits
+
+
+def _mutant_queries(monkeypatch, settle: bool) -> list[tuple]:
+    """Run every mutant of 3.4, 3.5 and 3.8 from cold caches and return
+    (a, b, modulo, trace, entries, certificate) per IBP query; with `settle`
+    the trace is read as soon as its query returns, else after the run."""
+    _clear_ibp_caches()
+    queries = []
+    query = calc.ibp_residual
+
+    def recording(a, b, modulo=(), trace=None):
+        residual, trace = query(a, b, modulo, trace)
+        queries.append([a, b, tuple(modulo), trace])
+        if settle:
+            queries[-1] += [trace.to_json(), list(trace.certificate)]
+        return residual, trace
+
+    monkeypatch.setattr(calc, "ibp_residual", recording)
+    monkeypatch.setattr(ids, "ibp_residual", recording)
+    for _, ident, mutated in _mutants():
+        if ident in ("3.4", "3.5", "3.8"):
+            ids._run_mutated(ident, mutated)
+    monkeypatch.undo()
+    if not settle:
+        for q in queries:
+            q += [q[3].to_json(), list(q[3].certificate)]
+    return queries
+
+
+def test_deferred_certificates_match_eager(monkeypatch):
+    eager = _mutant_queries(monkeypatch, settle=True)
+    deferred = _mutant_queries(monkeypatch, settle=False)
+    assert len(deferred) == len(eager) > 36
+    assert any(q[3].residual is not None for q in deferred)
+    for (a, b, modulo, trace, entries, cert), want in zip(deferred, eager):
+        assert (a, b, modulo) == tuple(want[:3])
+        assert entries == want[4] and cert == want[5]
+        assert trace.to_text() == want[3].to_text()
+        assert check_certificate(a, b, trace, modulo)
