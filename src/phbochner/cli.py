@@ -12,7 +12,10 @@ Commands:
 The PHB_SEED environment variable overrides --seed.  Identical configuration
 (including the seed) produces byte-identical JSON output.  Exit status is 0
 when every requested verification or condition passed, 1 when one failed,
-and 2 on a usage or input error, reported as one line on stderr.
+2 on a usage or input error (an unknown identity or operator name
+included), reported as one line on stderr, and 141 (128 + SIGPIPE) when
+the reader closes stdout early, as in `phbochner ops | head -1`; that ends
+without a traceback.
 
 Each command imports only what it runs: numpy is loaded by `check`,
 `scaletest`, `equiv`, `sylvester` and `verify 3.7`, never by the exact
@@ -75,9 +78,14 @@ def _text_lines(obj, prefix="") -> list[str]:
     return lines
 
 
-def _input_error(message: str):
+def _error(message: str) -> int:
+    """Report an input error as one stderr line; returns exit status 2."""
     print(f"phbochner: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
+    return 2
+
+
+def _input_error(message: str):
+    raise SystemExit(_error(message))
 
 
 def _load_points(path: str) -> list[PointData]:
@@ -104,8 +112,7 @@ def cmd_verify(cfg: RunConfig, ids: list[str], mutate: bool) -> int:
     wanted = identities.catalog_ids() if ids == ["all"] else ids
     for ident in wanted:
         if ident not in identities.catalog_ids():
-            print(f"unknown identity id: {ident}", file=sys.stderr)
-            return 2
+            return _error(f"unknown identity id: {ident}")
     report = {"command": "verify", "results": []}
     failed = False
     for ident in wanted:
@@ -187,8 +194,7 @@ def cmd_trace(cfg: RunConfig, ident: str) -> int:
     from . import identities
 
     if ident not in identities.catalog_ids():
-        print(f"unknown identity id: {ident}", file=sys.stderr)
-        return 2
+        return _error(f"unknown identity id: {ident}")
     result = identities.run_script(ident)
     if cfg.output_format == "json":
         payload = result.to_dict()
@@ -212,9 +218,7 @@ def cmd_ops(cfg: RunConfig, name: str | None) -> int:
         _emit({"command": "ops", "operators": sorted(reg)}, cfg.output_format)
         return 0
     if name not in reg:
-        print(f"unknown operator {name!r}; known: {sorted(reg)}",
-              file=sys.stderr)
-        return 2
+        return _error(f"unknown operator {name!r}; known: {sorted(reg)}")
     _emit({"command": "ops", "name": name, "definition": str(reg[name])},
           cfg.output_format)
     return 0
@@ -283,6 +287,21 @@ def _parse_k_list(text: str) -> list[float]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (`| head`); send the interpreter's final
+        # flush to devnull so it cannot fail again (Python's "Note on
+        # SIGPIPE" recipe), and exit as a process killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     if args.samples < 1:
         _input_error(f"--samples must be at least 1, got {args.samples}")

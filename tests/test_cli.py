@@ -145,6 +145,31 @@ def test_input_error_exits_2(capsys, monkeypatch, tmp_path, content, args,
     assert all(name in err for name in names), err
 
 
+@pytest.mark.parametrize("args, name", [
+    (["verify", "9.9"], "9.9"),
+    (["trace", "9.9"], "9.9"),
+    (["ops", "nosuch"], "'nosuch'"),
+], ids=["verify-unknown-id", "trace-unknown-id", "ops-unknown-name"])
+def test_unknown_name_exits_2(capsys, args, name):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("phbochner: error: ") and err.count("\n") == 1
+    assert name in err, err
+
+
+@pytest.mark.parametrize("args", [["--format", "json", "ops"],
+                                  ["trace", "2.8"]])
+def test_closed_stdout_exits_quietly(args):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "phbochner.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC})
+    proc.stdout.close()  # the reader is gone before anything is written
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and err == ""
+
+
 def test_scaletest(capsys, torsion_file):
     assert main(["scaletest", torsion_file, "--k", "1/7,1/2,3,100"]) == 0
     assert "verdicts_invariant: True" in capsys.readouterr().out
