@@ -94,9 +94,9 @@ class RewriteTrace:
     divergence relations used and their coefficients in the certified
     combination difference = sum(coeff * relation).
 
-    An equality query stores each reduced (system, vector) pair instead of
-    its combination; `entries` and `certificate` compute the pending
-    combinations, in query order, the first time either is read.
+    An equality query stores each reduction's (system, eliminations) pair
+    instead of its combination of rows; `entries` and `certificate` compute
+    the pending combinations, in query order, the first time either is read.
     """
 
     def __init__(self):
@@ -105,7 +105,7 @@ class RewriteTrace:
         # structured relation combination (row id, coefficient) backing the
         # equality decision; see check_certificate
         self._certificate: list[tuple[tuple, ScalarExact]] = []
-        self._pending: list[tuple["_LinearSystem", dict]] = []
+        self._pending: list[tuple["_LinearSystem", list]] = []
 
     @property
     def entries(self) -> list[dict]:
@@ -119,8 +119,8 @@ class RewriteTrace:
 
     def _settle(self) -> None:
         pending, self._pending = self._pending, []
-        for system, vec in pending:
-            _, combo = system.reduce_vector(vec)
+        for system, steps in pending:
+            combo = system.combination(steps)
             for rid, coeff in sorted(combo.items(), key=lambda kv: str(kv[0])):
                 self._certificate.append((rid, coeff))
                 self._entries.append({"rule": "relation",
@@ -491,16 +491,13 @@ class _LinearSystem:
     def _leading(vec: dict) -> Monomial:
         return max(vec, key=_monomial_sort_key)
 
-    def _eliminate(self, vec: dict, combo: dict | None, lead: Monomial,
-                   sign: int) -> None:
-        # Pivot rows maintain the invariant  pvec = sum(pcombo * rows), so an
-        # elimination vec -= f*pvec updates combo by -f*pcombo when combo
-        # tracks "vec as a combination of rows" (sign = -1, used when adding
-        # rows), and by +f*pcombo when combo tracks "what was subtracted from
-        # the original vector" (sign = +1, used when reducing a query).
-        # Pivot rows are stored with leading coefficient 1, so f = vec[lead]
-        # and no division is needed.  combo None skips the bookkeeping.
-        pvec, pcombo = self.pivots[lead]
+    def _eliminate(self, vec: dict, lead: Monomial) -> ScalarExact:
+        """vec -= f * (pivot row of lead), f = vec[lead]; returns f.
+
+        Pivot rows are stored with leading coefficient 1, so no division is
+        needed.
+        """
+        pvec = self.pivots[lead][0]
         factor = vec[lead]
         for m, c in pvec.items():
             val = vec.get(m, ZERO) - factor * c
@@ -508,11 +505,11 @@ class _LinearSystem:
                 vec.pop(m, None)
             else:
                 vec[m] = val
-        if combo is None:
-            return
-        if sign < 0:
-            factor = -factor
-        for rid, c in pcombo.items():
+        return factor
+
+    def _combine(self, combo: dict, lead: Monomial, factor: ScalarExact) -> None:
+        """combo += factor * (combination of rows behind the pivot of lead)."""
+        for rid, c in self.pivots[lead][1].items():
             val = combo.get(rid, ZERO) + factor * c
             if val.is_zero():
                 combo.pop(rid, None)
@@ -520,6 +517,8 @@ class _LinearSystem:
                 combo[rid] = val
 
     def add_row(self, row_id, vec: dict):
+        # combo tracks vec as a combination of rows, so every elimination
+        # vec -= f * pvec subtracts f * pcombo from it
         vec, combo = dict(vec), {row_id: ONE}
         while vec:
             lead = self._leading(vec)
@@ -529,23 +528,22 @@ class _LinearSystem:
                                      {r: c * scale for r, c in combo.items()})
                 self._rank = None
                 return
-            self._eliminate(vec, combo, lead, sign=-1)
+            self._combine(combo, lead, -self._eliminate(vec, lead))
 
-    def reduce_vector(self, vec: dict, certify: bool = True
-                      ) -> tuple[dict, dict | None]:
-        """(normal form of vec, combination of rows subtracted from it).
+    def reduce_vector(self, vec: dict) -> tuple[dict, list]:
+        """(normal form of vec, its eliminations as (lead, factor) pairs).
 
         Leads are taken from a heap of ranks, largest monomial first.  A
         pivot row's other monomials are smaller than its lead, so a lead
-        once eliminated never comes back.  With `certify` False the
-        combination is not tracked and None is returned in its place.
+        once eliminated never comes back.  `combination` turns the
+        eliminations into the rows subtracted from vec.
         """
         if self._rank is None:
             self._leads = sorted(self.pivots, key=_monomial_sort_key,
                                  reverse=True)
             self._rank = {m: k for k, m in enumerate(self._leads)}
         rank, leads = self._rank, self._leads
-        vec, combo = dict(vec), {} if certify else None
+        vec, steps = dict(vec), []
         heap = [rank[m] for m in vec if m in rank]
         heapq.heapify(heap)
         queued = set(heap)
@@ -553,13 +551,24 @@ class _LinearSystem:
             lead = leads[heapq.heappop(heap)]
             if lead not in vec:
                 continue
-            self._eliminate(vec, combo, lead, sign=+1)
+            steps.append((lead, self._eliminate(vec, lead)))
             for m in self.pivots[lead][0]:
                 k = rank.get(m)
                 if k is not None and k not in queued:
                     queued.add(k)
                     heapq.heappush(heap, k)
-        return vec, combo
+        return vec, steps
+
+    def combination(self, steps: list) -> dict:
+        """Row id -> coefficient of the rows `steps` subtracted in total.
+
+        Pivot rows keep the invariant pvec = sum(pcombo * rows), so each
+        elimination vec -= f * pvec subtracts f * pcombo.
+        """
+        combo: dict = {}
+        for lead, factor in steps:
+            self._combine(combo, lead, factor)
+        return combo
 
 
 def _enumerate_strings(weight: int) -> list[tuple[str, ...]]:
@@ -777,8 +786,8 @@ def ibp_residual(a: Expression, b: Expression,
     for (weight, balance), gvec in sorted(groups.items()):
         system = _eliminated_system(weight, balance, _closure(frozenset(gvec)),
                                     tuple(modulo))
-        reduced, _ = system.reduce_vector(gvec, certify=False)
-        trace._pending.append((system, gvec))
+        reduced, steps = system.reduce_vector(gvec)
+        trace._pending.append((system, steps))
         parts.extend(Expression.from_term(coeff, mono, True)
                      for mono, coeff in reduced.items())
 
