@@ -242,8 +242,9 @@ def test_memoized_relation_search_matches_cold(monkeypatch, ident):
 
 def _mutant_queries(monkeypatch, settle: bool) -> list[tuple]:
     """Run every mutant of 3.4, 3.5 and 3.8 from cold caches and return
-    (a, b, modulo, trace, entries, certificate) per IBP query; with `settle`
-    the trace is read as soon as its query returns, else after the run."""
+    [a, b, modulo, trace, trace JSON, certificate] per IBP query; with
+    `settle` the trace is read as soon as its query returns, else after the
+    run."""
     _clear_ibp_caches()
     queries = []
     query = calc.ibp_residual
@@ -272,8 +273,8 @@ def test_deferred_certificates_match_eager(monkeypatch):
     deferred = _mutant_queries(monkeypatch, settle=False)
     assert len(deferred) == len(eager) > 36
     assert any(q[3].residual is not None for q in deferred)
-    for (a, b, modulo, trace, entries, cert), want in zip(deferred, eager):
+    for (a, b, modulo, trace, blob, cert), want in zip(deferred, eager):
         assert (a, b, modulo) == tuple(want[:3])
-        assert entries == want[4] and cert == want[5]
+        assert blob == want[4] and cert == want[5]
         assert trace.to_text() == want[3].to_text()
         assert check_certificate(a, b, trace, modulo)
