@@ -15,32 +15,33 @@ The engine implements
   bubble-sorting with the commutation rules, and like terms are collected;
 * integration by parts under INT[...]: INT[(u v)_{,a}] = 0, including the
   T-direction a = 0 (the divergence theorem holds in all three directions;
-  the 0-direction rule is required to close several catalog identities);
+  for a parent of balance 0 the 0-direction relation already follows from
+  the 1 and b ones, since X_{,1b} - X_{,b1} = i X_{,0} there);
 * a complete decision procedure for equality modulo integration by parts:
   the difference is canonicalized, and each (weight, balance) class of it is
-  reduced, by exact Gaussian elimination, against the divergence relations
-  generated from its monomials (the query's relation closure).  The residual
-  is the normal form modulo the span of that closure: every pivot lead is
-  eliminated, so it depends on the query alone, not on row order or on other
-  queries.  The reduction yields a replayable certificate (which relation
-  was used with which coefficient), computed when the trace is first read;
-  a zero residual found by elimination is replayed with `check_certificate`
-  from freshly built rows before it is returned, so every such equality
-  decision doubles as an audit trail.
+  reduced, by exact Gaussian elimination, against every divergence relation
+  of the sectors its monomials lie in.  A sector is (weight, balance,
+  non-curvature symbols); differentiation and the commutation rules only add
+  R, A11 and Ab1b1 factors, so each relation lies in one sector, and each
+  sector is finite.  Each sector's relations are listed and eliminated once,
+  in a fixed order.  The residual is the normal form modulo their span:
+  every pivot lead is eliminated, so it is the same for all inputs equal
+  modulo IBP, whatever the cache state or query order, and so is the
+  certificate (which relation was used with which coefficient).  The
+  certificate is computed when the trace is first read; a zero residual
+  found by elimination is replayed with `check_certificate` from freshly
+  built rows before it is returned, so every such equality decision doubles
+  as an audit trail.
 
-All operations are pure.  The module state is six bounded caches, five of
-which evict their oldest entry first:
+All operations are pure.  The module state is four bounded caches, each of
+which evicts its oldest entry first:
 
 * canonical forms of factors (`_canon_cache`) and the unit expansions of
   non-canonical terms (`_term_cache`), each at most MAX_CACHED_FACTORS;
 * relation rows by (parent, direction) (`_row_cache`, at most
   MAX_CACHED_ROWS);
-* the relation closure of each class support (`_closure_cache`) and
-  eliminated systems by class, relation set and `modulo` generators
-  (`_system_cache`), each at most MAX_CACHED_SYSTEMS;
-
-and the relation ids each monomial seeds (`_seeded_relations`, an LRU
-cache of MAX_CACHED_EXPANSIONS monomials).
+* eliminated systems by sector set and `modulo` generators
+  (`_system_cache`, at most MAX_CACHED_SYSTEMS).
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .expr import DERIV_LETTERS, Expression, Factor, Term
+from .expr import (_LETTER_ALPHA, _LETTER_ORDER, _LETTER_WEIGHT, DERIV_LETTERS,
+                   SYMBOLS, Expression, Factor, Term)
 from .scalar import I, ONE, ZERO, ScalarExact
 
 __all__ = [
@@ -61,20 +62,17 @@ __all__ = [
     "apply_rule", "equal_mod_ibp", "ibp_residual",
 ]
 
-_LETTER_ORDER = {"1": 0, "b": 1, "0": 2}
-
-# Hard cap on the relation system built per equality query; the catalog
-# needs well under a thousand relations.
+# Hard cap on the rows of the relation system an equality query reduces
+# against; the catalog needs well under a thousand.
 MAX_RELATIONS = 10_000
 # Bounds of the caches shared across queries: canonical forms of factors
-# (and of non-canonical terms), relation rows, eliminated systems per
-# relation set (and closures per class support), and the relation ids
-# seeded by one monomial.  After `verify all --mutate` they hold 116
-# factors, 79 terms, 152 rows, 39 closures, 13 systems and 216 monomials.
+# (and of non-canonical terms), relation rows and eliminated systems.
+# After `verify all --mutate` they hold 95 factors, 54 terms, 69 rows and
+# 6 systems (four sectors, their three-sector merge, and that merge with
+# the slice-relation rows of 3.5).
 MAX_CACHED_FACTORS = 10_000
 MAX_CACHED_ROWS = 10_000
 MAX_CACHED_SYSTEMS = 64
-MAX_CACHED_EXPANSIONS = 10_000
 
 
 class CalculusError(RuntimeError):
@@ -419,11 +417,12 @@ Monomial = tuple[Factor, ...]
 
 # (parent, direction) -> canonical relation row; never mutated
 _row_cache: dict[tuple[Monomial, str], dict[Monomial, ScalarExact]] = {}
-# monomials of one (weight, balance) class -> (relation ids of its closure
-# in generation order, the same ids as a set)
-_closure_cache: dict[frozenset, tuple[tuple, frozenset]] = {}
-# (weight, balance, relation id set, modulo) -> eliminated system
+# (frozenset of sectors, modulo) -> eliminated system
 _system_cache: dict[tuple, "_LinearSystem"] = {}
+
+# The factors the commutation rules add; every other factor of a monomial
+# keeps its symbol under differentiation and rewriting.
+_CURVATURE = ("R", "A11", "Ab1b1")
 
 
 def _monomial_weight(m: Monomial) -> int:
@@ -438,21 +437,22 @@ def _monomial_sort_key(m: Monomial):
     return (len(m), tuple(f.sort_key() for f in m))
 
 
+def _sector(m: Monomial) -> tuple[int, int, tuple[str, ...]]:
+    """(weight, balance, non-curvature symbols in factor order) of m.
+
+    Differentiation and the commutation rules keep all three, so every
+    divergence relation lies in one sector.
+    """
+    return (_monomial_weight(m), _monomial_balance(m),
+            tuple(f.symbol for f in m if f.symbol not in _CURVATURE))
+
+
 def _canonical_vector(e: Expression) -> dict[Monomial, ScalarExact]:
     vec: dict[Monomial, ScalarExact] = {}
     for key, coeff in e.items():
         _, factors = key
         vec[factors] = vec.get(factors, ZERO) + coeff
     return {m: c for m, c in vec.items() if not c.is_zero()}
-
-
-def _single_deletions(m: Monomial):
-    """Yield (parent, letter) for every single derivative-letter deletion."""
-    for j, f in enumerate(m):
-        for p, letter in enumerate(f.derivs):
-            parent = m[:j] + (Factor(f.symbol, f.derivs[:p] + f.derivs[p + 1:]),) \
-                + m[j + 1:]
-            yield tuple(sorted(parent, key=Factor.sort_key)), letter
 
 
 def _relation_row(parent: Monomial, direction: str) -> dict[Monomial, ScalarExact]:
@@ -477,15 +477,18 @@ class _LinearSystem:
         # leading monomial -> (vector, combo over original row ids); the
         # entries are never mutated, so copies may share them
         self.pivots: dict[Monomial, tuple[dict, dict]] = {}
+        # number of rows added, pivots or not
+        self.rows = 0
         # pivot leads from largest to smallest, and each lead's position;
         # ranked on the first reduction after the last added pivot
         self._leads: list[Monomial] = []
         self._rank: dict[Monomial, int] | None = None
 
-    def copy(self) -> "_LinearSystem":
-        clone = _LinearSystem()
-        clone.pivots = dict(self.pivots)
-        return clone
+    def merge(self, other: "_LinearSystem") -> None:
+        """Take over the pivots of a system on disjoint monomials."""
+        self.pivots.update(other.pivots)
+        self.rows += other.rows
+        self._rank = None
 
     @staticmethod
     def _leading(vec: dict) -> Monomial:
@@ -519,6 +522,7 @@ class _LinearSystem:
     def add_row(self, row_id, vec: dict):
         # combo tracks vec as a combination of rows, so every elimination
         # vec -= f * pvec subtracts f * pcombo from it
+        self.rows += 1
         vec, combo = dict(vec), {row_id: ONE}
         while vec:
             lead = self._leading(vec)
@@ -582,42 +586,28 @@ def _enumerate_strings(weight: int) -> list[tuple[str, ...]]:
     return out
 
 
-def _enumerate_ra_monomials(weight: int) -> list[tuple[Factor, ...]]:
-    """Monomials in R, A11, Ab1b1 (with derivatives) of the given weight."""
-    if weight == 0:
-        return [()]
-    out: list[tuple[Factor, ...]] = []
-    base = ("R", "A11", "Ab1b1")
-    for nfac in range(1, weight // 2 + 1):
-        for syms in itertools.combinations_with_replacement(base, nfac):
-            budget = weight - 2 * nfac
-            if budget < 0:
-                continue
-            for split in itertools.product(range(budget + 1), repeat=nfac):
+def _sector_monomials(weight: int, balance: int,
+                      symbols: tuple[str, ...]) -> list[Monomial]:
+    """Every canonical monomial of a sector, in monomial order.
+
+    Such a monomial has one factor per entry of `symbols` and any number of
+    R, A11, Ab1b1 factors, each with a canonical derivative string.
+    """
+    out = set()
+    for nfac in range(weight // 2 + 1):
+        for extra in itertools.combinations_with_replacement(_CURVATURE, nfac):
+            syms = symbols + extra
+            budget = weight - sum(SYMBOLS[s].base_weight for s in syms)
+            for split in itertools.product(range(budget + 1), repeat=len(syms)):
                 if sum(split) != budget:
                     continue
-                choices = [
-                    [Factor(sym, s) for s in _enumerate_strings(w)]
-                    for sym, w in zip(syms, split)
-                ]
+                choices = [[Factor(sym, s) for s in _enumerate_strings(w)]
+                           for sym, w in zip(syms, split)]
                 for combo in itertools.product(*choices):
-                    out.append(tuple(sorted(combo, key=Factor.sort_key)))
-    return sorted(set(out), key=_monomial_sort_key)
-
-
-def _enumerate_e_linear(weight: int, balance: int) -> list[Monomial]:
-    """Degree-1 monomials in E11/Eb1b1 times an R/A monomial."""
-    out = []
-    for sym in ("E11", "Eb1b1"):
-        for ra_w in range(weight + 1):
-            e_w = weight - ra_w
-            for s in _enumerate_strings(e_w):
-                e_fac = Factor(sym, s)
-                for ra in _enumerate_ra_monomials(ra_w):
-                    mono = tuple(sorted((e_fac,) + ra, key=Factor.sort_key))
+                    mono = tuple(sorted(combo, key=Factor.sort_key))
                     if _monomial_balance(mono) == balance:
-                        out.append(mono)
-    return sorted(set(out), key=_monomial_sort_key)
+                        out.add(mono)
+    return sorted(out, key=_monomial_sort_key)
 
 
 def _remember(cache: dict, key, value, bound: int) -> None:
@@ -635,107 +625,79 @@ def _cached_row(parent: Monomial, direction: str) -> dict:
     return row
 
 
-@lru_cache(maxsize=MAX_CACHED_EXPANSIONS)
-def _seeded_relations(mono: Monomial) -> tuple[tuple, ...]:
-    """Ids of the relations a monomial seeds, in search order, once each."""
-    rids: dict[tuple, None] = {}
-    for parent, letter in _single_deletions(mono):
-        if letter == "0":
-            rids[("ibp", parent, "0")] = None
-        else:
-            rids[("ibp", parent, "1")] = None
-            rids[("ibp", parent, "b")] = None
-            # grandparents reached by removing two single-weight letters
-            # feed the 0-direction relations of the same weight class
-            for gparent, letter2 in _single_deletions(parent):
-                if letter2 != "0":
-                    rids[("ibp", gparent, "0")] = None
-    return tuple(rids)
+def _build_relations(weight: int, balance: int,
+                     symbols: tuple[str, ...]) -> list[tuple]:
+    """Ids of every divergence relation of a sector, in a fixed order.
 
-
-def _build_relations(seed: Iterable[Monomial]) -> dict[tuple, dict]:
-    """Saturate the divergence relations touching the seed's weight class.
-
-    Returns the relation rows by row id, in the order they were generated.
-    The frontier starts in monomial order, so that order (and with it the
-    echelon basis and the certificate) does not follow string hashing.
+    INT[(P)_{,d}] = 0 lies in the sector exactly when the monomial P lies in
+    the sector shifted back by the weight and balance of d.  Canonical P
+    suffice: a non-canonical P is a combination of canonical ones of its
+    sector.  The order (direction 0 first, then 1 and b, largest parent
+    first) fixes the echelon basis; of the orders tried it gave the
+    shortest certificates on the catalog and its mutants.
     """
-    relations: dict[tuple, dict] = {}
-    frontier = sorted(set(seed), key=_monomial_sort_key)
-    seen_mono: set[Monomial] = set(frontier)
-    while frontier:
-        mono = frontier.pop()
-        for rid in _seeded_relations(mono):
-            if rid in relations:
-                continue
-            if len(relations) >= MAX_RELATIONS:
-                offending = "*".join(str(f) for f in mono)
-                raise CalculusError(
-                    f"relation cap ({MAX_RELATIONS}) exceeded while "
-                    f"processing the class of INT[{offending}]")
-            row = relations[rid] = _cached_row(rid[1], rid[2])
-            for m in row:
-                if m not in seen_mono:
-                    seen_mono.add(m)
-                    frontier.append(m)
-    return relations
-
-
-def _closure(support: frozenset) -> tuple[tuple, frozenset]:
-    """Relation ids of a class's closure, in generation order and as a set.
-
-    `_build_relations` is a function of the support alone, so its ids are
-    cached by support.  A cached closure over MAX_RELATIONS is built again,
-    which raises.
-    """
-    hit = _closure_cache.get(support)
-    if hit is None or len(hit[0]) > MAX_RELATIONS:
-        rids = tuple(_build_relations(support))
-        hit = rids, frozenset(rids)
-        _remember(_closure_cache, support, hit, MAX_CACHED_SYSTEMS)
-    return hit
+    return [("ibp", parent, d) for d in ("0", "1", "b")
+            for parent in reversed(_sector_monomials(
+                weight - _LETTER_WEIGHT[d], balance - _LETTER_ALPHA[d],
+                symbols))]
 
 
 def _modulo_rows(weight: int, balance: int, modulo: Sequence[Expression]):
-    """(row id, row) for INT[S * N] = 0, N of the class's remaining weight."""
+    """(row id, row) for INT[S * N] = 0, N of the class's remaining weight.
+
+    The multipliers N are the E-linear monomials: one E11 or Eb1b1 factor
+    times a monomial in R, A11, Ab1b1.
+    """
     for gi, gen in enumerate(modulo):
         gen_weights = {Term(c, k[1], k[0]).weight() for k, c in gen.items()}
         gen_balances = {Term(c, k[1], k[0]).alpha() for k, c in gen.items()}
         if len(gen_weights) != 1 or len(gen_balances) != 1:
             raise CalculusError("modulo generators must be homogeneous")
-        gw, gb = gen_weights.pop(), gen_balances.pop()
-        mw, mb = weight - gw, balance - gb
-        if mw < 0:
-            continue
-        for mult in _enumerate_e_linear(mw, mb):
-            prod = gen
-            for f in mult:
-                prod = prod * Expression.from_factor(f)
-            yield ("modulo", gi, mult), _canonical_vector(canonicalize(prod))
+        mw, mb = weight - gen_weights.pop(), balance - gen_balances.pop()
+        for sym in ("E11", "Eb1b1"):
+            for mult in _sector_monomials(mw, mb, (sym,)):
+                prod = gen
+                for f in mult:
+                    prod = prod * Expression.from_factor(f)
+                yield ("modulo", gi, mult), _canonical_vector(canonicalize(prod))
 
 
-def _eliminated_system(weight: int, balance: int,
-                       closure: tuple[tuple, frozenset],
+def _check_relation_cap(rows: int, sectors: Iterable[tuple]) -> None:
+    if rows > MAX_RELATIONS:
+        raise CalculusError(
+            f"relation cap ({MAX_RELATIONS}) exceeded: {rows} relations in "
+            f"the sectors {sorted(sectors)}")
+
+
+def _eliminated_system(sectors: frozenset,
                        modulo: tuple[Expression, ...]) -> _LinearSystem:
-    """The echelon system of a relation closure (plus `modulo` rows), cached.
+    """The echelon system of the sectors' relations (plus `modulo` rows), cached.
 
-    Rows are read through the row cache and added in generation order on a
-    miss; a system with `modulo` rows extends a copy of the plain system of
-    the same relations.
+    One sector adds the rows of `_build_relations` in order.  Several sectors
+    merge the pivots of their own systems, since sectors share no monomial.
+    With `modulo`, the rows INT[S * N] extend a copy of the plain system of
+    every sector that the support or those rows touch.
     """
-    rids, relation_set = closure
-    key = (weight, balance, relation_set, modulo)
+    key = (sectors, modulo)
     system = _system_cache.get(key)
     if system is None:
+        system, rows = _LinearSystem(), ()
         if modulo:
-            system = _eliminated_system(weight, balance, closure, ()).copy()
-            rows = _modulo_rows(weight, balance, modulo)
+            weight, balance, _ = next(iter(sectors))
+            rows = list(_modulo_rows(weight, balance, modulo))
+            system.merge(_eliminated_system(
+                sectors.union(_sector(m) for _, row in rows for m in row), ()))
+        elif len(sectors) > 1:
+            for sector in sorted(sectors):
+                system.merge(_eliminated_system(frozenset((sector,)), ()))
         else:
-            system = _LinearSystem()
+            rids = _build_relations(*next(iter(sectors)))
+            _check_relation_cap(len(rids), sectors)
             rows = ((rid, _cached_row(rid[1], rid[2])) for rid in rids)
         for rid, row in rows:
             system.add_row(rid, row)
         _remember(_system_cache, key, system, MAX_CACHED_SYSTEMS)
+    _check_relation_cap(system.rows, sectors)
     return system
 
 
@@ -759,11 +721,12 @@ def ibp_residual(a: Expression, b: Expression,
 
     `modulo` entries are non-integrated scalar expressions S that vanish
     identically on the configurations considered (for instance a divergence
-    constraint); the reduction may use INT[S * N] = 0 for any monomial
-    multiplier N of matching weight.  Returns (residual, trace); the residual
-    is zero exactly when a == b modulo the stated relations.  A zero found by
-    elimination is replayed with `check_certificate`, and CalculusError is
-    raised if the replay fails.
+    constraint); the reduction may use INT[S * N] = 0 for every E-linear
+    multiplier N of matching weight and balance (one E11 or Eb1b1 factor
+    times a monomial in R, A11, Ab1b1), not for other monomials.  Returns
+    (residual, trace); the residual is zero exactly when a == b modulo the
+    stated relations.  A zero found by elimination is replayed with
+    `check_certificate`, and CalculusError is raised if the replay fails.
     """
     if trace is None:
         trace = RewriteTrace()
@@ -776,16 +739,17 @@ def ibp_residual(a: Expression, b: Expression,
         trace.residual = d
         return d, trace
 
-    vec = _canonical_vector(d)
-    groups: dict[tuple[int, int], dict[Monomial, ScalarExact]] = {}
-    for mono, coeff in vec.items():
-        key = (_monomial_weight(mono), _monomial_balance(mono))
-        groups.setdefault(key, {})[mono] = coeff
+    # (weight, balance) -> (sectors met, the class's part of the vector)
+    groups: dict[tuple[int, int], tuple[set, dict[Monomial, ScalarExact]]] = {}
+    for mono, coeff in _canonical_vector(d).items():
+        sector = _sector(mono)
+        sectors, gvec = groups.setdefault(sector[:2], (set(), {}))
+        sectors.add(sector)
+        gvec[mono] = coeff
 
     parts = []
-    for (weight, balance), gvec in sorted(groups.items()):
-        system = _eliminated_system(weight, balance, _closure(frozenset(gvec)),
-                                    tuple(modulo))
+    for _, (sectors, gvec) in sorted(groups.items(), key=lambda kv: kv[0]):
+        system = _eliminated_system(frozenset(sectors), tuple(modulo))
         reduced, steps = system.reduce_vector(gvec)
         trace._pending.append((system, steps))
         parts.extend(Expression.from_term(coeff, mono, True)

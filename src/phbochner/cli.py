@@ -78,14 +78,10 @@ def _text_lines(obj, prefix="") -> list[str]:
     return lines
 
 
-def _error(message: str) -> int:
-    """Report an input error as one stderr line; returns exit status 2."""
-    print(f"phbochner: error: {message}", file=sys.stderr)
-    return 2
-
-
 def _input_error(message: str):
-    raise SystemExit(_error(message))
+    """Report an input error as one stderr line and exit with status 2."""
+    print(f"phbochner: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _load_points(path: str) -> list[PointData]:
@@ -112,7 +108,7 @@ def cmd_verify(cfg: RunConfig, ids: list[str], mutate: bool) -> int:
     wanted = identities.catalog_ids() if ids == ["all"] else ids
     for ident in wanted:
         if ident not in identities.catalog_ids():
-            return _error(f"unknown identity id: {ident}")
+            _input_error(f"unknown identity id: {ident}")
     report = {"command": "verify", "results": []}
     failed = False
     for ident in wanted:
@@ -194,7 +190,7 @@ def cmd_trace(cfg: RunConfig, ident: str) -> int:
     from . import identities
 
     if ident not in identities.catalog_ids():
-        return _error(f"unknown identity id: {ident}")
+        _input_error(f"unknown identity id: {ident}")
     result = identities.run_script(ident)
     if cfg.output_format == "json":
         payload = result.to_dict()
@@ -218,7 +214,7 @@ def cmd_ops(cfg: RunConfig, name: str | None) -> int:
         _emit({"command": "ops", "operators": sorted(reg)}, cfg.output_format)
         return 0
     if name not in reg:
-        return _error(f"unknown operator {name!r}; known: {sorted(reg)}")
+        _input_error(f"unknown operator {name!r}; known: {sorted(reg)}")
     _emit({"command": "ops", "name": name, "definition": str(reg[name])},
           cfg.output_format)
     return 0

@@ -272,25 +272,47 @@ def test_relation_cap_guard(monkeypatch):
         equal_mod_ibp(a, b)
 
 
-def test_same_support_reuses_the_closure(monkeypatch):
+def test_same_sector_reuses_the_system(monkeypatch):
     x = parse("INT[ A11*Eb1b1_{11}*Eb1b1 ]")
     y = parse("INT[ A11*Eb1b1_{1}*Eb1b1_{1} ]")
-    first, second = x + y, x * 2 - y * 3
+    other = parse("INT[ Eb1b1_{11}*Eb1b1_{11} + 2*A11*Eb1b1_{1}*Eb1b1_{1} ]")
     for cache in ("_canon_cache", "_term_cache", "_row_cache",
-                  "_closure_cache", "_system_cache"):
+                  "_system_cache"):
         monkeypatch.setattr(calc, cache, {})
-    cold, _ = ibp_residual(second, parse("0"))
-    calc._closure_cache.clear()
+    cold, _ = ibp_residual(other, parse("0"))
     calc._system_cache.clear()
-    ibp_residual(first, parse("0"))
+    ibp_residual(x + y, parse("0"))
     builds = []
     build = calc._build_relations
     monkeypatch.setattr(calc, "_build_relations",
-                        lambda seed: builds.append(seed) or build(seed))
-    residual, trace = ibp_residual(second, parse("0"))
+                        lambda *sector: builds.append(sector) or build(*sector))
+    residual, trace = ibp_residual(other, parse("0"))
     assert builds == []
     assert not residual.is_zero() and residual == cold
-    assert check_certificate(second, parse("0"), trace)
+    assert check_certificate(other, parse("0"), trace)
+
+
+def test_sector_relations_stay_in_their_sector(monkeypatch):
+    # every row of a sector's system lies in that sector, among the
+    # monomials the sector enumerator lists
+    import phbochner.identities as ids
+
+    sectors = []
+    build = calc._build_relations
+    monkeypatch.setattr(calc, "_build_relations",
+                        lambda *sector: sectors.append(sector) or build(*sector))
+    monkeypatch.setattr(calc, "_system_cache", {})
+    for ident in ids.catalog_ids():
+        ids.run_script(ident)
+    assert len(sectors) == len(set(sectors)) >= 4
+    for sector in sectors:
+        listed = set(calc._sector_monomials(*sector))
+        rids = build(*sector)
+        assert rids
+        for rid in rids:
+            row = calc._relation_row(rid[1], rid[2])
+            assert all(calc._sector(m) == sector for m in row), rid
+            assert set(row) <= listed, rid
 
 
 def test_pass_replays_certificate_from_fresh_rows(monkeypatch):

@@ -1,5 +1,6 @@
 """The identity suite: every catalog derivation must replay and close."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -181,7 +182,6 @@ def _clear_ibp_caches():
     calc._canon_cache.clear()
     calc._term_cache.clear()
     calc._row_cache.clear()
-    calc._closure_cache.clear()
     calc._system_cache.clear()
 
 
@@ -217,27 +217,38 @@ def test_cache_eviction_keeps_residuals(monkeypatch):
         == len(calc._system_cache) == 1
 
 
-@pytest.mark.parametrize("ident", ["3.4", "3.8"])
-def test_memoized_relation_search_matches_cold(monkeypatch, ident):
-    seeds = []
-    build = calc._build_relations
+def test_mutant_residuals_are_normal_forms():
+    # a mutant differs from its passing target by its bump, so its residual
+    # is the normal form of the bump, up to the sign of the difference
+    zero = parse("0")
+    mutants = [m for m in _mutants() if m[1] in ("3.4", "3.8")]
+    assert len(mutants) == 36
+    for name, ident, mutated in mutants:
+        base = ids._mutation_base(ident)
+        normal, _ = calc.ibp_residual(mutated - base, zero)
+        residual = _residual(ident, mutated)
+        assert not normal.is_zero(), name
+        assert residual in (normal, -normal), name
 
-    def recording(seed):
-        seeds.append(list(seed))
-        return build(seed)
 
-    monkeypatch.setattr(calc, "_build_relations", recording)
-    monkeypatch.setattr(calc, "_closure_cache", {})
-    ids.run_script(ident)
-    assert seeds
-    for seed in seeds:
-        calc._seeded_relations.cache_clear()
-        Factor.sort_key.cache_clear()
-        parse.cache_clear()
-        cold = list(build(seed))
-        hits = calc._seeded_relations.cache_info().hits
-        assert list(build(seed)) == cold
-        assert calc._seeded_relations.cache_info().hits > hits
+def _trace_payloads() -> list[str]:
+    """Result and trace JSON of every catalog script, as `trace` reports."""
+    out = []
+    for ident in ids.catalog_ids():
+        result = ids.run_script(ident)
+        payload = result.to_dict()
+        payload["trace"] = result.trace.to_json() if result.trace else None
+        out.append(json.dumps(payload, sort_keys=True))
+    return out
+
+
+def test_certificates_independent_of_query_order():
+    _clear_ibp_caches()
+    cold = _trace_payloads()
+    _clear_ibp_caches()
+    for ident in reversed(ids.MUTABLE_IDS):
+        ids.mutation_test(ident)
+    assert _trace_payloads() == cold
 
 
 def _mutant_queries(monkeypatch, settle: bool) -> list[tuple]:
