@@ -46,15 +46,15 @@ which evicts its oldest entry first:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .expr import (_LETTER_ALPHA, _LETTER_ORDER, _LETTER_WEIGHT, DERIV_LETTERS,
                    SYMBOLS, Expression, Factor, Term)
-from .scalar import I, ONE, ZERO, ScalarExact
+from .scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
 __all__ = [
     "CalculusError", "RewriteTrace", "Rule",
@@ -73,6 +73,7 @@ MAX_RELATIONS = 10_000
 MAX_CACHED_FACTORS = 10_000
 MAX_CACHED_ROWS = 10_000
 MAX_CACHED_SYSTEMS = 64
+MAX_CACHED_MONOMIALS = 10_000
 
 
 class CalculusError(RuntimeError):
@@ -293,16 +294,18 @@ def canonicalize(e: Expression, trace: RewriteTrace | None = None) -> Expression
     for key, coeff in e.items():
         integrated, factors = key
         if all(f.is_canonical() for f in factors):
-            expanded = ((key, coeff),)
+            expanded = ((key, ONE),)
         else:
-            expanded = [(k, c * coeff) for k, c in _expand_term(key)]
+            expanded = _expand_term(key)
             if trace is not None:
                 before = Expression.from_term(coeff, factors, integrated)
                 trace.record("canonicalize", str(before),
-                             str(Expression(dict(expanded))))
+                             str(Expression({k: c * coeff
+                                             for k, c in expanded})))
+        neg = -coeff
         for k, c in expanded:
-            prev = acc.get(k)
-            acc[k] = c if prev is None else prev + c
+            # zeros stay in place, so the collected order is unchanged
+            acc[k] = sub_mul(acc.get(k, ZERO), neg, c)
     return Expression(acc)
 
 
@@ -437,6 +440,7 @@ def _monomial_sort_key(m: Monomial):
     return (len(m), tuple(f.sort_key() for f in m))
 
 
+@lru_cache(maxsize=MAX_CACHED_MONOMIALS)
 def _sector(m: Monomial) -> tuple[int, int, tuple[str, ...]]:
     """(weight, balance, non-curvature symbols in factor order) of m.
 
@@ -467,10 +471,12 @@ def _relation_row(parent: Monomial, direction: str) -> dict[Monomial, ScalarExac
 class _LinearSystem:
     """Exact row reduction with a certificate over the original rows.
 
-    The pivot rows form an echelon basis (distinct leading monomials) that is
-    not reduced: `add_row` eliminates leading terms only.  `reduce_vector`
-    eliminates every pivot lead from the vector, largest first, so what is
-    left avoids all leads and is the unique normal form modulo the span.
+    `add_row` eliminates leading terms only, so the pivot rows form an
+    echelon basis (distinct leading monomials, each with coefficient 1).
+    `reduce_basis` then back-substitutes them into reduced echelon form: no
+    pivot row holds another pivot's lead.  `reduce_vector` eliminates the
+    vector's own pivot monomials in one pass, and what is left avoids all
+    leads: the unique normal form modulo the span.
     """
 
     def __init__(self):
@@ -479,16 +485,11 @@ class _LinearSystem:
         self.pivots: dict[Monomial, tuple[dict, dict]] = {}
         # number of rows added, pivots or not
         self.rows = 0
-        # pivot leads from largest to smallest, and each lead's position;
-        # ranked on the first reduction after the last added pivot
-        self._leads: list[Monomial] = []
-        self._rank: dict[Monomial, int] | None = None
 
     def merge(self, other: "_LinearSystem") -> None:
         """Take over the pivots of a system on disjoint monomials."""
         self.pivots.update(other.pivots)
         self.rows += other.rows
-        self._rank = None
 
     @staticmethod
     def _leading(vec: dict) -> Monomial:
@@ -500,21 +501,20 @@ class _LinearSystem:
         Pivot rows are stored with leading coefficient 1, so no division is
         needed.
         """
-        pvec = self.pivots[lead][0]
         factor = vec[lead]
-        for m, c in pvec.items():
-            val = vec.get(m, ZERO) - factor * c
-            if val.is_zero():
+        for m, c in self.pivots[lead][0].items():
+            val = sub_mul(vec.get(m, ZERO), factor, c)
+            if val is ZERO:
                 vec.pop(m, None)
             else:
                 vec[m] = val
         return factor
 
     def _combine(self, combo: dict, lead: Monomial, factor: ScalarExact) -> None:
-        """combo += factor * (combination of rows behind the pivot of lead)."""
+        """combo -= factor * (combination of rows behind the pivot of lead)."""
         for rid, c in self.pivots[lead][1].items():
-            val = combo.get(rid, ZERO) + factor * c
-            if val.is_zero():
+            val = sub_mul(combo.get(rid, ZERO), factor, c)
+            if val is ZERO:
                 combo.pop(rid, None)
             else:
                 combo[rid] = val
@@ -530,38 +530,41 @@ class _LinearSystem:
                 scale = vec[lead].inverse()
                 self.pivots[lead] = ({m: c * scale for m, c in vec.items()},
                                      {r: c * scale for r, c in combo.items()})
-                self._rank = None
                 return
-            self._combine(combo, lead, -self._eliminate(vec, lead))
+            self._combine(combo, lead, self._eliminate(vec, lead))
+
+    def reduce_basis(self) -> None:
+        """Back-substitute the pivot rows into reduced echelon form.
+
+        A pivot row's other monomials are smaller than its lead, so taking
+        the rows from the smallest lead up, the rows subtracted from each are
+        already reduced and bring in no lead.  A changed row is a new pair
+        of dicts: the old one may be shared with other systems.  Which rows
+        are kept depends on the order rows were added in alone, so neither
+        residuals nor certificates change.
+        """
+        pivots = self.pivots
+        for lead in sorted(pivots, key=_monomial_sort_key):
+            pvec, pcombo = pivots[lead]
+            inner = [m for m in pvec if m != lead and m in pivots]
+            if inner:
+                vec, combo = dict(pvec), dict(pcombo)
+                for m in inner:
+                    self._combine(combo, m, self._eliminate(vec, m))
+                pivots[lead] = (vec, combo)
 
     def reduce_vector(self, vec: dict) -> tuple[dict, list]:
         """(normal form of vec, its eliminations as (lead, factor) pairs).
 
-        Leads are taken from a heap of ranks, largest monomial first.  A
-        pivot row's other monomials are smaller than its lead, so a lead
-        once eliminated never comes back.  `combination` turns the
-        eliminations into the rows subtracted from vec.
+        In a reduced basis no pivot row holds another lead, so one pass over
+        vec's own pivot monomials eliminates every lead, each by its
+        coefficient in vec.  `combination` turns the eliminations into the
+        rows subtracted from vec.
         """
-        if self._rank is None:
-            self._leads = sorted(self.pivots, key=_monomial_sort_key,
-                                 reverse=True)
-            self._rank = {m: k for k, m in enumerate(self._leads)}
-        rank, leads = self._rank, self._leads
-        vec, steps = dict(vec), []
-        heap = [rank[m] for m in vec if m in rank]
-        heapq.heapify(heap)
-        queued = set(heap)
-        while heap:
-            lead = leads[heapq.heappop(heap)]
-            if lead not in vec:
-                continue
-            steps.append((lead, self._eliminate(vec, lead)))
-            for m in self.pivots[lead][0]:
-                k = rank.get(m)
-                if k is not None and k not in queued:
-                    queued.add(k)
-                    heapq.heappush(heap, k)
-        return vec, steps
+        vec = dict(vec)
+        pivots = self.pivots
+        return vec, [(lead, self._eliminate(vec, lead))
+                     for lead in [m for m in vec if m in pivots]]
 
     def combination(self, steps: list) -> dict:
         """Row id -> coefficient of the rows `steps` subtracted in total.
@@ -571,7 +574,7 @@ class _LinearSystem:
         """
         combo: dict = {}
         for lead, factor in steps:
-            self._combine(combo, lead, factor)
+            self._combine(combo, lead, -factor)
         return combo
 
 
@@ -625,6 +628,18 @@ def _cached_row(parent: Monomial, direction: str) -> dict:
     return row
 
 
+def _build_row(rid: tuple, modulo: Sequence[Expression]) -> dict:
+    """The relation row of a row id, built afresh (never from `_row_cache`)."""
+    if rid[0] == "ibp":
+        return _relation_row(rid[1], rid[2])
+    if rid[0] == "modulo":
+        prod = modulo[rid[1]]
+        for f in rid[2]:
+            prod = prod * Expression.from_factor(f)
+        return _canonical_vector(canonicalize(prod))
+    raise CalculusError(f"unknown relation row {rid!r}")  # pragma: no cover
+
+
 def _build_relations(weight: int, balance: int,
                      symbols: tuple[str, ...]) -> list[tuple]:
     """Ids of every divergence relation of a sector, in a fixed order.
@@ -656,10 +671,8 @@ def _modulo_rows(weight: int, balance: int, modulo: Sequence[Expression]):
         mw, mb = weight - gen_weights.pop(), balance - gen_balances.pop()
         for sym in ("E11", "Eb1b1"):
             for mult in _sector_monomials(mw, mb, (sym,)):
-                prod = gen
-                for f in mult:
-                    prod = prod * Expression.from_factor(f)
-                yield ("modulo", gi, mult), _canonical_vector(canonicalize(prod))
+                rid = ("modulo", gi, mult)
+                yield rid, _build_row(rid, modulo)
 
 
 def _check_relation_cap(rows: int, sectors: Iterable[tuple]) -> None:
@@ -696,6 +709,7 @@ def _eliminated_system(sectors: frozenset,
             rows = ((rid, _cached_row(rid[1], rid[2])) for rid in rids)
         for rid, row in rows:
             system.add_row(rid, row)
+        system.reduce_basis()
         _remember(_system_cache, key, system, MAX_CACHED_SYSTEMS)
     _check_relation_cap(system.rows, sectors)
     return system
@@ -782,18 +796,9 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
     """
     total = _canonical_vector(canonicalize(a - b))
     for rid, coeff in trace.certificate:
-        if rid[0] == "ibp":
-            row = _relation_row(rid[1], rid[2])
-        elif rid[0] == "modulo":
-            prod = modulo[rid[1]]
-            for f in rid[2]:
-                prod = prod * Expression.from_factor(f)
-            row = _canonical_vector(canonicalize(prod))
-        else:  # pragma: no cover
-            raise CalculusError(f"unknown certificate row {rid!r}")
-        for mono, c in row.items():
-            val = total.get(mono, ZERO) - coeff * c
-            if val.is_zero():
+        for mono, c in _build_row(rid, modulo).items():
+            val = sub_mul(total.get(mono, ZERO), coeff, c)
+            if val is ZERO:
                 total.pop(mono, None)
             else:
                 total[mono] = val

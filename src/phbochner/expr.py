@@ -75,9 +75,9 @@ SYMBOLS: dict[str, SymbolInfo] = {
 SYMBOL_ORDER = ["f", "g", "gb", "R", "A11", "Ab1b1", "E11", "Eb1b1", "Q11", "Qb1b1"]
 _SYMBOL_INDEX = {name: k for k, name in enumerate(SYMBOL_ORDER)}
 
-# Bound of the LRU cache of factor sort keys; the catalog uses a few hundred
-# distinct factors.
-MAX_CACHED_SORT_KEYS = 4096
+# Bound of the LRU caches of factor sort keys and of `Factor.is_canonical`;
+# the catalog uses a few hundred distinct factors.
+MAX_CACHED_FACTOR_KEYS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +114,12 @@ class Factor(NamedTuple):
     def with_deriv(self, letter: str) -> "Factor":
         return Factor(self.symbol, self.derivs + (letter,))
 
-    @lru_cache(maxsize=MAX_CACHED_SORT_KEYS)
+    @lru_cache(maxsize=MAX_CACHED_FACTOR_KEYS)
     def sort_key(self):
         return (_SYMBOL_INDEX[self.symbol], len(self.derivs),
                 tuple(_LETTER_ORDER[l] for l in self.derivs))
 
+    @lru_cache(maxsize=MAX_CACHED_FACTOR_KEYS)
     def is_canonical(self) -> bool:
         keys = [_LETTER_ORDER[l] for l in self.derivs]
         return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))

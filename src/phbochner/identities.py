@@ -388,15 +388,23 @@ _FORM_BASIS = ("E11_{b1}", "i*E11_{0}", "E11_{1}", "E11_{b}", "E11")
 _QUARTER = Fraction(1, 4)
 
 
-def _check_form(target: Expression, steps: list) -> bool:
-    """The numeric form's rational entries against the catalog's 3.8."""
+@lru_cache(maxsize=4)
+def _numeric_form(entries) -> Expression:
+    """INT of the form built by `entries` (`form_entries` or a stand-in) on
+    the 3.8 basis, in catalog symbols; built once per callable."""
     x = FormInputs(**{k: parse(v) for k, v in _FORM_INPUTS.items()})
     u = [parse(b) for b in _FORM_BASIS]
     form = Expression.zero()
-    for (i, j), entry in form_entries(
+    for (i, j), entry in entries(
             x, lambda n, d=1: Expression.scalar(exact_constant(n, d))).items():
         part = (entry * u[i] * u[j].conjugate()).integrate()
         form = form + (part if i == j else part + part.conjugate())
+    return form
+
+
+def _check_form(target: Expression, steps: list) -> bool:
+    """The numeric form's rational entries against the catalog's 3.8."""
+    form = _numeric_form(form_entries)
     ok = form == target
     steps.append(("numeric form entries against the catalog",
                   "PASS" if ok else f"FAIL (catalog - form = {target - form})"))

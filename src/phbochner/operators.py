@@ -272,12 +272,6 @@ def adjoint(template: OperatorTemplate) -> OperatorTemplate:
     )
 
 
-def identity_template(placeholder: str = "f") -> OperatorTemplate:
-    kind = "tensor" if placeholder == "E11" else "function"
-    return OperatorTemplate("identity", placeholder, kind, kind,
-                            Expression.from_factor(Factor(placeholder)))
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------

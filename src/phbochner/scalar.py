@@ -138,18 +138,6 @@ class ScalarExact:
     def __rtruediv__(self, other):
         return ScalarExact.coerce(other) * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- involution and predicates ------------------------------------------
 
     def conjugate(self) -> "ScalarExact":
@@ -172,11 +160,6 @@ class ScalarExact:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return self.a
-
-    def to_complex(self) -> complex:
-        s3 = 3.0 ** 0.5
-        return complex(float(self.a) + float(self.b) * s3,
-                       float(self.c) + float(self.d) * s3)
 
     # -- hashing / comparison ------------------------------------------------
 
@@ -249,6 +232,46 @@ def _make(a: int, b: int, c: int, d: int, q: int) -> ScalarExact:
         d //= g
         q //= g
     return _wrap((a, b, c, d, q))
+
+
+def sub_mul(x: ScalarExact, f: ScalarExact, y: ScalarExact) -> ScalarExact:
+    """x - f*y, reduced by one gcd; `ZERO` itself when it cancels.
+
+    The multiply-subtract of exact elimination, on the (a, b, c, d, q)
+    tuples with no intermediate ScalarExact, with the rational fast paths
+    of `__mul__`; when all three are rational only one component is formed.
+    """
+    a1, b1, c1, d1, q1 = x._v
+    a2, b2, c2, d2, q2 = f._v
+    a3, b3, c3, d3, q3 = y._v
+    q = q2 * q3
+    if not (b3 or c3 or d3):
+        if not (b2 or c2 or d2 or b1 or c1 or d1):
+            if q1 == q:
+                a = a1 - a2 * a3
+            else:
+                a = a1 * q - a2 * a3 * q1
+                q *= q1
+            if not a:
+                return ZERO
+            g = gcd(a, q)
+            return _wrap((a // g, 0, 0, 0, q // g))
+        a2, b2, c2, d2 = a2 * a3, b2 * a3, c2 * a3, d2 * a3
+    elif not (b2 or c2 or d2):
+        a2, b2, c2, d2 = a2 * a3, a2 * b3, a2 * c3, a2 * d3
+    else:
+        a2, b2, c2, d2 = (a2 * a3 + 3 * b2 * b3 - (c2 * c3 + 3 * d2 * d3),
+                          a2 * b3 + a3 * b2 - (c2 * d3 + c3 * d2),
+                          a2 * c3 + c2 * a3 + 3 * (b2 * d3 + d2 * b3),
+                          a2 * d3 + b2 * c3 + c2 * b3 + d2 * a3)
+    if q1 != q:
+        a1, b1, c1, d1 = a1 * q, b1 * q, c1 * q, d1 * q
+        a2, b2, c2, d2 = a2 * q1, b2 * q1, c2 * q1, d2 * q1
+        q *= q1
+    a, b, c, d = a1 - a2, b1 - b2, c1 - c2, d1 - d2
+    if not (a or b or c or d):
+        return ZERO
+    return _make(a, b, c, d, q)
 
 
 ZERO = ScalarExact(0)

@@ -10,7 +10,7 @@ from phbochner.calculus import (CalculusError, RewriteTrace, canonicalize,
                                 equal_mod_ibp, ibp_residual, integrate_by_parts)
 from phbochner.expr import Expression, Factor, Term
 from phbochner.parser import parse
-from phbochner.scalar import I, ScalarExact
+from phbochner.scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
 from test_expr import random_expression
 
@@ -328,6 +328,27 @@ def test_pass_replays_certificate_from_fresh_rows(monkeypatch):
     monkeypatch.setattr(calc, "_system_cache", {})
     with pytest.raises(CalculusError):
         equal_mod_ibp(a, b)
+
+
+def test_sector_bases_are_fully_reduced(monkeypatch, capsys):
+    # after every query of `verify all --mutate`, each cached system is in
+    # reduced echelon form, and each pivot is the combination it records
+    from phbochner.cli import main
+
+    monkeypatch.setattr(calc, "_system_cache", {})
+    assert main(["verify", "all", "--mutate"]) == 0
+    capsys.readouterr()
+    assert len(calc._system_cache) >= 6
+    for (_, modulo), system in calc._system_cache.items():
+        pivots = system.pivots
+        for lead, (vec, combo) in pivots.items():
+            assert vec[lead] == ONE
+            assert not [m for m in vec if m != lead and m in pivots], lead
+            rebuilt = {}
+            for rid, coeff in combo.items():
+                for m, c in calc._build_row(rid, modulo).items():
+                    rebuilt[m] = sub_mul(rebuilt.get(m, ZERO), -coeff, c)
+            assert {m: c for m, c in rebuilt.items() if c} == vec, lead
 
 
 def test_trace_export_formats():

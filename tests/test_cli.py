@@ -1,5 +1,6 @@
 """Command-line interface behaviour and report determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -256,3 +257,45 @@ def test_trace_bytes_independent_of_hash_seed(ident):
     outs = {_python("-m", "phbochner.cli", "--format", "json", "trace", ident,
                     PYTHONHASHSEED=seed) for seed in ("1", "2", "3")}
     assert len(outs) == 1
+
+
+# sha256 of the `--format json` stdout of each command; any change to these
+# bytes must be intended and listed in CHANGES.md
+_PINNED_JSON = {
+    "verify all":
+        "4c877a38e0ae84feeb67985e778530348083d8b42539bcadb34b92ca78da4595",
+    "verify all --mutate":
+        "e597dfa63f808bc1c0a473cd54ac910cc40899258c95e990cdfd6bd6373d680a",
+    "trace 2.3":
+        "053144410979bb9a4392df61f46e4a7418c0c726e0da19446a16d033b645b69f",
+    "trace 2.7":
+        "5118722c6ad373ce1183d240115258950790f3c3ab49c58d8a09c0f08d664668",
+    "trace 2.8":
+        "f2e92a7fde41446b795ce889f4ccb2a9fb1c962e2aa225ee51f88f72473f5890",
+    "trace 2.ibp":
+        "710a20f3bd749c51014816f9cce9010cb6a6ea56c70cdcddea73d66c348c27dc",
+    "trace 2.11":
+        "7fccd7a6a2a189618843d9f3833717bd11b3bd7268116a13fd1ea6411eba12bf",
+    "trace 3.2":
+        "1535035d0e6c8febd7bbbd2d975cf6a17ce7c5324dcb57038d9577eb985d70a0",
+    "trace 3.3":
+        "5ae649ffd559c7bba99b263471cbbc21904bdc66b17acfa60f9ba1f49889a1ae",
+    "trace 3.4":
+        "2d0a35df4a2f0e29ca98b899a2c10db0d7acc454da500d0c45ba51bce146d053",
+    "trace 3.5":
+        "2cc0245e1263d7419d03d41682fc44893e43ff7bf501cffd69d31bf70b51eecf",
+    "trace 3.6":
+        "ceb077f459179da8e8344708a64cc950ec0f17e9f3dfe1e08b07fc50497c6f99",
+    "trace 3.7":
+        "8b116e1fc970a2edb3f004b0eebd870e6e8f831ec4f22d42074f234464b82508",
+    "trace 3.8":
+        "5e1af1f256b45efd775c89fad69f05bb53e3a0a6b648e85a13c90d3456c36d5a",
+}
+
+
+@pytest.mark.parametrize("args", list(_PINNED_JSON))
+def test_json_output_bytes_pinned(args, capsys, monkeypatch):
+    monkeypatch.delenv("PHB_SEED", raising=False)
+    main(["--format", "json", *args.split()])
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == _PINNED_JSON[args]

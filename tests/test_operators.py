@@ -59,7 +59,8 @@ def test_double_adjoint():
 
 
 def test_adjoint_identity():
-    ident = ops.identity_template("f")
+    ident = ops.OperatorTemplate("identity", "f", "function", "function",
+                                 Expression.from_factor(Factor("f")))
     adj = ops.adjoint(ident)
     assert canonicalize(adj.expr - ident.expr).is_zero()
 

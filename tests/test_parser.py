@@ -1,10 +1,11 @@
 """Grammar round trips and parse errors."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from phbochner.expr import Expression, Factor
+from phbochner.expr import DERIV_LETTERS, SYMBOLS, Expression, Factor
 from phbochner.identities import Corpus
 from phbochner.parser import ParseError, parse
 from phbochner.scalar import I, ScalarExact
@@ -101,3 +102,51 @@ def test_error_position_reported():
 def test_division_by_scalar_expression():
     assert parse("A11 / 2") == parse("(1/2)*A11")
     assert parse("A11 / (1 - i)") * parse("1 - i") == parse("A11")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: derandomized and bounded
+# ---------------------------------------------------------------------------
+
+def _fuzz(strategy, check, examples):
+    hyp = pytest.importorskip("hypothesis")
+    hyp.settings(max_examples=examples, deadline=None, derandomize=True,
+                 database=None)(hyp.given(strategy)(check))()
+
+
+def _expressions():
+    st = pytest.importorskip("hypothesis").strategies
+    comp = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    coeff = st.builds(ScalarExact, comp, comp, comp, comp)
+    factor = st.builds(Factor, st.sampled_from(sorted(SYMBOLS)),
+                       st.lists(st.sampled_from(DERIV_LETTERS), max_size=3)
+                       .map(tuple))
+    term = st.builds(lambda c, fs, integ: Expression.from_term(
+        c, fs, integ and bool(fs)), coeff, st.lists(factor, max_size=3),
+        st.booleans())
+    return st.lists(term, max_size=5).map(Expression.sum)
+
+
+def test_print_parse_roundtrip_fuzzed():
+    def check(e):
+        assert parse(str(e)) == e
+    _fuzz(_expressions(), check, 100)
+
+
+# pieces of the grammar, valid and not, that random text rarely hits
+_TOKENS = ["f", "R", "A11", "Ab1b1", "Eb1b1", "Q11", "gb", "A", "E", "_{11}",
+           "_{b1b1}", "_{1b0}", "_{}", "_{2}", "i", "s3", "INT[", "2Re[", "[",
+           "]", "(", ")", "+", "-", "*", "/", "0", "1", "12", " ", "x", "_{"]
+
+
+def test_arbitrary_text_raises_only_parse_error():
+    st = pytest.importorskip("hypothesis").strategies
+
+    def check(text):
+        try:
+            assert isinstance(parse(text), Expression)
+        except ParseError:
+            pass
+    _fuzz(st.one_of(st.text(max_size=30),
+                    st.lists(st.sampled_from(_TOKENS), max_size=20)
+                    .map("".join)), check, 300)

@@ -6,7 +6,8 @@ from math import gcd
 
 import pytest
 
-from phbochner.scalar import I, ONE, SQRT3, ZERO, ScalarExact, rational
+from phbochner.scalar import (I, ONE, SQRT3, ZERO, ScalarExact, rational,
+                              sub_mul)
 
 
 def random_scalar(rng, max_den=7):
@@ -65,20 +66,6 @@ def test_predicates_and_parts():
     assert rational(5).as_fraction() == 5
     with pytest.raises(ValueError):
         z.as_fraction()
-
-
-def test_to_complex():
-    z = ScalarExact(1, 1, 2, 0)  # 1 + sqrt3 + 2i
-    w = z.to_complex()
-    assert abs(w.real - (1 + 3 ** 0.5)) < 1e-15
-    assert abs(w.imag - 2) < 1e-15
-
-
-def test_pow():
-    a = ScalarExact(1, 1, 1, 0)
-    assert a ** 3 == a * a * a
-    assert a ** 0 == ONE
-    assert a ** -2 == (a * a).inverse()
 
 
 def test_str_forms():
@@ -166,6 +153,60 @@ def test_rational_operands_match_reference():
                         (x[0] + ScalarExact(*y), (x[0] + y[0],) + y[1:])):
             assert _parts(z) == want and _normal(z)
     _given_pairs(check)
+
+
+# ---------------------------------------------------------------------------
+# the fused multiply-subtract kernel x - f*y
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kinds", [
+    ("rational", "rational", "rational"),
+    ("irrational", "rational", "rational"),
+    ("rational", "rational", "irrational"),
+    ("rational", "irrational", "rational"),
+    ("irrational", "irrational", "irrational"),
+    ("rational", "irrational", "irrational"),
+])
+def test_sub_mul_matches_reference(kinds):
+    """x - f*y exactly and in reduced form, for x, f, y of the given kinds,
+    over x's own denominator and over the product's."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    comp = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                  st.integers(1, 10 ** 4)))
+    kind = {"rational": st.tuples(comp, st.just(Fraction(0)),
+                                  st.just(Fraction(0)), st.just(Fraction(0))),
+            "irrational": st.tuples(comp, comp, comp, comp).filter(
+                lambda t: any(t[1:]))}
+
+    def check(x, f, y):
+        zx, zf, zy = ScalarExact(*x), ScalarExact(*f), ScalarExact(*y)
+        q = zf._v[4] * zy._v[4]
+        # numerators of x over the product's denominator, a coprime to it
+        same = ScalarExact(Fraction(1, q), *(Fraction(n, q) for n in zx._v[1:4]))
+        assert same._v[4] == q
+        prod = _ref_mul(f, y)
+        for base in (zx, same):
+            got = sub_mul(base, zf, zy)
+            want = tuple(p - r for p, r in zip(_parts(base), prod))
+            assert _parts(got) == want and _normal(got)
+            assert got == base - zf * zy
+            assert (got is ZERO) == (not any(want))
+        assert sub_mul(zf * zy, zf, zy) is ZERO
+        assert sub_mul(zy, ONE, zy) is ZERO
+
+    hyp.settings(max_examples=60, deadline=None, derandomize=True,
+                 database=None)(hyp.given(*(kind[k] for k in kinds))(check))()
+
+
+def test_sub_mul_cancellation_gives_the_zero_singleton():
+    half, third = rational(1, 2), rational(1, 3)
+    assert sub_mul(rational(1, 6), half, third) is ZERO
+    assert sub_mul(I * SQRT3, I, SQRT3) is ZERO
+    assert sub_mul(ZERO, ZERO, I) is ZERO
+    assert sub_mul(ZERO, I, I)._v == (1, 0, 0, 0, 1)
 
 
 def test_zero_and_rationals_have_one_form():
