@@ -24,7 +24,9 @@ The engine implements
   non-curvature symbols); differentiation and the commutation rules only add
   R, A11 and Ab1b1 factors, so each relation lies in one sector, and each
   sector is finite.  Each sector's relations are listed and eliminated once,
-  in a fixed order.  The residual is the normal form modulo their span:
+  in a fixed order, and the pivot rows are then back-substituted into
+  reduced echelon form, so a query is reduced in one pass over its own
+  pivot monomials.  The residual is the normal form modulo their span:
   every pivot lead is eliminated, so it is the same for all inputs equal
   modulo IBP, whatever the cache state or query order, and so is the
   certificate (which relation was used with which coefficient).  The
@@ -33,15 +35,18 @@ The engine implements
   built rows before it is returned, so every such equality decision doubles
   as an audit trail.
 
-All operations are pure.  The module state is four bounded caches, each of
-which evicts its oldest entry first:
+All operations are pure.  The module state is five bounded caches:
 
 * canonical forms of factors (`_canon_cache`) and the unit expansions of
   non-canonical terms (`_term_cache`), each at most MAX_CACHED_FACTORS;
 * relation rows by (parent, direction) (`_row_cache`, at most
   MAX_CACHED_ROWS);
 * eliminated systems by sector set and `modulo` generators
-  (`_system_cache`, at most MAX_CACHED_SYSTEMS).
+  (`_system_cache`, at most MAX_CACHED_SYSTEMS);
+* the sector of each monomial (`_sector`, an LRU cache of at most
+  MAX_CACHED_MONOMIALS).
+
+The first four evict their oldest entry first.
 """
 
 from __future__ import annotations
@@ -66,10 +71,10 @@ __all__ = [
 # against; the catalog needs well under a thousand.
 MAX_RELATIONS = 10_000
 # Bounds of the caches shared across queries: canonical forms of factors
-# (and of non-canonical terms), relation rows and eliminated systems.
-# After `verify all --mutate` they hold 95 factors, 54 terms, 69 rows and
-# 6 systems (four sectors, their three-sector merge, and that merge with
-# the slice-relation rows of 3.5).
+# (and of non-canonical terms), relation rows, eliminated systems and the
+# sectors of monomials.  After `verify all --mutate` they hold 95 factors,
+# 54 terms, 69 rows, 6 systems (four sectors, their three-sector merge, and
+# that merge with the slice-relation rows of 3.5) and 59 monomials.
 MAX_CACHED_FACTORS = 10_000
 MAX_CACHED_ROWS = 10_000
 MAX_CACHED_SYSTEMS = 64
