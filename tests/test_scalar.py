@@ -184,8 +184,10 @@ def test_sub_mul_matches_reference(kinds):
     def check(x, f, y):
         zx, zf, zy = ScalarExact(*x), ScalarExact(*f), ScalarExact(*y)
         q = zf._v[4] * zy._v[4]
-        # numerators of x over the product's denominator, a coprime to it
-        same = ScalarExact(Fraction(1, q), *(Fraction(n, q) for n in zx._v[1:4]))
+        # x's b, c, d numerators over the product's denominator q; a = 1/q
+        # keeps q from reducing
+        same = ScalarExact(Fraction(1, q),
+                           *(Fraction(n, q) for n in zx._v[1:4]))
         assert same._v[4] == q
         prod = _ref_mul(f, y)
         for base in (zx, same):
