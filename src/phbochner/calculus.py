@@ -5,9 +5,9 @@ The engine implements
 * Leibniz differentiation in the three frame directions 1, 1-bar ("b"), 0;
 * the three-dimensional Ricci commutation rules
 
-      X_{,1b} - X_{,b1} = i X_{,0} + alpha X R                      (rule "comm-1b")
-      X_{,01} - X_{,10} = X_{,b} A11 - alpha X A11_{b}              (rule "comm-01")
-      X_{,0b} - X_{,b0} = X_{,1} Ab1b1 + alpha X Ab1b1_{1}          (rule "comm-0b")
+      X_{,1b} - X_{,b1} = i X_{,0} + alpha X R
+      X_{,01} - X_{,10} = X_{,b} A11 - alpha X A11_{b}
+      X_{,0b} - X_{,b0} = X_{,1} Ab1b1 + alpha X Ab1b1_{1}
 
   where alpha counts (#1 - #1bar) over the base indices plus the derivative
   letters already applied (letters left of the swap; 0 is alpha-neutral);
@@ -205,37 +205,22 @@ def commute_swap(factor: Factor, position: int) -> Expression:
         Factor(factor.symbol, prefix + (b, a) + tail))
     base = Expression.from_factor(Factor(factor.symbol, prefix))
 
-    def fac(sym, *ds):
-        return Expression.from_factor(Factor(sym, tuple(ds)))
-
-    pair = (a, b)
-    if pair == ("1", "b"):
-        corr = (Expression.from_factor(Factor(factor.symbol, prefix + ("0",))) * I
-                + base * fac("R") * alpha)
-    elif pair == ("b", "1"):
-        corr = -(Expression.from_factor(Factor(factor.symbol, prefix + ("0",))) * I
-                 + base * fac("R") * alpha)
-    elif pair == ("0", "1"):
-        corr = (Expression.from_factor(Factor(factor.symbol, prefix + ("b",)))
-                * fac("A11") - base * fac("A11", "b") * alpha)
-    elif pair == ("1", "0"):
-        corr = -(Expression.from_factor(Factor(factor.symbol, prefix + ("b",)))
-                 * fac("A11") - base * fac("A11", "b") * alpha)
-    elif pair == ("0", "b"):
-        corr = (Expression.from_factor(Factor(factor.symbol, prefix + ("1",)))
-                * fac("Ab1b1") + base * fac("Ab1b1", "1") * alpha)
-    elif pair == ("b", "0"):
-        corr = -(Expression.from_factor(Factor(factor.symbol, prefix + ("1",)))
-                 * fac("Ab1b1") + base * fac("Ab1b1", "1") * alpha)
-    else:  # pragma: no cover
-        raise CalculusError(f"unhandled pair {pair}")
-    return swapped + _diff_tail(corr, tail)
+    rule, sign = _SWAP_RULES.get((a, b)), 1
+    if rule is None:
+        rule, sign = _SWAP_RULES[b, a], -1
+    letter, multiplier, curvature, alpha_sign = rule
+    corr = (Expression.from_factor(Factor(factor.symbol, prefix + (letter,)))
+            * multiplier + base * curvature * (alpha_sign * alpha))
+    return swapped + _diff_tail(corr if sign > 0 else -corr, tail)
 
 
-_SWAP_RULE_NAME = {
-    frozenset(("1", "b")): "comm-1b",
-    frozenset(("0", "1")): "comm-01",
-    frozenset(("0", "b")): "comm-0b",
+# ordered letter pair (a, b) -> (letter of the inserted X-derivative, its
+# multiplier, the curvature/torsion factor of the alpha term, that term's
+# sign), read off the rules above; the reversed pair negates the correction
+_SWAP_RULES = {
+    ("1", "b"): ("0", I, Factor("R", ()), 1),
+    ("0", "1"): ("b", Factor("A11", ()), Factor("A11", ("b",)), -1),
+    ("0", "b"): ("1", Factor("Ab1b1", ()), Factor("Ab1b1", ("1",)), 1),
 }
 
 _canon_cache: dict[Factor, Expression] = {}

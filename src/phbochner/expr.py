@@ -164,18 +164,9 @@ class Expression:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[TermKey, ScalarExact] | None = None):
-        collected: dict[TermKey, ScalarExact] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff.is_zero():
-                    continue
-                prev = collected.get(key)
-                val = coeff if prev is None else prev + coeff
-                if val.is_zero():
-                    collected.pop(key, None)
-                else:
-                    collected[key] = val
-        object.__setattr__(self, "_terms", collected)
+        object.__setattr__(self, "_terms", {
+            key: coeff for key, coeff in (terms or {}).items()
+            if not coeff.is_zero()})
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Expression is immutable")

@@ -30,7 +30,7 @@ __all__ = [
     "OperatorTemplate", "apply_template", "adjoint",
     "build_DJ", "build_DJstar", "build_Lalpha", "build_sublaplacian",
     "build_subgradient_sq", "build_Q11", "build_DQJ_rhs",
-    "bianchi_rule", "flatness_rules", "slice_rule",
+    "bianchi_rule", "flatness_rules",
     "registry", "ALPHA_SECTION2", "ALPHA_SECTION3",
 ]
 
@@ -155,15 +155,6 @@ def flatness_rules() -> list[Rule]:
         Rule("DJf=0", "f", ("1", "1"), parse("-i*A11*f")),
         Rule("conj(DJf)=0", "f", ("b", "b"), parse("i*Ab1b1*f")),
     ]
-
-
-def slice_rule(torsion: bool = True) -> Rule:
-    """Rewrite expressing DJstar E = 0 (the infinitesimal slice equation)."""
-    if torsion:
-        repl = parse("-E11_{bb} - i*A11*Eb1b1 + i*Ab1b1*E11")
-    else:
-        repl = parse("-E11_{bb}")
-    return Rule("DJstarE=0", "Eb1b1", ("1", "1"), repl)
 
 
 # ---------------------------------------------------------------------------

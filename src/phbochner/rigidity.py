@@ -9,7 +9,7 @@ Each form entry and each condition formula is written once, as a function of
 the point quantities (`FormInputs`) and a constant constructor `K(n, d)`.  The
 float path runs it on numpy arrays holding a whole batch of points, the exact
 path on `ScalarExact`, and `identities.verify_3_5_to_3_8` on catalog
-expressions.  Per-point functions are batches of one.
+expressions.
 
 Boundary behaviour: strict ">0" verdicts use a configurable epsilon scaled by
 the magnitude of the quantity; "= 0" cases (the borderline automorphism
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -52,10 +52,7 @@ np = _lazy_import("numpy")
 __all__ = [
     "PointData", "HermitianForm", "ConditionReport", "Condition", "CONDITIONS",
     "FormInputs", "form_entries", "exact_constant",
-    "thmA_condition", "cond_3_11", "cond_3_12", "corollary_C",
-    "build_form_4", "build_form_5", "is_positive_definite",
-    "scale", "bianchi_consistent",
-    "random_point", "equivalence_battery", "sylvester_battery",
+    "build_form_4", "build_form_5", "equivalence_battery", "sylvester_battery",
     "evaluate_conditions", "scaling_report",
 ]
 
@@ -106,17 +103,6 @@ class PointData:
             kwargs[name] = (complex(*parts) if name in _COMPLEX_FIELDS
                             else float(value))
         return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        out = {"id": self.id, "R": self.R, "R0": self.R0,
-               "R1": [self.R1.real, self.R1.imag], "lapR": self.lapR}
-        for name in _TORSION_FIELDS:
-            z = getattr(self, name)
-            out[name] = [z.real, z.imag]
-        return out
-
-    def grad_b_R_sq(self) -> float:
-        return _float_inputs(_stack([self])).grad2.item()
 
 
 def _stack(points: list[PointData]) -> dict[str, np.ndarray]:
@@ -309,12 +295,6 @@ class HermitianForm:
         return _stacked_minors(self.matrix[None])[0].tolist()
 
 
-def is_positive_definite(h: HermitianForm) -> tuple[bool, list[float]]:
-    """Sylvester criterion: positive definite iff all leading minors > 0."""
-    minors = h.leading_minors()
-    return all(m > 0 for m in minors), minors
-
-
 def _stacked_forms(x: FormInputs) -> tuple[np.ndarray, np.ndarray]:
     """The 4x4 and 5x5 forms of a batch, shapes (n, 4, 4) and (n, 5, 5)."""
     m5 = np.zeros((len(x.R), 5, 5), dtype=complex)
@@ -430,15 +410,12 @@ def _require_finite(points: list[PointData], arrays, where: str = "") -> None:
                          f"overflow double precision{where}")
 
 
-def evaluate_conditions(points, conditions: list[str],
-                        eps: float = DEFAULT_EPS):
+def evaluate_conditions(points: list[PointData], conditions: list[str],
+                        eps: float = DEFAULT_EPS) -> list[ConditionReport]:
     """Reports for a list of points, each condition evaluated on the batch.
 
-    A single PointData gives a single report (a batch of one).  Raises
-    ValueError when a value overflows double precision.
+    Raises ValueError when a value overflows double precision.
     """
-    if isinstance(points, PointData):
-        return evaluate_conditions([points], conditions, eps)[0]
     with np.errstate(all="ignore"):
         s = _stack(points)
         x = _float_inputs(s)
@@ -471,41 +448,6 @@ def evaluate_conditions(points, conditions: list[str],
         return reports
 
 
-def thmA_condition(p: PointData, eps: float = DEFAULT_EPS
-                   ) -> tuple[float, bool, bool]:
-    """Automorphism-rigidity value sqrt3 R_{,0} - 2 Im(A11_{,bb}).
-
-    Returns (value, strict verdict, borderline verdict): the strict verdict
-    requires R < 0 and value > 0; the borderline verdict requires R < 0 and
-    value within eps of zero (then only a one-parameter family can survive).
-    The identification i(Z - conj Z) = -2 Im(Z) ties this to the integrand of
-    the final scalar identity.
-    """
-    rep = evaluate_conditions(p, ["thm-a"], eps)
-    return (rep.values["thm_a"], rep.verdicts["thm_a"],
-            rep.verdicts["thm_a_borderline"])
-
-
-def cond_3_11(p: PointData) -> float:
-    return evaluate_conditions(p, ["3.11"]).values["3.11"]
-
-
-def cond_3_12(p: PointData) -> float:
-    return evaluate_conditions(p, ["3.12"]).values["3.12"]
-
-
-def corollary_C(p: PointData, eps: float = DEFAULT_EPS) -> tuple[float, bool]:
-    """Torsion-free rigidity value 4R(5R^2 + 3 lap_b R) - 3 |grad_b R|^2."""
-    rep = evaluate_conditions(p, ["corollaryC"], eps)
-    if rep.errors:
-        raise ValueError(rep.errors[0])
-    return rep.values["corollaryC"], rep.verdicts["corollaryC"]
-
-
-def bianchi_consistent(p: PointData) -> bool:
-    return evaluate_conditions(p, ["bianchi"]).verdicts["bianchi"]
-
-
 # ---------------------------------------------------------------------------
 # Contact-form scaling
 # ---------------------------------------------------------------------------
@@ -529,18 +471,6 @@ def _scaled(fields, k: float) -> dict:
     return {name: fields[name] * k ** -w for name, w in _SCALE_WEIGHTS.items()}
 
 
-def scale(p: PointData, k: float) -> PointData:
-    """Data after rescaling the contact form by the positive constant k.
-
-    R and A11 scale by k^-1; first derivatives (R1, A11_1, A11_b) by k^-3/2;
-    second derivatives (A11_bb, lapR, R0) by k^-2.  All condition verdicts
-    are invariant under this rescaling.
-    """
-    if k <= 0:
-        raise ValueError("scale factor must be positive")
-    return replace(p, **_scaled(vars(p), k))
-
-
 def _scaling_pass(s: dict, eps: float) -> tuple[dict, dict]:
     """The scale-invariant rows on one batch: {key: (v, M, power)} for their
     values and {key: verdict} for their verdicts."""
@@ -557,19 +487,17 @@ def _scaling_pass(s: dict, eps: float) -> tuple[dict, dict]:
     return values, verdicts
 
 
-def scaling_report(points, ks: list[float], eps: float = DEFAULT_EPS):
+def scaling_report(points: list[PointData], ks: list[float],
+                   eps: float = DEFAULT_EPS) -> list[dict]:
     """Value homogeneity and verdict invariance, one batched pass per k.
 
     A value v of power p passes at k when |v_k - k^p v_0| <= C u (M_k +
     |k^p| M_0), with M the sum of the magnitudes of v's summands, u the unit
     roundoff and C = _HOMOGENEITY_C; `errors` reports |v_k - k^p v_0|
     relative to the larger of |v_k| and |k^p v_0|.  Verdicts use the band
-    eps, as in `evaluate_conditions`.  A single PointData gives a single
-    report (a batch of one).  Raises ValueError when a value or its M
-    overflows double precision.
+    eps, as in `evaluate_conditions`.  Raises ValueError when a value or its
+    M overflows double precision.
     """
-    if isinstance(points, PointData):
-        return scaling_report([points], ks, eps)[0]
     with np.errstate(all="ignore"):
         s = _stack(points)
         values0, verdicts0 = _scaling_pass(s, eps)
@@ -612,12 +540,6 @@ def scaling_report(points, ks: list[float], eps: float = DEFAULT_EPS):
 # ---------------------------------------------------------------------------
 # Sampling batteries
 # ---------------------------------------------------------------------------
-
-def random_point(rng: np.random.Generator) -> PointData:
-    """Random point data with mixed magnitudes to exercise both verdicts."""
-    return PointData(**{name: v.item()
-                        for name, v in _sample_fields(rng, 1).items()})
-
 
 def _sample_fields(rng: np.random.Generator, n: int) -> dict:
     mag = 10.0 ** rng.uniform(-1.5, 1.0, n)

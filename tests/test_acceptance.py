@@ -12,9 +12,8 @@ import pytest
 
 from phbochner import identities as ids
 from phbochner import rigidity as rg
-from phbochner.rigidity import (PointData, cond_3_11, cond_3_11_exact,
-                                cond_3_12, corollary_C, exact_det, form4_exact,
-                                scale, thmA_condition)
+from phbochner.rigidity import (PointData, cond_3_11_exact, exact_det,
+                                form4_exact)
 from phbochner.scalar import ScalarExact
 
 
@@ -97,24 +96,31 @@ def test_criterion_6_scaling_laws():
     p = PointData(R=1.3, R0=-0.4, R1=0.2 + 0.5j, lapR=0.7, A11=0.1 - 0.2j,
                   A11_1=0.3 + 0.1j, A11_b=-0.2 + 0.4j, A11_bb=0.05 + 0.02j)
     tf = PointData(R=2.0, R1=0.3 + 0.1j, lapR=-0.2)
+    ks = (1 / 7, 1 / 2, 3.0, 100.0)
+    p0, *ps = rg.evaluate_conditions(
+        [p] + [PointData(**rg._scaled(vars(p), k)) for k in ks],
+        ["3.11", "3.12", "thm-a"])
+    tf0, *tfs = rg.evaluate_conditions(
+        [tf] + [PointData(**rg._scaled(vars(tf), k)) for k in ks],
+        ["corollaryC"])
     ok = True
     worst = 0.0
-    for k in (1 / 7, 1 / 2, 3.0, 100.0):
-        q = scale(p, k)
+    for k, q, tq in zip(ks, ps, tfs):
         checks = [
-            (cond_3_11(q), cond_3_11(p) * k ** -2),
-            (cond_3_12(q), cond_3_12(p) * k ** -4),
-            (thmA_condition(q)[0], thmA_condition(p)[0] * k ** -2),
-            (corollary_C(scale(tf, k))[0], corollary_C(tf)[0] * k ** -3),
+            (q.values["3.11"], p0.values["3.11"] * k ** -2),
+            (q.values["3.12"], p0.values["3.12"] * k ** -4),
+            (q.values["thm_a"], p0.values["thm_a"] * k ** -2),
+            (tq.values["corollaryC"], tf0.values["corollaryC"] * k ** -3),
         ]
         for got, want in checks:
             rel = abs(got - want) / max(abs(want), 1e-300)
             worst = max(worst, rel)
             ok &= rel < 1e-12
     rng = np.random.default_rng(20240814)
-    for _ in range(50):
-        rep = rg.scaling_report(rg.random_point(rng), [1 / 7, 1 / 2, 3.0, 100.0])
-        ok &= rep["ok"]
+    points = [PointData(**{name: v.item() for name, v in
+                           rg._sample_fields(rng, 1).items()})
+              for _ in range(50)]
+    ok &= all(rep["ok"] for rep in rg.scaling_report(points, list(ks)))
     _report(6, f"scaling powers k^-2/k^-3/k^-4 exact (worst rel {worst:.2e}), "
                "verdicts invariant", ok)
 

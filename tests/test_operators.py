@@ -157,14 +157,6 @@ def test_leading_weight_folland_stein_part():
     assert remainder_weight(ops.ALPHA_SECTION2) > 2
 
 
-def test_slice_rule_orientations():
-    rule = ops.slice_rule(torsion=True)
-    e = apply_rule(parse("Eb1b1_{11}"), rule)
-    assert e == parse("-E11_{bb} - i*A11*Eb1b1 + i*Ab1b1*E11")
-    rule0 = ops.slice_rule(torsion=False)
-    assert apply_rule(parse("Eb1b1_{111}"), rule0) == parse("-E11_{bb1}")
-
-
 def test_registry():
     reg = ops.registry()
     assert "DJ" in reg and "DJstar" in reg and "Q11" in reg

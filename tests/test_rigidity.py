@@ -1,5 +1,7 @@
 """Numeric rigidity conditions, Hermitian forms, and scaling laws."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +9,8 @@ import pytest
 
 from phbochner import rigidity as rg
 from phbochner.rigidity import (HermitianForm, PointData, build_form_4,
-                                build_form_5, cond_3_11, cond_3_12,
-                                cond_3_11_exact, cond_3_12_exact, corollary_C,
-                                exact_det, form4_exact, form5_exact,
-                                is_positive_definite, scale, thmA_condition)
+                                build_form_5, cond_3_11_exact, cond_3_12_exact,
+                                exact_det, form4_exact, form5_exact)
 from phbochner.scalar import ScalarExact
 
 
@@ -25,43 +25,64 @@ def test_package_reexports_numeric_names():
         phbochner.no_such_name
 
 
+def test_export_lists_resolve():
+    import phbochner
+    for name in ["phbochner"] + [f"phbochner.{m.name}" for m in
+                                 pkgutil.iter_modules(phbochner.__path__)]:
+        module = importlib.import_module(name)
+        names = {}
+        exec(f"from {name} import *", names)  # raises on a missing name
+        assert set(getattr(module, "__all__", ())) <= set(names), name
+
+
 def test_thmA_examples():
-    value, va, vb = thmA_condition(PointData(R=-1.0, R0=1.0))
-    assert abs(value - 3 ** 0.5) < 1e-15 and va and not vb
+    strict, border, positive = rg.evaluate_conditions(
+        [PointData(R=-1.0, R0=1.0), PointData(R=-1.0, R0=0.0),
+         PointData(R=1.0, R0=5.0)], ["thm-a"])
+    assert abs(strict.values["thm_a"] - 3 ** 0.5) < 1e-15
+    assert strict.verdicts["thm_a"]
+    assert not strict.verdicts["thm_a_borderline"]
     # torsion-free Bianchi-consistent data sits exactly on the borderline
-    value, va, vb = thmA_condition(PointData(R=-1.0, R0=0.0))
-    assert value == 0.0 and not va and vb
+    assert border.values["thm_a"] == 0.0
+    assert not border.verdicts["thm_a"]
+    assert border.verdicts["thm_a_borderline"]
     # positive curvature gates both verdicts off
-    _, va, vb = thmA_condition(PointData(R=1.0, R0=5.0))
-    assert not va and not vb
+    assert not positive.verdicts["thm_a"]
+    assert not positive.verdicts["thm_a_borderline"]
 
 
 def test_cond_3_11_examples():
-    assert cond_3_11(PointData(R=1.0)) == pytest.approx(0.375, abs=0)
-    assert cond_3_11(PointData(R=2.0, A11=0.1 + 0j)) == pytest.approx(1.25)
+    flat, twisted = rg.evaluate_conditions(
+        [PointData(R=1.0), PointData(R=2.0, A11=0.1 + 0j)], ["3.11"])
+    assert flat.values["3.11"] == pytest.approx(0.375, abs=0)
+    assert twisted.values["3.11"] == pytest.approx(1.25)
 
 
 def test_cond_3_12_torsion_free_example():
-    p = PointData(R=1.0)
-    assert cond_3_12(p) == pytest.approx((3.0 / 8.0) * (83.0 / 3456.0))
+    [rep] = rg.evaluate_conditions([PointData(R=1.0)], ["3.12"])
+    assert rep.values["3.12"] == pytest.approx((3.0 / 8.0) * (83.0 / 3456.0))
 
 
 def test_corollary_C_examples():
-    value, verdict = corollary_C(PointData(R=1.0))
-    assert value == pytest.approx(20.0) and verdict
-    value, verdict = corollary_C(PointData(R=1.0, R1=complex(10 ** 0.5, 0)))
-    assert value < 0 and not verdict
-    with pytest.raises(ValueError):
-        corollary_C(PointData(R=1.0, A11=0.5 + 0j))
+    good, bad, torsion = rg.evaluate_conditions(
+        [PointData(R=1.0), PointData(R=1.0, R1=complex(10 ** 0.5, 0)),
+         PointData(R=1.0, A11=0.5 + 0j)], ["corollaryC"])
+    assert good.values["corollaryC"] == pytest.approx(20.0)
+    assert good.verdicts["corollaryC"]
+    assert bad.values["corollaryC"] < 0 and not bad.verdicts["corollaryC"]
+    assert torsion.errors and not torsion.passed["corollaryC"]
 
 
 def test_bianchi_flag_synthetic():
     rng = np.random.default_rng(8)
+    points = []
     for _ in range(50):
         bb = complex(rng.standard_normal(), rng.standard_normal())
-        p = PointData(R=1.0, R0=2.0 * bb.real, A11_bb=bb)
-        assert rg.bianchi_consistent(p)
-    assert not rg.bianchi_consistent(PointData(R=1.0, R0=1.0))
+        points.append(PointData(R=1.0, R0=2.0 * bb.real, A11_bb=bb))
+    *consistent, off = rg.evaluate_conditions(
+        points + [PointData(R=1.0, R0=1.0)], ["bianchi"])
+    assert all(rep.verdicts["bianchi"] for rep in consistent)
+    assert not off.verdicts["bianchi"]
 
 
 def test_form4_structure():
@@ -72,8 +93,8 @@ def test_form4_structure():
     assert np.linalg.det(top).real == pytest.approx(5 / 24)
     block = f4.matrix[2:, 2:]
     assert np.allclose(block, [[1.0, 0.0], [0.0, 3 / 8]])
-    pd, minors = is_positive_definite(f4)
-    assert pd and len(minors) == 4
+    minors = f4.leading_minors()
+    assert all(m > 0 for m in minors) and len(minors) == 4
 
 
 def test_form5_contains_form4():
@@ -93,11 +114,11 @@ def test_hermitian_form_validation():
 
 
 def test_sylvester_examples():
-    pd, minors = is_positive_definite(HermitianForm(np.eye(3, dtype=complex)))
-    assert pd and minors == [1.0, 1.0, 1.0]
-    pd, minors = is_positive_definite(
-        HermitianForm(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)))
-    assert not pd
+    minors = HermitianForm(np.eye(3, dtype=complex)).leading_minors()
+    assert minors == [1.0, 1.0, 1.0]
+    minors = HermitianForm(np.array([[1.0, 2.0], [2.0, 1.0]],
+                                    dtype=complex)).leading_minors()
+    assert not all(m > 0 for m in minors)
     assert minors[0] == pytest.approx(1.0)
     assert minors[1] == pytest.approx(-3.0)
 
@@ -149,26 +170,30 @@ def test_equivalence_battery():
 def test_scale_identity_and_powers():
     p = PointData(R=1.3, R0=-0.4, R1=0.2 + 0.5j, lapR=0.7, A11=0.1 - 0.2j,
                   A11_1=0.3 + 0.1j, A11_b=-0.2 + 0.4j, A11_bb=0.05 + 0.02j)
-    assert scale(p, 1.0) == p
-    for k in (1 / 7, 1 / 2, 3.0, 100.0):
-        q = scale(p, k)
-        assert cond_3_11(q) == pytest.approx(cond_3_11(p) * k ** -2, rel=1e-12)
-        assert cond_3_12(q) == pytest.approx(cond_3_12(p) * k ** -4, rel=1e-12)
-        assert thmA_condition(q)[0] == pytest.approx(
-            thmA_condition(p)[0] * k ** -2, rel=1e-12)
+    assert PointData(**rg._scaled(vars(p), 1.0)) == p
+    ks = (1 / 7, 1 / 2, 3.0, 100.0)
+    base, *scaled = rg.evaluate_conditions(
+        [p] + [PointData(**rg._scaled(vars(p), k)) for k in ks],
+        ["3.11", "3.12", "thm-a"])
+    for k, rep in zip(ks, scaled):
+        for key, power in (("3.11", -2), ("3.12", -4), ("thm_a", -2)):
+            assert rep.values[key] == pytest.approx(
+                base.values[key] * k ** power, rel=1e-12)
     tf = PointData(R=2.0, R1=0.3 + 0.1j, lapR=-0.2)
-    for k in (1 / 7, 1 / 2, 3.0, 100.0):
-        assert corollary_C(scale(tf, k))[0] == pytest.approx(
-            corollary_C(tf)[0] * k ** -3, rel=1e-12)
-    with pytest.raises(ValueError):
-        scale(p, -1.0)
+    base, *scaled = rg.evaluate_conditions(
+        [tf] + [PointData(**rg._scaled(vars(tf), k)) for k in ks],
+        ["corollaryC"])
+    for k, rep in zip(ks, scaled):
+        assert rep.values["corollaryC"] == pytest.approx(
+            base.values["corollaryC"] * k ** -3, rel=1e-12)
 
 
 def test_scaling_report_verdict_invariance():
     rng = np.random.default_rng(4)
-    for _ in range(25):
-        p = rg.random_point(rng)
-        rep = rg.scaling_report(p, [1 / 7, 1 / 2, 3.0, 100.0])
+    points = [PointData(**{name: v.item() for name, v in
+                           rg._sample_fields(rng, 1).items()})
+              for _ in range(25)]
+    for rep in rg.scaling_report(points, [1 / 7, 1 / 2, 3.0, 100.0]):
         assert rep["ok"], rep
 
 
@@ -188,31 +213,33 @@ P3252 = {"id": "p3252", "R": -1.00372685082875,
 def test_scaling_bound_accounts_for_cancellation(monkeypatch):
     p = PointData.from_mapping(P3252)
     ks = [1 / 7, 1 / 2, 3.0, 100.0]
-    rep = rg.scaling_report(p, ks)
+    [rep] = rg.scaling_report([p], ks)
     assert rep["ok"], rep
     assert rep["rows"][0]["errors"]["3.12"] > 1e-12
     # a value whose stated power is off by k^0.5 must still fail
     wrong = rg.Condition({"3.12 wrong": (rg._cond_3_12, -4.5)}, (),
                          lambda s, v, eps: ())
     monkeypatch.setitem(rg.CONDITIONS, "wrong", wrong)
-    rep = rg.scaling_report(p, ks)
+    [rep] = rg.scaling_report([p], ks)
     assert not rep["ok"]
     assert rep["rows"][1]["errors"]["3.12 wrong"] > 0.1
 
 
 def test_scaling_report_exact_zero_value():
     # torsion-free and Bianchi-consistent: thm-a is 0 with every summand 0
-    rep = rg.scaling_report(PointData(R=-1.0), [1 / 7, 3.0])
+    [rep] = rg.scaling_report([PointData(R=-1.0)], [1 / 7, 3.0])
     assert rep["ok"] and rep["rows"][0]["errors"]["thm_a"] == 0.0
 
 
 def test_torsion_free_consistency():
     # with A = 0: positive definiteness of the 4x4 form <=> R > 0
-    for R in (-2.0, -0.1, 0.5, 3.0):
-        p = PointData(R=R)
-        pd, _ = is_positive_definite(build_form_4(p))
-        assert pd == (R > 0)
-        assert (cond_3_11(p) > 0) == (R != 0)  # equals (3/8) R^2 when A = 0
+    Rs = (-2.0, -0.1, 0.5, 3.0)
+    points = [PointData(R=R) for R in Rs]
+    reps = rg.evaluate_conditions(points, ["3.11"])
+    for R, p, rep in zip(Rs, points, reps):
+        assert all(m > 0 for m in build_form_4(p).leading_minors()) == (R > 0)
+        # equals (3/8) R^2 when A = 0
+        assert (rep.values["3.11"] > 0) == (R != 0)
 
 
 def test_torsion_free_quadratic_form_det_identity():
@@ -238,8 +265,8 @@ def test_torsion_free_form_pd_blocks():
     h = HermitianForm(np.array([[2 / 3, -1, -1 / 6],
                                 [-1, 2, 2 / 3],
                                 [-1 / 6, 2 / 3, 2 / 3]], dtype=complex))
-    pd, minors = is_positive_definite(h)
-    assert pd
+    minors = h.leading_minors()
+    assert all(m > 0 for m in minors)
     assert minors[2] == pytest.approx(5 / 54)
 
 
@@ -248,21 +275,16 @@ def test_pointdata_io():
     p = PointData.from_mapping(rec)
     assert p.R1 == complex(0.2, -0.3)
     assert p.A11_bb == 0
-    back = p.to_dict()
-    assert back["id"] == "x" and back["A11"] == [0.1, 0.4]
+    assert p.id == "x" and p.A11 == complex(0.1, 0.4)
     with pytest.raises(ValueError):
         PointData.from_mapping({"id": "bad"})
 
 
-def test_grad_b_R_sq_derived():
-    p = PointData(R=1.0, R1=3 + 4j)
-    assert p.grad_b_R_sq() == pytest.approx(50.0)
-
-
 def test_evaluate_conditions_report():
     p = PointData(R=1.0, id="pt")
-    rep = rg.evaluate_conditions(p, ["thm-b", "corollaryC", "bianchi"])
+    [rep] = rg.evaluate_conditions([p], ["thm-b", "corollaryC", "bianchi"])
     assert rep.verdicts["thm_b"] and rep.verdicts["corollaryC"]
     assert rep.verdicts["bianchi"] and not rep.errors
-    rep2 = rg.evaluate_conditions(PointData(R=1.0, A11=1 + 0j), ["corollaryC"])
+    [rep2] = rg.evaluate_conditions([PointData(R=1.0, A11=1 + 0j)],
+                                    ["corollaryC"])
     assert rep2.errors
