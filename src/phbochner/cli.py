@@ -18,8 +18,8 @@ the reader closes stdout early, as in `phbochner ops | head -1`; that ends
 without a traceback.
 
 Each command imports only what it runs: numpy is loaded by `check`,
-`scaletest`, `equiv`, `sylvester` and `verify 3.7`, never by the exact
-commands.
+`scaletest`, `equiv` and `sylvester`, never by `verify`, `trace` or `ops`,
+which are exact.  `--samples` and `--seed` act on `equiv` and `sylvester`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import rigidity
 from .rigidity import PointData
@@ -39,9 +39,6 @@ DEFAULT_SEED = 20240814
 
 @dataclass
 class RunConfig:
-    command: str
-    input_path: str | None = None
-    conditions: list[str] = field(default_factory=list)
     eps: float = rigidity.DEFAULT_EPS
     samples: int = 100_000
     seed: int = DEFAULT_SEED
@@ -119,18 +116,14 @@ def cmd_verify(cfg: RunConfig, ids: list[str], mutate: bool) -> int:
                      "note": "mutation not applicable"})
                 continue
             m = identities.mutation_test(ident)
-            ok = m["kill_rate"] == 1.0
+            ok = m["kill_rate"] == 1
             failed |= not ok
             report["results"].append(
                 {"id": ident, "status": "PASS" if ok else "FAIL",
                  "mutants": m["total"], "killed": m["killed"],
                  "survivors": m["survivors"]})
         else:
-            if ident == "3.7":
-                result = identities.run_script(
-                    ident, samples=cfg.samples, seed=cfg.seed)
-            else:
-                result = identities.run_script(ident)
+            result = identities.run_script(ident)
             failed |= result.status == "FAIL"
             entry = result.to_dict()
             report["results"].append({"id": ident, "status": result.status,
@@ -234,9 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--eps", type=float, default=rigidity.DEFAULT_EPS,
                     help="verdict boundary tolerance")
     ap.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized checks (PHB_SEED overrides)")
+                    help="seed of equiv and sylvester (PHB_SEED overrides)")
     ap.add_argument("--samples", type=int, default=100_000,
-                    help="sample count for randomized checks")
+                    help="sample count of equiv and sylvester")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="replay identity derivations")
@@ -282,6 +275,19 @@ def _parse_k_list(text: str) -> list[float]:
     return out
 
 
+# subcommand -> runner of (config, parsed arguments)
+_COMMANDS = {
+    "verify": lambda cfg, a: cmd_verify(cfg, a.ids, a.mutate),
+    "check": lambda cfg, a: cmd_check(cfg, a.points, a.cond),
+    "scaletest": lambda cfg, a: cmd_scaletest(cfg, a.points,
+                                              _parse_k_list(a.k)),
+    "equiv": lambda cfg, a: cmd_equiv(cfg),
+    "sylvester": lambda cfg, a: cmd_sylvester(cfg),
+    "trace": lambda cfg, a: cmd_trace(cfg, a.id),
+    "ops": lambda cfg, a: cmd_ops(cfg, a.name),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(argv)
@@ -315,23 +321,9 @@ def _run(argv: list[str] | None) -> int:
         seed = DEFAULT_SEED
     elif seed < 0:
         _input_error(f"{seed_name} must be nonnegative, got {seed}")
-    cfg = RunConfig(command=args.command, eps=args.eps, samples=args.samples,
-                    seed=seed, output_format=args.format)
-    if args.command == "verify":
-        return cmd_verify(cfg, args.ids, args.mutate)
-    if args.command == "check":
-        return cmd_check(cfg, args.points, args.cond)
-    if args.command == "scaletest":
-        return cmd_scaletest(cfg, args.points, _parse_k_list(args.k))
-    if args.command == "equiv":
-        return cmd_equiv(cfg)
-    if args.command == "sylvester":
-        return cmd_sylvester(cfg)
-    if args.command == "trace":
-        return cmd_trace(cfg, args.id)
-    if args.command == "ops":
-        return cmd_ops(cfg, args.name)
-    raise AssertionError(args.command)  # pragma: no cover
+    cfg = RunConfig(eps=args.eps, samples=args.samples, seed=seed,
+                    output_format=args.format)
+    return _COMMANDS[args.command](cfg, args)
 
 
 if __name__ == "__main__":

@@ -52,9 +52,13 @@ def _sym(name, conj, alpha, weight, real=False):
     return SymbolInfo(name, conj, alpha, weight, real)
 
 
-# f: real scalar function; g: complex scalar (used for adjoint test functions);
+# f: real scalar function; g: complex scalar (used for adjoint test functions
+# and as the free parameter of the 3.7 tight family);
 # R: Tanaka-Webster scalar curvature; A11: torsion coefficient;
-# E11: deformation tensor coefficient; Q11: Cartan tensor coefficient.
+# E11: deformation tensor coefficient; Q11: Cartan tensor coefficient;
+# W: a cube root of A11_{,1}, so |A11_{,1}|^{2/3} = W*Wb.  W is not
+# differentiable where A11_{,1} = 0, so it never carries a derivative and
+# no integration-by-parts query contains it.
 SYMBOLS: dict[str, SymbolInfo] = {
     s.name: s
     for s in (
@@ -68,11 +72,14 @@ SYMBOLS: dict[str, SymbolInfo] = {
         _sym("Eb1b1", "E11", -2, 0),
         _sym("Q11", "Qb1b1", 2, 4),
         _sym("Qb1b1", "Q11", -2, 4),
+        _sym("W", "Wb", 1, 1),
+        _sym("Wb", "W", -1, 1),
     )
 }
 
 # Fixed total symbol order: used for the canonical factor order inside terms.
-SYMBOL_ORDER = ["f", "g", "gb", "R", "A11", "Ab1b1", "E11", "Eb1b1", "Q11", "Qb1b1"]
+SYMBOL_ORDER = ["f", "g", "gb", "R", "A11", "Ab1b1", "E11", "Eb1b1", "Q11", "Qb1b1",
+                "W", "Wb"]
 _SYMBOL_INDEX = {name: k for k, name in enumerate(SYMBOL_ORDER)}
 
 # Bound of the LRU caches of factor sort keys and of `Factor.is_canonical`;

@@ -15,13 +15,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
 from . import operators as ops
 from .calculus import (RewriteTrace, apply_rule, canonicalize, equal_mod_ibp,
                        ibp_residual)
 from .expr import Expression, Factor
-from .parser import parse
+from .parser import Corpus, parse
 from .rigidity import FormInputs, exact_constant, form_entries
 from .scalar import ScalarExact
 
@@ -29,49 +28,6 @@ __all__ = [
     "Corpus", "ScriptResult", "catalog_ids", "run_script", "mutation_test",
     "MUTABLE_IDS",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Corpus
-# ---------------------------------------------------------------------------
-
-class Corpus:
-    """Loader for the identity catalog shipped with the package."""
-
-    _instance: "Corpus | None" = None
-
-    def __init__(self, text: str):
-        self.records: dict[str, dict[str, str]] = {}
-        current: dict[str, str] | None = None
-        for raw in text.splitlines():
-            line = raw.rstrip()
-            if not line or line.lstrip().startswith("#"):
-                continue
-            m = re.match(r"^\[(?P<id>[^\]]+)\]$", line)
-            if m:
-                current = {}
-                self.records[m.group("id")] = current
-                continue
-            if current is None:
-                raise ValueError(f"corpus line outside a record: {line!r}")
-            key, _, value = line.partition(":")
-            current[key.strip()] = value.strip()
-
-    @classmethod
-    def load(cls) -> "Corpus":
-        if cls._instance is None:
-            data = (resources.files("phbochner") / "data" / "identities.corpus")
-            cls._instance = cls(data.read_text())
-        return cls._instance
-
-    def text(self, record: str, fld: str) -> str:
-        try:
-            return self.records[record][fld]
-        except KeyError:
-            raise KeyError(f"corpus has no field {fld!r} in record {record!r}")
-
-    def expr(self, record: str, fld: str) -> Expression:
-        return parse(self.text(record, fld))
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +130,14 @@ def verify_2_11(target_override: Expression | None = None) -> ScriptResult:
     t = apply_rule(target, ops.bianchi_rule())
     steps.append(("(2.11) integrals with Bianchi expanded", str(t)))
     ok, trace = equal_mod_ibp(s * 2, t)
-    return _finish("2.11", ok, steps, trace.residual, trace)
-
-
-def bianchi_annihilates_2_11() -> Expression:
-    """The f^2 integrand of the final identity after Bianchi with A = 0."""
-    corpus = Corpus.load()
-    target = corpus.expr("2.11", "integrals")
-    f2_part = target.filter_terms(
-        lambda t: sum(1 for f in t.factors if f.symbol == "f") == 2
-        and all(not f.derivs for f in t.factors if f.symbol == "f"))
-    expanded = apply_rule(f2_part, ops.bianchi_rule())
-    return expanded.drop_symbols({"A11", "Ab1b1"})
+    # the Bianchi rule with A = 0 annihilates the f^2 integrand
+    f2 = t.filter_terms(
+        lambda term: [f for f in term.factors if f.symbol == "f"]
+        == [Factor("f")] * 2).drop_symbols({"A11", "Ab1b1"})
+    steps.append(("f^2 integrand with Bianchi expanded and A = 0", str(f2)))
+    return _finish("2.11", ok and f2.is_zero(), steps,
+                   f2 if ok else trace.residual, trace,
+                   bianchi_torsion_free_f2=f2)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +245,36 @@ def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
                         {"used_slice_relation": True})
 
 
-def _lemma_3_1(fld: str, lam: Fraction, rho: Fraction) -> Expression:
-    """One field of the completed-square record 3.6 at the given lam, rho."""
-    text = Corpus.load().text("3.6", fld)
-    return parse(text.replace("LAM", f"({lam})").replace("RHO", f"({rho})"))
+# a factor token of the grammar: a name with its derivative suffix, if any
+_FACTOR_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:_\{[A-Za-z0-9]*\})?")
+
+
+def _instantiate(record: str, fld: str, values: dict[str, str]) -> Expression:
+    """A catalog field with every whole factor token named in `values` (a
+    placeholder such as LAM, or a factor such as Eb1b1_{1}) replaced by its
+    text in parentheses, all in one pass."""
+    return parse(_FACTOR_TOKEN.sub(
+        lambda m: f"({values[m[0]]})" if m[0] in values else m[0],
+        Corpus.load().text(record, fld)))
+
+
+def _substitution(record: str, fld: str) -> dict[str, str]:
+    """A catalog substitution "X = text, ..." with the conjugate of each
+    pair added, for `_instantiate`."""
+    out = {}
+    for pair in Corpus.load().text(record, fld).split(","):
+        factor, _, value = (p.strip() for p in pair.partition("="))
+        out[factor] = value
+        out[str(parse(factor).conjugate())] = str(parse(value).conjugate())
+    return out
 
 
 def verify_lemma_3_1(lam: Fraction, rho: Fraction,
                      target_override: Expression | None = None) -> ScriptResult:
-    lhs = _lemma_3_1("lhs", lam, rho)
-    rhs = target_override or _lemma_3_1("rhs", lam, rho)
-    square = _lemma_3_1("square", lam, rho)
+    values = {"LAM": str(lam), "RHO": str(rho)}
+    lhs = _instantiate("3.6", "lhs", values)
+    rhs = target_override or _instantiate("3.6", "rhs", values)
+    square = _instantiate("3.6", "square", values)
     ok, trace = equal_mod_ibp(rhs - lhs, square)
     return _finish(f"3.6[lam={lam},rho={rho}]", ok,
                    [("rhs - lhs", str(rhs - lhs)), ("square", str(square))],
@@ -333,59 +304,37 @@ def verify_lemma_3_1_symbolic(target_override: Expression | None = None
                         {"grid_points": len(pairs)})
 
 
-def verify_3_7_pointwise(samples: int = 100_000, seed: int = 0) -> ScriptResult:
-    """Randomized check of the cube-root torsion estimate and its tightness.
+def verify_3_7() -> ScriptResult:
+    """The cube-root torsion estimate lhs >= rhs, pointwise and exactly.
 
-    2Re(-(2i/3) w u v) >= -(2/3)|w|^{2/3}|u|^2 - (2/3)|w|^{4/3}|v|^2 for all
-    complex w, u, v; equality holds on the constructed substitution family
-    and, with both sides 0, at w = 0.
+    With W a cube root of w = A11_{,1}, u = Eb1b1_{,1} and v = Eb1b1,
+    lhs - rhs is the square (2/3)|W^2 v + i conj(W u)|^2, so the estimate
+    holds for all data.  Both sides agree on the tight family
+    v = conj(W) g, u = -i conj(W)^2 conj(g), so no smaller right side holds.
+    W carries no derivative, so the check is canonicalization alone.
     """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-
-    def cplx(n):
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    def sides(w, u, v):
-        t = np.abs(w) ** (2.0 / 3.0)
-        return (2.0 * np.real(-2j / 3.0 * w * u * v),
-                -(2.0 / 3.0) * t * np.abs(u) ** 2
-                - (2.0 / 3.0) * t ** 2 * np.abs(v) ** 2)
-
-    w, u, v = cplx(samples), cplx(samples), cplx(samples)
-    lhs, rhs = sides(w, u, v)
-    scale = np.maximum(1.0, np.abs(lhs) + np.abs(rhs))
-    violations = int(np.sum(lhs - rhs < -1e-12 * scale))
-
-    # tight family: with omega^3 = w, a = -i u, equality needs omega^2 v = -conj(omega a)
-    tight = max(1, samples // 10)
-    wt, ut = cplx(tight), cplx(tight)
-    omega = np.abs(wt) ** (1.0 / 3.0) * np.exp(1j * np.angle(wt) / 3.0)
-    a = -1j * ut
-    lhs_t, rhs_t = sides(wt, ut, -np.conj(omega * a) / omega ** 2)
-    rel = np.abs(lhs_t - rhs_t) / np.maximum(1e-300, np.abs(lhs_t) + np.abs(rhs_t))
-    max_rel = float(np.max(rel)) if len(rel) else 0.0
-
-    lhs_0, rhs_0 = sides(0.0, u[:10], v[:10])
-    zero_case = not (lhs_0.any() or rhs_0.any())
-
-    ok = violations == 0 and max_rel < 1e-12 and zero_case
-    return _finish("3.7", ok, [("samples", str(samples)),
-                               ("violations", str(violations)),
-                               ("tight-case max relative gap", f"{max_rel:.3e}")],
-                   None, None, violations=violations, tight_max_rel=max_rel,
-                   samples=samples, seed=seed)
+    cube = _substitution("3.7", "cube_root")
+    lhs, rhs, square = (_instantiate("3.7", fld, cube)
+                        for fld in ("lhs", "rhs", "square"))
+    residual = canonicalize(lhs - rhs - square)
+    tight = {**cube, **_substitution("3.7", "tight")}
+    gap = canonicalize(_instantiate("3.7", "lhs", tight)
+                       - _instantiate("3.7", "rhs", tight))
+    steps = [("lhs with w = W^3", str(lhs)), ("rhs", str(rhs)),
+             ("square", str(square)), ("lhs - rhs - square", str(residual)),
+             ("lhs - rhs on the tight family", str(gap))]
+    return _finish("3.7", residual.is_zero() and gap.is_zero(), steps,
+                   gap if residual.is_zero() else residual, None)
 
 
-# The numeric form's inputs in catalog symbols.  t = |A11_1|^{2/3} enters
-# only through the 3.7 cube-root terms, which display 3.8 leaves out.
-_FORM_INPUTS = {"R": "R", "t": "0", "a2": "A11*Ab1b1",
+# The numeric form's inputs in catalog symbols; t = |A11_{,1}|^{2/3} = W*Wb.
+_FORM_INPUTS = {"R": "R", "t": "W*Wb", "a2": "A11*Ab1b1",
                 "lapR": "-R_{1b} - R_{b1}",
                 "imbb": "(1/2)*i*(Ab1b1_{11} - A11_{bb})",
                 "Rb": "R_{b}", "Ab": "Ab1b1", "Ab1": "Ab1b1_{1}"}
 _FORM_BASIS = ("E11_{b1}", "i*E11_{0}", "E11_{1}", "E11_{b}", "E11")
 _QUARTER = Fraction(1, 4)
+_QUARTERS = {"LAM": "1/4", "RHO": "1/4"}
 
 
 @lru_cache(maxsize=4)
@@ -403,30 +352,31 @@ def _numeric_form(entries) -> Expression:
 
 
 def _check_form(target: Expression, steps: list) -> bool:
-    """The numeric form's rational entries against the catalog's 3.8."""
+    """The numeric form against the catalog's 3.8 plus INT[3.7 rhs]: the
+    rational entries and the cube-root terms, exactly and without IBP."""
     form = _numeric_form(form_entries)
-    ok = form == target
-    steps.append(("numeric form entries against the catalog",
-                  "PASS" if ok else f"FAIL (catalog - form = {target - form})"))
+    want = target + Corpus.load().expr("3.7", "rhs").integrate()
+    ok = form == want
+    steps.append(("numeric form against 3.8 + INT[3.7 rhs]",
+                  "PASS" if ok else f"FAIL (catalog - form = {want - form})"))
     return ok
 
 
 def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult:
     """Coefficient bookkeeping from the torsion identity to the estimated form.
 
-    The fractional-power terms produced by the cube-root estimate live in the
-    numeric module; here the estimate's left side is removed and the
-    completed-square deficit (lam = rho = 1/4) is added, which must reproduce
-    the rational part of the final display exactly, modulo integration by
-    parts.  The numeric form's rational entries must then match the display
-    term by term.
+    The left side of the cube-root estimate 3.7 is removed and the
+    completed-square deficit (lam = rho = 1/4) is added, which must
+    reproduce the rational part of the final display exactly, modulo
+    integration by parts.  The numeric form must then equal that display
+    plus the estimate's right side, term by term.
     """
     corpus = Corpus.load()
     steps = []
     a35 = corpus.expr("3.5", "integrand")
-    l37 = parse("INT[ 2Re[ -(2/3)*i*A11_{1}*Eb1b1_{1}*Eb1b1 ] ]")
-    deficit = (_lemma_3_1("lhs", _QUARTER, _QUARTER)
-               - _lemma_3_1("rhs", _QUARTER, _QUARTER))
+    l37 = corpus.expr("3.7", "lhs").integrate()
+    deficit = (_instantiate("3.6", "lhs", _QUARTERS)
+               - _instantiate("3.6", "rhs", _QUARTERS))
     steps.append(("completed-square deficit", str(deficit)))
     built = a35 - l37 + deficit
     target = target_override or corpus.expr("3.8", "integrand_exact")
@@ -451,7 +401,7 @@ SCRIPTS = {
     "3.4": verify_3_4,
     "3.5": verify_3_5,
     "3.6": verify_lemma_3_1_symbolic,
-    "3.7": verify_3_7_pointwise,
+    "3.7": verify_3_7,
     "3.8": verify_3_5_to_3_8,
 }
 
@@ -476,7 +426,7 @@ MUTABLE_IDS = list(_MUTATION_TARGETS)
 def _mutation_base(ident: str) -> Expression:
     record, fld = _MUTATION_TARGETS[ident]
     if record == "3.6":
-        return _lemma_3_1(fld, _QUARTER, _QUARTER)
+        return _instantiate(record, fld, _QUARTERS)
     return Corpus.load().expr(record, fld)
 
 
@@ -503,7 +453,8 @@ def mutation_test(ident: str) -> dict:
         "total": len(terms),
         "killed": len(terms) - len(survivors),
         "survivors": survivors,
-        "kill_rate": 1.0 if not terms else (len(terms) - len(survivors)) / len(terms),
+        "kill_rate": (Fraction(len(terms) - len(survivors), len(terms))
+                      if terms else Fraction(1)),
     }
 
 
@@ -511,7 +462,7 @@ def catalog_ids() -> list[str]:
     return list(SCRIPTS)
 
 
-def run_script(ident: str, **kwargs) -> ScriptResult:
+def run_script(ident: str) -> ScriptResult:
     if ident not in SCRIPTS:
         raise KeyError(f"unknown identity id {ident!r}")
-    return SCRIPTS[ident](**kwargs)
+    return SCRIPTS[ident]()

@@ -9,11 +9,14 @@ Grammar (documented in README):
     FACTOR     := SYMBOL [ '_{' [1b0]* '}' ]
                 | ('A'|'E'|'Q') '_{' ('11'|'b1b1') '}' [ '_{' [1b0]* '}' ]
 
-Symbols: f R A11 Ab1b1 E11 Eb1b1 Q11 Qb1b1 (plus g/gb, used internally for
-adjoint test functions).  The derivative alphabet is 1, b (= 1-bar), 0; the
-leftmost letter is applied first.  '2Re[X]' is expanded to X + conj(X) at
-parse time; there is no Re/Im node in the AST.  Division is only defined by
+Symbols: f R A11 Ab1b1 E11 Eb1b1 Q11 Qb1b1 W Wb (W is a cube root of
+A11_{,1}; plus g/gb, used internally for adjoint test functions and the 3.7
+tight family).  The derivative alphabet is 1, b (= 1-bar), 0; the leftmost
+letter is applied first.  '2Re[X]' is expanded to X + conj(X) at parse time;
+there is no Re/Im node in the AST.  Division is only defined by
 scalar-valued subexpressions.
+
+`Corpus` reads the identity catalog, whose fields are texts in this grammar.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
 
 from .expr import DERIV_LETTERS, Expression, Factor, SYMBOLS
 from .scalar import I, SQRT3, ScalarExact
 
-__all__ = ["parse", "ParseError"]
+__all__ = ["parse", "ParseError", "Corpus"]
 
 # Bound of the LRU cache of parsed texts; the corpus holds a few dozen.
 MAX_CACHED_PARSES = 1024
@@ -198,3 +202,42 @@ def parse(text: str) -> Expression:
     an Expression is immutable.
     """
     return _Parser(text).parse()
+
+
+class Corpus:
+    """Loader for the identity catalog shipped with the package."""
+
+    _instance: "Corpus | None" = None
+
+    def __init__(self, text: str):
+        self.records: dict[str, dict[str, str]] = {}
+        current: dict[str, str] | None = None
+        for raw in text.splitlines():
+            line = raw.rstrip()
+            if not line or line.lstrip().startswith("#"):
+                continue
+            m = re.match(r"^\[(?P<id>[^\]]+)\]$", line)
+            if m:
+                current = {}
+                self.records[m.group("id")] = current
+                continue
+            if current is None:
+                raise ValueError(f"corpus line outside a record: {line!r}")
+            key, _, value = line.partition(":")
+            current[key.strip()] = value.strip()
+
+    @classmethod
+    def load(cls) -> "Corpus":
+        if cls._instance is None:
+            data = (resources.files("phbochner") / "data" / "identities.corpus")
+            cls._instance = cls(data.read_text())
+        return cls._instance
+
+    def text(self, record: str, fld: str) -> str:
+        try:
+            return self.records[record][fld]
+        except KeyError:
+            raise KeyError(f"corpus has no field {fld!r} in record {record!r}")
+
+    def expr(self, record: str, fld: str) -> Expression:
+        return parse(self.text(record, fld))

@@ -40,7 +40,8 @@ def test_criterion_1_section2_chain():
 
 def test_criterion_2_bianchi_consistency():
     """The Bianchi rule with A = 0 annihilates the final f^2 integrand."""
-    ok = ids.bianchi_annihilates_2_11().is_zero()
+    result = ids.verify_2_11()
+    ok = result.passed and result.details["bianchi_torsion_free_f2"].is_zero()
     _report(2, "Bianchi + torsion-free annihilates the f^2 integrand", ok)
 
 
@@ -66,12 +67,13 @@ def test_criterion_3_section3_chain():
 
 
 def test_criterion_4_pointwise_inequality():
-    """10^5 seeded samples satisfy the cube-root estimate; tight cases meet it."""
-    result = ids.verify_3_7_pointwise(samples=100_000, seed=20240814)
-    ok = (result.passed and result.details["violations"] == 0
-          and result.details["tight_max_rel"] < 1e-12)
-    _report(4, f"10^5 samples, 0 violations, tightness gap "
-               f"{result.details['tight_max_rel']:.2e}", ok)
+    """The cube-root estimate is a completed square, tight on a family."""
+    result = ids.verify_3_7()
+    steps = dict(result.steps)
+    ok = (result.passed and steps["lhs - rhs - square"] == "0"
+          and steps["lhs - rhs on the tight family"] == "0")
+    _report(4, "lhs - rhs = (2/3)|W^2 v + i conj(W u)|^2 exactly, "
+               "equality on the tight family", ok)
 
 
 def test_criterion_5_determinant_equivalences():

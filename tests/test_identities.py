@@ -15,7 +15,7 @@ from phbochner.scalar import ScalarExact
 
 
 SYMBOLIC_IDS = ["2.3", "2.7", "2.8", "2.ibp", "2.11", "3.2", "3.3", "3.4",
-                "3.5", "3.6", "3.8"]
+                "3.5", "3.6", "3.7", "3.8"]
 
 
 @pytest.mark.parametrize("ident", SYMBOLIC_IDS)
@@ -24,17 +24,47 @@ def test_script_passes(ident):
     assert result.status == "PASS", (result.status, str(result.residual))
 
 
-def test_3_7_numeric():
-    result = ids.verify_3_7_pointwise(samples=20_000, seed=3)
-    assert result.passed
-    assert result.details["violations"] == 0
-    assert result.details["tight_max_rel"] < 1e-12
+@pytest.mark.parametrize("fld", ["lhs", "rhs", "square"])
+def test_3_7_coefficient_bumps_fail(fld, monkeypatch):
+    """Bumping any one coefficient of a 3.7 field by +1 fails 3.7."""
+    record = ids.Corpus.load().records["3.7"]
+    text = record[fld]
+    terms = parse(text).term_list()
+    assert terms
+    for term in terms:
+        bump = Expression.from_term(1, term.factors, term.integrated)
+        monkeypatch.setitem(record, fld, f"{text} + {bump}")
+        assert ids.verify_3_7().status == "FAIL", (fld, str(bump))
 
 
-def test_3_7_tight_family_below_ten_samples():
-    result = ids.verify_3_7_pointwise(samples=5, seed=0)
-    assert result.passed
-    assert result.details["tight_max_rel"] > 0  # the family is not empty
+def test_3_7_tight_family_is_checked(monkeypatch):
+    # u -> -u on the tight family flips the left side only
+    monkeypatch.setitem(ids.Corpus.load().records["3.7"], "tight",
+                        "Eb1b1 = Wb*g, Eb1b1_{1} = i*Wb*Wb*gb")
+    result = ids.verify_3_7()
+    assert result.status == "FAIL"
+    assert ("lhs - rhs - square", "0") in result.steps
+
+
+def test_cube_root_never_in_an_ibp_query(monkeypatch):
+    """W is not differentiable where A11_{,1} = 0, so no IBP query of the
+    catalog scripts may contain it; 3.8 matches its terms exactly."""
+    queries = []
+    query = calc.ibp_residual
+
+    def recording(a, b, modulo=(), trace=None):
+        queries.append([a, b, *modulo])
+        return query(a, b, modulo, trace)
+
+    monkeypatch.setattr(calc, "ibp_residual", recording)
+    monkeypatch.setattr(ids, "ibp_residual", recording)
+    for ident in ids.catalog_ids():
+        assert ids.run_script(ident).passed, ident
+    assert len(queries) > 10
+    assert not any(f.symbol in ("W", "Wb") for q in queries for e in q
+                   for t in e.term_list() for f in t.factors)
+    form = ids._numeric_form(form_entries)
+    assert any(f.symbol == "W" for t in form.term_list() for f in t.factors)
 
 
 def test_2_7_wrong_alpha_leaves_T_residual():
@@ -61,7 +91,9 @@ def test_3_5_uses_slice_relation():
 
 
 def test_bianchi_annihilates_final_f2_integrand():
-    assert ids.bianchi_annihilates_2_11().is_zero()
+    result = ids.verify_2_11()
+    assert result.passed
+    assert result.details["bianchi_torsion_free_f2"].is_zero()
 
 
 def test_lemma_3_1_grid_cases():
@@ -128,8 +160,25 @@ def test_3_8_judges_the_numeric_form(monkeypatch):
     monkeypatch.setattr(ids, "form_entries", perturbed)
     result = ids.verify_3_5_to_3_8()
     assert result.status == "FAIL"
-    assert ("numeric form entries against the catalog", "PASS") \
+    assert ("numeric form against 3.8 + INT[3.7 rhs]", "PASS") \
         not in result.steps
+
+
+@pytest.mark.parametrize("entry", [(3, 3), (4, 4)])
+def test_3_8_judges_the_cube_root_terms(entry, monkeypatch):
+    """The t constant K(-2, 3) of form entries (3,3) and (4,4), bumped by +1,
+    fails 3.8: the form is matched against 3.8 plus INT[3.7 rhs]."""
+    def bumped(x, K):
+        entries = form_entries(x, K)
+        entries[entry] = entries[entry] + K(1) * (
+            x.t if entry == (3, 3) else x.t * x.t)
+        return entries
+
+    assert ids._numeric_form(bumped) != ids._numeric_form(form_entries)
+    monkeypatch.setattr(ids, "form_entries", bumped)
+    result = ids.verify_3_5_to_3_8()
+    assert result.status == "FAIL"
+    assert ("match modulo IBP", "PASS") in result.steps
 
 
 @pytest.mark.parametrize("ident", ["2.ibp", "3.2", "2.11"])

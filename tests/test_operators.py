@@ -8,7 +8,6 @@ import pytest
 from phbochner import operators as ops
 from phbochner.calculus import apply_rule, canonicalize, differentiate
 from phbochner.expr import Expression, Factor
-from phbochner.identities import Corpus
 from phbochner.parser import parse
 from phbochner.scalar import I, ScalarExact
 
@@ -43,6 +42,12 @@ def test_adjoint_of_DJ_is_DJstar():
     adj = ops.adjoint(ops.build_DJ())
     assert adj.placeholder == "E11"
     assert canonicalize(adj.expr - ops.build_DJstar().expr).is_zero()
+
+
+def test_DJstar_text():
+    # DJstar is derived by `adjoint`; its printed form is the published one
+    assert str(ops.build_DJstar()) == (
+        "DJstar[E11] = i*A11*Eb1b1 - i*Ab1b1*E11 + E11_{bb} + Eb1b1_{11}")
 
 
 def test_adjoint_of_Lalpha():
@@ -116,11 +121,6 @@ def test_bianchi_rule():
     # trailing derivatives after the leading 0 differentiate the replacement
     e2 = apply_rule(parse("R_{00}"), rule)
     assert e2 == parse("A11_{bb0} + Ab1b1_{110}")
-
-
-def test_DQJ_rhs_matches_catalog():
-    corpus = Corpus.load()
-    assert ops.build_DQJ_rhs() == corpus.expr("3.1", "rhs")
 
 
 def test_DQJ_rhs_vanishes_at_zero():

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from phbochner.expr import DERIV_LETTERS, SYMBOLS, Expression, Factor
-from phbochner.identities import Corpus
-from phbochner.parser import ParseError, parse
+from phbochner.parser import Corpus, ParseError, parse
 from phbochner.scalar import I, ScalarExact
 
 from test_expr import random_expression
@@ -59,7 +58,9 @@ def test_corpus_roundtrip():
         for fld, text in fields.items():
             if fld == "latex" or "LAM" in text:
                 continue
-            exprs.append(parse(text))
+            # a substitution "X = text, ..." holds expression texts
+            exprs += [parse(side) for pair in text.split(",")
+                      for side in pair.split("=")]
     assert exprs
     for e in exprs:
         # print o parse is the identity on ASTs, and printing is canonical
