@@ -21,7 +21,8 @@ from .calculus import (RewriteTrace, apply_rule, canonicalize, equal_mod_ibp,
                        ibp_residual)
 from .expr import Expression, Factor
 from .parser import Corpus, parse
-from .rigidity import FormInputs, exact_constant, form_entries
+from .rigidity import (FormInputs, _cond_3_11, _cond_3_12, _corollary_c,
+                       _thm_a, det, form_entries, torsion_free_entries)
 from .scalar import ScalarExact
 
 __all__ = [
@@ -119,6 +120,12 @@ def verify_2_8(target_override: Expression | None = None) -> ScriptResult:
     return _finish("2.8", ok, steps, trace.residual, trace)
 
 
+def _f_squared(e: Expression) -> Expression:
+    """The terms of e whose f factors are f*f, underived."""
+    return e.filter_terms(lambda term: [f for f in term.factors
+                                        if f.symbol == "f"] == [Factor("f")] * 2)
+
+
 def verify_2_11(target_override: Expression | None = None) -> ScriptResult:
     corpus = Corpus.load()
     steps = []
@@ -131,13 +138,16 @@ def verify_2_11(target_override: Expression | None = None) -> ScriptResult:
     steps.append(("(2.11) integrals with Bianchi expanded", str(t)))
     ok, trace = equal_mod_ibp(s * 2, t)
     # the Bianchi rule with A = 0 annihilates the f^2 integrand
-    f2 = t.filter_terms(
-        lambda term: [f for f in term.factors if f.symbol == "f"]
-        == [Factor("f")] * 2).drop_symbols({"A11", "Ab1b1"})
+    f2 = _f_squared(t).drop_symbols({"A11", "Ab1b1"})
     steps.append(("f^2 integrand with Bianchi expanded and A = 0", str(f2)))
-    return _finish("2.11", ok and f2.is_zero(), steps,
+    # Theorem A: its value is the f^2 coefficient of 2.11
+    value = _thm_a(_inputs(), _constant) * Factor("f") * Factor("f")
+    proof = [("f^2 part of (2.11) against INT[thm-a value*f*f]",
+              _match(_f_squared(target), value.integrate()))]
+    steps += proof
+    return _finish("2.11", ok and f2.is_zero() and _passed(proof), steps,
                    f2 if ok else trace.residual, trace,
-                   bianchi_torsion_free_f2=f2)
+                   bianchi_torsion_free_f2=f2, thm_a_proven=_passed(proof))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +220,13 @@ def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
     steps = list(prefix)
     target = target_override or corpus.expr("3.4", "integrand")
     ok, trace = equal_mod_ibp(paired, target)
-    return _finish("3.4", ok, steps, trace.residual, trace)
+    form, minors = _numeric_form(torsion_free_entries, _corollary_c_minors,
+                                 _constant)
+    proof = [("torsion-free form against 3.4", _match(form, target)),
+             ("leading minors 2/3, 1/3, R/9, corollaryC/648", minors)]
+    steps += proof
+    return _finish("3.4", ok and _passed(proof), steps, trace.residual,
+                   trace, corollary_c_proven=_passed(proof))
 
 
 def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
@@ -224,21 +240,12 @@ def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
         steps.append(("closure", "exact, no slice relation needed"))
         return _finish("3.5", True, steps, None, trace, used_slice_relation=False)
 
-    slice_expr = ops.build_DJstar().expr
-    residual2, trace2 = ibp_residual(paired, target, modulo=[slice_expr])
+    residual2, trace2 = ibp_residual(paired, target,
+                                     modulo=[ops.build_DJstar().expr])
     if residual2.is_zero():
         steps.append(("closure", "exact modulo the slice relation DJ* E = 0"))
         return _finish("3.5", True, steps, None, trace2,
                        used_slice_relation=True)
-
-    # alternate reading: the real torsion bracket doubled (placed inside 2Re)
-    extra = parse("INT[ ( (8/3)*i*A11_{bb} - (8/3)*i*Ab1b1_{11} )*E11*Eb1b1 ]")
-    residual3, trace3 = ibp_residual(paired, target + extra,
-                                     modulo=[slice_expr])
-    if residual3.is_zero():
-        steps.append(("closure", "exact with the 8i/3 bracket doubled"))
-        return _finish("3.5", True, steps, None, trace3,
-                       used_slice_relation=True, bracket_doubled=True)
 
     steps.append(("residual (verbatim)", str(residual2)))
     return ScriptResult("3.5", "RESIDUAL", steps, residual2, trace2,
@@ -327,39 +334,72 @@ def verify_3_7() -> ScriptResult:
                    gap if residual.is_zero() else residual, None)
 
 
-# The numeric form's inputs in catalog symbols; t = |A11_{,1}|^{2/3} = W*Wb.
+# The kernel's inputs in catalog symbols; t = |A11_{,1}|^{2/3} = W*Wb.
 _FORM_INPUTS = {"R": "R", "t": "W*Wb", "a2": "A11*Ab1b1",
                 "lapR": "-R_{1b} - R_{b1}",
                 "imbb": "(1/2)*i*(Ab1b1_{11} - A11_{bb})",
-                "Rb": "R_{b}", "Ab": "Ab1b1", "Ab1": "Ab1b1_{1}"}
+                "Rb": "R_{b}", "Ab": "Ab1b1", "Ab1": "Ab1b1_{1}",
+                "R0": "R_{0}", "grad2": "2*R_{1}*R_{b}"}
 _FORM_BASIS = ("E11_{b1}", "i*E11_{0}", "E11_{1}", "E11_{b}", "E11")
 _QUARTER = Fraction(1, 4)
 _QUARTERS = {"LAM": "1/4", "RHO": "1/4"}
 
 
+def _constant(n, d=1, s3=False) -> Expression:
+    """The kernel's constant constructor on catalog expressions: n/d, times
+    sqrt3 if s3; n is an integer or an imaginary integer such as 5j."""
+    re, im = (Fraction(int(v), d) for v in (complex(n).real, complex(n).imag))
+    return Expression.scalar(ScalarExact(0, re, 0, im) if s3
+                             else ScalarExact(re, 0, im, 0))
+
+
+def _inputs() -> FormInputs:
+    return FormInputs(**{k: parse(v) for k, v in _FORM_INPUTS.items()})
+
+
+# The leading principal minors of the two forms.  By Sylvester's criterion
+# (Horn & Johnson, Matrix Analysis, 2nd ed., Thm 7.2.5) the 5x5 form is
+# positive definite iff R > 0, 3.11 > 0 and 3.12 > 0 (Theorem B), and the
+# torsion-free one iff R > 0 and corollaryC > 0 (Corollary C).
+
+def _thm_b_minors(x: FormInputs, K) -> list:
+    return [K(29, 48), K(5, 24), K(5, 72) * x.R, K(5, 216) * _cond_3_11(x, K),
+            K(1, 9) * _cond_3_12(x, K, lambda z: z * z.conjugate())]
+
+
+def _corollary_c_minors(x: FormInputs, K) -> list:
+    return [K(2, 3), K(1, 3), x.R / K(9), K(1, 648) * _corollary_c(x, K)]
+
+
 @lru_cache(maxsize=4)
-def _numeric_form(entries) -> Expression:
-    """INT of the form built by `entries` (`form_entries` or a stand-in) on
-    the 3.8 basis, in catalog symbols; built once per callable."""
-    x = FormInputs(**{k: parse(v) for k, v in _FORM_INPUTS.items()})
-    u = [parse(b) for b in _FORM_BASIS]
-    form = Expression.zero()
-    for (i, j), entry in entries(
-            x, lambda n, d=1: Expression.scalar(exact_constant(n, d))).items():
-        part = (entry * u[i] * u[j].conjugate()).integrate()
-        form = form + (part if i == j else part + part.conjugate())
-    return form
+def _numeric_form(entries, minors, K) -> tuple[Expression, str]:
+    """The Hermitian form that `entries` (`form_entries` or a stand-in)
+    builds on the kernel's inputs: INT of sum m_ij u_i conj(u_j) on the 3.8
+    basis, and PASS when its leading principal minors are `minors(x, K)`
+    identically, else the first that is not.  Neither depends on a target,
+    so both are built once per (entries, minors, K), not once per mutant."""
+    x = _inputs()
+    e = entries(x, K)
+    index = sorted({i for ij in e for i in ij})
+    m = [[e[i, j] if (i, j) in e else
+          e.get((j, i), Expression.zero()).conjugate() for j in index]
+         for i in index]
+    u = [parse(_FORM_BASIS[i]) for i in index]
+    form = Expression.sum((m[a][b] * u[a] * u[b].conjugate()).integrate()
+                          for a in range(len(u)) for b in range(len(u)))
+    for k, want in enumerate(minors(x, K), 1):
+        if det([row[:k] for row in m[:k]]) != want:
+            return form, f"FAIL (minor {k})"
+    return form, "PASS"
 
 
-def _check_form(target: Expression, steps: list) -> bool:
-    """The numeric form against the catalog's 3.8 plus INT[3.7 rhs]: the
-    rational entries and the cube-root terms, exactly and without IBP."""
-    form = _numeric_form(form_entries)
-    want = target + Corpus.load().expr("3.7", "rhs").integrate()
-    ok = form == want
-    steps.append(("numeric form against 3.8 + INT[3.7 rhs]",
-                  "PASS" if ok else f"FAIL (catalog - form = {want - form})"))
-    return ok
+def _match(got: Expression, want: Expression) -> str:
+    """An exact comparison, without IBP, as a step value."""
+    return "PASS" if got == want else f"FAIL (difference {got - want})"
+
+
+def _passed(steps: list[tuple[str, str]]) -> bool:
+    return all(value == "PASS" for _, value in steps)
 
 
 def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult:
@@ -369,7 +409,8 @@ def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult
     completed-square deficit (lam = rho = 1/4) is added, which must
     reproduce the rational part of the final display exactly, modulo
     integration by parts.  The numeric form must then equal that display
-    plus the estimate's right side, term by term.
+    plus the estimate's right side, term by term, and have the leading
+    minors of Theorem B.
     """
     corpus = Corpus.load()
     steps = []
@@ -382,8 +423,14 @@ def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult
     target = target_override or corpus.expr("3.8", "integrand_exact")
     ok, trace = equal_mod_ibp(built, target)
     steps.append(("match modulo IBP", "PASS" if ok else "FAIL"))
-    form_ok = _check_form(target, steps)
-    return _finish("3.8", ok and form_ok, steps, trace.residual, trace)
+    form, minors = _numeric_form(form_entries, _thm_b_minors, _constant)
+    proof = [("numeric form against 3.8 + INT[3.7 rhs]",
+              _match(form, target + corpus.expr("3.7", "rhs").integrate())),
+             ("leading minors 29/48, 5/24, (5/72)R, (5/216)v_3.11, "
+              "(1/9)v_3.12", minors)]
+    steps += proof
+    return _finish("3.8", ok and _passed(proof), steps, trace.residual, trace,
+                   thm_b_proven=_passed(proof))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ scope).  Fractional powers |z|^{2/3}, |z|^{4/3} are evaluated as (|z|^2)^{1/3}
 and its square, via the real cube root, so no complex branch is involved.
 
 Each form entry and each condition formula is written once, as a function of
-the point quantities (`FormInputs`) and a constant constructor `K(n, d)`.  The
-float path runs it on numpy arrays holding a whole batch of points, the exact
-path on `ScalarExact`, and `identities.verify_3_5_to_3_8` on catalog
-expressions.
+the point quantities (`FormInputs`) and a constant constructor `K(n, d, s3)`.
+The float path runs it on numpy arrays holding a whole batch of points;
+`identities` runs it on catalog expressions, where it proves the algebra
+behind Theorems A and B and Corollary C exactly (scripts 2.11, 3.8, 3.4).
 
 Boundary behaviour: strict ">0" verdicts use a configurable epsilon scaled by
 the magnitude of the quantity; "= 0" cases (the borderline automorphism
@@ -22,18 +22,15 @@ from __future__ import annotations
 import importlib.util
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, NamedTuple
-
-from .scalar import ScalarExact
 
 
 def _lazy_import(name: str):
     """The module `name`, executed on its first attribute access.
 
     This is the `importlib.util.LazyLoader` recipe.  Only the float path
-    touches numpy, so the exact kernel and the symbolic commands that import
-    this module never pay for loading it.
+    touches numpy, so the symbolic commands, which import this module for
+    its kernel, never pay for loading it.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -51,7 +48,7 @@ np = _lazy_import("numpy")
 
 __all__ = [
     "PointData", "HermitianForm", "ConditionReport", "Condition", "CONDITIONS",
-    "FormInputs", "form_entries", "exact_constant",
+    "FormInputs", "form_entries", "torsion_free_entries", "det",
     "build_form_4", "build_form_5", "equivalence_battery", "sylvester_battery",
     "evaluate_conditions", "scaling_report",
 ]
@@ -137,29 +134,19 @@ class FormInputs(NamedTuple):
     grad2: object = 0    # |grad_b R|^2 = 2|R1|^2
 
 
-def _float(n, d=1):
-    """Constant constructor of the float path."""
-    return n / d
+def _float(n, d=1, s3=False):
+    """Constant constructor of the float path: n/d, times sqrt3 if s3; n is
+    an integer or an imaginary integer such as 5j."""
+    return n / d * _SQRT3 if s3 else n / d
 
 
-def _magnitude(n, d=1):
+def _magnitude(n, d=1, s3=False):
     """Constant constructor that evaluates a formula's M (see form_entries)."""
-    return abs(n / d)
-
-
-def exact_constant(n, d=1) -> ScalarExact:
-    """Constant constructor of the exact path; n is an integer or an
-    imaginary integer such as 5j."""
-    n = complex(n)
-    return ScalarExact(Fraction(int(n.real), d), 0, Fraction(int(n.imag), d), 0)
+    return abs(_float(n, d, s3))
 
 
 def _abs2(z):
     return abs(z) ** 2
-
-
-def _exact_abs2(z: ScalarExact) -> ScalarExact:
-    return z * z.conjugate()
 
 
 def form_entries(x: FormInputs, K) -> dict[tuple[int, int], object]:
@@ -185,9 +172,24 @@ def form_entries(x: FormInputs, K) -> dict[tuple[int, int], object]:
     }
 
 
+def torsion_free_entries(x: FormInputs, K) -> dict[tuple[int, int], object]:
+    """Upper triangle of the torsion-free form of display 3.4 (A = 0).
+
+    Same basis indices as `form_entries`, without 3 (E11_{,b} does not
+    occur); its determinant is corollaryC / 648.
+    """
+    return {
+        (0, 0): K(2, 3), (0, 1): K(-1), (1, 1): K(2),
+        (2, 2): x.R / K(3),
+        (0, 4): x.R / K(-6), (1, 4): K(2) * x.R / K(3),
+        (2, 4): K(1, 6) * x.Rb,
+        (4, 4): K(2, 3) * (x.R * x.R) + K(1, 6) * x.lapR,
+    }
+
+
 def _thm_a(x: FormInputs, K):
-    """Automorphism-rigidity value sqrt3 R_{,0} - 2 Im(A11_{,bb}) (floats)."""
-    return _SQRT3 * x.R0 + K(-2) * x.imbb
+    """Automorphism-rigidity value sqrt3 R_{,0} - 2 Im(A11_{,bb})."""
+    return K(1, s3=True) * x.R0 + K(-2) * x.imbb
 
 
 def _cond_3_11(x: FormInputs, K):
@@ -321,62 +323,18 @@ def build_form_5(p: PointData) -> HermitianForm:
     return HermitianForm(_stacked_forms(_float_inputs(_stack([p])))[1][0])
 
 
-# ---------------------------------------------------------------------------
-# Exact determinant identities (entries over Q(i, sqrt3))
-# ---------------------------------------------------------------------------
-
-def _sx(re: Fraction, im: Fraction = Fraction(0)) -> ScalarExact:
-    return ScalarExact(re, 0, im, 0)
-
-
-def exact_det(matrix: list[list[ScalarExact]]) -> ScalarExact:
-    n = len(matrix)
-    if n == 1:
+def det(matrix: list[list]):
+    """Determinant by cofactor expansion along the first row, on any
+    commutative ring whose elements support + - * and are false when zero
+    (catalog expressions in `identities`)."""
+    if len(matrix) == 1:
         return matrix[0][0]
-    out = ScalarExact(0)
-    sign = ScalarExact(1)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        out = out + sign * matrix[0][j] * exact_det(minor)
-        sign = -sign
+    out = matrix[0][0] * 0
+    for j, entry in enumerate(matrix[0]):
+        if entry:
+            term = entry * det([row[:j] + row[j + 1:] for row in matrix[1:]])
+            out = out - term if j % 2 else out + term
     return out
-
-
-def _exact_inputs(R, a11, t, lapR=Fraction(0), r1=(0, 0), a11_b=(0, 0),
-                  im_a11_bb=Fraction(0)) -> FormInputs:
-    """Rational point data; complex entries as (re, im) pairs of Fractions."""
-    a = _sx(*a11)
-    return FormInputs(R=_sx(R), t=_sx(t), a2=_exact_abs2(a), lapR=_sx(lapR),
-                      imbb=_sx(im_a11_bb), Rb=_sx(*r1).conjugate(),
-                      Ab=a.conjugate(), Ab1=_sx(*a11_b).conjugate())
-
-
-def _exact_form(x: FormInputs, n: int) -> list[list[ScalarExact]]:
-    m = [[ScalarExact(0)] * n for _ in range(n)]
-    for (i, j), entry in form_entries(x, exact_constant).items():
-        if j < n:
-            m[i][j], m[j][i] = entry, entry.conjugate()
-    return m
-
-
-def form4_exact(R, a11, t) -> list[list[ScalarExact]]:
-    """Exact 4x4 form with the cube-root magnitude t supplied as a rational."""
-    return _exact_form(_exact_inputs(R, a11, t), 4)
-
-
-def form5_exact(*data) -> list[list[ScalarExact]]:
-    """Exact 5x5 form; data (R, a11, t, lapR, r1, a11_b, im_a11_bb)."""
-    return _exact_form(_exact_inputs(*data), 5)
-
-
-def cond_3_11_exact(R, a11, t) -> Fraction:
-    return _cond_3_11(_exact_inputs(R, a11, t), exact_constant).as_fraction()
-
-
-def cond_3_12_exact(*data) -> Fraction:
-    """Exact 3.12 value; data as for form5_exact."""
-    x = _exact_inputs(*data)
-    return _cond_3_12(x, exact_constant, _exact_abs2).as_fraction()
 
 
 # ---------------------------------------------------------------------------

@@ -153,14 +153,6 @@ class ScalarExact:
     def is_real(self) -> bool:
         return not (self._v[2] or self._v[3])
 
-    def is_rational(self) -> bool:
-        return not (self._v[1] or self._v[2] or self._v[3])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
     # -- hashing / comparison ------------------------------------------------
 
     def __eq__(self, other):

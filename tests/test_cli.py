@@ -264,7 +264,7 @@ def test_numpy_loaded_only_by_float_commands(args, loads_numpy, sphere_file):
     assert out.split() == ["0", str(loads_numpy)]
 
 
-@pytest.mark.parametrize("ident", ["3.4", "3.5"])
+@pytest.mark.parametrize("ident", ["2.11", "3.4", "3.5", "3.8"])
 def test_trace_bytes_independent_of_hash_seed(ident):
     outs = {_python("-m", "phbochner.cli", "--format", "json", "trace", ident,
                     PYTHONHASHSEED=seed) for seed in ("1", "2", "3")}
@@ -275,7 +275,7 @@ def test_trace_bytes_independent_of_hash_seed(ident):
 # bytes must be intended and listed in CHANGES.md
 _PINNED_JSON = {
     "verify all":
-        "0f0d285d3117c21db0aa694acdf67ad9baa6d23886b8b5c125a176df73d20c67",
+        "b0deefa93b7d4a7998d98ac2aa38f9b8cdadc97a789e9f219df1a92e0ebc45d2",
     "verify all --mutate":
         "e597dfa63f808bc1c0a473cd54ac910cc40899258c95e990cdfd6bd6373d680a",
     "trace 2.3":
@@ -287,13 +287,13 @@ _PINNED_JSON = {
     "trace 2.ibp":
         "710a20f3bd749c51014816f9cce9010cb6a6ea56c70cdcddea73d66c348c27dc",
     "trace 2.11":
-        "4ea4cef94d9f615b6a867d825ace41e5cb5e1f8e992111a5c2b95b3a2c6c500c",
+        "7953055b6bc190d6c8ac9186eb18ba39e6e2605db06c6bd8a9a0496557bd6058",
     "trace 3.2":
         "1535035d0e6c8febd7bbbd2d975cf6a17ce7c5324dcb57038d9577eb985d70a0",
     "trace 3.3":
         "5ae649ffd559c7bba99b263471cbbc21904bdc66b17acfa60f9ba1f49889a1ae",
     "trace 3.4":
-        "2d0a35df4a2f0e29ca98b899a2c10db0d7acc454da500d0c45ba51bce146d053",
+        "9c7139170411e61551fec22358e363456bffee78b080a5cfe5f4308461923234",
     "trace 3.5":
         "2cc0245e1263d7419d03d41682fc44893e43ff7bf501cffd69d31bf70b51eecf",
     "trace 3.6":
@@ -301,7 +301,7 @@ _PINNED_JSON = {
     "trace 3.7":
         "a1b4a302f16d16f6a5a1d532f02d467211b6be76828e3a7385dfeaaf19d5725e",
     "trace 3.8":
-        "3cf936142ed9d5d1928950fecac18c4031a771cf99ff5a0811f6b32a146aba43",
+        "db10c3bd5b06432af0172b786b92f1a720c068672ccd71b0de23a24e8ca14633",
 }
 
 

@@ -63,7 +63,8 @@ def test_cube_root_never_in_an_ibp_query(monkeypatch):
     assert len(queries) > 10
     assert not any(f.symbol in ("W", "Wb") for q in queries for e in q
                    for t in e.term_list() for f in t.factors)
-    form = ids._numeric_form(form_entries)
+    form, _ = ids._numeric_form(form_entries, ids._thm_b_minors,
+                                ids._constant)
     assert any(f.symbol == "W" for t in form.term_list() for f in t.factors)
 
 
@@ -174,11 +175,73 @@ def test_3_8_judges_the_cube_root_terms(entry, monkeypatch):
             x.t if entry == (3, 3) else x.t * x.t)
         return entries
 
-    assert ids._numeric_form(bumped) != ids._numeric_form(form_entries)
+    assert (ids._numeric_form(bumped, ids._thm_b_minors, ids._constant)[0]
+            != ids._numeric_form(form_entries, ids._thm_b_minors,
+                                 ids._constant)[0])
     monkeypatch.setattr(ids, "form_entries", bumped)
     result = ids.verify_3_5_to_3_8()
     assert result.status == "FAIL"
     assert ("match modulo IBP", "PASS") in result.steps
+
+
+@pytest.mark.parametrize("ident, key", [("2.11", "thm_a_proven"),
+                                        ("3.4", "corollary_c_proven"),
+                                        ("3.8", "thm_b_proven")])
+def test_rigidity_proofs_reported(ident, key):
+    assert ids.run_script(ident).details[key] is True
+
+
+# the kernel formulas that 2.11, 3.4 and 3.8 evaluate, as `identities`
+# names them
+_KERNEL = ("form_entries", "torsion_free_entries", "_thm_a", "_cond_3_11",
+           "_cond_3_12", "_corollary_c")
+# the bump test replaces ids._constant; _BumpK wraps the original
+_CONSTANT = ids._constant
+
+
+class _BumpK:
+    """The kernel's exact constant constructor, except that its k-th call
+    returns the constant + 1."""
+
+    def __init__(self, k: int):
+        self.k, self.calls = k, 0
+
+    def __call__(self, n, d=1, s3=False):
+        self.calls += 1
+        value = _CONSTANT(n, d, s3)
+        return value + Expression.scalar(1) if self.calls == self.k else value
+
+
+def test_kernel_constant_bumps_fail_a_proof(monkeypatch):
+    """Each constant of the kernel, bumped by +1 one at a time, fails 2.11,
+    3.4 or 3.8.  A bump may pass only if no kernel formula those scripts
+    evaluate changes its value: the entries that _cond_3_12 builds through
+    form_entries and never reads."""
+    values = []
+
+    def recording(fn):
+        def wrapper(*args):
+            values.append(fn(*args))
+            return values[-1]
+        return wrapper
+
+    for name in _KERNEL:
+        monkeypatch.setattr(ids, name, recording(getattr(ids, name)))
+
+    def run(K):
+        monkeypatch.setattr(ids, "_constant", K)
+        values.clear()
+        passed = all(ids.run_script(i).passed for i in ("2.11", "3.4", "3.8"))
+        return passed, list(values)
+
+    counting = _BumpK(0)
+    passed, unbumped = run(counting)
+    assert passed and len(unbumped) == len(_KERNEL)
+    assert counting.calls > 60
+    for k in range(1, counting.calls + 1):
+        passed, bumped = run(_BumpK(k))
+        if passed:
+            assert bumped == unbumped, f"constant call {k} survives"
 
 
 @pytest.mark.parametrize("ident", ["2.ibp", "3.2", "2.11"])

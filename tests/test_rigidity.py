@@ -2,16 +2,16 @@
 
 import importlib
 import pkgutil
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from phbochner import identities as ids
 from phbochner import rigidity as rg
+from phbochner.expr import Expression
 from phbochner.rigidity import (HermitianForm, PointData, build_form_4,
-                                build_form_5, cond_3_11_exact, cond_3_12_exact,
-                                exact_det, form4_exact, form5_exact)
-from phbochner.scalar import ScalarExact
+                                build_form_5, det, form_entries,
+                                torsion_free_entries)
 
 
 def test_package_reexports_numeric_names():
@@ -128,36 +128,38 @@ def test_sylvester_vs_eigen_battery():
     assert report["ok"] and report["disagreements"] == 0
 
 
+def test_det_on_integers():
+    assert det([[7]]) == 7
+    assert det([[1, 2], [3, 4]]) == -2
+    # zero entries of the first row are skipped without losing the signs
+    assert det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    assert det([[0, 0], [1, 2]]) == 0
+
+
+# The identities below hold in the catalog symbols of the kernel's inputs
+# (t = W*Wb), so they hold for all point data, not only on a grid.
+
+def _exact_form(entries, rows):
+    """The Hermitian matrix of `entries` on the kernel's catalog inputs,
+    restricted to the basis indices `rows`."""
+    e = entries(ids._inputs(), ids._constant)
+    zero = Expression.zero()
+    return [[e.get((i, j), zero) if i <= j else e.get((j, i), zero).conjugate()
+             for j in rows] for i in rows]
+
+
 def test_exact_block_determinant_identity():
-    Rs = [Fraction(-2), Fraction(1, 3), Fraction(5)]
-    As = [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-1, 3)),
-          (Fraction(2), Fraction(1))]
-    ts = [Fraction(0), Fraction(1, 7), Fraction(2)]
-    for R in Rs:
-        for a in As:
-            for t in ts:
-                m = form4_exact(R, a, t)
-                block = [row[2:] for row in m[2:]]
-                assert exact_det(block) == ScalarExact(
-                    cond_3_11_exact(R, a, t) / 9)
+    """9 det of the (E11_{,1}, E11_{,b}) block of the 5x5 form is 3.11."""
+    x, K = ids._inputs(), ids._constant
+    block = _exact_form(form_entries, (2, 3))
+    assert det(block) == K(1, 9) * rg._cond_3_11(x, K)
 
 
 def test_exact_det5_identity():
-    grid = [
-        (Fraction(1), (Fraction(0), Fraction(0)), Fraction(0),
-         Fraction(0), (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)),
-         Fraction(0)),
-        (Fraction(-3), (Fraction(1, 2), Fraction(1)), Fraction(1, 3),
-         Fraction(2, 5), (Fraction(1), Fraction(-1, 2)),
-         (Fraction(-1, 3), Fraction(1, 4)), Fraction(2, 7)),
-        (Fraction(4), (Fraction(-1), Fraction(1, 5)), Fraction(3, 2),
-         Fraction(-1), (Fraction(1, 7), Fraction(2)),
-         (Fraction(1), Fraction(1)), Fraction(-1, 2)),
-    ]
-    for R, a, t, lapR, r1, ab, imbb in grid:
-        m5 = form5_exact(R, a, t, lapR, r1, ab, imbb)
-        want = ScalarExact(cond_3_12_exact(R, a, t, lapR, r1, ab, imbb) / 9)
-        assert exact_det(m5) == want
+    """9 det of the 5x5 form is 3.12."""
+    x, K = ids._inputs(), ids._constant
+    m5 = _exact_form(form_entries, range(5))
+    assert det(m5) == K(1, 9) * rg._cond_3_12(x, K, lambda z: z * z.conjugate())
 
 
 def test_equivalence_battery():
@@ -244,20 +246,9 @@ def test_torsion_free_consistency():
 
 def test_torsion_free_quadratic_form_det_identity():
     """det of the torsion-free 4-variable form equals the rigidity value / 648."""
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        R = float(rng.standard_normal() * 2)
-        lapR = float(rng.standard_normal())
-        r1 = complex(rng.standard_normal(), rng.standard_normal())
-        m = np.array([
-            [2 / 3, -1, 0, -R / 6],
-            [-1, 2, 0, 2 * R / 3],
-            [0, 0, R / 3, np.conj(r1) / 6],
-            [-R / 6, 2 * R / 3, r1 / 6, (2 / 3) * R ** 2 + lapR / 6],
-        ], dtype=complex)
-        det = np.linalg.det(m).real
-        cor = 4 * R * (5 * R ** 2 + 3 * lapR) - 6 * abs(r1) ** 2
-        assert det == pytest.approx(cor / 648.0, rel=1e-9, abs=1e-12)
+    x, K = ids._inputs(), ids._constant
+    m = _exact_form(torsion_free_entries, (0, 1, 2, 4))
+    assert det(m) == K(1, 648) * rg._corollary_c(x, K)
 
 
 def test_torsion_free_form_pd_blocks():

@@ -62,10 +62,6 @@ def test_predicates_and_parts():
     z = ScalarExact(Fraction(1, 2), 0, 1, 0)
     assert not z.is_real()
     assert z.conjugate() + z == ScalarExact(1)
-    assert rational(5).is_rational()
-    assert rational(5).as_fraction() == 5
-    with pytest.raises(ValueError):
-        z.as_fraction()
 
 
 def test_str_forms():
