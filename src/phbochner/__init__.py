@@ -2,25 +2,28 @@
 pseudohermitian geometry, with numeric evaluation of the associated
 pointwise rigidity conditions."""
 
-from .scalar import ScalarExact
-from .expr import Expression, Factor, Term
-from .parser import parse, ParseError
-from .calculus import (canonicalize, commute_swap, differentiate,
-                       equal_mod_ibp, integrate_by_parts)
+import importlib
 
-__all__ = [
-    "ScalarExact", "Expression", "Factor", "Term", "parse", "ParseError",
-    "canonicalize", "commute_swap", "differentiate", "equal_mod_ibp",
-    "integrate_by_parts", "PointData", "HermitianForm",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "ScalarExact": "scalar",
+    "Expression": "expr", "Factor": "expr", "Term": "expr",
+    "parse": "parser", "ParseError": "parser",
+    "canonicalize": "calculus", "commute_swap": "calculus",
+    "differentiate": "calculus", "equal_mod_ibp": "calculus",
+    "integrate_by_parts": "calculus",
+    "PointData": "rigidity", "HermitianForm": "rigidity",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # PointData and HermitianForm come from `rigidity`, imported on first use
-    # (PEP 562), so importing the package does not import the float path.
-    if name in ("PointData", "HermitianForm"):
-        from . import rigidity
-        return getattr(rigidity, name)
+    # Every export is imported on first use (PEP 562), so importing the
+    # package, or one submodule such as `phbochner.cli`, loads nothing else.
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                       name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -53,9 +53,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (_LETTER_ALPHA, _LETTER_ORDER, _LETTER_WEIGHT, DERIV_LETTERS,
                    SYMBOLS, Expression, Factor, Term)
@@ -355,8 +354,7 @@ def integrate_by_parts(e: Expression, term_index: int, factor_index: int,
 # Substitution rules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """Rewrite factors symbol_{prefix+tail} -> replacement differentiated by tail."""
 
     name: str

@@ -12,14 +12,17 @@ Commands:
 The PHB_SEED environment variable overrides --seed.  Identical configuration
 (including the seed) produces byte-identical JSON output.  Exit status is 0
 when every requested verification or condition passed, 1 when one failed,
-2 on a usage or input error (an unknown identity or operator name
-included), reported as one line on stderr, and 141 (128 + SIGPIPE) when
+2 on a usage or input error (an unknown identity, operator or condition
+name included), reported as one line on stderr, and 141 (128 + SIGPIPE) when
 the reader closes stdout early, as in `phbochner ops | head -1`; that ends
 without a traceback.
 
-Each command imports only what it runs: numpy is loaded by `check`,
-`scaletest`, `equiv` and `sylvester`, never by `verify`, `trace` or `ops`,
-which are exact.  `--samples` and `--seed` act on `equiv` and `sylvester`.
+Each command imports only what it runs: `rigidity` and numpy are loaded by
+`check`, `scaletest`, `equiv` and `sylvester`, and none of the symbolic
+modules are; `verify` and `trace` load the symbolic engine and `rigidity`'s
+exact kernel, never numpy; `ops` loads `operators` and the parser, and
+`calculus` only to build an operator derived by it.
+`--samples` and `--seed` act on `equiv` and `sylvester`.
 """
 
 from __future__ import annotations
@@ -29,17 +32,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-
-from . import rigidity
-from .rigidity import PointData
+from typing import NamedTuple
 
 DEFAULT_SEED = 20240814
 
 
-@dataclass
-class RunConfig:
-    eps: float = rigidity.DEFAULT_EPS
+class RunConfig(NamedTuple):
+    eps: float | None = None         # None: rigidity.DEFAULT_EPS
     samples: int = 100_000
     seed: int = DEFAULT_SEED
     output_format: str = "text"
@@ -81,7 +80,16 @@ def _input_error(message: str):
     raise SystemExit(2)
 
 
+def _eps(cfg: RunConfig) -> float:
+    """--eps, or the rigidity default when it is not given."""
+    from .rigidity import DEFAULT_EPS
+
+    return DEFAULT_EPS if cfg.eps is None else cfg.eps
+
+
 def _load_points(path: str) -> list[PointData]:
+    from .rigidity import PointData
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -135,9 +143,15 @@ def cmd_verify(cfg: RunConfig, ids: list[str], mutate: bool) -> int:
 
 
 def cmd_check(cfg: RunConfig, path: str, conditions: list[str]) -> int:
+    from . import rigidity
+
+    for name in conditions:
+        if name not in rigidity.CONDITIONS:
+            _input_error(f"unknown condition {name!r}; "
+                         f"known: {list(rigidity.CONDITIONS)}")
     points = _load_points(path)
     try:
-        evaluated = rigidity.evaluate_conditions(points, conditions, cfg.eps)
+        evaluated = rigidity.evaluate_conditions(points, conditions, _eps(cfg))
     except ValueError as exc:
         _input_error(f"{path}: {exc}")
     reports = [r.to_dict() for r in evaluated]
@@ -154,9 +168,11 @@ def cmd_check(cfg: RunConfig, path: str, conditions: list[str]) -> int:
 
 
 def cmd_scaletest(cfg: RunConfig, path: str, ks: list[float]) -> int:
+    from . import rigidity
+
     points = _load_points(path)
     try:
-        rows = rigidity.scaling_report(points, ks, cfg.eps)
+        rows = rigidity.scaling_report(points, ks, _eps(cfg))
     except ValueError as exc:
         _input_error(f"{path}: {exc}")
     ok = all(r["ok"] for r in rows)
@@ -166,6 +182,8 @@ def cmd_scaletest(cfg: RunConfig, path: str, ks: list[float]) -> int:
 
 
 def cmd_equiv(cfg: RunConfig) -> int:
+    from . import rigidity
+
     report = rigidity.equivalence_battery(cfg.samples, cfg.seed)
     report["command"] = "equiv"
     _emit(report, cfg.output_format)
@@ -173,6 +191,8 @@ def cmd_equiv(cfg: RunConfig) -> int:
 
 
 def cmd_sylvester(cfg: RunConfig) -> int:
+    from . import rigidity
+
     report = rigidity.sylvester_battery(cfg.samples, cfg.seed)
     report["command"] = "sylvester"
     _emit(report, cfg.output_format)
@@ -200,16 +220,16 @@ def cmd_trace(cfg: RunConfig, ident: str) -> int:
 
 
 def cmd_ops(cfg: RunConfig, name: str | None) -> int:
-    from .operators import registry
+    from .operators import REGISTRY
 
-    reg = registry()
     if name is None:
-        _emit({"command": "ops", "operators": sorted(reg)}, cfg.output_format)
+        _emit({"command": "ops", "operators": sorted(REGISTRY)},
+              cfg.output_format)
         return 0
-    if name not in reg:
-        _input_error(f"unknown operator {name!r}; known: {sorted(reg)}")
-    _emit({"command": "ops", "name": name, "definition": str(reg[name])},
-          cfg.output_format)
+    if name not in REGISTRY:
+        _input_error(f"unknown operator {name!r}; known: {sorted(REGISTRY)}")
+    _emit({"command": "ops", "name": name,
+           "definition": str(REGISTRY[name]())}, cfg.output_format)
     return 0
 
 
@@ -224,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for 3-dimensional pseudohermitian geometry.")
     ap.add_argument("--format", choices=("text", "json"), default="text",
                     help="output format (default: text)")
-    ap.add_argument("--eps", type=float, default=rigidity.DEFAULT_EPS,
+    ap.add_argument("--eps", type=float, default=None,
                     help="verdict boundary tolerance")
     ap.add_argument("--seed", type=int, default=None,
                     help="seed of equiv and sylvester (PHB_SEED overrides)")
@@ -241,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="evaluate conditions on point data")
     p_check.add_argument("points", help="JSON array of point records")
     p_check.add_argument("--cond", action="append", required=True,
-                         choices=list(rigidity.CONDITIONS),
                          help="condition to evaluate (repeatable)")
 
     p_scale = sub.add_parser("scaletest", help="contact-form scaling battery")
@@ -307,7 +326,8 @@ def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     if args.samples < 1:
         _input_error(f"--samples must be at least 1, got {args.samples}")
-    if not (math.isfinite(args.eps) and args.eps >= 0):
+    if args.eps is not None and not (math.isfinite(args.eps)
+                                     and args.eps >= 0):
         _input_error(f"--eps must be finite and nonnegative, got {args.eps}")
     seed, seed_name = args.seed, "--seed"
     if os.environ.get("PHB_SEED"):

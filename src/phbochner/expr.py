@@ -13,7 +13,6 @@ All values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -39,8 +38,7 @@ def conj_letter(letter: str) -> str:
 # Symbol table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolInfo:
+class SymbolInfo(NamedTuple):
     name: str
     conj: str          # name of the conjugate partner (itself if real)
     base_alpha: int    # (# of index 1) - (# of index 1bar) over the base indices
@@ -338,11 +336,6 @@ class Expression:
         return self.filter_terms(
             lambda t: not any(f.symbol in symbols for f in t.factors))
 
-    def drop_derivatives_of(self, symbol: str) -> "Expression":
-        """Set every derivative of `symbol` to zero (constant-field limit)."""
-        return self.filter_terms(
-            lambda t: not any(f.symbol == symbol and f.derivs for f in t.factors))
-
     def rename_symbol(self, old: str, new: str) -> "Expression":
         """Rename a symbol and its conjugate partner consistently."""
         old_conj = SYMBOLS[old].conj
@@ -356,14 +349,6 @@ class Expression:
             prev = out.get(key)
             out[key] = coeff if prev is None else prev + coeff
         return Expression(out)
-
-    def is_real(self) -> bool:
-        """Syntactic reality: conj(e) == e after collection.
-
-        Note: expressions that are only real modulo commutation or IBP will
-        report False here; use the calculus module for those checks.
-        """
-        return (self - self.conjugate()).is_zero()
 
     # -- comparison / printing ------------------------------------------------
 

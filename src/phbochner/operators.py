@@ -18,21 +18,24 @@ Inner products used for adjoints: <u, v> = INT[u * conj(v)] for scalars and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
-from .calculus import (CalculusError, Rule, canonicalize, differentiate,
-                       integrate_by_parts)
+# `calculus` is imported by the functions that run it, so that listing the
+# registry, or building an operator that needs no calculus, does not load it
 from .expr import Expression, Factor, SYMBOLS
 from .parser import Corpus, parse
 from .scalar import I, ScalarExact
+
+if TYPE_CHECKING:
+    from .calculus import Rule
 
 __all__ = [
     "OperatorTemplate", "apply_template", "adjoint",
     "build_DJ", "build_DJstar", "build_Lalpha", "build_sublaplacian",
     "build_subgradient_sq", "build_Q11", "build_DQJ_rhs",
     "bianchi_rule", "flatness_rules",
-    "registry", "ALPHA_SECTION2", "ALPHA_SECTION3",
+    "REGISTRY", "ALPHA_SECTION2", "ALPHA_SECTION3",
 ]
 
 # The two distinguished Folland-Stein parameters used by the identity catalog.
@@ -40,8 +43,7 @@ ALPHA_SECTION2 = I * ScalarExact(0, 1)          # i*sqrt(3)
 ALPHA_SECTION3 = ScalarExact(4) + I * ScalarExact(0, 1)   # 4 + i*sqrt(3)
 
 
-@dataclass(frozen=True)
-class OperatorTemplate:
+class OperatorTemplate(NamedTuple):
     """A linear operator given by its coefficient expression in a placeholder.
 
     `placeholder` is the argument symbol ("f", "g" or "E11"); `domain` and
@@ -61,6 +63,8 @@ class OperatorTemplate:
 
 def apply_template(template: OperatorTemplate, argument: Expression) -> Expression:
     """Substitute the placeholder (and its conjugate) by `argument`."""
+    from .calculus import differentiate
+
     placeholder = template.placeholder
     conj_placeholder = SYMBOLS[placeholder].conj
     arg_conj = argument.conjugate()
@@ -98,7 +102,7 @@ def build_DJ() -> OperatorTemplate:
 @lru_cache(maxsize=None)
 def build_DJstar() -> OperatorTemplate:
     """The adjoint of DJ, derived by `adjoint` once per process."""
-    return replace(adjoint(build_DJ()), name="DJstar")
+    return adjoint(build_DJ())._replace(name="DJstar")
 
 
 def build_sublaplacian() -> OperatorTemplate:
@@ -137,11 +141,15 @@ def build_DQJ_rhs() -> Expression:
 
 def bianchi_rule() -> Rule:
     """R_{,0 ...} -> (A11_{,1bar 1bar} + Ab1b1_{,11}) differentiated by the tail."""
+    from .calculus import Rule
+
     return Rule("bianchi", "R", ("0",), parse("A11_{bb} + Ab1b1_{11}"))
 
 
 def flatness_rules() -> list[Rule]:
     """Rewrites expressing DJ f = 0: f_{,11} -> -i A11 f and its conjugate."""
+    from .calculus import Rule
+
     return [
         Rule("DJf=0", "f", ("1", "1"), parse("-i*A11*f")),
         Rule("conj(DJf)=0", "f", ("b", "b"), parse("i*Ab1b1*f")),
@@ -154,6 +162,8 @@ def flatness_rules() -> list[Rule]:
 
 def _strip_placeholder(expr: Expression, names: set[str]) -> Expression:
     """IBP every derivative off the placeholder factors (all integrated)."""
+    from .calculus import CalculusError, integrate_by_parts
+
     current = expr
     for _ in range(10_000):
         items = list(current.items())
@@ -179,6 +189,8 @@ def adjoint(template: OperatorTemplate) -> OperatorTemplate:
     integrate all derivatives off the placeholder by parts, and read the
     adjoint template off the cofactor of the placeholder.
     """
+    from .calculus import CalculusError, canonicalize
+
     if not is_linear(template):
         raise CalculusError(f"template {template.name} is not linear")
     placeholder = template.placeholder
@@ -258,15 +270,15 @@ def adjoint(template: OperatorTemplate) -> OperatorTemplate:
 # Registry
 # ---------------------------------------------------------------------------
 
-def registry() -> dict[str, object]:
-    """Named operators queryable from the command line."""
-    return {
-        "DJ": build_DJ(),
-        "DJstar": build_DJstar(),
-        "lap_b": build_sublaplacian(),
-        "gradsq_b": build_subgradient_sq(),
-        "L[i*s3]": build_Lalpha(ALPHA_SECTION2),
-        "L[4+i*s3]": build_Lalpha(ALPHA_SECTION3),
-        "Q11": build_Q11(),
-        "DQJ_rhs": build_DQJ_rhs(),
-    }
+# name -> builder of each operator queryable from the command line; `ops`
+# lists the names and builds only the one it is asked for
+REGISTRY = {
+    "DJ": build_DJ,
+    "DJstar": build_DJstar,
+    "lap_b": build_sublaplacian,
+    "gradsq_b": build_subgradient_sq,
+    "L[i*s3]": lambda: build_Lalpha(ALPHA_SECTION2),
+    "L[4+i*s3]": lambda: build_Lalpha(ALPHA_SECTION3),
+    "Q11": build_Q11,
+    "DQJ_rhs": build_DQJ_rhs,
+}

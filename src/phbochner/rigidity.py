@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 
@@ -61,8 +60,7 @@ _COMPLEX_FIELDS = ("R1", "A11", "A11_1", "A11_b", "A11_bb")
 _TORSION_FIELDS = ("A11", "A11_1", "A11_b", "A11_bb")
 
 
-@dataclass(frozen=True)
-class PointData:
+class PointData(NamedTuple):
     """Curvature/torsion data at one point, in the units of a fixed contact form.
 
     Complex entries follow the convention A11_1 = A11 differentiated in the 1
@@ -341,14 +339,21 @@ def det(matrix: list[list]):
 # Condition reports
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ConditionReport:
-    point_id: str
-    values: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    minors: dict = field(default_factory=dict)
-    passed: dict = field(default_factory=dict)   # one verdict per request
-    errors: list = field(default_factory=list)
+    """One point's condition values, verdicts, form minors, pass/fail per
+    requested condition, and input errors, filled in by
+    `evaluate_conditions`."""
+
+    __slots__ = ("point_id", "values", "verdicts", "minors", "passed",
+                 "errors")
+
+    def __init__(self, point_id: str):
+        self.point_id = point_id
+        self.values = {}
+        self.verdicts = {}
+        self.minors = {}
+        self.passed = {}       # one verdict per request
+        self.errors = []
 
     def ok(self) -> bool:
         return not self.errors and all(self.passed.values())

@@ -150,9 +150,6 @@ class ScalarExact:
     def __bool__(self):
         return self._v != _ZERO_V
 
-    def is_real(self) -> bool:
-        return not (self._v[2] or self._v[3])
-
     # -- hashing / comparison ------------------------------------------------
 
     def __eq__(self, other):

@@ -96,10 +96,10 @@ def test_criterion_6_scaling_laws():
     tf = PointData(R=2.0, R1=0.3 + 0.1j, lapR=-0.2)
     ks = (1 / 7, 1 / 2, 3.0, 100.0)
     p0, *ps = rg.evaluate_conditions(
-        [p] + [PointData(**rg._scaled(vars(p), k)) for k in ks],
+        [p] + [PointData(**rg._scaled(p._asdict(), k)) for k in ks],
         ["3.11", "3.12", "thm-a"])
     tf0, *tfs = rg.evaluate_conditions(
-        [tf] + [PointData(**rg._scaled(vars(tf), k)) for k in ks],
+        [tf] + [PointData(**rg._scaled(tf._asdict(), k)) for k in ks],
         ["corollaryC"])
     ok = True
     worst = 0.0

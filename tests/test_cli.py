@@ -131,13 +131,15 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
     (ONE_POINT, ["verify", "9.9"], ["9.9"], {}),
     (ONE_POINT, ["trace", "9.9"], ["9.9"], {}),
     (ONE_POINT, ["ops", "nosuch"], ["'nosuch'"], {}),
+    (ONE_POINT, ["check", "{}", "--cond", "nosuch"], ["'nosuch'", "thm-b"],
+     {}),
 ], ids=["infinite-field", "nan-field", "string-field", "long-pair",
         "value-overflow", "k-overflow", "not-a-record", "empty-array",
         "not-json", "k-divides-by-zero", "k-not-a-number", "k-negative",
         "samples-negative", "samples-zero", "samples-zero-verify",
         "eps-negative", "seed-env-not-a-number", "seed-negative",
         "seed-negative-verify", "seed-env-negative", "verify-unknown-id",
-        "trace-unknown-id", "ops-unknown-name"])
+        "trace-unknown-id", "ops-unknown-name", "cond-unknown-name"])
 def test_input_error_exits_2(capsys, monkeypatch, tmp_path, content, args,
                              names, env):
     for key, value in env.items():

@@ -101,8 +101,10 @@ def test_spec_weight_examples():
 
 
 def test_expression_is_real():
-    assert parse("2Re[ i*A11*f ]").is_real()
-    assert not parse("i*A11*f").is_real()
+    e = parse("2Re[ i*A11*f ]")
+    assert e == e.conjugate()
+    e = parse("i*A11*f")
+    assert e != e.conjugate()
 
 
 def test_integration_flag_rules():

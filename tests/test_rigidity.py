@@ -172,10 +172,10 @@ def test_equivalence_battery():
 def test_scale_identity_and_powers():
     p = PointData(R=1.3, R0=-0.4, R1=0.2 + 0.5j, lapR=0.7, A11=0.1 - 0.2j,
                   A11_1=0.3 + 0.1j, A11_b=-0.2 + 0.4j, A11_bb=0.05 + 0.02j)
-    assert PointData(**rg._scaled(vars(p), 1.0)) == p
+    assert PointData(**rg._scaled(p._asdict(), 1.0)) == p
     ks = (1 / 7, 1 / 2, 3.0, 100.0)
     base, *scaled = rg.evaluate_conditions(
-        [p] + [PointData(**rg._scaled(vars(p), k)) for k in ks],
+        [p] + [PointData(**rg._scaled(p._asdict(), k)) for k in ks],
         ["3.11", "3.12", "thm-a"])
     for k, rep in zip(ks, scaled):
         for key, power in (("3.11", -2), ("3.12", -4), ("thm_a", -2)):
@@ -183,7 +183,7 @@ def test_scale_identity_and_powers():
                 base.values[key] * k ** power, rel=1e-12)
     tf = PointData(R=2.0, R1=0.3 + 0.1j, lapR=-0.2)
     base, *scaled = rg.evaluate_conditions(
-        [tf] + [PointData(**rg._scaled(vars(tf), k)) for k in ks],
+        [tf] + [PointData(**rg._scaled(tf._asdict(), k)) for k in ks],
         ["corollaryC"])
     for k, rep in zip(ks, scaled):
         assert rep.values["corollaryC"] == pytest.approx(
