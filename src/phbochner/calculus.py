@@ -35,18 +35,16 @@ The engine implements
   built rows before it is returned, so every such equality decision doubles
   as an audit trail.
 
-All operations are pure.  The module state is five bounded caches:
+All operations are pure.  The module state is four bounded caches:
 
 * canonical forms of factors (`_canon_cache`) and the unit expansions of
   non-canonical terms (`_term_cache`), each at most MAX_CACHED_FACTORS;
-* relation rows by (parent, direction) (`_row_cache`, at most
-  MAX_CACHED_ROWS);
 * eliminated systems by sector set and `modulo` generators
   (`_system_cache`, at most MAX_CACHED_SYSTEMS);
 * the sector of each monomial (`_sector`, an LRU cache of at most
   MAX_CACHED_MONOMIALS).
 
-The first four evict their oldest entry first.
+The first three evict their oldest entry first.
 """
 
 from __future__ import annotations
@@ -70,12 +68,11 @@ __all__ = [
 # against; the catalog needs well under a thousand.
 MAX_RELATIONS = 10_000
 # Bounds of the caches shared across queries: canonical forms of factors
-# (and of non-canonical terms), relation rows, eliminated systems and the
-# sectors of monomials.  After `verify all --mutate` they hold 95 factors,
-# 54 terms, 69 rows, 6 systems (four sectors, their three-sector merge, and
-# that merge with the slice-relation rows of 3.5) and 59 monomials.
+# (and of non-canonical terms), eliminated systems and the sectors of
+# monomials.  After `verify all --mutate` they hold 95 factors, 54 terms,
+# 6 systems (four sectors, their three-sector merge, and that merge with the
+# slice-relation rows of 3.5) and 59 monomials.
 MAX_CACHED_FACTORS = 10_000
-MAX_CACHED_ROWS = 10_000
 MAX_CACHED_SYSTEMS = 64
 MAX_CACHED_MONOMIALS = 10_000
 
@@ -89,57 +86,39 @@ class CalculusError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class RewriteTrace:
-    """Ordered audit log: (rule id, before, after) triples.
+    """The certificate of an equality-mod-IBP decision, and its residual.
 
-    For canonicalization steps the entries are directly replayable: replacing
-    `before` (a term) by `after` (its expansion) reproduces the final
-    expression.  For equality-mod-IBP decisions the entries record the
-    divergence relations used and their coefficients in the certified
-    combination difference = sum(coeff * relation).
-
-    An equality query stores each reduction's (system, eliminations) pair
-    instead of its combination of rows; `entries` and `certificate` compute
-    the pending combinations, in query order, the first time either is read.
+    The certificate is the combination difference = sum(coeff * relation) +
+    residual, as (row id, coefficient) pairs; `check_certificate` replays
+    it.  An equality query stores each reduction's (system, eliminations)
+    pair instead of its combination of rows, and `certificate` computes the
+    pending combinations, in query order, the first time it is read.
+    `entries` (and the text and JSON exports) lists the certificate as
+    (rule, before, after, coefficient) records.
     """
 
     def __init__(self):
-        self._entries: list[dict] = []
         self.residual: Expression | None = None
-        # structured relation combination (row id, coefficient) backing the
-        # equality decision; see check_certificate
         self._certificate: list[tuple[tuple, ScalarExact]] = []
         self._pending: list[tuple["_LinearSystem", list]] = []
 
     @property
-    def entries(self) -> list[dict]:
-        self._settle()
-        return self._entries
-
-    @property
     def certificate(self) -> list[tuple[tuple, ScalarExact]]:
-        self._settle()
-        return self._certificate
-
-    def _settle(self) -> None:
         pending, self._pending = self._pending, []
         for system, steps in pending:
             combo = system.combination(steps)
-            for rid, coeff in sorted(combo.items(), key=lambda kv: str(kv[0])):
-                self._certificate.append((rid, coeff))
-                self._entries.append({"rule": "relation",
-                                      "before": _row_id_str(rid), "after": "0",
-                                      "coefficient": str(coeff)})
+            self._certificate.extend(
+                sorted(combo.items(), key=lambda kv: str(kv[0])))
+        return self._certificate
 
-    def record(self, rule: str, before: str, after: str, **extra):
-        self.entries.append({"rule": rule, "before": before, "after": after,
-                             **extra})
+    @property
+    def entries(self) -> list[dict]:
+        return [{"rule": "relation", "before": _row_id_str(rid), "after": "0",
+                 "coefficient": str(coeff)} for rid, coeff in self.certificate]
 
     def to_text(self) -> str:
-        lines = []
-        for e in self.entries:
-            extra = "".join(f" [{k}={v}]" for k, v in e.items()
-                            if k not in ("rule", "before", "after"))
-            lines.append(f"{e['rule']}: {e['before']}  ==>  {e['after']}{extra}")
+        lines = [f"{e['rule']}: {e['before']}  ==>  {e['after']} "
+                 f"[coefficient={e['coefficient']}]" for e in self.entries]
         if self.residual is not None:
             lines.append(f"residual: {self.residual}")
         return "\n".join(lines)
@@ -272,7 +251,7 @@ def _expand_term(key) -> tuple:
     return cached
 
 
-def canonicalize(e: Expression, trace: RewriteTrace | None = None) -> Expression:
+def canonicalize(e: Expression) -> Expression:
     """Sort every derivative string with the commutation rules and collect.
 
     The result is unique for a given input: the sweep always rewrites the
@@ -281,16 +260,10 @@ def canonicalize(e: Expression, trace: RewriteTrace | None = None) -> Expression
     """
     acc: dict = {}
     for key, coeff in e.items():
-        integrated, factors = key
-        if all(f.is_canonical() for f in factors):
+        if all(f.is_canonical() for f in key[1]):
             expanded = ((key, ONE),)
         else:
             expanded = _expand_term(key)
-            if trace is not None:
-                before = Expression.from_term(coeff, factors, integrated)
-                trace.record("canonicalize", str(before),
-                             str(Expression({k: c * coeff
-                                             for k, c in expanded})))
         neg = -coeff
         for k, c in expanded:
             # zeros stay in place, so the collected order is unchanged
@@ -314,16 +287,14 @@ def _ibp_term(coeff: ScalarExact, factors: tuple[Factor, ...],
         for k in range(len(rest)))
 
 
-def integrate_by_parts(e: Expression, term_index: int, factor_index: int,
-                       allow_t_direction: bool = False,
-                       trace: RewriteTrace | None = None) -> Expression:
+def integrate_by_parts(e: Expression, term_index: int,
+                       factor_index: int) -> Expression:
     """Integrate the selected factor's last derivative by parts.
 
     `term_index` counts the terms of `e` in canonical print order and
-    `factor_index` the factors of that term in canonical factor order.  The
-    T-direction (letter 0) is rejected unless `allow_t_direction` is set;
-    INT[X_{,0}] = 0 holds and the equality engine uses it, so the flag only
-    controls this manual entry point.
+    `factor_index` the factors of that term in canonical factor order.  Any
+    letter may be moved, 0 included: INT[X_{,0}] = 0 holds, and the
+    equality engine uses it too.
     """
     items = list(e.items())
     if not 0 <= term_index < len(items):
@@ -337,17 +308,8 @@ def integrate_by_parts(e: Expression, term_index: int, factor_index: int,
     factor = factors[factor_index]
     if not factor.derivs:
         raise CalculusError(f"factor {factor} has no derivatives")
-    letter = factor.derivs[-1]
-    if letter == "0" and not allow_t_direction:
-        raise CalculusError(
-            "integration by parts in the 0 direction is disabled "
-            "(pass allow_t_direction=True)")
-    replaced = _ibp_term(coeff, factors, factor_index)
-    before = Expression.from_term(coeff, factors, True)
-    if trace is not None:
-        trace.record("ibp0" if letter == "0" else "ibp",
-                     str(before), str(replaced), factor=str(factor))
-    return (e - before) + replaced
+    return (e - Expression.from_term(coeff, factors, True)
+            + _ibp_term(coeff, factors, factor_index))
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +329,10 @@ class Rule(NamedTuple):
                 and factor.derivs[:len(self.prefix)] == self.prefix)
 
 
-def apply_rule(e: Expression, rule: Rule, max_rounds: int = 64,
-               trace: RewriteTrace | None = None) -> Expression:
-    """Apply a substitution rule everywhere, to a fixpoint."""
+def apply_rule(e: Expression, rule: Rule) -> Expression:
+    """Apply a substitution rule everywhere, to a fixpoint (at most 64 rounds)."""
     current = e
-    for _ in range(max_rounds):
+    for _ in range(64):
         parts = []
         changed = False
         for key, coeff in current.items():
@@ -389,10 +350,6 @@ def apply_rule(e: Expression, rule: Rule, max_rounds: int = 64,
                     prod = prod * Expression.from_factor(f)
             if integrated:
                 prod = prod.integrate()
-            if trace is not None:
-                trace.record(f"subst:{rule.name}",
-                             str(Expression.from_term(coeff, factors, integrated)),
-                             str(prod))
             parts.append(prod)
         current = Expression.sum(parts)
         if not changed:
@@ -406,8 +363,6 @@ def apply_rule(e: Expression, rule: Rule, max_rounds: int = 64,
 
 Monomial = tuple[Factor, ...]
 
-# (parent, direction) -> canonical relation row; never mutated
-_row_cache: dict[tuple[Monomial, str], dict[Monomial, ScalarExact]] = {}
 # (frozenset of sectors, modulo) -> eliminated system
 _system_cache: dict[tuple, "_LinearSystem"] = {}
 
@@ -608,16 +563,8 @@ def _remember(cache: dict, key, value, bound: int) -> None:
     cache[key] = value
 
 
-def _cached_row(parent: Monomial, direction: str) -> dict:
-    row = _row_cache.get((parent, direction))
-    if row is None:
-        row = _relation_row(parent, direction)
-        _remember(_row_cache, (parent, direction), row, MAX_CACHED_ROWS)
-    return row
-
-
 def _build_row(rid: tuple, modulo: Sequence[Expression]) -> dict:
-    """The relation row of a row id, built afresh (never from `_row_cache`)."""
+    """The relation row of a row id, built afresh."""
     if rid[0] == "ibp":
         return _relation_row(rid[1], rid[2])
     if rid[0] == "modulo":
@@ -694,7 +641,7 @@ def _eliminated_system(sectors: frozenset,
         else:
             rids = _build_relations(*next(iter(sectors)))
             _check_relation_cap(len(rids), sectors)
-            rows = ((rid, _cached_row(rid[1], rid[2])) for rid in rids)
+            rows = ((rid, _build_row(rid, ())) for rid in rids)
         for rid, row in rows:
             system.add_row(rid, row)
         system.reduce_basis()
@@ -716,8 +663,7 @@ def _row_id_str(rid) -> str:
 
 
 def ibp_residual(a: Expression, b: Expression,
-                 modulo: Sequence[Expression] = (),
-                 trace: RewriteTrace | None = None
+                 modulo: Sequence[Expression] = ()
                  ) -> tuple[Expression, RewriteTrace]:
     """Normal form of a - b modulo integration by parts (and `modulo` rules).
 
@@ -730,8 +676,7 @@ def ibp_residual(a: Expression, b: Expression,
     stated relations.  A zero found by elimination is replayed with
     `check_certificate`, and CalculusError is raised if the replay fails.
     """
-    if trace is None:
-        trace = RewriteTrace()
+    trace = RewriteTrace()
     d = canonicalize(a - b)
     if d.is_zero():
         return Expression.zero(), trace
@@ -776,11 +721,11 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
                       modulo: Sequence[Expression] = ()) -> bool:
     """Replay an equality certificate: a - b == sum(c * relation) + residual.
 
-    Every relation row is rebuilt from its id, never read from the row or
-    system caches (canonical forms of factors and terms still come from
-    `_canon_cache` and `_term_cache`),
-    and the combination is checked by exact arithmetic, so a True result is
-    an independent proof that the recorded elimination was sound.
+    Every relation row is rebuilt from its id, never read from the system
+    cache (canonical forms of factors and terms still come from
+    `_canon_cache` and `_term_cache`), and the combination is checked by
+    exact arithmetic, so a True result is an independent proof that the
+    recorded elimination was sound.
     """
     total = _canonical_vector(canonicalize(a - b))
     for rid, coeff in trace.certificate:

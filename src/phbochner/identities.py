@@ -79,13 +79,12 @@ def _finish(name, ok, steps, residual, trace, **details) -> ScriptResult:
 # ---------------------------------------------------------------------------
 
 def verify_2_3(target_override: Expression | None = None) -> ScriptResult:
-    corpus = Corpus.load()
     steps = []
     dj = ops.build_DJ()
     djstar = ops.build_DJstar()
     lhs = ops.apply_template(djstar, dj.expr)
     steps.append(("expand DJ* DJ f", str(lhs)))
-    target = target_override or corpus.expr("2.3", "target")
+    target = _target("2.3", target_override)
     residual = canonicalize(lhs - target)
     steps.append(("canonical residual", str(residual)))
     return _finish("2.3", residual.is_zero(), steps, residual, None)
@@ -93,13 +92,12 @@ def verify_2_3(target_override: Expression | None = None) -> ScriptResult:
 
 def verify_2_7(alpha: ScalarExact = ops.ALPHA_SECTION2,
                target_override: Expression | None = None) -> ScriptResult:
-    corpus = Corpus.load()
     steps = []
     L = ops.build_Lalpha(alpha)
     Lstar = ops.build_Lalpha(alpha.conjugate())
     lhs = ops.apply_template(Lstar, L.expr) * ScalarExact(Fraction(1, 2))
     steps.append((f"expand (1/2) L* L f with alpha = {alpha}", str(lhs)))
-    target = target_override or corpus.expr("2.7", "target")
+    target = _target("2.7", target_override)
     residual = canonicalize(lhs - target)
     steps.append(("canonical residual", str(residual)))
     has_t = any(any("0" in f.derivs for f in t.factors)
@@ -111,7 +109,7 @@ def verify_2_7(alpha: ScalarExact = ops.ALPHA_SECTION2,
 def verify_2_ibp(target_override: Expression | None = None) -> ScriptResult:
     corpus = Corpus.load()
     lhs = corpus.expr("2.ibp", "lhs")
-    rhs = target_override or corpus.expr("2.ibp", "rhs")
+    rhs = _target("2.ibp", target_override)
     ok, trace = equal_mod_ibp(lhs, rhs)
     return _finish("2.ibp", ok, [("lhs", str(lhs)), ("rhs", str(rhs))],
                    trace.residual, trace)
@@ -123,7 +121,7 @@ def verify_2_8(target_override: Expression | None = None) -> ScriptResult:
     diff = corpus.expr("2.3", "target") - corpus.expr("2.7", "target")
     paired = (diff * Factor("f")).integrate()
     steps.append(("<(2.3) - (2.7), f> integrand", str(paired)))
-    target = target_override or corpus.expr("2.8", "integrals")
+    target = _target("2.8", target_override)
     steps.append(("catalog integrals", str(target)))
     ok, trace = equal_mod_ibp(paired, target)
     return _finish("2.8", ok, steps, trace.residual, trace)
@@ -142,7 +140,7 @@ def verify_2_11(target_override: Expression | None = None) -> ScriptResult:
     for rule in ops.flatness_rules():
         s = apply_rule(s, rule)
     steps.append(("(2.8) integrals with DJ f = 0 substituted", str(s)))
-    target = target_override or corpus.expr("2.11", "integrals")
+    target = _target("2.11", target_override)
     t = apply_rule(target, ops.bianchi_rule())
     steps.append(("(2.11) integrals with Bianchi expanded", str(t)))
     ok, trace = equal_mod_ibp(s * 2, t)
@@ -166,7 +164,7 @@ def verify_2_11(target_override: Expression | None = None) -> ScriptResult:
 def verify_3_2(target_override: Expression | None = None) -> ScriptResult:
     corpus = Corpus.load()
     lhs = corpus.expr("3.2", "lhs")
-    rhs = target_override or corpus.expr("3.2", "rhs")
+    rhs = _target("3.2", target_override)
     residual = canonicalize(lhs - rhs)
     return _finish("3.2", residual.is_zero(),
                    [("lhs", str(lhs)), ("rhs", str(rhs)),
@@ -179,7 +177,7 @@ def verify_3_3(target_override: Expression | None = None) -> ScriptResult:
     steps = []
     start = corpus.expr("3.3", "start")
     mid = corpus.expr("3.3", "mid")
-    final = target_override or corpus.expr("3.3", "final")
+    final = _target("3.3", target_override)
     ok1, trace = equal_mod_ibp(start, mid)
     steps.append(("integration by parts stage", "PASS" if ok1 else "FAIL"))
     residual2 = canonicalize(mid - final)
@@ -224,10 +222,9 @@ def _paired_3_5() -> tuple[tuple[tuple[str, str], ...], Expression]:
 
 
 def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
-    corpus = Corpus.load()
     prefix, paired = _paired_3_4()
     steps = list(prefix)
-    target = target_override or corpus.expr("3.4", "integrand")
+    target = _target("3.4", target_override)
     ok, trace = equal_mod_ibp(paired, target)
     form, minors = _numeric_form(torsion_free_entries, _corollary_c_minors,
                                  _constant)
@@ -239,10 +236,9 @@ def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
 
 
 def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
-    corpus = Corpus.load()
     prefix, paired = _paired_3_5()
     steps = list(prefix)
-    target = target_override or corpus.expr("3.5", "integrand")
+    target = _target("3.5", target_override)
 
     # 3.5 does not close modulo IBP alone, only modulo the slice relation
     residual, trace = ibp_residual(paired, target,
@@ -285,7 +281,7 @@ def verify_lemma_3_1(lam: Fraction, rho: Fraction,
                      target_override: Expression | None = None) -> ScriptResult:
     values = {"LAM": str(lam), "RHO": str(rho)}
     lhs = _instantiate("3.6", "lhs", values)
-    rhs = target_override or _instantiate("3.6", "rhs", values)
+    rhs = _target("3.6", target_override, values)
     square = _instantiate("3.6", "square", values)
     ok, trace = equal_mod_ibp(rhs - lhs, square)
     return _finish(f"3.6[lam={lam},rho={rho}]", ok,
@@ -425,7 +421,7 @@ def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult
                - _instantiate("3.6", "rhs", _QUARTERS))
     steps.append(("completed-square deficit", str(deficit)))
     built = a35 - l37 + deficit
-    target = target_override or corpus.expr("3.8", "integrand_exact")
+    target = _target("3.8", target_override)
     ok, trace = equal_mod_ibp(built, target)
     steps.append(("match modulo IBP", "PASS" if ok else "FAIL"))
     form, minors = _numeric_form(form_entries, _thm_b_minors, _constant)
@@ -475,10 +471,16 @@ _MUTATION_TARGETS = {
 MUTABLE_IDS = list(_MUTATION_TARGETS)
 
 
-def _mutation_base(ident: str) -> Expression:
+def _target(ident: str, override: Expression | None = None,
+            values: dict[str, str] = _QUARTERS) -> Expression:
+    """`override` unless it is None (a zero override is kept), else the
+    catalog target of `ident` that mutation perturbs; 3.6's is instantiated
+    at `values`."""
+    if override is not None:
+        return override
     record, fld = _MUTATION_TARGETS[ident]
     if record == "3.6":
-        return _instantiate(record, fld, _QUARTERS)
+        return _instantiate(record, fld, values)
     return Corpus.load().expr(record, fld)
 
 
@@ -492,7 +494,7 @@ def mutation_test(ident: str) -> dict:
     """Perturb each coefficient of the catalog target by +1; all must FAIL."""
     if ident not in MUTABLE_IDS:
         raise KeyError(f"identity {ident!r} does not support mutation testing")
-    base = _mutation_base(ident)
+    base = _target(ident)
     terms = base.term_list()
     survivors = []
     for k, term in enumerate(terms):

@@ -177,8 +177,7 @@ def _strip_placeholder(expr: Expression, names: set[str]) -> Expression:
                 break
         if target is None:
             return current
-        current = integrate_by_parts(current, target[0], target[1],
-                                     allow_t_direction=True)
+        current = integrate_by_parts(current, target[0], target[1])
     raise CalculusError("adjoint normalization did not terminate")
 
 

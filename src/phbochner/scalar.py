@@ -160,7 +160,10 @@ class ScalarExact:
         return self._v == other._v
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        # a rational element hashes as the int or Fraction it equals; the
+        # normal form is unique, so equal elements hash alike
+        a, b, c, d, q = self._v
+        return hash(self._v) if b or c or d else hash(Fraction(a, q))
 
     # -- printing ------------------------------------------------------------
 

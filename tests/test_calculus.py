@@ -5,9 +5,9 @@ import random
 import pytest
 
 import phbochner.calculus as calc
-from phbochner.calculus import (CalculusError, RewriteTrace, canonicalize,
-                                check_certificate, commute_swap, differentiate,
-                                equal_mod_ibp, ibp_residual, integrate_by_parts)
+from phbochner.calculus import (CalculusError, canonicalize, check_certificate,
+                                commute_swap, differentiate, equal_mod_ibp,
+                                ibp_residual, integrate_by_parts)
 from phbochner.expr import Expression, Factor, Term
 from phbochner.parser import parse
 from phbochner.scalar import I, ONE, ZERO, ScalarExact, sub_mul
@@ -129,17 +129,6 @@ def test_canonicalize_confluence_random_schedules():
         assert _random_schedule_canonicalize(e, rng) == canonicalize(e)
 
 
-def test_canonicalize_trace_replays():
-    e = parse("f_{b1} + R*A11_{0b}")
-    trace = RewriteTrace()
-    result = canonicalize(e, trace)
-    replayed = e
-    for entry in trace.entries:
-        assert entry["rule"] == "canonicalize"
-        replayed = replayed - parse(entry["before"]) + parse(entry["after"])
-    assert replayed == result
-
-
 def test_commute_swap_preserves_weight():
     rng = random.Random(5)
     syms = ["f", "R", "A11", "E11", "Eb1b1"]
@@ -185,10 +174,7 @@ def test_ibp_errors():
         integrate_by_parts(parse("R*f"), 0, 0)  # not integrated
     with pytest.raises(CalculusError):
         integrate_by_parts(parse("INT[ R*f ]"), 0, 0)  # no derivatives
-    with pytest.raises(CalculusError):
-        integrate_by_parts(parse("INT[ R_{0}*f ]"), 0, 1)  # 0-direction gated
-    out = integrate_by_parts(parse("INT[ R_{0}*f ]"), 0, 1,
-                             allow_t_direction=True)
+    out = integrate_by_parts(parse("INT[ R_{0}*f ]"), 0, 1)
     assert out == parse("INT[ -R*f_{0} ]")
 
 
@@ -276,8 +262,7 @@ def test_same_sector_reuses_the_system(monkeypatch):
     x = parse("INT[ A11*Eb1b1_{11}*Eb1b1 ]")
     y = parse("INT[ A11*Eb1b1_{1}*Eb1b1_{1} ]")
     other = parse("INT[ Eb1b1_{11}*Eb1b1_{11} + 2*A11*Eb1b1_{1}*Eb1b1_{1} ]")
-    for cache in ("_canon_cache", "_term_cache", "_row_cache",
-                  "_system_cache"):
+    for cache in ("_canon_cache", "_term_cache", "_system_cache"):
         monkeypatch.setattr(calc, cache, {})
     cold, _ = ibp_residual(other, parse("0"))
     calc._system_cache.clear()
@@ -318,14 +303,16 @@ def test_sector_relations_stay_in_their_sector(monkeypatch):
 def test_pass_replays_certificate_from_fresh_rows(monkeypatch):
     a = parse("INT[ Ab1b1_{1}*f_{1}*f ]")
     b = parse("INT[ (-1/2)*Ab1b1_{11}*f*f ]")
-    ok, trace = equal_mod_ibp(a, b)
+    ok, _ = equal_mod_ibp(a, b)
     assert ok
-    # doubling a cached row keeps the span, so the query still reduces to
-    # zero, but with a certificate that the true row does not satisfy
-    key = trace.certificate[0][0][1:]
-    doubled = {m: c * 2 for m, c in calc._row_cache[key].items()}
-    monkeypatch.setitem(calc._row_cache, key, doubled)
-    monkeypatch.setattr(calc, "_system_cache", {})
+    # doubling every pivot's recorded combination keeps the pivot rows, so
+    # the query still reduces to zero, but with a certificate that the rows
+    # rebuilt from their ids do not satisfy
+    assert calc._system_cache
+    for system in calc._system_cache.values():
+        monkeypatch.setattr(system, "pivots", {
+            lead: (vec, {rid: c * 2 for rid, c in combo.items()})
+            for lead, (vec, combo) in system.pivots.items()})
     with pytest.raises(CalculusError):
         equal_mod_ibp(a, b)
 

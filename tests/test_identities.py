@@ -52,9 +52,9 @@ def test_cube_root_never_in_an_ibp_query(monkeypatch):
     queries = []
     query = calc.ibp_residual
 
-    def recording(a, b, modulo=(), trace=None):
+    def recording(a, b, modulo=()):
         queries.append([a, b, *modulo])
-        return query(a, b, modulo, trace)
+        return query(a, b, modulo)
 
     monkeypatch.setattr(calc, "ibp_residual", recording)
     monkeypatch.setattr(ids, "ibp_residual", recording)
@@ -261,6 +261,13 @@ def test_mutation_kill(ident):
     assert report["kill_rate"] == 1.0, report["survivors"]
 
 
+def test_zero_target_override_fails():
+    # a zero override is a target like any other, not "no override"
+    passed = [ident for ident in ids.MUTABLE_IDS
+              if ids._run_mutated(ident, Expression.zero()).passed]
+    assert passed == []
+
+
 def test_unknown_identity():
     with pytest.raises(KeyError):
         ids.run_script("9.9")
@@ -290,7 +297,7 @@ def _mutants() -> list[tuple[str, str, Expression]]:
     """(name "id#k", identity, target with term k bumped) in catalog order."""
     out = []
     for ident in ids.MUTABLE_IDS:
-        base = ids._mutation_base(ident)
+        base = ids._target(ident)
         for k, term in enumerate(base.term_list()):
             bump = Expression.from_term(1, term.factors, term.integrated)
             out.append((f"{ident}#{k}", ident, base + bump))
@@ -304,7 +311,6 @@ def _residual(ident: str, mutated: Expression) -> Expression:
 def _clear_ibp_caches():
     calc._canon_cache.clear()
     calc._term_cache.clear()
-    calc._row_cache.clear()
     calc._system_cache.clear()
 
 
@@ -331,13 +337,11 @@ def test_cache_eviction_keeps_residuals(monkeypatch):
     mutants = [m for m in _mutants() if m[1] == "3.4"]
     default = [_residual(ident, mutated) for _, ident, mutated in mutants]
     monkeypatch.setattr(calc, "MAX_CACHED_FACTORS", 1)
-    monkeypatch.setattr(calc, "MAX_CACHED_ROWS", 1)
     monkeypatch.setattr(calc, "MAX_CACHED_SYSTEMS", 1)
     _clear_ibp_caches()
     assert [_residual(ident, mutated)
             for _, ident, mutated in mutants] == default
-    assert len(calc._canon_cache) == len(calc._row_cache) \
-        == len(calc._system_cache) == 1
+    assert len(calc._canon_cache) == len(calc._system_cache) == 1
 
 
 def test_mutant_residuals_are_normal_forms():
@@ -347,7 +351,7 @@ def test_mutant_residuals_are_normal_forms():
     mutants = [m for m in _mutants() if m[1] in ("3.4", "3.8")]
     assert len(mutants) == 36
     for name, ident, mutated in mutants:
-        base = ids._mutation_base(ident)
+        base = ids._target(ident)
         normal, _ = calc.ibp_residual(mutated - base, zero)
         residual = _residual(ident, mutated)
         assert not normal.is_zero(), name
@@ -383,8 +387,8 @@ def _mutant_queries(monkeypatch, settle: bool) -> list[tuple]:
     queries = []
     query = calc.ibp_residual
 
-    def recording(a, b, modulo=(), trace=None):
-        residual, trace = query(a, b, modulo, trace)
+    def recording(a, b, modulo=()):
+        residual, trace = query(a, b, modulo)
         queries.append([a, b, tuple(modulo), trace])
         if settle:
             queries[-1] += [trace.to_json(), list(trace.certificate)]

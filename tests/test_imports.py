@@ -33,6 +33,9 @@ _SYMBOLIC = {"phbochner.scalar", "phbochner.expr", "phbochner.parser",
 _FLOAT_COMMANDS = ["check {points} --cond thm-b --cond bianchi",
                    "scaletest {points}", "--samples 100 equiv",
                    "--samples 100 sylvester"]
+# symbolic commands besides `verify all`, which has its own test
+_SYMBOLIC_COMMANDS = ["verify 3.8", "trace 3.5", "verify all --mutate",
+                      "--samples 100 verify 3.7"]
 
 
 def _numpy_executed(modules: set[str]) -> bool:
@@ -47,7 +50,8 @@ def loaded(tmp_path_factory) -> dict[str, set[str]]:
     in a fresh interpreter; the interpreters run side by side."""
     points = tmp_path_factory.mktemp("points") / "points.json"
     points.write_text('[{"id": "p", "R": 1.0}]')
-    commands = ["ops", "ops DJstar", "verify all"] + _FLOAT_COMMANDS
+    commands = (["ops", "ops DJstar", "verify all"] + _SYMBOLIC_COMMANDS
+                + _FLOAT_COMMANDS)
     procs = {c: subprocess.Popen(
         [sys.executable, "-c", _MODULES_PROBE,
          *c.format(points=points).split()],
@@ -83,6 +87,11 @@ def test_verify_loads_no_numpy(loaded):
     modules = loaded["verify all"]
     assert _SYMBOLIC | {"phbochner.rigidity"} <= modules
     assert not _numpy_executed(modules)
+
+
+@pytest.mark.parametrize("command", _SYMBOLIC_COMMANDS)
+def test_symbolic_commands_load_no_numpy(loaded, command):
+    assert not _numpy_executed(loaded[command])
 
 
 def test_no_package_module_imports_dataclasses(loaded):

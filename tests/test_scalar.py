@@ -53,6 +53,15 @@ def test_exact_equality_no_floats():
     assert hash(rational(2, 4)) == hash(rational(1, 2))
 
 
+def test_hash_agrees_with_equality_to_rationals():
+    # equal objects hash alike, so sets and dict keys merge them
+    assert ScalarExact(1) == 1 and hash(ScalarExact(1)) == hash(1)
+    assert rational(1, 2) == Fraction(1, 2)
+    assert hash(rational(1, 2)) == hash(Fraction(1, 2))
+    assert len({ScalarExact(1), 1}) == 1
+    assert len({rational(-3, 4), Fraction(-3, 4), ZERO, 0}) == 2
+
+
 def test_division_errors():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
