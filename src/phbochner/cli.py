@@ -9,8 +9,8 @@ Commands:
   trace <id>                     export the derivation trace for one identity
   ops [name]                     show operator templates from the registry
 
-The PHB_SEED environment variable overrides --seed.  Identical configuration
-(including the seed) produces byte-identical JSON output.  Exit status is 0
+Identical arguments (the seed included) produce byte-identical JSON
+output.  Exit status is 0
 when every requested verification or condition passed, 1 when one failed,
 2 on a usage or input error (an unknown identity, operator or condition
 name included), reported as one line on stderr, and 141 (128 + SIGPIPE) when
@@ -22,7 +22,8 @@ Each command imports only what it runs: `rigidity` and numpy are loaded by
 modules are; `verify` and `trace` load the symbolic engine and `rigidity`'s
 exact kernel, never numpy; `ops` loads `operators` and the parser, and
 `calculus` only to build an operator derived by it.
-`--samples` and `--seed` act on `equiv` and `sylvester`.
+`--samples` and `--seed` act on `equiv` and `sylvester`.  Each command is
+a function of the parsed arguments, which `_run` validates first.
 """
 
 from __future__ import annotations
@@ -32,16 +33,8 @@ import json
 import math
 import os
 import sys
-from typing import NamedTuple
 
 DEFAULT_SEED = 20240814
-
-
-class RunConfig(NamedTuple):
-    eps: float | None = None         # None: rigidity.DEFAULT_EPS
-    samples: int = 100_000
-    seed: int = DEFAULT_SEED
-    output_format: str = "text"
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -80,13 +73,6 @@ def _input_error(message: str):
     raise SystemExit(2)
 
 
-def _eps(cfg: RunConfig) -> float:
-    """--eps, or the rigidity default when it is not given."""
-    from .rigidity import DEFAULT_EPS
-
-    return DEFAULT_EPS if cfg.eps is None else cfg.eps
-
-
 def _load_points(path: str) -> list[PointData]:
     from .rigidity import PointData
 
@@ -107,17 +93,17 @@ def _load_points(path: str) -> list[PointData]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_verify(cfg: RunConfig, ids: list[str], mutate: bool) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from . import identities
 
-    wanted = identities.catalog_ids() if ids == ["all"] else ids
+    wanted = identities.catalog_ids() if args.ids == ["all"] else args.ids
     for ident in wanted:
         if ident not in identities.catalog_ids():
             _input_error(f"unknown identity id: {ident}")
     report = {"command": "verify", "results": []}
     failed = False
     for ident in wanted:
-        if mutate:
+        if args.mutate:
             if ident not in identities.MUTABLE_IDS:
                 report["results"].append(
                     {"id": ident, "status": "SKIP",
@@ -138,74 +124,70 @@ def cmd_verify(cfg: RunConfig, ids: list[str], mutate: bool) -> int:
                                       "residual": entry["residual"],
                                       "details": entry["details"]})
     report["ok"] = not failed
-    _emit(report, cfg.output_format)
+    _emit(report, args.format)
     return 1 if failed else 0
 
 
-def cmd_check(cfg: RunConfig, path: str, conditions: list[str]) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     from . import rigidity
 
-    for name in conditions:
+    for name in args.cond:
         if name not in rigidity.CONDITIONS:
             _input_error(f"unknown condition {name!r}; "
                          f"known: {list(rigidity.CONDITIONS)}")
-    points = _load_points(path)
+    points = _load_points(args.points)
+    eps = rigidity.DEFAULT_EPS if args.eps is None else args.eps
     try:
-        evaluated = rigidity.evaluate_conditions(points, conditions, _eps(cfg))
+        reports = rigidity.evaluate_conditions(points, args.cond, eps)
     except ValueError as exc:
-        _input_error(f"{path}: {exc}")
-    reports = [r.to_dict() for r in evaluated]
-    ok = all(r.ok() for r in evaluated)
+        _input_error(f"{args.points}: {exc}")
+    ok = all(not r["errors"] and all(r["passed"].values()) for r in reports)
     summary = {
         "command": "check",
-        "conditions": conditions,
+        "conditions": args.cond,
         "points": reports,
         "n_points": len(points),
         "ok": ok,
     }
-    _emit(summary, cfg.output_format)
+    _emit(summary, args.format)
     return 0 if ok else 1
 
 
-def cmd_scaletest(cfg: RunConfig, path: str, ks: list[float]) -> int:
+def cmd_scaletest(args: argparse.Namespace) -> int:
     from . import rigidity
 
-    points = _load_points(path)
+    ks = _parse_k_list(args.k)
+    points = _load_points(args.points)
+    eps = rigidity.DEFAULT_EPS if args.eps is None else args.eps
     try:
-        rows = rigidity.scaling_report(points, ks, _eps(cfg))
+        rows = rigidity.scaling_report(points, ks, eps)
     except ValueError as exc:
-        _input_error(f"{path}: {exc}")
+        _input_error(f"{args.points}: {exc}")
     ok = all(r["ok"] for r in rows)
     _emit({"command": "scaletest", "k": ks, "points": rows, "ok": ok},
-          cfg.output_format)
+          args.format)
     return 0 if ok else 1
 
 
-def cmd_equiv(cfg: RunConfig) -> int:
+def cmd_battery(args: argparse.Namespace) -> int:
+    """`equiv` or `sylvester`: one sampling battery, named by the command."""
     from . import rigidity
 
-    report = rigidity.equivalence_battery(cfg.samples, cfg.seed)
-    report["command"] = "equiv"
-    _emit(report, cfg.output_format)
+    battery = {"equiv": rigidity.equivalence_battery,
+               "sylvester": rigidity.sylvester_battery}[args.command]
+    report = battery(args.samples, args.seed)
+    report["command"] = args.command
+    _emit(report, args.format)
     return 0 if report["ok"] else 1
 
 
-def cmd_sylvester(cfg: RunConfig) -> int:
-    from . import rigidity
-
-    report = rigidity.sylvester_battery(cfg.samples, cfg.seed)
-    report["command"] = "sylvester"
-    _emit(report, cfg.output_format)
-    return 0 if report["ok"] else 1
-
-
-def cmd_trace(cfg: RunConfig, ident: str) -> int:
+def cmd_trace(args: argparse.Namespace) -> int:
     from . import identities
 
-    if ident not in identities.catalog_ids():
-        _input_error(f"unknown identity id: {ident}")
-    result = identities.run_script(ident)
-    if cfg.output_format == "json":
+    if args.id not in identities.catalog_ids():
+        _input_error(f"unknown identity id: {args.id}")
+    result = identities.run_script(args.id)
+    if args.format == "json":
         payload = result.to_dict()
         payload["trace"] = (json.loads(result.trace.to_json())
                             if result.trace else None)
@@ -219,17 +201,17 @@ def cmd_trace(cfg: RunConfig, ident: str) -> int:
     return 0 if result.status != "FAIL" else 1
 
 
-def cmd_ops(cfg: RunConfig, name: str | None) -> int:
+def cmd_ops(args: argparse.Namespace) -> int:
     from .operators import REGISTRY
 
+    name = args.name
     if name is None:
-        _emit({"command": "ops", "operators": sorted(REGISTRY)},
-              cfg.output_format)
+        _emit({"command": "ops", "operators": sorted(REGISTRY)}, args.format)
         return 0
     if name not in REGISTRY:
         _input_error(f"unknown operator {name!r}; known: {sorted(REGISTRY)}")
     _emit({"command": "ops", "name": name,
-           "definition": str(REGISTRY[name]())}, cfg.output_format)
+           "definition": str(REGISTRY[name]())}, args.format)
     return 0
 
 
@@ -246,8 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="output format (default: text)")
     ap.add_argument("--eps", type=float, default=None,
                     help="verdict boundary tolerance")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed of equiv and sylvester (PHB_SEED overrides)")
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help="seed of equiv and sylvester")
     ap.add_argument("--samples", type=int, default=100_000,
                     help="sample count of equiv and sylvester")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -294,16 +276,15 @@ def _parse_k_list(text: str) -> list[float]:
     return out
 
 
-# subcommand -> runner of (config, parsed arguments)
+# subcommand -> its function of the parsed arguments
 _COMMANDS = {
-    "verify": lambda cfg, a: cmd_verify(cfg, a.ids, a.mutate),
-    "check": lambda cfg, a: cmd_check(cfg, a.points, a.cond),
-    "scaletest": lambda cfg, a: cmd_scaletest(cfg, a.points,
-                                              _parse_k_list(a.k)),
-    "equiv": lambda cfg, a: cmd_equiv(cfg),
-    "sylvester": lambda cfg, a: cmd_sylvester(cfg),
-    "trace": lambda cfg, a: cmd_trace(cfg, a.id),
-    "ops": lambda cfg, a: cmd_ops(cfg, a.name),
+    "verify": cmd_verify,
+    "check": cmd_check,
+    "scaletest": cmd_scaletest,
+    "equiv": cmd_battery,
+    "sylvester": cmd_battery,
+    "trace": cmd_trace,
+    "ops": cmd_ops,
 }
 
 
@@ -329,21 +310,9 @@ def _run(argv: list[str] | None) -> int:
     if args.eps is not None and not (math.isfinite(args.eps)
                                      and args.eps >= 0):
         _input_error(f"--eps must be finite and nonnegative, got {args.eps}")
-    seed, seed_name = args.seed, "--seed"
-    if os.environ.get("PHB_SEED"):
-        seed_name = "PHB_SEED"
-        try:
-            seed = int(os.environ["PHB_SEED"])
-        except ValueError:
-            _input_error(f"PHB_SEED must be an integer, "
-                         f"got {os.environ['PHB_SEED']!r}")
-    if seed is None:
-        seed = DEFAULT_SEED
-    elif seed < 0:
-        _input_error(f"{seed_name} must be nonnegative, got {seed}")
-    cfg = RunConfig(eps=args.eps, samples=args.samples, seed=seed,
-                    output_format=args.format)
-    return _COMMANDS[args.command](cfg, args)
+    if args.seed < 0:
+        _input_error(f"--seed must be nonnegative, got {args.seed}")
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ def _lazy_import(name: str):
 np = _lazy_import("numpy")
 
 __all__ = [
-    "PointData", "HermitianForm", "ConditionReport", "Condition", "CONDITIONS",
+    "PointData", "HermitianForm", "Condition", "CONDITIONS",
     "FormInputs", "form_entries", "torsion_free_entries", "det",
     "build_form_4", "build_form_5", "equivalence_battery", "sylvester_battery",
     "evaluate_conditions", "scaling_report",
@@ -55,9 +55,27 @@ __all__ = [
 DEFAULT_EPS = 1e-12
 _SQRT3 = 3.0 ** 0.5
 
-_REAL_FIELDS = ("R", "R0", "lapR")
-_COMPLEX_FIELDS = ("R1", "A11", "A11_1", "A11_b", "A11_bb")
-_TORSION_FIELDS = ("A11", "A11_1", "A11_b", "A11_bb")
+
+class _Field(NamedTuple):
+    complex: bool
+    torsion: bool
+    weight: float    # the field scales by k^-weight under theta -> k theta
+
+
+# every point field, in `PointData` order
+_FIELDS = {
+    "R": _Field(False, False, 1.0),
+    "R0": _Field(False, False, 2.0),
+    "R1": _Field(True, False, 1.5),
+    "lapR": _Field(False, False, 2.0),
+    "A11": _Field(True, True, 1.0),
+    "A11_1": _Field(True, True, 1.5),
+    "A11_b": _Field(True, True, 1.5),
+    "A11_bb": _Field(True, True, 2.0),
+}
+# (name, complex) in the order records are read: real fields first
+_READ_ORDER = sorted(((name, f.complex) for name, f in _FIELDS.items()),
+                     key=lambda item: item[1])
 
 
 class PointData(NamedTuple):
@@ -87,29 +105,31 @@ class PointData(NamedTuple):
                              f"field 'R': {data!r}")
         pid = str(data.get("id", ""))
         kwargs = {"id": pid}
-        for name in (n for n in _REAL_FIELDS + _COMPLEX_FIELDS if n in data):
+        for name, is_complex in _READ_ORDER:
+            if name not in data:
+                continue
             value = data[name]
-            pair = name in _COMPLEX_FIELDS and isinstance(value, (list, tuple))
+            pair = is_complex and isinstance(value, (list, tuple))
             parts = value if pair and len(value) == 2 else [value]
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                        and abs(v) <= sys.float_info.max for v in parts):
                 raise ValueError(f"point {pid!r}: field {name!r} is not a "
                                  f"finite number: {value!r}")
-            kwargs[name] = (complex(*parts) if name in _COMPLEX_FIELDS
-                            else float(value))
+            kwargs[name] = complex(*parts) if is_complex else float(value)
         return cls(**kwargs)
 
 
 def _stack(points: list[PointData]) -> dict[str, np.ndarray]:
     """Point data as one array per field."""
     return {name: np.array([getattr(p, name) for p in points],
-                           dtype=complex if name in _COMPLEX_FIELDS else float)
-            for name in _REAL_FIELDS + _COMPLEX_FIELDS}
+                           dtype=complex if f.complex else float)
+            for name, f in _FIELDS.items()}
 
 
 def _torsion_free(s: dict) -> np.ndarray:
     return np.logical_and.reduce(
-        [np.abs(s[name]) <= DEFAULT_EPS for name in _TORSION_FIELDS])
+        [np.abs(s[name]) <= DEFAULT_EPS
+         for name, f in _FIELDS.items() if f.torsion])
 
 
 # ---------------------------------------------------------------------------
@@ -339,85 +359,61 @@ def det(matrix: list[list]):
 # Condition reports
 # ---------------------------------------------------------------------------
 
-class ConditionReport:
-    """One point's condition values, verdicts, form minors, pass/fail per
-    requested condition, and input errors, filled in by
-    `evaluate_conditions`."""
-
-    __slots__ = ("point_id", "values", "verdicts", "minors", "passed",
-                 "errors")
-
-    def __init__(self, point_id: str):
-        self.point_id = point_id
-        self.values = {}
-        self.verdicts = {}
-        self.minors = {}
-        self.passed = {}       # one verdict per request
-        self.errors = []
-
-    def ok(self) -> bool:
-        return not self.errors and all(self.passed.values())
-
-    def to_dict(self):
-        return {"id": self.point_id, "values": self.values,
-                "verdicts": self.verdicts, "minors": self.minors,
-                "passed": self.passed, "errors": self.errors}
-
-
-def _require_finite(points: list[PointData], arrays, where: str = "") -> None:
+def _require_finite(ids: list[str], arrays, where: str = "") -> None:
     """Raise ValueError naming the first point with a non-finite value."""
     finite = np.logical_and.reduce(
-        [np.isfinite(a).reshape(len(points), -1).all(axis=1) for a in arrays])
+        [np.isfinite(a).reshape(len(ids), -1).all(axis=1) for a in arrays])
     if not finite.all():
-        raise ValueError(f"point {points[int(np.argmin(finite))].id!r}: values "
+        raise ValueError(f"point {ids[int(np.argmin(finite))]!r}: values "
                          f"overflow double precision{where}")
 
 
 def evaluate_conditions(points: list[PointData], conditions: list[str],
-                        eps: float = DEFAULT_EPS) -> list[ConditionReport]:
-    """Reports for a list of points, each condition evaluated on the batch.
+                        eps: float = DEFAULT_EPS) -> list[dict]:
+    """One report per point, each condition evaluated on the batch.
 
-    Raises ValueError when a value overflows double precision.
+    A report holds the point's `id`, its condition `values`, `verdicts` and
+    form `minors`, whether it `passed` each requested condition, and its
+    input `errors`.  Raises ValueError when a value overflows double
+    precision.
     """
     with np.errstate(all="ignore"):
         s = _stack(points)
         x = _float_inputs(s)
         torsion_free = _torsion_free(s).tolist()
-        reports = [ConditionReport(p.id) for p in points]
+        ids = [p.id for p in points]
+        reports = [{"id": pid, "values": {}, "verdicts": {}, "minors": {},
+                    "passed": {}, "errors": []} for pid in ids]
         for name in conditions:
             row = CONDITIONS[name]
             values = [fn(x, _float) for fn, _ in row.values.values()]
             minors = ([_stacked_minors(m) for m in _stacked_forms(x)]
                       if row.minors else [])
-            _require_finite(points, values + minors)
+            _require_finite(ids, values + minors)
             verdicts = row.verdict(s, values, eps)
             passed = np.logical_or.reduce(verdicts).tolist()
             values = [v.tolist() for v in values]
             verdicts = [v.tolist() for v in verdicts]
             minors = [m.tolist() for m in minors]
             for i, rep in enumerate(reports):
-                rep.passed[name] = False
+                rep["passed"][name] = False
                 if row.torsion_free and not torsion_free[i]:
-                    rep.errors.append("the torsion-free condition requires "
-                                      "A = 0 input")
+                    rep["errors"].append("the torsion-free condition "
+                                         "requires A = 0 input")
                     continue
-                rep.values.update(zip(row.values, (v[i] for v in values)))
-                rep.verdicts.update(zip(row.verdicts,
-                                        (v[i] for v in verdicts)))
+                rep["values"].update(zip(row.values, (v[i] for v in values)))
+                rep["verdicts"].update(zip(row.verdicts,
+                                           (v[i] for v in verdicts)))
                 if minors:
-                    rep.minors["form_4"] = minors[0][i]
-                    rep.minors["form_5"] = minors[1][i]
-                rep.passed[name] = passed[i]
+                    rep["minors"]["form_4"] = minors[0][i]
+                    rep["minors"]["form_5"] = minors[1][i]
+                rep["passed"][name] = passed[i]
         return reports
 
 
 # ---------------------------------------------------------------------------
 # Contact-form scaling
 # ---------------------------------------------------------------------------
-
-# weight w of each field: it scales by k^-w under theta -> k theta
-_SCALE_WEIGHTS = {"R": 1.0, "A11": 1.0, "R1": 1.5, "A11_1": 1.5, "A11_b": 1.5,
-                  "A11_bb": 2.0, "lapR": 2.0, "R0": 2.0}
 
 # Homogeneity bound constant C in |v_k - k^p v_0| <= C u (M_k + |k^p| M_0).
 # Counting roundings as Higham does (ch. 3, |theta_n| <= gamma_n ~ n u), the
@@ -431,7 +427,7 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _scaled(fields, k: float) -> dict:
-    return {name: fields[name] * k ** -w for name, w in _SCALE_WEIGHTS.items()}
+    return {name: fields[name] * k ** -f.weight for name, f in _FIELDS.items()}
 
 
 def _scaling_pass(s: dict, eps: float) -> tuple[dict, dict]:
@@ -463,19 +459,20 @@ def scaling_report(points: list[PointData], ks: list[float],
     """
     with np.errstate(all="ignore"):
         s = _stack(points)
+        ids = [p.id for p in points]
         values0, verdicts0 = _scaling_pass(s, eps)
-        _require_finite(points, [a for v, m, _ in values0.values()
-                                 for a in (v, m)])
+        _require_finite(ids, [a for v, m, _ in values0.values()
+                              for a in (v, m)])
         # values of torsion-free rows are reported at torsion-free points only
         torsion_free = _torsion_free(s).tolist()
         partial = {key for row in CONDITIONS.values() if row.torsion_free
                    for key in row.values}
         ok = np.ones(len(points), dtype=bool)
-        reports = [{"id": p.id, "ok": True, "rows": []} for p in points]
+        reports = [{"id": pid, "ok": True, "rows": []} for pid in ids]
         for k in ks:
             values, verdicts = _scaling_pass(_scaled(s, np.float64(k)), eps)
-            _require_finite(points, [a for v, m, _ in values.values()
-                                     for a in (v, m)], f" at k = {k}")
+            _require_finite(ids, [a for v, m, _ in values.values()
+                                  for a in (v, m)], f" at k = {k}")
             invariant = np.logical_and.reduce(
                 [verdicts[key] == v0 for key, v0 in verdicts0.items()])
             errors = {}
@@ -505,17 +502,17 @@ def scaling_report(points: list[PointData], ks: list[float],
 # ---------------------------------------------------------------------------
 
 def _sample_fields(rng: np.random.Generator, n: int) -> dict:
+    """n random points, one array per field: a log-uniform scale, Gaussian
+    parts, torsion at 0.3 of the scale; drawn in `_FIELDS` order."""
     mag = 10.0 ** rng.uniform(-1.5, 1.0, n)
 
-    def c(scale=1.0):
+    def draw(f):
+        if not f.complex:
+            return mag * rng.standard_normal(n)
+        scale = 0.3 if f.torsion else 1.0
         return scale * mag * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
-    return {
-        "R": mag * rng.standard_normal(n),
-        "R0": mag * rng.standard_normal(n),
-        "R1": c(), "lapR": mag * rng.standard_normal(n),
-        "A11": c(0.3), "A11_1": c(0.3), "A11_b": c(0.3), "A11_bb": c(0.3),
-    }
+    return {name: draw(f) for name, f in _FIELDS.items()}
 
 
 def _in_band(a: np.ndarray, eps: float) -> np.ndarray:

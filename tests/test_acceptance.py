@@ -105,10 +105,11 @@ def test_criterion_6_scaling_laws():
     worst = 0.0
     for k, q, tq in zip(ks, ps, tfs):
         checks = [
-            (q.values["3.11"], p0.values["3.11"] * k ** -2),
-            (q.values["3.12"], p0.values["3.12"] * k ** -4),
-            (q.values["thm_a"], p0.values["thm_a"] * k ** -2),
-            (tq.values["corollaryC"], tf0.values["corollaryC"] * k ** -3),
+            (q["values"]["3.11"], p0["values"]["3.11"] * k ** -2),
+            (q["values"]["3.12"], p0["values"]["3.12"] * k ** -4),
+            (q["values"]["thm_a"], p0["values"]["thm_a"] * k ** -2),
+            (tq["values"]["corollaryC"],
+             tf0["values"]["corollaryC"] * k ** -3),
         ]
         for got, want in checks:
             rel = abs(got - want) / max(abs(want), 1e-300)

@@ -99,51 +99,45 @@ def test_check_empty_file(tmp_path):
 ONE_POINT = '[{"id": "p0", "R": 1.0}]'
 
 
-@pytest.mark.parametrize("content, args, names, env", [
+@pytest.mark.parametrize("content, args, names", [
     ('[{"id": "q", "R": 1.0, "lapR": Infinity}]',
-     ["check", "{}", "--cond", "3.12"], ["'q'", "'lapR'"], {}),
+     ["check", "{}", "--cond", "3.12"], ["'q'", "'lapR'"]),
     ('[{"id": "q", "R": NaN}]', ["check", "{}", "--cond", "thm-b"],
-     ["'q'", "'R'"], {}),
+     ["'q'", "'R'"]),
     ('[{"id": "q", "R": 1.0, "A11": "abc"}]',
-     ["check", "{}", "--cond", "thm-b"], ["'q'", "'A11'"], {}),
+     ["check", "{}", "--cond", "thm-b"], ["'q'", "'A11'"]),
     ('[{"id": "q", "R": 1.0, "R1": [1.0, 2.0, 3.0]}]',
-     ["scaletest", "{}"], ["'q'", "'R1'"], {}),
+     ["scaletest", "{}"], ["'q'", "'R1'"]),
     ('[{"id": "q", "R": 1e200}]', ["check", "{}", "--cond", "thm-b"],
-     ["'q'", "overflow"], {}),
-    (ONE_POINT, ["scaletest", "{}", "--k", "1e-200"], ["'p0'", "1e-200"], {}),
-    ("[5]", ["check", "{}", "--cond", "thm-b"], [], {}),
-    ("[]", ["check", "{}", "--cond", "thm-b"], [], {}),
-    ("not json", ["check", "{}", "--cond", "thm-b"], [], {}),
-    (ONE_POINT, ["scaletest", "{}", "--k", "1/0"], ["1/0"], {}),
-    (ONE_POINT, ["scaletest", "{}", "--k", "abc"], ["abc"], {}),
-    (ONE_POINT, ["scaletest", "{}", "--k", "1/2,-3"], ["-3"], {}),
-    (ONE_POINT, ["--samples", "-3", "equiv"], ["--samples"], {}),
-    (ONE_POINT, ["--samples", "0", "equiv"], ["--samples"], {}),
-    (ONE_POINT, ["--samples", "0", "verify", "3.7"], ["--samples"], {}),
+     ["'q'", "overflow"]),
+    (ONE_POINT, ["scaletest", "{}", "--k", "1e-200"], ["'p0'", "1e-200"]),
+    ("[5]", ["check", "{}", "--cond", "thm-b"], []),
+    ("[]", ["check", "{}", "--cond", "thm-b"], []),
+    ("not json", ["check", "{}", "--cond", "thm-b"], []),
+    (ONE_POINT, ["scaletest", "{}", "--k", "1/0"], ["1/0"]),
+    (ONE_POINT, ["scaletest", "{}", "--k", "abc"], ["abc"]),
+    (ONE_POINT, ["scaletest", "{}", "--k", "1/2,-3"], ["-3"]),
+    (ONE_POINT, ["--samples", "-3", "equiv"], ["--samples"]),
+    (ONE_POINT, ["--samples", "0", "equiv"], ["--samples"]),
+    (ONE_POINT, ["--samples", "0", "verify", "3.7"], ["--samples"]),
     (ONE_POINT, ["--eps=-1e-12", "check", "{}", "--cond", "thm-b"],
-     ["--eps"], {}),
-    (ONE_POINT, ["equiv"], ["PHB_SEED", "abc"], {"PHB_SEED": "abc"}),
+     ["--eps"]),
     (ONE_POINT, ["--seed", "-5", "--samples", "100", "sylvester"],
-     ["--seed", "-5"], {}),
+     ["--seed", "-5"]),
     (ONE_POINT, ["--seed", "-5", "--samples", "100", "verify", "3.7"],
-     ["--seed", "-5"], {}),
-    (ONE_POINT, ["equiv"], ["PHB_SEED", "-5"], {"PHB_SEED": "-5"}),
-    (ONE_POINT, ["verify", "9.9"], ["9.9"], {}),
-    (ONE_POINT, ["trace", "9.9"], ["9.9"], {}),
-    (ONE_POINT, ["ops", "nosuch"], ["'nosuch'"], {}),
-    (ONE_POINT, ["check", "{}", "--cond", "nosuch"], ["'nosuch'", "thm-b"],
-     {}),
+     ["--seed", "-5"]),
+    (ONE_POINT, ["verify", "9.9"], ["9.9"]),
+    (ONE_POINT, ["trace", "9.9"], ["9.9"]),
+    (ONE_POINT, ["ops", "nosuch"], ["'nosuch'"]),
+    (ONE_POINT, ["check", "{}", "--cond", "nosuch"], ["'nosuch'", "thm-b"]),
 ], ids=["infinite-field", "nan-field", "string-field", "long-pair",
         "value-overflow", "k-overflow", "not-a-record", "empty-array",
         "not-json", "k-divides-by-zero", "k-not-a-number", "k-negative",
         "samples-negative", "samples-zero", "samples-zero-verify",
-        "eps-negative", "seed-env-not-a-number", "seed-negative",
-        "seed-negative-verify", "seed-env-negative", "verify-unknown-id",
+        "eps-negative", "seed-negative", "seed-negative-verify",
+        "verify-unknown-id",
         "trace-unknown-id", "ops-unknown-name", "cond-unknown-name"])
-def test_input_error_exits_2(capsys, monkeypatch, tmp_path, content, args,
-                             names, env):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_input_error_exits_2(capsys, tmp_path, content, args, names):
     path = tmp_path / "points.json"
     path.write_text(content)
     with pytest.raises(SystemExit) as exc:
@@ -183,11 +177,9 @@ def test_equiv_json_deterministic(capsys):
     assert json.loads(first)["ok"] is True
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PHB_SEED", "123")
-    assert main(["--format", "json", "--samples", "1000", "equiv"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["seed"] == 123
+def test_seed_default(capsys):
+    assert main(["--format", "json", "--samples", "1000", "sylvester"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == cli.DEFAULT_SEED
 
 
 def test_sylvester_command(capsys):
@@ -304,8 +296,7 @@ _PINNED_JSON = {
 
 
 @pytest.mark.parametrize("args", list(_PINNED_JSON))
-def test_json_output_bytes_pinned(args, capsys, monkeypatch):
-    monkeypatch.delenv("PHB_SEED", raising=False)
+def test_json_output_bytes_pinned(args, capsys):
     main(["--format", "json", *args.split()])
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == _PINNED_JSON[args]

@@ -39,38 +39,40 @@ def test_thmA_examples():
     strict, border, positive = rg.evaluate_conditions(
         [PointData(R=-1.0, R0=1.0), PointData(R=-1.0, R0=0.0),
          PointData(R=1.0, R0=5.0)], ["thm-a"])
-    assert abs(strict.values["thm_a"] - 3 ** 0.5) < 1e-15
-    assert strict.verdicts["thm_a"]
-    assert not strict.verdicts["thm_a_borderline"]
+    assert abs(strict["values"]["thm_a"] - 3 ** 0.5) < 1e-15
+    assert strict["verdicts"]["thm_a"]
+    assert not strict["verdicts"]["thm_a_borderline"]
     # torsion-free Bianchi-consistent data sits exactly on the borderline
-    assert border.values["thm_a"] == 0.0
-    assert not border.verdicts["thm_a"]
-    assert border.verdicts["thm_a_borderline"]
+    assert border["values"]["thm_a"] == 0.0
+    assert not border["verdicts"]["thm_a"]
+    assert border["verdicts"]["thm_a_borderline"]
     # positive curvature gates both verdicts off
-    assert not positive.verdicts["thm_a"]
-    assert not positive.verdicts["thm_a_borderline"]
+    assert not positive["verdicts"]["thm_a"]
+    assert not positive["verdicts"]["thm_a_borderline"]
 
 
 def test_cond_3_11_examples():
     flat, twisted = rg.evaluate_conditions(
         [PointData(R=1.0), PointData(R=2.0, A11=0.1 + 0j)], ["3.11"])
-    assert flat.values["3.11"] == pytest.approx(0.375, abs=0)
-    assert twisted.values["3.11"] == pytest.approx(1.25)
+    assert flat["values"]["3.11"] == pytest.approx(0.375, abs=0)
+    assert twisted["values"]["3.11"] == pytest.approx(1.25)
 
 
 def test_cond_3_12_torsion_free_example():
     [rep] = rg.evaluate_conditions([PointData(R=1.0)], ["3.12"])
-    assert rep.values["3.12"] == pytest.approx((3.0 / 8.0) * (83.0 / 3456.0))
+    assert rep["values"]["3.12"] == pytest.approx(
+        (3.0 / 8.0) * (83.0 / 3456.0))
 
 
 def test_corollary_C_examples():
     good, bad, torsion = rg.evaluate_conditions(
         [PointData(R=1.0), PointData(R=1.0, R1=complex(10 ** 0.5, 0)),
          PointData(R=1.0, A11=0.5 + 0j)], ["corollaryC"])
-    assert good.values["corollaryC"] == pytest.approx(20.0)
-    assert good.verdicts["corollaryC"]
-    assert bad.values["corollaryC"] < 0 and not bad.verdicts["corollaryC"]
-    assert torsion.errors and not torsion.passed["corollaryC"]
+    assert good["values"]["corollaryC"] == pytest.approx(20.0)
+    assert good["verdicts"]["corollaryC"]
+    assert bad["values"]["corollaryC"] < 0
+    assert not bad["verdicts"]["corollaryC"]
+    assert torsion["errors"] and not torsion["passed"]["corollaryC"]
 
 
 def test_bianchi_flag_synthetic():
@@ -81,8 +83,8 @@ def test_bianchi_flag_synthetic():
         points.append(PointData(R=1.0, R0=2.0 * bb.real, A11_bb=bb))
     *consistent, off = rg.evaluate_conditions(
         points + [PointData(R=1.0, R0=1.0)], ["bianchi"])
-    assert all(rep.verdicts["bianchi"] for rep in consistent)
-    assert not off.verdicts["bianchi"]
+    assert all(rep["verdicts"]["bianchi"] for rep in consistent)
+    assert not off["verdicts"]["bianchi"]
 
 
 def test_form4_structure():
@@ -179,15 +181,15 @@ def test_scale_identity_and_powers():
         ["3.11", "3.12", "thm-a"])
     for k, rep in zip(ks, scaled):
         for key, power in (("3.11", -2), ("3.12", -4), ("thm_a", -2)):
-            assert rep.values[key] == pytest.approx(
-                base.values[key] * k ** power, rel=1e-12)
+            assert rep["values"][key] == pytest.approx(
+                base["values"][key] * k ** power, rel=1e-12)
     tf = PointData(R=2.0, R1=0.3 + 0.1j, lapR=-0.2)
     base, *scaled = rg.evaluate_conditions(
         [tf] + [PointData(**rg._scaled(tf._asdict(), k)) for k in ks],
         ["corollaryC"])
     for k, rep in zip(ks, scaled):
-        assert rep.values["corollaryC"] == pytest.approx(
-            base.values["corollaryC"] * k ** -3, rel=1e-12)
+        assert rep["values"]["corollaryC"] == pytest.approx(
+            base["values"]["corollaryC"] * k ** -3, rel=1e-12)
 
 
 def test_scaling_report_verdict_invariance():
@@ -241,7 +243,7 @@ def test_torsion_free_consistency():
     for R, p, rep in zip(Rs, points, reps):
         assert all(m > 0 for m in build_form_4(p).leading_minors()) == (R > 0)
         # equals (3/8) R^2 when A = 0
-        assert (rep.values["3.11"] > 0) == (R != 0)
+        assert (rep["values"]["3.11"] > 0) == (R != 0)
 
 
 def test_torsion_free_quadratic_form_det_identity():
@@ -274,8 +276,8 @@ def test_pointdata_io():
 def test_evaluate_conditions_report():
     p = PointData(R=1.0, id="pt")
     [rep] = rg.evaluate_conditions([p], ["thm-b", "corollaryC", "bianchi"])
-    assert rep.verdicts["thm_b"] and rep.verdicts["corollaryC"]
-    assert rep.verdicts["bianchi"] and not rep.errors
+    assert rep["verdicts"]["thm_b"] and rep["verdicts"]["corollaryC"]
+    assert rep["verdicts"]["bianchi"] and not rep["errors"]
     [rep2] = rg.evaluate_conditions([PointData(R=1.0, A11=1 + 0j)],
                                     ["corollaryC"])
-    assert rep2.errors
+    assert rep2["errors"]
