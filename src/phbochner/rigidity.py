@@ -11,10 +11,11 @@ The float path runs it on numpy arrays holding a whole batch of points;
 `identities` runs it on catalog expressions, where it proves the algebra
 behind Theorems A and B and Corollary C exactly (scripts 2.11, 3.8, 3.4).
 
-Boundary behaviour: strict ">0" verdicts use a configurable epsilon scaled by
-the magnitude of the quantity; "= 0" cases (the borderline automorphism
-condition) are reported as "within epsilon of zero", never asserted exactly
-from floats.
+Boundary behaviour: the eps verdicts (thm-a, its borderline, corollaryC)
+compare a value with a band of eps times a magnitude that scales as the
+value does, with no absolute floor, so rescaling the contact form leaves
+them unchanged; "= 0" cases (the borderline automorphism condition) are
+reported as "within epsilon of zero", never asserted exactly from floats.
 """
 
 from __future__ import annotations
@@ -233,6 +234,11 @@ def _bianchi(x: FormInputs, K):
     return x.R0 + K(-2) * x.rebb
 
 
+def _magnitudes(x: FormInputs) -> FormInputs:
+    """|inputs|: a formula run on them with `_magnitude` gives its M."""
+    return FormInputs(*(np.abs(v) for v in x))
+
+
 def _float_inputs(s: dict) -> FormInputs:
     return FormInputs(
         R=s["R"], t=(np.abs(s["A11_1"]) ** 2) ** (1.0 / 3.0),
@@ -250,8 +256,9 @@ class Condition(NamedTuple):
 
     `values` maps each reported value's JSON key to (formula, scaling power
     under theta -> k theta); a power of None marks a verdict that is not
-    scale-invariant.  `verdict(fields, values, eps)` returns one array per
-    key of `verdicts`, and the condition passes where any of them holds.
+    scale-invariant.  `verdict(fields, inputs, values, eps)` returns one
+    array per key of `verdicts`, and the condition passes where any of them
+    holds.
     """
 
     values: dict[str, tuple[Callable, float | None]]
@@ -261,14 +268,19 @@ class Condition(NamedTuple):
     minors: bool = False         # also reports the leading minors of both forms
 
 
-def _thm_a_verdicts(s, v, eps):
-    band = eps * np.maximum(1.0, np.maximum(np.abs(_SQRT3 * s["R0"]),
-                                            2.0 * np.abs(s["A11_bb"].imag)))
+def _thm_a_verdicts(s, x, v, eps):
+    band = eps * np.maximum(np.abs(_SQRT3 * s["R0"]),
+                            2.0 * np.abs(s["A11_bb"].imag))
     negative = s["R"] < 0
     return negative & (v[0] > band), negative & (np.abs(v[0]) <= band)
 
 
-def _bianchi_verdict(s, v, eps):
+def _corollary_c_verdict(s, x, v, eps):
+    band = eps * _corollary_c(_magnitudes(x), _magnitude)
+    return ((s["R"] > 0) & (v[0] > band),)
+
+
+def _bianchi_verdict(s, x, v, eps):
     tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(s["R0"]),
                                             2.0 * np.abs(s["A11_bb"])))
     return (np.abs(v[0]) <= tol,)
@@ -281,16 +293,14 @@ CONDITIONS: dict[str, Condition] = {
     "thm-a": Condition({"thm_a": (_thm_a, -2.0)},
                        ("thm_a", "thm_a_borderline"), _thm_a_verdicts),
     "thm-b": Condition({**_V_3_11, **_V_3_12}, ("thm_b",),
-                       lambda s, v, eps: ((s["R"] > 0) & (v[0] > 0)
-                                          & (v[1] > 0),),
+                       lambda s, x, v, eps: ((s["R"] > 0) & (v[0] > 0)
+                                             & (v[1] > 0),),
                        minors=True),
-    "corollaryC": Condition(
-        {"corollaryC": (_corollary_c, -3.0)}, ("corollaryC",),
-        lambda s, v, eps: ((s["R"] > 0)
-                           & (v[0] > eps * np.maximum(1.0, np.abs(v[0]))),),
-        torsion_free=True),
-    "3.11": Condition(_V_3_11, ("3.11",), lambda s, v, eps: (v[0] > 0,)),
-    "3.12": Condition(_V_3_12, ("3.12",), lambda s, v, eps: (v[0] > 0,)),
+    "corollaryC": Condition({"corollaryC": (_corollary_c, -3.0)},
+                            ("corollaryC",), _corollary_c_verdict,
+                            torsion_free=True),
+    "3.11": Condition(_V_3_11, ("3.11",), lambda s, x, v, eps: (v[0] > 0,)),
+    "3.12": Condition(_V_3_12, ("3.12",), lambda s, x, v, eps: (v[0] > 0,)),
     "bianchi": Condition({"bianchi_residual": (_bianchi, None)}, ("bianchi",),
                          _bianchi_verdict),
 }
@@ -390,7 +400,7 @@ def evaluate_conditions(points: list[PointData], conditions: list[str],
             minors = ([_stacked_minors(m) for m in _stacked_forms(x)]
                       if row.minors else [])
             _require_finite(ids, values + minors)
-            verdicts = row.verdict(s, values, eps)
+            verdicts = row.verdict(s, x, values, eps)
             passed = np.logical_or.reduce(verdicts).tolist()
             values = [v.tolist() for v in values]
             verdicts = [v.tolist() for v in verdicts]
@@ -436,13 +446,13 @@ def _scaling_pass(s: dict, eps: float) -> tuple[dict, dict]:
     rows = [row for row in CONDITIONS.values()
             if all(power is not None for _, power in row.values.values())]
     x = _float_inputs(s)
-    magnitudes = FormInputs(*(np.abs(v) for v in x))
+    magnitudes = _magnitudes(x)
     values = {key: (fn(x, _float), fn(magnitudes, _magnitude), power)
               for row in rows for key, (fn, power) in row.values.items()}
     verdicts = {}
     for row in rows:
         verdicts.update(zip(row.verdicts, row.verdict(
-            s, [values[key][0] for key in row.values], eps)))
+            s, x, [values[key][0] for key in row.values], eps)))
     return values, verdicts
 
 

@@ -222,11 +222,44 @@ def test_scaling_bound_accounts_for_cancellation(monkeypatch):
     assert rep["rows"][0]["errors"]["3.12"] > 1e-12
     # a value whose stated power is off by k^0.5 must still fail
     wrong = rg.Condition({"3.12 wrong": (rg._cond_3_12, -4.5)}, (),
-                         lambda s, v, eps: ())
+                         lambda s, x, v, eps: ())
     monkeypatch.setitem(rg.CONDITIONS, "wrong", wrong)
     [rep] = rg.scaling_report([p], ks)
     assert not rep["ok"]
     assert rep["rows"][1]["errors"]["3.12 wrong"] > 0.1
+
+
+# Records whose eps verdicts flipped under theta -> k theta while their bands
+# had an absolute floor of eps: p9064 of the benchmark's seed-1406 point
+# file, where the corollaryC value is 2.9e-7 at k = 1 and 2.9e-13 at k = 100
+# (2.3e-5 of its magnitude at both), and a thm-a value of 5e-13 on data of
+# size 1e-3, which the floor called borderline at k = 1/7 and 1/2 only
+P9064 = {"id": "p9064", "R": 0.014833972694646397,
+         "R1": [0.028175877914651027, -0.016203170608666526],
+         "lapR": 0.03524311776950177,
+         "A11": [-0.0017286234778510063, -0.029285408319925103],
+         "A11_1": [-0.01278205630867463, 0.017766013616438977],
+         "A11_b": [0.015999709022361763, -0.0011792723947140356],
+         "R0": 0.06248477519590994,
+         "A11_bb": [-0.003411514425842085, 0.09378404111707908]}
+SMALL_THM_A = {"id": "a", "R": -1e-3, "R0": 1e-3,
+               "A11_bb": [0.0, (3 ** 0.5 * 1e-3 - 5e-13) / 2]}
+
+
+@pytest.mark.parametrize("record", [P9064, SMALL_THM_A],
+                         ids=["corollaryC", "thm-a"])
+def test_eps_verdicts_scale_invariant(record):
+    p = PointData.from_mapping(record)
+    [rep] = rg.scaling_report([p], [1 / 7, 1 / 2, 3.0, 100.0])
+    assert [row["verdicts_invariant"] for row in rep["rows"]] == [True] * 4
+    assert rep["ok"]
+
+
+def test_thm_a_band_scales_with_the_data():
+    # 5e-13 is 1.4e-10 of the data's size, far outside the eps band
+    [rep] = rg.evaluate_conditions(
+        [PointData.from_mapping(SMALL_THM_A)], ["thm-a"])
+    assert rep["verdicts"] == {"thm_a": True, "thm_a_borderline": False}
 
 
 def test_scaling_report_exact_zero_value():
