@@ -94,7 +94,7 @@ def verify_2_7(alpha: ScalarExact = ops.ALPHA_SECTION2,
                target_override: Expression | None = None) -> ScriptResult:
     steps = []
     L = ops.build_Lalpha(alpha)
-    Lstar = ops.build_Lalpha(alpha.conjugate())
+    Lstar = ops.adjoint(L)
     lhs = ops.apply_template(Lstar, L.expr) * ScalarExact(Fraction(1, 2))
     steps.append((f"expand (1/2) L* L f with alpha = {alpha}", str(lhs)))
     target = _target("2.7", target_override)

@@ -8,6 +8,7 @@ Conventions (h_{1 1bar} = 1, all indices lowered):
                                 the full tensor is 2Re[... theta^1 (x) Z_1bar])
 * its adjoint (derived)         DJstar E = E11_{,1bar 1bar} + i A11 Eb1b1 + conjugate
 * generalized Folland-Stein     L_alpha f = lap_b f + i alpha f_{,0}
+                                (its adjoint is derived by `adjoint` too)
 * Cartan tensor coefficient     Q11 = (1/6) R_{,11} + (i/2) R A11 - A11_{,0}
                                       - (2i/3) A11_{,1bar 1}
 * Bianchi-type identity         R_{,0} = A11_{,1bar 1bar} + Ab1b1_{,11}
@@ -99,7 +100,6 @@ def build_DJ() -> OperatorTemplate:
                             parse("f_{11} + i*A11*f"))
 
 
-@lru_cache(maxsize=None)
 def build_DJstar() -> OperatorTemplate:
     """The adjoint of DJ, derived by `adjoint` once per process."""
     return adjoint(build_DJ())._replace(name="DJstar")
@@ -116,7 +116,7 @@ def build_subgradient_sq() -> Expression:
 
 
 def build_Lalpha(alpha: ScalarExact) -> OperatorTemplate:
-    expr = parse("-f_{1b} - f_{b1}") + parse("f_{0}") * (I * alpha)
+    expr = build_sublaplacian().expr + parse("f_{0}") * (I * alpha)
     return OperatorTemplate(f"L[{alpha}]", "f", "function", "function", expr)
 
 
@@ -147,12 +147,14 @@ def bianchi_rule() -> Rule:
 
 
 def flatness_rules() -> list[Rule]:
-    """Rewrites expressing DJ f = 0: f_{,11} -> -i A11 f and its conjugate."""
+    """Rewrites expressing DJ f = 0: f_{,11} -> -(DJ f - f_{,11}), which is
+    -i A11 f, and its conjugate."""
     from .calculus import Rule
 
+    rest = -(build_DJ().expr - parse("f_{11}"))
     return [
-        Rule("DJf=0", "f", ("1", "1"), parse("-i*A11*f")),
-        Rule("conj(DJf)=0", "f", ("b", "b"), parse("i*Ab1b1*f")),
+        Rule("DJf=0", "f", ("1", "1"), rest),
+        Rule("conj(DJf)=0", "f", ("b", "b"), rest.conjugate()),
     ]
 
 
@@ -181,8 +183,10 @@ def _strip_placeholder(expr: Expression, names: set[str]) -> Expression:
     raise CalculusError("adjoint normalization did not terminate")
 
 
+@lru_cache(maxsize=None)
 def adjoint(template: OperatorTemplate) -> OperatorTemplate:
-    """Adjoint with respect to the catalog inner products.
+    """Adjoint with respect to the catalog inner products, derived once per
+    process for each template.
 
     Computed mechanically: pair the operator value against a test argument,
     integrate all derivatives off the placeholder by parts, and read the

@@ -271,7 +271,7 @@ _PINNED_JSON = {
     "trace 2.3":
         "053144410979bb9a4392df61f46e4a7418c0c726e0da19446a16d033b645b69f",
     "trace 2.7":
-        "5118722c6ad373ce1183d240115258950790f3c3ab49c58d8a09c0f08d664668",
+        "f7e95c71fd69c3a708c3ee724e38f57559ad11aa585e750c88fc9dcedd1dcad5",
     "trace 2.8":
         "f2e92a7fde41446b795ce889f4ccb2a9fb1c962e2aa225ee51f88f72473f5890",
     "trace 2.ibp":

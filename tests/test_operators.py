@@ -25,6 +25,7 @@ def test_flatness_rule_examples():
     assert e == parse("-i*A11*f")
     e = apply_rule(parse("Ab1b1*f_{11}"), rules[0])
     assert e == parse("-i*A11*Ab1b1*f")
+    assert apply_rule(parse("f_{bb}"), rules[1]) == parse("i*Ab1b1*f")
 
 
 def test_DJstar_torsion_free():
@@ -42,6 +43,8 @@ def test_adjoint_of_DJ_is_DJstar():
     adj = ops.adjoint(ops.build_DJ())
     assert adj.placeholder == "E11"
     assert canonicalize(adj.expr - ops.build_DJstar().expr).is_zero()
+    # derived once per process: an equal template is a cache hit
+    assert ops.adjoint(ops.build_DJ()) is adj
 
 
 def test_DJstar_text():
