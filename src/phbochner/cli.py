@@ -9,21 +9,22 @@ Commands:
   trace <id>                     export the derivation trace for one identity
   ops [name]                     show operator templates from the registry
 
-Identical arguments (the seed included) produce byte-identical JSON
-output.  Exit status is 0
-when every requested verification or condition passed, 1 when one failed,
-2 on a usage or input error (an unknown identity, operator or condition
-name included), reported as one line on stderr, and 141 (128 + SIGPIPE) when
-the reader closes stdout early, as in `phbochner ops | head -1`; that ends
-without a traceback.
+Identical arguments (the seed included) produce byte-identical JSON output.
+Exit status is 0 when every requested verification or condition passed, 1
+when one failed, 2 on a usage or input error (an unknown identity, operator
+or condition name included), reported as one line on stderr, and 141
+(128 + SIGPIPE) when the reader closes stdout early, as in
+`phbochner ops | head -1`; that ends without a traceback.
 
 Each command imports only what it runs: `rigidity` and numpy are loaded by
 `check`, `scaletest`, `equiv` and `sylvester`, and none of the symbolic
 modules are; `verify` and `trace` load the symbolic engine and `rigidity`'s
 exact kernel, never numpy; `ops` loads `operators` and the parser, and
 `calculus` only to build an operator derived by it.
-`--samples` and `--seed` act on `equiv` and `sylvester`.  Each command is
-a function of the parsed arguments, which `_run` validates first.
+`--samples` and `--seed` (default `DEFAULT_SEED`) act on `equiv` and
+`sylvester`.  Each command is a function of the parsed `argparse`
+namespace, which `_run` validates first; `_COMMANDS` maps each subcommand to
+its function.
 """
 
 from __future__ import annotations

@@ -183,10 +183,11 @@ def _strip_placeholder(expr: Expression, names: set[str]) -> Expression:
     raise CalculusError("adjoint normalization did not terminate")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def adjoint(template: OperatorTemplate) -> OperatorTemplate:
-    """Adjoint with respect to the catalog inner products, derived once per
-    process for each template.
+    """Adjoint with respect to the catalog inner products, cached per
+    template (an equal template is a cache hit), so each operator's adjoint
+    is derived once per process.
 
     Computed mechanically: pair the operator value against a test argument,
     integrate all derivatives off the placeholder by parts, and read the

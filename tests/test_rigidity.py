@@ -9,6 +9,7 @@ import pytest
 from phbochner import identities as ids
 from phbochner import rigidity as rg
 from phbochner.expr import Expression
+from phbochner.parser import parse
 from phbochner.rigidity import (HermitianForm, PointData, build_form_4,
                                 build_form_5, det, form_entries,
                                 torsion_free_entries)
@@ -294,6 +295,42 @@ def test_torsion_free_form_pd_blocks():
     minors = h.leading_minors()
     assert all(m > 0 for m in minors)
     assert minors[2] == pytest.approx(5 / 54)
+
+
+# each point field's counterpart in the catalog grammar (lapR = -(R_{1b} +
+# R_{b1}) has the weight of R_{1b})
+_CATALOG_FIELDS = {"R": "R", "R0": "R_{0}", "R1": "R_{1}", "lapR": "R_{1b}",
+                   "A11": "A11", "A11_1": "A11_{1}", "A11_b": "A11_{b}",
+                   "A11_bb": "A11_{bb}"}
+
+
+def _weights(e: Expression) -> set:
+    return {term.weight() for term in e.term_list()}
+
+
+def test_field_table_matches_the_catalog():
+    assert tuple(rg._FIELDS) == PointData._fields[:-1]
+    assert PointData._fields[-1] == "id"
+    for name, field in rg._FIELDS.items():
+        [w] = _weights(parse(_CATALOG_FIELDS[name]))
+        assert field.weight == w / 2, name
+        assert field.torsion == name.startswith("A11"), name
+        assert field.complex == (name in ("R1", "A11", "A11_1", "A11_b",
+                                          "A11_bb")), name
+        assert isinstance(getattr(PointData(R=0.0), name),
+                          complex if field.complex else float), name
+
+
+def test_condition_powers_match_the_catalog_weights():
+    x, K = ids._inputs(), ids._constant
+    for row in rg.CONDITIONS.values():
+        for key, (fn, power) in row.values.items():
+            if power is None:
+                continue
+            extra = ({"abs2": lambda z: z * z.conjugate()}
+                     if fn is rg._cond_3_12 else {})
+            [w] = _weights(fn(x, K, **extra))
+            assert power == -w / 2, key
 
 
 def test_pointdata_io():
