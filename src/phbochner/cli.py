@@ -17,10 +17,11 @@ or condition name included), reported as one line on stderr, and 141
 `phbochner ops | head -1`; that ends without a traceback.
 
 Each command imports only what it runs: `rigidity` and numpy are loaded by
-`check`, `scaletest`, `equiv` and `sylvester`, and none of the symbolic
-modules are; `verify` and `trace` load the symbolic engine and `rigidity`'s
-exact kernel, never numpy; `ops` loads `operators` and the parser, and
-`calculus` only to build an operator derived by it.
+`check`, `scaletest`, `equiv` and `sylvester`, with the formula `kernel`
+they evaluate, and none of the symbolic modules are; `verify` and `trace`
+load the symbolic engine and the `kernel` it proves, never `rigidity` or
+numpy; `ops` loads `operators` and the parser, and `calculus` only to
+build an operator derived by it.
 `--samples` and `--seed` (default `DEFAULT_SEED`) act on `equiv` and
 `sylvester`.  Each command is a function of the parsed `argparse`
 namespace, which `_run` validates first; `_COMMANDS` maps each subcommand to
@@ -120,10 +121,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             result = identities.run_script(ident)
             failed |= result.status == "FAIL"
-            entry = result.to_dict()
             report["results"].append({"id": ident, "status": result.status,
-                                      "residual": entry["residual"],
-                                      "details": entry["details"]})
+                                      **result.outcome()})
     report["ok"] = not failed
     _emit(report, args.format)
     return 1 if failed else 0

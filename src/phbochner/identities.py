@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from . import operators as ops
 from .calculus import (RewriteTrace, apply_rule, canonicalize, equal_mod_ibp,
                        ibp_residual)
 from .expr import Expression, Factor
+from .kernel import (FormInputs, _cond_3_11, _cond_3_12, _corollary_c,
+                     _thm_a, det, form_entries, torsion_free_entries)
 from .parser import Corpus, parse
-from .rigidity import (FormInputs, _cond_3_11, _cond_3_12, _corollary_c,
-                       _thm_a, det, form_entries, torsion_free_entries)
 from .scalar import ScalarExact
 
 __all__ = [
@@ -34,44 +35,51 @@ __all__ = [
 # Results
 # ---------------------------------------------------------------------------
 
-class ScriptResult:
+class ScriptResult(NamedTuple):
     """One script's outcome: status PASS, RESIDUAL or FAIL, its (label,
     value) steps, the residual unless it passed, the equality trace and
-    named details."""
+    named details.
 
-    __slots__ = ("name", "status", "steps", "residual", "trace", "details")
+    A step value is kept as the script made it (text, an Expression, or a
+    callable that makes the text) and formatted only when `steps` is read,
+    so a run whose steps nobody reads, such as a mutant's, formats none."""
 
-    def __init__(self, name: str, status: str,
-                 steps: list[tuple[str, str]] | None = None,
-                 residual: Expression | None = None,
-                 trace: RewriteTrace | None = None,
-                 details: dict | None = None):
-        self.name = name
-        self.status = status
-        self.steps = [] if steps is None else steps
-        self.residual = residual
-        self.trace = trace
-        self.details = {} if details is None else details
+    name: str
+    status: str
+    raw_steps: list[tuple[str, object]]
+    residual: Expression | None
+    trace: RewriteTrace | None
+    details: dict
 
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
+
+    @property
+    def steps(self) -> list[tuple[str, str]]:
+        return [(label, str(value() if callable(value) else value))
+                for label, value in self.raw_steps]
+
+    def outcome(self) -> dict:
+        """The residual and details as JSON values; no step is formatted."""
+        return {
+            "residual": None if self.residual is None else str(self.residual),
+            "details": {k: (str(v) if isinstance(v, (Expression, ScalarExact))
+                            else v) for k, v in self.details.items()},
+        }
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "status": self.status,
             "steps": [{"label": l, "value": v} for l, v in self.steps],
-            "residual": None if self.residual is None else str(self.residual),
-            "details": {k: (str(v) if isinstance(v, (Expression, ScalarExact))
-                            else v) for k, v in self.details.items()},
+            **self.outcome(),
         }
 
 
 def _finish(name, ok, steps, residual, trace, **details) -> ScriptResult:
-    status = "PASS" if ok else "FAIL"
-    return ScriptResult(name, status, steps, None if ok else residual,
-                        trace, details)
+    return ScriptResult(name, "PASS" if ok else "FAIL", steps,
+                        None if ok else residual, trace, details)
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +91,10 @@ def verify_2_3(target_override: Expression | None = None) -> ScriptResult:
     dj = ops.build_DJ()
     djstar = ops.build_DJstar()
     lhs = ops.apply_template(djstar, dj.expr)
-    steps.append(("expand DJ* DJ f", str(lhs)))
+    steps.append(("expand DJ* DJ f", lhs))
     target = _target("2.3", target_override)
     residual = canonicalize(lhs - target)
-    steps.append(("canonical residual", str(residual)))
+    steps.append(("canonical residual", residual))
     return _finish("2.3", residual.is_zero(), steps, residual, None)
 
 
@@ -96,10 +104,10 @@ def verify_2_7(alpha: ScalarExact = ops.ALPHA_SECTION2,
     L = ops.build_Lalpha(alpha)
     Lstar = ops.adjoint(L)
     lhs = ops.apply_template(Lstar, L.expr) * ScalarExact(Fraction(1, 2))
-    steps.append((f"expand (1/2) L* L f with alpha = {alpha}", str(lhs)))
+    steps.append((f"expand (1/2) L* L f with alpha = {alpha}", lhs))
     target = _target("2.7", target_override)
     residual = canonicalize(lhs - target)
-    steps.append(("canonical residual", str(residual)))
+    steps.append(("canonical residual", residual))
     has_t = any(any("0" in f.derivs for f in t.factors)
                 for t in residual.term_list())
     return _finish("2.7", residual.is_zero(), steps, residual, None,
@@ -111,7 +119,7 @@ def verify_2_ibp(target_override: Expression | None = None) -> ScriptResult:
     lhs = corpus.expr("2.ibp", "lhs")
     rhs = _target("2.ibp", target_override)
     ok, trace = equal_mod_ibp(lhs, rhs)
-    return _finish("2.ibp", ok, [("lhs", str(lhs)), ("rhs", str(rhs))],
+    return _finish("2.ibp", ok, [("lhs", lhs), ("rhs", rhs)],
                    trace.residual, trace)
 
 
@@ -120,9 +128,9 @@ def verify_2_8(target_override: Expression | None = None) -> ScriptResult:
     steps = []
     diff = corpus.expr("2.3", "target") - corpus.expr("2.7", "target")
     paired = (diff * Factor("f")).integrate()
-    steps.append(("<(2.3) - (2.7), f> integrand", str(paired)))
+    steps.append(("<(2.3) - (2.7), f> integrand", paired))
     target = _target("2.8", target_override)
-    steps.append(("catalog integrals", str(target)))
+    steps.append(("catalog integrals", target))
     ok, trace = equal_mod_ibp(paired, target)
     return _finish("2.8", ok, steps, trace.residual, trace)
 
@@ -139,14 +147,14 @@ def verify_2_11(target_override: Expression | None = None) -> ScriptResult:
     s = corpus.expr("2.8", "integrals")
     for rule in ops.flatness_rules():
         s = apply_rule(s, rule)
-    steps.append(("(2.8) integrals with DJ f = 0 substituted", str(s)))
+    steps.append(("(2.8) integrals with DJ f = 0 substituted", s))
     target = _target("2.11", target_override)
     t = apply_rule(target, ops.bianchi_rule())
-    steps.append(("(2.11) integrals with Bianchi expanded", str(t)))
+    steps.append(("(2.11) integrals with Bianchi expanded", t))
     ok, trace = equal_mod_ibp(s * 2, t)
     # the Bianchi rule with A = 0 annihilates the f^2 integrand
     f2 = _f_squared(t).drop_symbols({"A11", "Ab1b1"})
-    steps.append(("f^2 integrand with Bianchi expanded and A = 0", str(f2)))
+    steps.append(("f^2 integrand with Bianchi expanded and A = 0", f2))
     # Theorem A: its value is the f^2 coefficient of 2.11
     value = _thm_a(_inputs(), _constant) * Factor("f") * Factor("f")
     proof = [("f^2 part of (2.11) against INT[thm-a value*f*f]",
@@ -167,8 +175,8 @@ def verify_3_2(target_override: Expression | None = None) -> ScriptResult:
     rhs = _target("3.2", target_override)
     residual = canonicalize(lhs - rhs)
     return _finish("3.2", residual.is_zero(),
-                   [("lhs", str(lhs)), ("rhs", str(rhs)),
-                    ("canonical residual", str(residual))],
+                   [("lhs", lhs), ("rhs", rhs),
+                    ("canonical residual", residual)],
                    residual, None)
 
 
@@ -182,14 +190,18 @@ def verify_3_3(target_override: Expression | None = None) -> ScriptResult:
     steps.append(("integration by parts stage", "PASS" if ok1 else "FAIL"))
     residual2 = canonicalize(mid - final)
     ok2 = residual2.is_zero()
-    steps.append(("commutation stage residual", str(residual2)))
+    steps.append(("commutation stage residual", residual2))
     ok = ok1 and ok2
     residual = trace.residual if not ok1 else (None if ok2 else residual2)
     return _finish("3.3", ok, steps, residual, trace)
 
 
+@lru_cache(maxsize=None)
 def _pairing_with_E(expr: Expression) -> Expression:
-    """<2Re[expr theta^1 (x) Z_b1], E> = INT[expr*Eb1b1 + conjugate]."""
+    """<2Re[expr theta^1 (x) Z_b1], E> = INT[expr*Eb1b1 + conjugate].
+
+    Cached: 3.4 and 3.5 pair the same target-independent coefficient on
+    every run and mutant."""
     half = (expr * Factor("Eb1b1")).integrate()
     return half + half.conjugate()
 
@@ -201,29 +213,13 @@ def _dqj_after_3_2() -> Expression:
     return phi - corpus.expr("3.2", "lhs") + corpus.expr("3.2", "rhs")
 
 
-# The target-independent prefixes of 3.4 and 3.5: (steps, paired integrand),
-# built once per process and shared by every run and mutant.
-
-@lru_cache(maxsize=None)
-def _paired_3_4() -> tuple[tuple[tuple[str, str], ...], Expression]:
+def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
     phi = _dqj_after_3_2()
     torsion_free = phi.drop_symbols({"A11", "Ab1b1"})
     paired = _pairing_with_E(torsion_free)
-    return ((("coefficient after substituting the commutation identity",
-              str(phi)),
-             ("torsion-free reduction", str(torsion_free)),
-             ("pairing with E", str(paired))), paired)
-
-
-@lru_cache(maxsize=None)
-def _paired_3_5() -> tuple[tuple[tuple[str, str], ...], Expression]:
-    paired = _pairing_with_E(_dqj_after_3_2())
-    return (("pairing with E (torsion kept)", str(paired)),), paired
-
-
-def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
-    prefix, paired = _paired_3_4()
-    steps = list(prefix)
+    steps = [("coefficient after substituting the commutation identity", phi),
+             ("torsion-free reduction", torsion_free),
+             ("pairing with E", paired)]
     target = _target("3.4", target_override)
     ok, trace = equal_mod_ibp(paired, target)
     form, minors = _numeric_form(torsion_free_entries, _corollary_c_minors,
@@ -236,8 +232,8 @@ def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
 
 
 def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
-    prefix, paired = _paired_3_5()
-    steps = list(prefix)
+    paired = _pairing_with_E(_dqj_after_3_2())
+    steps = [("pairing with E (torsion kept)", paired)]
     target = _target("3.5", target_override)
 
     # 3.5 does not close modulo IBP alone, only modulo the slice relation
@@ -248,7 +244,7 @@ def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
         return _finish("3.5", True, steps, None, trace,
                        used_slice_relation=True)
 
-    steps.append(("residual (verbatim)", str(residual)))
+    steps.append(("residual (verbatim)", residual))
     return ScriptResult("3.5", "RESIDUAL", steps, residual, trace,
                         {"used_slice_relation": True})
 
@@ -285,7 +281,7 @@ def verify_lemma_3_1(lam: Fraction, rho: Fraction,
     square = _instantiate("3.6", "square", values)
     ok, trace = equal_mod_ibp(rhs - lhs, square)
     return _finish(f"3.6[lam={lam},rho={rho}]", ok,
-                   [("rhs - lhs", str(rhs - lhs)), ("square", str(square))],
+                   [("rhs - lhs", rhs - lhs), ("square", square)],
                    trace.residual, trace)
 
 
@@ -307,7 +303,8 @@ def verify_lemma_3_1_symbolic(target_override: Expression | None = None
         res = verify_lemma_3_1(lam, rho, target_override)
         steps.append((res.name, res.status))
         if not res.passed:
-            return ScriptResult("3.6", "FAIL", steps, res.residual, res.trace)
+            return ScriptResult("3.6", "FAIL", steps, res.residual, res.trace,
+                                {})
     return ScriptResult("3.6", "PASS", steps, None, None,
                         {"grid_points": len(pairs)})
 
@@ -328,9 +325,9 @@ def verify_3_7() -> ScriptResult:
     tight = {**cube, **_substitution("3.7", "tight")}
     gap = canonicalize(_instantiate("3.7", "lhs", tight)
                        - _instantiate("3.7", "rhs", tight))
-    steps = [("lhs with w = W^3", str(lhs)), ("rhs", str(rhs)),
-             ("square", str(square)), ("lhs - rhs - square", str(residual)),
-             ("lhs - rhs on the tight family", str(gap))]
+    steps = [("lhs with w = W^3", lhs), ("rhs", rhs),
+             ("square", square), ("lhs - rhs - square", residual),
+             ("lhs - rhs on the tight family", gap)]
     return _finish("3.7", residual.is_zero() and gap.is_zero(), steps,
                    gap if residual.is_zero() else residual, None)
 
@@ -394,12 +391,13 @@ def _numeric_form(entries, minors, K) -> tuple[Expression, str]:
     return form, "PASS"
 
 
-def _match(got: Expression, want: Expression) -> str:
+def _match(got: Expression, want: Expression) -> str | partial[str]:
     """An exact comparison, without IBP, as a step value."""
-    return "PASS" if got == want else f"FAIL (difference {got - want})"
+    return ("PASS" if got == want
+            else partial("FAIL (difference {})".format, got - want))
 
 
-def _passed(steps: list[tuple[str, str]]) -> bool:
+def _passed(steps: list[tuple[str, object]]) -> bool:
     return all(value == "PASS" for _, value in steps)
 
 
@@ -419,7 +417,7 @@ def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult
     l37 = corpus.expr("3.7", "lhs").integrate()
     deficit = (_instantiate("3.6", "lhs", _QUARTERS)
                - _instantiate("3.6", "rhs", _QUARTERS))
-    steps.append(("completed-square deficit", str(deficit)))
+    steps.append(("completed-square deficit", deficit))
     built = a35 - l37 + deficit
     target = _target("3.8", target_override)
     ok, trace = equal_mod_ibp(built, target)

@@ -5,50 +5,31 @@ the caller supplies directly (computing R, A from a contact form is out of
 scope).  Fractional powers |z|^{2/3}, |z|^{4/3} are evaluated as (|z|^2)^{1/3}
 and its square, via the real cube root, so no complex branch is involved.
 
-Each form entry and each condition formula is written once, as a function of
-the point quantities (`FormInputs`) and a constant constructor `K(n, d, s3)`.
-The float path runs it on numpy arrays holding a whole batch of points;
-`identities` runs it on catalog expressions, where it proves the algebra
-behind Theorems A and B and Corollary C exactly (scripts 2.11, 3.8, 3.4).
+The form entries and condition formulas come from `kernel`, which
+`identities` also runs, exactly, on catalog expressions; this module runs
+them on numpy arrays holding a whole batch of points, with the float
+constant constructor `_float`.
 
-Boundary behaviour: the eps verdicts (thm-a, its borderline, corollaryC)
-compare a value with a band of eps times a magnitude that scales as the
-value does, with no absolute floor, so rescaling the contact form leaves
-them unchanged; "= 0" cases (the borderline automorphism condition) are
-reported as "within epsilon of zero", never asserted exactly from floats.
+Boundary behaviour: the band verdicts (thm-a, its borderline and corollaryC
+at eps, bianchi at 1e-9) compare a value with the band times a magnitude
+that scales as the value does, with no absolute floor, so rescaling the
+contact form leaves them unchanged; "= 0" cases (the borderline automorphism
+condition) are reported as "within epsilon of zero", never asserted exactly
+from floats.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import sys
 from typing import Callable, NamedTuple
 
+import numpy as np
 
-def _lazy_import(name: str):
-    """The module `name`, executed on its first attribute access.
-
-    This is the `importlib.util.LazyLoader` recipe.  Only the float path
-    touches numpy, so the symbolic commands, which import this module for
-    its kernel, never pay for loading it.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-np = _lazy_import("numpy")
+from .kernel import (FormInputs, _bianchi, _cond_3_11, _cond_3_12,
+                     _corollary_c, _thm_a, form_entries)
 
 __all__ = [
     "PointData", "HermitianForm", "Condition", "CONDITIONS",
-    "FormInputs", "form_entries", "torsion_free_entries", "det",
     "build_form_4", "build_form_5", "equivalence_battery", "sylvester_battery",
     "evaluate_conditions", "scaling_report",
 ]
@@ -134,24 +115,8 @@ def _torsion_free(s: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The kernel: each form entry and condition formula, written once
+# Kernel inputs and constants on float batches
 # ---------------------------------------------------------------------------
-
-class FormInputs(NamedTuple):
-    """Point quantities the formulas read, all real or conjugated data."""
-
-    R: object
-    t: object            # |A11_1|^{2/3}
-    a2: object           # |A11|^2
-    lapR: object = 0     # sublaplacian of R
-    imbb: object = 0     # Im A11_bb
-    Rb: object = 0       # conj(R1) = R_{,b}
-    Ab: object = 0       # conj(A11) = A_{b1b1}
-    Ab1: object = 0      # conj(A11_b) = A_{b1b1,1}
-    R0: object = 0
-    rebb: object = 0     # Re A11_bb
-    grad2: object = 0    # |grad_b R|^2 = 2|R1|^2
-
 
 def _float(n, d=1, s3=False):
     """Constant constructor of the float path: n/d, times sqrt3 if s3; n is
@@ -160,78 +125,8 @@ def _float(n, d=1, s3=False):
 
 
 def _magnitude(n, d=1, s3=False):
-    """Constant constructor that evaluates a formula's M (see form_entries)."""
+    """Constant constructor that evaluates a formula's M (see `kernel`)."""
     return abs(_float(n, d, s3))
-
-
-def _abs2(z):
-    return abs(z) ** 2
-
-
-def form_entries(x: FormInputs, K) -> dict[tuple[int, int], object]:
-    """Upper triangle (i <= j) of the 5x5 Hermitian form; zero entries omitted.
-
-    Basis (E11_{,b1}, iE11_{,0}, E11_{,1}, E11_{,b}, E11); the form is
-    sum_ij m_ij u_i conj(u_j).  It is display 3.8 with the 3.7 cube-root
-    terms (the t parts of (3,3) and (4,4)); its leading 4x4 block is the 4x4
-    form.  The float operation order fixes the `equiv` output bytes.
-
-    Here and in the condition formulas every sign sits in a constant, so the
-    formula run on |inputs| with `_magnitude` gives M, the sum of the
-    magnitudes of its summands.
-    """
-    return {
-        (0, 0): K(29, 48), (0, 1): K(-1), (1, 1): K(2),
-        (2, 2): x.R / K(3), (2, 3): K(5j, 3) * x.Ab,
-        (3, 3): x.R / K(8) + K(-2, 3) * x.t,
-        (0, 4): x.R / K(-6), (1, 4): K(2) * x.R / K(3),
-        (2, 4): K(5, 48) * x.Rb + K(-2j) * x.Ab1,
-        (4, 4): (K(29, 48) * (x.R * x.R) + K(11, 48) * x.lapR + K(6) * x.a2
-                 + K(-2, 3) * (x.t * x.t) + K(-16, 3) * x.imbb),
-    }
-
-
-def torsion_free_entries(x: FormInputs, K) -> dict[tuple[int, int], object]:
-    """Upper triangle of the torsion-free form of display 3.4 (A = 0).
-
-    Same basis indices as `form_entries`, without 3 (E11_{,b} does not
-    occur); its determinant is corollaryC / 648.
-    """
-    return {
-        (0, 0): K(2, 3), (0, 1): K(-1), (1, 1): K(2),
-        (2, 2): x.R / K(3),
-        (0, 4): x.R / K(-6), (1, 4): K(2) * x.R / K(3),
-        (2, 4): K(1, 6) * x.Rb,
-        (4, 4): K(2, 3) * (x.R * x.R) + K(1, 6) * x.lapR,
-    }
-
-
-def _thm_a(x: FormInputs, K):
-    """Automorphism-rigidity value sqrt3 R_{,0} - 2 Im(A11_{,bb})."""
-    return K(1, s3=True) * x.R0 + K(-2) * x.imbb
-
-
-def _cond_3_11(x: FormInputs, K):
-    """9 det of the form's (E11_{,1}, E11_{,b}) block."""
-    return K(3, 8) * (x.R * x.R) + K(-2) * x.R * x.t + K(-25) * x.a2
-
-
-def _cond_3_12(x: FormInputs, K, abs2=_abs2):
-    """9 det of the 5x5 form, through its Schur steps."""
-    e = form_entries(x, K)
-    brace = (K(83, 3456) * (x.R * x.R) + K(55, 1152) * x.lapR + K(5, 4) * x.a2
-             + K(-5, 36) * (x.t * x.t) + K(-10, 9) * x.imbb)
-    return _cond_3_11(x, K) * brace + K(-15, 8) * e[3, 3] * abs2(e[2, 4])
-
-
-def _corollary_c(x: FormInputs, K):
-    """Torsion-free value 4R(5R^2 + 3 lap_b R) - 3|grad_b R|^2."""
-    return K(4) * x.R * (K(5) * (x.R * x.R) + K(3) * x.lapR) + K(-3) * x.grad2
-
-
-def _bianchi(x: FormInputs, K):
-    """R_{,0} - 2 Re(A11_{,bb}); zero for consistent data."""
-    return x.R0 + K(-2) * x.rebb
 
 
 def _magnitudes(x: FormInputs) -> FormInputs:
@@ -255,8 +150,8 @@ class Condition(NamedTuple):
     """One row of the condition table (its key is the CLI name).
 
     `values` maps each reported value's JSON key to (formula, scaling power
-    under theta -> k theta); a power of None marks a verdict that is not
-    scale-invariant.  `verdict(fields, inputs, values, eps)` returns one
+    under theta -> k theta); a power of None leaves the row out of
+    `scaling_report`.  `verdict(fields, inputs, values, eps)` returns one
     array per key of `verdicts`, and the condition passes where any of them
     holds.
     """
@@ -281,9 +176,8 @@ def _corollary_c_verdict(s, x, v, eps):
 
 
 def _bianchi_verdict(s, x, v, eps):
-    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(s["R0"]),
-                                            2.0 * np.abs(s["A11_bb"])))
-    return (np.abs(v[0]) <= tol,)
+    band = 1e-9 * _bianchi(_magnitudes(x), _magnitude)
+    return (np.abs(v[0]) <= band,)
 
 
 _V_3_11 = {"3.11": (_cond_3_11, -2.0)}
@@ -349,20 +243,6 @@ def build_form_4(p: PointData) -> HermitianForm:
 def build_form_5(p: PointData) -> HermitianForm:
     """5x5 form in (E11_{,b1}, iE11_{,0}, E11_{,1}, E11_{,b}, E11)."""
     return HermitianForm(_stacked_forms(_float_inputs(_stack([p])))[1][0])
-
-
-def det(matrix: list[list]):
-    """Determinant by cofactor expansion along the first row, on any
-    commutative ring whose elements support + - * and are false when zero
-    (catalog expressions in `identities`)."""
-    if len(matrix) == 1:
-        return matrix[0][0]
-    out = matrix[0][0] * 0
-    for j, entry in enumerate(matrix[0]):
-        if entry:
-            term = entry * det([row[:j] + row[j + 1:] for row in matrix[1:]])
-            out = out - term if j % 2 else out + term
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +353,11 @@ def scaling_report(points: list[PointData], ks: list[float],
         values0, verdicts0 = _scaling_pass(s, eps)
         _require_finite(ids, [a for v, m, _ in values0.values()
                               for a in (v, m)])
-        # values of torsion-free rows are reported at torsion-free points only
-        torsion_free = _torsion_free(s).tolist()
+        # torsion-free rows are judged, and their values reported, at
+        # torsion-free points only
+        torsion_free = _torsion_free(s)
         partial = {key for row in CONDITIONS.values() if row.torsion_free
-                   for key in row.values}
+                   for key in (*row.values, *row.verdicts)}
         ok = np.ones(len(points), dtype=bool)
         reports = [{"id": pid, "ok": True, "rows": []} for pid in ids]
         for k in ks:
@@ -484,7 +365,8 @@ def scaling_report(points: list[PointData], ks: list[float],
             _require_finite(ids, [a for v, m, _ in values.values()
                                   for a in (v, m)], f" at k = {k}")
             invariant = np.logical_and.reduce(
-                [verdicts[key] == v0 for key, v0 in verdicts0.items()])
+                [(verdicts[key] == v0) | (key in partial and ~torsion_free)
+                 for key, v0 in verdicts0.items()])
             errors = {}
             for key, (v0, m0, power) in values0.items():
                 vk, mk, _ = values[key]
@@ -496,11 +378,12 @@ def scaling_report(points: list[PointData], ks: list[float],
                                                             np.abs(vk)), 1e-300)
                                ).tolist()
             ok &= invariant
-            for i, (rep, inv) in enumerate(zip(reports, invariant.tolist())):
+            for i, (rep, inv, tf) in enumerate(zip(
+                    reports, invariant.tolist(), torsion_free.tolist())):
                 rep["rows"].append({
                     "k": k,
                     "errors": {key: rel[i] for key, rel in errors.items()
-                               if torsion_free[i] or key not in partial},
+                               if tf or key not in partial},
                     "verdicts_invariant": inv})
         for rep, good in zip(reports, ok.tolist()):
             rep["ok"] = good

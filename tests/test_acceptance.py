@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from phbochner import identities as ids
+from phbochner import kernel
 from phbochner import rigidity as rg
-from phbochner.rigidity import PointData, det, form_entries
+from phbochner.kernel import det, form_entries
+from phbochner.rigidity import PointData
 from phbochner.scalar import ScalarExact
 
 
@@ -80,7 +82,7 @@ def test_criterion_5_determinant_equivalences():
     x, K = ids._inputs(), ids._constant
     e = form_entries(x, K)
     block = [[e[2, 2], e[2, 3]], [e[2, 3].conjugate(), e[3, 3]]]
-    ok = det(block) == K(1, 9) * rg._cond_3_11(x, K)
+    ok = det(block) == K(1, 9) * kernel._cond_3_11(x, K)
     battery = rg.equivalence_battery(100_000, seed=20240814, eps=1e-9)
     ok &= battery["mismatches_form4"] == 0 and battery["mismatches_form5"] == 0
     _report(5, "block det = (1/9) scalar condition identically; "

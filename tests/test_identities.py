@@ -9,8 +9,8 @@ import phbochner.calculus as calc
 from phbochner import identities as ids
 from phbochner.calculus import check_certificate
 from phbochner.expr import Expression, Factor
+from phbochner.kernel import form_entries
 from phbochner.parser import parse
-from phbochner.rigidity import form_entries
 from phbochner.scalar import ScalarExact
 
 
@@ -94,7 +94,7 @@ def test_3_5_uses_slice_relation():
 def test_3_5_does_not_close_without_slice_relation():
     """Modulo integration by parts alone, catalog 3.5 leaves a residual, so
     `verify_3_5` queries modulo the slice relation DJ* E = 0 only."""
-    _, paired = ids._paired_3_5()
+    paired = ids._pairing_with_E(ids._dqj_after_3_2())
     target = ids.Corpus.load().expr("3.5", "integrand")
     residual, _ = calc.ibp_residual(paired, target)
     assert not residual.is_zero()
@@ -259,6 +259,22 @@ def test_kernel_constant_bumps_fail_a_proof(monkeypatch):
 def test_mutation_kill(ident):
     report = ids.mutation_test(ident)
     assert report["kill_rate"] == 1.0, report["survivors"]
+
+
+def test_mutation_test_formats_no_expression(monkeypatch):
+    # a step is formatted when it is read, and nothing reads a mutant's
+    # steps; only a survivor is formatted, and there is none
+    formatted = []
+    text = Expression.__str__
+
+    def counting(self):
+        formatted.append(self)
+        return text(self)
+
+    monkeypatch.setattr(Expression, "__str__", counting)
+    for ident in ids.MUTABLE_IDS:
+        assert ids.mutation_test(ident)["survivors"] == []
+    assert formatted == []
 
 
 def test_zero_target_override_fails():

@@ -38,10 +38,11 @@ _SYMBOLIC_COMMANDS = ["verify 3.8", "trace 3.5", "verify all --mutate",
                       "--samples 100 verify 3.7"]
 
 
-def _numpy_executed(modules: set[str]) -> bool:
-    """Whether numpy ran: `rigidity` registers a lazy `numpy` module that
-    executes, importing its submodules, on first attribute access."""
-    return any(name.startswith("numpy.") for name in modules)
+def _float_modules(modules: set[str]) -> set[str]:
+    """The float path among `modules`: `rigidity`, numpy and its
+    submodules."""
+    return {name for name in modules if name in ("numpy", "phbochner.rigidity")
+            or name.startswith("numpy.")}
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +70,9 @@ def loaded(tmp_path_factory) -> dict[str, set[str]]:
 def test_ops_loads_no_float_or_identity_modules(loaded, command):
     modules = loaded[command]
     assert "phbochner.operators" in modules
-    assert not modules & {"dataclasses", "inspect", "numpy",
-                          "phbochner.rigidity", "phbochner.identities"}
-    assert not _numpy_executed(modules)
+    assert not modules & {"dataclasses", "inspect", "phbochner.kernel",
+                          "phbochner.identities"}
+    assert not _float_modules(modules)
     # only DJstar, derived by `adjoint`, runs the calculus
     assert ("phbochner.calculus" in modules) == (command == "ops DJstar")
 
@@ -79,27 +80,29 @@ def test_ops_loads_no_float_or_identity_modules(loaded, command):
 @pytest.mark.parametrize("command", _FLOAT_COMMANDS)
 def test_float_commands_load_no_symbolic_modules(loaded, command):
     modules = loaded[command]
-    assert "phbochner.rigidity" in modules and _numpy_executed(modules)
+    assert {"numpy", "phbochner.kernel", "phbochner.rigidity"} <= modules
     assert not modules & _SYMBOLIC
 
 
 def test_verify_loads_no_numpy(loaded):
     modules = loaded["verify all"]
-    assert _SYMBOLIC | {"phbochner.rigidity"} <= modules
-    assert not _numpy_executed(modules)
+    assert _SYMBOLIC | {"phbochner.kernel"} <= modules
+    assert not _float_modules(modules)
 
 
 @pytest.mark.parametrize("command", _SYMBOLIC_COMMANDS)
 def test_symbolic_commands_load_no_numpy(loaded, command):
-    assert not _numpy_executed(loaded[command])
+    # the kernel the symbolic engine proves, without the float path
+    assert "phbochner.kernel" in loaded[command]
+    assert not _float_modules(loaded[command])
 
 
 def test_no_package_module_imports_dataclasses(loaded):
-    # `verify all` loads every package module but `cli`, which each command
-    # runs as __main__
+    # the commands together load every package module but `cli`, which each
+    # command runs as __main__
     every = set().union(*loaded.values())
     assert {f"phbochner.{m}" for m in ("scalar", "expr", "parser", "calculus",
-                                       "operators", "identities",
+                                       "operators", "identities", "kernel",
                                        "rigidity")} <= every
     assert "dataclasses" not in every
 

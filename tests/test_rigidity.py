@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from phbochner import identities as ids
+from phbochner import kernel
 from phbochner import rigidity as rg
 from phbochner.expr import Expression
+from phbochner.kernel import det, form_entries, torsion_free_entries
 from phbochner.parser import parse
 from phbochner.rigidity import (HermitianForm, PointData, build_form_4,
-                                build_form_5, det, form_entries,
-                                torsion_free_entries)
+                                build_form_5)
 
 
 def test_package_reexports_numeric_names():
@@ -155,14 +156,15 @@ def test_exact_block_determinant_identity():
     """9 det of the (E11_{,1}, E11_{,b}) block of the 5x5 form is 3.11."""
     x, K = ids._inputs(), ids._constant
     block = _exact_form(form_entries, (2, 3))
-    assert det(block) == K(1, 9) * rg._cond_3_11(x, K)
+    assert det(block) == K(1, 9) * kernel._cond_3_11(x, K)
 
 
 def test_exact_det5_identity():
     """9 det of the 5x5 form is 3.12."""
     x, K = ids._inputs(), ids._constant
     m5 = _exact_form(form_entries, range(5))
-    assert det(m5) == K(1, 9) * rg._cond_3_12(x, K, lambda z: z * z.conjugate())
+    assert det(m5) == K(1, 9) * kernel._cond_3_12(
+        x, K, lambda z: z * z.conjugate())
 
 
 def test_equivalence_battery():
@@ -222,7 +224,7 @@ def test_scaling_bound_accounts_for_cancellation(monkeypatch):
     assert rep["ok"], rep
     assert rep["rows"][0]["errors"]["3.12"] > 1e-12
     # a value whose stated power is off by k^0.5 must still fail
-    wrong = rg.Condition({"3.12 wrong": (rg._cond_3_12, -4.5)}, (),
+    wrong = rg.Condition({"3.12 wrong": (kernel._cond_3_12, -4.5)}, (),
                          lambda s, x, v, eps: ())
     monkeypatch.setitem(rg.CONDITIONS, "wrong", wrong)
     [rep] = rg.scaling_report([p], ks)
@@ -256,6 +258,40 @@ def test_eps_verdicts_scale_invariant(record):
     assert rep["ok"]
 
 
+def _corollary_c_ratio(p: PointData) -> float:
+    """corollaryC's v/M at p: as eps, it puts the verdict on its band edge."""
+    x = rg._float_inputs(rg._stack([p]))
+    return float(kernel._corollary_c(x, rg._float)[0]
+                 / kernel._corollary_c(rg._magnitudes(x), rg._magnitude)[0])
+
+
+def test_scaletest_judges_torsion_free_verdicts_at_torsion_free_points():
+    # on its band edge the corollaryC verdict flips under theta -> k theta;
+    # corollaryC is defined only where A = 0, so the flip counts only there
+    p = PointData(R=0.9034701816518086, lapR=0.09401229776087457,
+                  R1=-0.7434992493538084 - 0.9217253762584194j,
+                  A11=0.3 + 0.1j)
+    twin = p._replace(A11=0j)
+    eps = _corollary_c_ratio(p)
+    assert eps == _corollary_c_ratio(twin)
+    ks = [1 / 7, 1 / 2, 3.0, 100.0]
+    [rep] = rg.scaling_report([p], ks, eps)
+    assert rep["ok"], rep
+    [rep] = rg.scaling_report([twin], ks, eps)
+    assert not all(row["verdicts_invariant"] for row in rep["rows"])
+    assert not rep["ok"]
+
+
+def test_bianchi_band_scales_with_the_data():
+    # a residual of 5e-10 on data of size 1e-3 is inconsistent at theta and
+    # at theta / 100, where the residual is 5e-6 on data of size 10
+    p = PointData(R=1e-3, R0=1e-3 + 5e-10, A11_bb=5e-4 + 0j)
+    scaled = PointData(**rg._scaled(p._asdict(), 1 / 100))
+    for rep in rg.evaluate_conditions([p, scaled], ["bianchi"]):
+        assert rep["values"]["bianchi_residual"] != 0.0
+        assert rep["verdicts"] == {"bianchi": False}
+
+
 def test_thm_a_band_scales_with_the_data():
     # 5e-13 is 1.4e-10 of the data's size, far outside the eps band
     [rep] = rg.evaluate_conditions(
@@ -284,7 +320,7 @@ def test_torsion_free_quadratic_form_det_identity():
     """det of the torsion-free 4-variable form equals the rigidity value / 648."""
     x, K = ids._inputs(), ids._constant
     m = _exact_form(torsion_free_entries, (0, 1, 2, 4))
-    assert det(m) == K(1, 648) * rg._corollary_c(x, K)
+    assert det(m) == K(1, 648) * kernel._corollary_c(x, K)
 
 
 def test_torsion_free_form_pd_blocks():
@@ -328,7 +364,7 @@ def test_condition_powers_match_the_catalog_weights():
             if power is None:
                 continue
             extra = ({"abs2": lambda z: z * z.conjugate()}
-                     if fn is rg._cond_3_12 else {})
+                     if fn is kernel._cond_3_12 else {})
             [w] = _weights(fn(x, K, **extra))
             assert power == -w / 2, key
 
