@@ -50,8 +50,8 @@ def _sym(name, conj, alpha, weight, real=False):
     return SymbolInfo(name, conj, alpha, weight, real)
 
 
-# f: real scalar function; g: complex scalar (used for adjoint test functions
-# and as the free parameter of the 3.7 tight family);
+# f: real scalar function; g: complex scalar (the free parameter of the 3.7
+# tight family);
 # R: Tanaka-Webster scalar curvature; A11: torsion coefficient;
 # E11: deformation tensor coefficient; Q11: Cartan tensor coefficient;
 # W: a cube root of A11_{,1}, so |A11_{,1}|^{2/3} = W*Wb.  W is not
@@ -335,20 +335,6 @@ class Expression:
         """Set the listed symbols to zero (drop every term containing one)."""
         return self.filter_terms(
             lambda t: not any(f.symbol in symbols for f in t.factors))
-
-    def rename_symbol(self, old: str, new: str) -> "Expression":
-        """Rename a symbol and its conjugate partner consistently."""
-        old_conj = SYMBOLS[old].conj
-        new_conj = SYMBOLS[new].conj
-        mapping = {old: new, old_conj: new_conj}
-        out: dict[TermKey, ScalarExact] = {}
-        for (integ, factors), coeff in self._terms.items():
-            fs = _sorted_factors(
-                Factor(mapping.get(f.symbol, f.symbol), f.derivs) for f in factors)
-            key = (integ, fs)
-            prev = out.get(key)
-            out[key] = coeff if prev is None else prev + coeff
-        return Expression(out)
 
     # -- comparison / printing ------------------------------------------------
 

@@ -14,7 +14,11 @@ Conventions (h_{1 1bar} = 1, all indices lowered):
 * Bianchi-type identity         R_{,0} = A11_{,1bar 1bar} + Ab1b1_{,11}
 
 Inner products used for adjoints: <u, v> = INT[u * conj(v)] for scalars and
-<S, T> = INT[2Re(S11 * T1bar1bar)] for deformation tensors.
+<S, T> = INT[2Re(S11 * T1bar1bar)] for deformation tensors.  Under INT the
+derivative string I of f_{,I} moves off f reversed and with the sign
+(-1)^|I|, so `adjoint` writes the adjoint of an operator on the real function
+f in closed form: each term c * f_{,I} gives (-1)^|I| (conj(c) u)_{,conj(rev I)}
+with u = f, or u = E11 plus (-1)^|I| (c Eb1b1)_{,rev I} for a tensor value.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 # `calculus` is imported by the functions that run it, so that listing the
 # registry, or building an operator that needs no calculus, does not load it
-from .expr import Expression, Factor, SYMBOLS
+from .expr import Expression, Factor, SYMBOLS, conj_letter
 from .parser import Corpus, parse
 from .scalar import I, ScalarExact
 
@@ -47,14 +51,14 @@ ALPHA_SECTION3 = ScalarExact(4) + I * ScalarExact(0, 1)   # 4 + i*sqrt(3)
 class OperatorTemplate(NamedTuple):
     """A linear operator given by its coefficient expression in a placeholder.
 
-    `placeholder` is the argument symbol ("f", "g" or "E11"); `domain` and
-    `codomain` are "function" or "tensor".  For tensor-valued operators the
-    expression is the (1,1)-coefficient; the tensor itself is 2Re[...].
+    `placeholder` is the argument symbol: the real function "f", or "E11"
+    for an operator on deformation tensors.  `codomain` is "function" or
+    "tensor"; for tensor-valued operators the expression is the
+    (1,1)-coefficient, and the tensor itself is 2Re[...].
     """
 
     name: str
     placeholder: str
-    domain: str
     codomain: str
     expr: Expression
 
@@ -96,8 +100,7 @@ def is_linear(template: OperatorTemplate) -> bool:
 # ---------------------------------------------------------------------------
 
 def build_DJ() -> OperatorTemplate:
-    return OperatorTemplate("DJ", "f", "function", "tensor",
-                            parse("f_{11} + i*A11*f"))
+    return OperatorTemplate("DJ", "f", "tensor", parse("f_{11} + i*A11*f"))
 
 
 def build_DJstar() -> OperatorTemplate:
@@ -106,7 +109,7 @@ def build_DJstar() -> OperatorTemplate:
 
 
 def build_sublaplacian() -> OperatorTemplate:
-    return OperatorTemplate("lap_b", "f", "function", "function",
+    return OperatorTemplate("lap_b", "f", "function",
                             parse("-f_{1b} - f_{b1}"))
 
 
@@ -117,7 +120,7 @@ def build_subgradient_sq() -> Expression:
 
 def build_Lalpha(alpha: ScalarExact) -> OperatorTemplate:
     expr = build_sublaplacian().expr + parse("f_{0}") * (I * alpha)
-    return OperatorTemplate(f"L[{alpha}]", "f", "function", "function", expr)
+    return OperatorTemplate(f"L[{alpha}]", "f", "function", expr)
 
 
 def build_Q11() -> Expression:
@@ -162,111 +165,48 @@ def flatness_rules() -> list[Rule]:
 # Adjoint
 # ---------------------------------------------------------------------------
 
-def _strip_placeholder(expr: Expression, names: set[str]) -> Expression:
-    """IBP every derivative off the placeholder factors (all integrated)."""
-    from .calculus import CalculusError, integrate_by_parts
-
-    current = expr
-    for _ in range(10_000):
-        items = list(current.items())
-        target = None
-        for ti, (key, _) in enumerate(items):
-            for fi, f in enumerate(key[1]):
-                if f.symbol in names and f.derivs:
-                    target = (ti, fi)
-                    break
-            if target:
-                break
-        if target is None:
-            return current
-        current = integrate_by_parts(current, target[0], target[1])
-    raise CalculusError("adjoint normalization did not terminate")
-
-
 @lru_cache(maxsize=32)
 def adjoint(template: OperatorTemplate) -> OperatorTemplate:
     """Adjoint with respect to the catalog inner products, cached per
     template (an equal template is a cache hit), so each operator's adjoint
     is derived once per process.
 
-    Computed mechanically: pair the operator value against a test argument,
-    integrate all derivatives off the placeholder by parts, and read the
-    adjoint template off the cofactor of the placeholder.
-    """
-    from .calculus import CalculusError, canonicalize
+    For a linear template in the real function f, integrating the derivative
+    string I off f by parts reverses it and gives the sign (-1)^|I|, so each
+    term c * f_{,I} contributes
 
+        (-1)^|I| * (conj(c) * u)_{,conj(reversed I)}
+
+    with u = f for a function-valued operator and u = E11 for a tensor-valued
+    one; a tensor-valued operator, paired by 2Re[S11 * Eb1b1], also
+    contributes (-1)^|I| * (c * Eb1b1)_{,reversed I}.
+    """
+    from .calculus import CalculusError, canonicalize, differentiate
+
+    if template.placeholder != "f":
+        raise CalculusError(
+            f"template {template.name} is not an operator on the real function f")
     if not is_linear(template):
         raise CalculusError(f"template {template.name} is not linear")
-    placeholder = template.placeholder
-    conj_placeholder = SYMBOLS[placeholder].conj
+    tensor = template.codomain == "tensor"
+    u = Factor("E11" if tensor else "f")
 
-    if template.codomain == "function":
-        test, test_conj = "g", "gb"
-        pairing = (template.expr * Factor("gb")).integrate()
-    elif template.codomain == "tensor":
-        test, test_conj = "E11", "Eb1b1"
-        half = (template.expr * Factor("Eb1b1")).integrate()
-        pairing = half + half.conjugate()
-    else:  # pragma: no cover
-        raise CalculusError(f"unknown codomain {template.codomain}")
-
-    stripped = canonicalize(
-        _strip_placeholder(pairing, {placeholder, conj_placeholder}))
-
-    direct = Expression.zero()      # cofactor of the placeholder factor
-    conjpart = Expression.zero()    # cofactor of its conjugate
-    for term in stripped.term_list():
-        rest = Expression.scalar(term.coeff)
-        slot = None
-        for f in term.factors:
-            if f.symbol == placeholder and not f.derivs and slot is None:
-                slot = "direct"
-            elif f.symbol == conj_placeholder and not f.derivs and slot is None:
-                slot = "conj"
-            else:
-                rest = rest * Expression.from_factor(f)
-        if slot == "direct":
-            direct = direct + rest
-        elif slot == "conj":
-            conjpart = conjpart + rest
-        else:  # pragma: no cover
-            raise CalculusError("placeholder lost during adjoint normalization")
-
-    if template.domain == "function":
-        if SYMBOLS[placeholder].real:
-            # real scalars pair bilinearly: INT[u * S] = <u, conj(S)>
-            result = canonicalize((direct + conjpart).conjugate())
-        else:
-            result = canonicalize(direct.conjugate())
-            if not (canonicalize(conjpart)).is_zero():
-                raise CalculusError(
-                    "operator is only real-linear; adjoint template undefined")
-    elif template.domain == "tensor":
-        # INT[E11 * P + Eb1b1 * Q] = <E, W> with W11 = Q, requires P = conj(Q)
-        result = canonicalize(conjpart)
-        if not canonicalize(direct - result.conjugate()).is_zero():
-            raise CalculusError("pairing is not conjugate-symmetric")
-    else:  # pragma: no cover
-        raise CalculusError(f"unknown domain {template.domain}")
-
-    # the adjoint's argument is the test object; rename scalar tests to f/g
-    if template.codomain == "function":
-        has_conj = any(f.symbol == "gb" for t in result.term_list()
-                       for f in t.factors)
-        new_placeholder = "g"
-        if not has_conj and template.domain == "function" \
-                and SYMBOLS[placeholder].real:
-            result = result.rename_symbol("g", "f")
-            new_placeholder = "f"
-    else:
-        new_placeholder = "E11"
+    parts = []
+    for term in template.expr.term_list():
+        (arg,) = [f for f in term.factors if f.symbol == "f"]
+        # c times the sign (-1)^|I|, which is real
+        c = Expression.from_term(term.coeff * (-1) ** len(arg.derivs),
+                                 [f for f in term.factors if f.symbol != "f"])
+        rev = arg.derivs[::-1]
+        parts.append(differentiate(c.conjugate() * u, [conj_letter(l) for l in rev]))
+        if tensor:
+            parts.append(differentiate(c * Factor("Eb1b1"), rev))
 
     return OperatorTemplate(
         name=f"adjoint({template.name})",
-        placeholder=new_placeholder,
-        domain=template.codomain,
-        codomain=template.domain,
-        expr=result,
+        placeholder=u.symbol,
+        codomain="function",
+        expr=canonicalize(Expression.sum(parts)),
     )
 
 

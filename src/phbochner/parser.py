@@ -10,8 +10,8 @@ Grammar (documented in README):
                 | ('A'|'E'|'Q') '_{' ('11'|'b1b1') '}' [ '_{' [1b0]* '}' ]
 
 Symbols: f R A11 Ab1b1 E11 Eb1b1 Q11 Qb1b1 W Wb (W is a cube root of
-A11_{,1}; plus g/gb, used internally for adjoint test functions and the 3.7
-tight family).  The derivative alphabet is 1, b (= 1-bar), 0; the leftmost
+A11_{,1}; plus g/gb, a complex scalar, the free parameter of the 3.7 tight
+family).  The derivative alphabet is 1, b (= 1-bar), 0; the leftmost
 letter is applied first.  '2Re[X]' is expanded to X + conj(X) at parse time;
 there is no Re/Im node in the AST.  Division is only defined by
 scalar-valued subexpressions.

@@ -11,11 +11,11 @@ them on numpy arrays holding a whole batch of points, with the float
 constant constructor `_float`.
 
 Boundary behaviour: the band verdicts (thm-a, its borderline and corollaryC
-at eps, bianchi at 1e-9) compare a value with the band times a magnitude
-that scales as the value does, with no absolute floor, so rescaling the
-contact form leaves them unchanged; "= 0" cases (the borderline automorphism
-condition) are reported as "within epsilon of zero", never asserted exactly
-from floats.
+at eps, bianchi at 1e-9) compare a value with the band times M, the sum of
+the magnitudes of the value's summands, which scales as the value does; with
+no absolute floor, rescaling the contact form leaves them unchanged; "= 0"
+cases (the borderline automorphism condition) are reported as "within
+epsilon of zero", never asserted exactly from floats.
 """
 
 from __future__ import annotations
@@ -164,8 +164,7 @@ class Condition(NamedTuple):
 
 
 def _thm_a_verdicts(s, x, v, eps):
-    band = eps * np.maximum(np.abs(_SQRT3 * s["R0"]),
-                            2.0 * np.abs(s["A11_bb"].imag))
+    band = eps * _thm_a(_magnitudes(x), _magnitude)
     negative = s["R"] < 0
     return negative & (v[0] > band), negative & (np.abs(v[0]) <= band)
 

@@ -292,6 +292,24 @@ _PINNED_JSON = {
         "a1b4a302f16d16f6a5a1d532f02d467211b6be76828e3a7385dfeaaf19d5725e",
     "trace 3.8":
         "db10c3bd5b06432af0172b786b92f1a720c068672ccd71b0de23a24e8ca14633",
+    "ops":
+        "5f87c205b62c6a5eccedfa75479c893d3948f51ef404910c858fc5ae3313f063",
+    "ops DJ":
+        "a4f54bff4472b2c8e63102bb49bceef4eccd4b7780c59e931ca7223ee5ca6df8",
+    "ops DJstar":
+        "037073124e71e6b89f4828191e81788a3faf128a20b58a07ff74e57e431a2c76",
+    "ops DQJ_rhs":
+        "9f6284191b326440aa9a3fc3680217595fdf8f1304253057bdfbc17caf7ea8eb",
+    "ops L[4+i*s3]":
+        "f56dbfc29f3a427c8c501c3ab9328a86e957991ec20bdb607e761285e11a43fd",
+    "ops L[i*s3]":
+        "6eb336432eb868831ff7728e730623c185ec90cfe80a6396d83698796b60529e",
+    "ops Q11":
+        "ab5c1b77ac814c0e6356ba1e6a4f7428f39845b029f883fe8d0308d85c528ee9",
+    "ops gradsq_b":
+        "55e338fac0c7f6dac397fe9ef9d50eb2aa72711d08bb40b149286007950cfb15",
+    "ops lap_b":
+        "50245c2e57fab9cf97eef02e15594d65a8f9df3fae9a367f1b9cd98bf00780c4",
 }
 
 

@@ -133,9 +133,3 @@ def test_scalar_value():
     assert parse("(1/2)*i + (1/2)*i").scalar_value() == I
     with pytest.raises(ValueError):
         parse("A11").scalar_value()
-
-
-def test_rename_symbol():
-    e = parse("g_{1} + i*gb")
-    r = e.rename_symbol("g", "f")
-    assert r == parse("f_{1} + i*f")

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from phbochner import operators as ops
-from phbochner.calculus import apply_rule, canonicalize, differentiate
+from phbochner.calculus import (CalculusError, apply_rule, canonicalize,
+                                differentiate, equal_mod_ibp)
 from phbochner.expr import Expression, Factor
 from phbochner.parser import parse
 from phbochner.scalar import I, ScalarExact
@@ -66,8 +67,34 @@ def test_double_adjoint():
     assert canonicalize(again.expr - L.expr).is_zero()
 
 
+# linear templates on f: both codomains, orders 0-2, T-direction derivatives,
+# and coefficients built from i, s3, R, A11 and Ab1b1
+_ADJOINT_CASES = [
+    ("function", "(1 + i*s3)*R*f"),
+    ("function", "i*s3*f_{0} - R*f_{1b}"),
+    ("function", "A11*f_{bb} - i*Ab1b1*f_{11}"),
+    ("tensor", "i*A11*f"),
+    ("tensor", "s3*f_{11} + (2 - i)*A11*f_{0}"),
+    ("tensor", "R*f_{11} - i*A11*f_{b1}"),
+]
+
+
+@pytest.mark.parametrize("codomain, text", _ADJOINT_CASES)
+def test_adjoint_defining_identity(codomain, text):
+    # <P f, u> = <f, P* u> modulo integration by parts, where the pairing of
+    # tensors is INT[2Re(S11 * conj(u))] and P* u is a real function there
+    P = ops.OperatorTemplate("P", "f", codomain, parse(text))
+    u = parse("g" if codomain == "function" else "E11")
+    lhs = (P.expr * u.conjugate()).integrate()
+    if codomain == "tensor":
+        lhs = lhs + lhs.conjugate()
+    Pstar_u = ops.apply_template(ops.adjoint(P), u)
+    rhs = (parse("f") * Pstar_u.conjugate()).integrate()
+    assert equal_mod_ibp(lhs, rhs)[0]
+
+
 def test_adjoint_identity():
-    ident = ops.OperatorTemplate("identity", "f", "function", "function",
+    ident = ops.OperatorTemplate("identity", "f", "function",
                                  Expression.from_factor(Factor("f")))
     adj = ops.adjoint(ident)
     assert canonicalize(adj.expr - ident.expr).is_zero()
@@ -168,8 +195,14 @@ def test_registry():
     assert all(str(build()) for build in reg.values())
 
 
+def test_adjoint_rejects_operators_not_on_f():
+    # DJstar acts on deformation tensors E11, not on the real function f
+    with pytest.raises(CalculusError):
+        ops.adjoint(ops.build_DJstar())
+
+
 def test_adjoint_rejects_nonlinear():
-    bad = ops.OperatorTemplate("sq", "f", "function", "function",
+    bad = ops.OperatorTemplate("sq", "f", "function",
                                parse("f_{1}*f_{b}"))
     with pytest.raises(Exception):
         ops.adjoint(bad)

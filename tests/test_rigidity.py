@@ -53,6 +53,18 @@ def test_thmA_examples():
     assert not positive["verdicts"]["thm_a_borderline"]
 
 
+def test_thmA_band_is_eps_times_M():
+    # value 1.5e-12 against M = sqrt3 |R0| + 2 |Im A11_bb| ~ 2: inside the
+    # band eps * M = 2e-12 although it exceeds eps times either summand
+    (point,) = rg.evaluate_conditions(
+        [PointData.from_mapping({"R": -1.0, "R0": 1 / 3 ** 0.5,
+                                 "A11_bb": [0.0, (1 - 1.5e-12) / 2]})],
+        ["thm-a"])
+    assert point["values"]["thm_a"] == pytest.approx(1.5e-12, rel=1e-4)
+    assert not point["verdicts"]["thm_a"]
+    assert point["verdicts"]["thm_a_borderline"]
+
+
 def test_cond_3_11_examples():
     flat, twisted = rg.evaluate_conditions(
         [PointData(R=1.0), PointData(R=2.0, A11=0.1 + 0j)], ["3.11"])
