@@ -10,6 +10,13 @@ Commands:
   ops [name]                     show operator templates from the registry
 
 Identical arguments (the seed included) produce byte-identical JSON output.
+Every report is written with one `sys.stdout.write`.  Its JSON bytes are
+those of `json.dumps(report, indent=2, sort_keys=True, default=str)`, written
+by `_json_into`: each container whose members are all leaves is encoded in
+one call to the stdlib's C encoder, and Python walks only the containers that
+hold other containers (with `indent`, `json.dumps` runs the pure-Python
+encoder on every value).  Point files are read into columns by
+`rigidity.point_columns`.
 Exit status is 0 when every requested verification or condition passed, 1
 when one failed, 2 on a usage or input error (an unknown identity, operator
 or condition name included), reported as one line on stderr, and 141
@@ -31,6 +38,7 @@ its function.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -40,33 +48,89 @@ DEFAULT_SEED = 20240814
 
 
 def _emit(report: dict, fmt: str) -> None:
+    """Write a report to stdout in one call: JSON, or indented text."""
+    out: list[str] = []
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True, default=str))
+        _json_into(report, 0, out)
+        out.append("\n")
+    else:
+        _text_into(report, "", out)
+    sys.stdout.write("".join(out))
+
+
+# the types json encodes as one leaf without calling `default`
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """The stdlib's C encoder for a container at `depth` whose members are
+    all leaves.  Its item separator carries the newline and indent of those
+    members, as `indent=2` puts them; the newlines after the opening bracket
+    and before the closing one are left to the caller.  It encodes a single
+    leaf at any depth too."""
+    # markers (no cycle check), default, string encoder, indent (none: the
+    # item separator carries it), key separator, item separator, sort_keys,
+    # skipkeys, allow_nan
+    return json.encoder.c_make_encoder(
+        None, str, json.encoder.encode_basestring_ascii, None, ": ",
+        ",\n" + "  " * (depth + 1), True, False, True)
+
+
+def _json_into(obj, depth: int, out: list[str]) -> None:
+    """Append the chunks of `json.dumps(obj, indent=2, sort_keys=True,
+    default=str)` for obj at `depth` to out.  A container whose members are
+    all leaves is one call to the C encoder; Python walks only the others."""
+    encode = _flat_encoder(depth)
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        out += encode(obj, 0)    # a leaf or an empty container
         return
-    for line in _text_lines(report):
-        print(line)
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + ("}" if is_dict else "]")
+    if _LEAF_TYPES.issuperset(map(type, obj.values() if is_dict else obj)):
+        text = "".join(encode(obj, 0))
+        out += (text[0], inner, text[1:-1], close)
+        return
+    out.append("{" if is_dict else "[")
+    sep = inner
+    for item in sorted(obj.items()) if is_dict else obj:
+        out.append(sep)
+        sep = "," + inner
+        if is_dict:
+            key, item = item
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or "
+                                    f"None, not {type(key).__name__}")
+                key = "".join(encode(key, 0))
+            out += (json.encoder.encode_basestring_ascii(key), ": ")
+        if type(item) in _LEAF_TYPES:
+            out += encode(item, 0)
+        else:
+            _json_into(item, depth + 1, out)
+    out.append(close)
 
 
-def _text_lines(obj, prefix="") -> list[str]:
-    lines = []
+def _text_into(obj, prefix: str, out: list[str]) -> None:
+    """Append the text lines of obj, each ending in a newline, to out: one
+    key or list dash per line, nested containers indented by two spaces."""
     if isinstance(obj, dict):
-        for key in obj:
-            val = obj[key]
+        for key, val in obj.items():
             if isinstance(val, (dict, list)):
-                lines.append(f"{prefix}{key}:")
-                lines.extend(_text_lines(val, prefix + "  "))
+                out.append(f"{prefix}{key}:\n")
+                _text_into(val, prefix + "  ", out)
             else:
-                lines.append(f"{prefix}{key}: {val}")
+                out.append(f"{prefix}{key}: {val}\n")
     elif isinstance(obj, list):
         for item in obj:
             if isinstance(item, (dict, list)):
-                lines.append(prefix + "-")
-                lines.extend(_text_lines(item, prefix + "  "))
+                out.append(prefix + "-\n")
+                _text_into(item, prefix + "  ", out)
             else:
-                lines.append(f"{prefix}- {item}")
+                out.append(f"{prefix}- {item}\n")
     else:
-        lines.append(f"{prefix}{obj}")
-    return lines
+        out.append(f"{prefix}{obj}\n")
 
 
 def _input_error(message: str):
@@ -75,8 +139,9 @@ def _input_error(message: str):
     raise SystemExit(2)
 
 
-def _load_points(path: str) -> list[PointData]:
-    from .rigidity import PointData
+def _load_points(path: str) -> dict:
+    """The point file at path as `rigidity.point_columns` gives it."""
+    from .rigidity import point_columns
 
     try:
         with open(path) as fh:
@@ -86,7 +151,7 @@ def _load_points(path: str) -> list[PointData]:
     if not isinstance(data, list) or not data:
         _input_error(f"{path}: expected a non-empty JSON array of points")
     try:
-        return [PointData.from_mapping(rec) for rec in data]
+        return point_columns(data)
     except ValueError as exc:
         _input_error(f"{path}: {exc}")
 
@@ -146,7 +211,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "command": "check",
         "conditions": args.cond,
         "points": reports,
-        "n_points": len(points),
+        "n_points": len(points["id"]),
         "ok": ok,
     }
     _emit(summary, args.format)
@@ -191,7 +256,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         payload = result.to_dict()
         payload["trace"] = (json.loads(result.trace.to_json())
                             if result.trace else None)
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(payload, "json")
     else:
         print(f"[{result.name}] {result.status}")
         for label, value in result.steps:

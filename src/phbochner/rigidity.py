@@ -8,7 +8,10 @@ and its square, via the real cube root, so no complex branch is involved.
 The form entries and condition formulas come from `kernel`, which
 `identities` also runs, exactly, on catalog expressions; this module runs
 them on numpy arrays holding a whole batch of points, with the float
-constant constructor `_float`.
+constant constructor `_float`.  A batch is held as columns: one array per
+`_FIELDS` field and `id`, the list of point ids.  `point_columns` builds them
+from parsed point records, checking each column at C speed; `_stack` builds
+them from a list of `PointData`.
 
 Boundary behaviour: the band verdicts (thm-a, its borderline and corollaryC
 at eps, bianchi at 1e-9) compare a value with the band times M, the sum of
@@ -20,6 +23,8 @@ epsilon of zero", never asserted exactly from floats.
 
 from __future__ import annotations
 
+import itertools
+import math
 import sys
 from typing import Callable, NamedTuple
 
@@ -29,7 +34,7 @@ from .kernel import (FormInputs, _bianchi, _cond_3_11, _cond_3_12,
                      _corollary_c, _thm_a, form_entries)
 
 __all__ = [
-    "PointData", "HermitianForm", "Condition", "CONDITIONS",
+    "PointData", "point_columns", "HermitianForm", "Condition", "CONDITIONS",
     "build_form_4", "build_form_5", "equivalence_battery", "sylvester_battery",
     "evaluate_conditions", "scaling_report",
 ]
@@ -81,31 +86,85 @@ class PointData(NamedTuple):
 
     @classmethod
     def from_mapping(cls, data: dict) -> "PointData":
-        """A point record: finite numbers, complex ones as [re, im] pairs."""
-        if not isinstance(data, dict) or "R" not in data:
-            raise ValueError(f"point record is not an object with the "
-                             f"field 'R': {data!r}")
-        pid = str(data.get("id", ""))
-        kwargs = {"id": pid}
-        for name, is_complex in _READ_ORDER:
-            if name not in data:
-                continue
-            value = data[name]
-            pair = is_complex and isinstance(value, (list, tuple))
-            parts = value if pair and len(value) == 2 else [value]
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and abs(v) <= sys.float_info.max for v in parts):
-                raise ValueError(f"point {pid!r}: field {name!r} is not a "
-                                 f"finite number: {value!r}")
-            kwargs[name] = complex(*parts) if is_complex else float(value)
-        return cls(**kwargs)
+        """A point record: finite numbers, complex ones as [re, im] pairs
+        (or a real number); validated as `point_columns` does."""
+        columns = point_columns([data])
+        return cls(*(columns[name][0].item() for name in _FIELDS),
+                   id=columns["id"][0])
 
 
-def _stack(points: list[PointData]) -> dict[str, np.ndarray]:
-    """Point data as one array per field."""
-    return {name: np.array([getattr(p, name) for p in points],
-                           dtype=complex if f.complex else float)
-            for name, f in _FIELDS.items()}
+def _value(value, is_complex: bool):
+    """A field value as float or complex, or NaN where it is not a finite
+    number (or, for a complex field, an [re, im] pair of them)."""
+    pair = (is_complex and isinstance(value, (list, tuple))
+            and len(value) == 2)
+    parts = value if pair else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               and abs(v) <= sys.float_info.max for v in parts):
+        return math.nan
+    return complex(*parts) if is_complex else float(value)
+
+
+def _column(values: list, is_complex: bool) -> np.ndarray:
+    """One field of a batch of records as an array, NaN at each bad value.
+
+    A column of floats, or for a complex field of [float, float] lists, is
+    checked by the set of its types and converted at C speed (a complex
+    column is the complex view of its (n, 2) parts, so signed zeros stay);
+    any other column goes value by value through `_value`.
+    """
+    if is_complex:
+        plain = (set(map(type, values)) == {list}
+                 and set(map(len, values)) == {2}
+                 and set(map(type, itertools.chain.from_iterable(values)))
+                 == {float})
+    else:
+        plain = set(map(type, values)) == {float}
+    if plain:
+        column = np.array(values, dtype=float)
+        return column.view(complex).ravel() if is_complex else column
+    return np.array([_value(v, is_complex) for v in values],
+                    dtype=complex if is_complex else float)
+
+
+def point_columns(records: list) -> dict:
+    """Point records as columns: one array per field, in `_FIELDS` order, and
+    `id`, the list of point ids.
+
+    A record is an object with the field 'R'; its fields are finite numbers,
+    complex ones [re, im] pairs or real numbers, and absent ones 0.  Raises
+    ValueError naming the first bad record in order, and in it the first bad
+    field in `_READ_ORDER`.
+    """
+    shaped = list(itertools.takewhile(
+        lambda rec: isinstance(rec, dict) and "R" in rec, records))
+    columns, bad, bad_field = {}, len(shaped), None
+    for name, is_complex in _READ_ORDER:
+        absent = [0.0, 0.0] if is_complex else 0.0
+        columns[name] = _column([rec.get(name, absent) for rec in shaped],
+                                is_complex)
+        bad_rows = np.flatnonzero(~np.isfinite(columns[name]))
+        if bad_rows.size and bad_rows[0] < bad:
+            bad, bad_field = int(bad_rows[0]), name
+    if bad_field is not None:
+        rec = shaped[bad]
+        raise ValueError(f"point {str(rec.get('id', ''))!r}: field "
+                         f"{bad_field!r} is not a finite number: "
+                         f"{rec[bad_field]!r}")
+    if len(shaped) < len(records):
+        raise ValueError(f"point record is not an object with the field "
+                         f"'R': {records[len(shaped)]!r}")
+    return {**{name: columns[name] for name in _FIELDS},
+            "id": [str(rec.get("id", "")) for rec in records]}
+
+
+def _stack(points: list[PointData]) -> dict:
+    """Point data as columns, as `point_columns` gives them."""
+    columns = {name: np.array([getattr(p, name) for p in points],
+                              dtype=complex if f.complex else float)
+               for name, f in _FIELDS.items()}
+    columns["id"] = [p.id for p in points]
+    return columns
 
 
 def _torsion_free(s: dict) -> np.ndarray:
@@ -257,9 +316,10 @@ def _require_finite(ids: list[str], arrays, where: str = "") -> None:
                          f"overflow double precision{where}")
 
 
-def evaluate_conditions(points: list[PointData], conditions: list[str],
+def evaluate_conditions(columns: dict, conditions: list[str],
                         eps: float = DEFAULT_EPS) -> list[dict]:
-    """One report per point, each condition evaluated on the batch.
+    """One report per point of `columns` (as `point_columns` or `_stack`
+    give them), each condition evaluated on the batch.
 
     A report holds the point's `id`, its condition `values`, `verdicts` and
     form `minors`, whether it `passed` each requested condition, and its
@@ -267,19 +327,21 @@ def evaluate_conditions(points: list[PointData], conditions: list[str],
     precision.
     """
     with np.errstate(all="ignore"):
-        s = _stack(points)
-        x = _float_inputs(s)
-        torsion_free = _torsion_free(s).tolist()
-        ids = [p.id for p in points]
+        x = _float_inputs(columns)
+        torsion_free = _torsion_free(columns).tolist()
+        ids = columns["id"]
         reports = [{"id": pid, "values": {}, "verdicts": {}, "minors": {},
                     "passed": {}, "errors": []} for pid in ids]
         for name in conditions:
             row = CONDITIONS[name]
             values = [fn(x, _float) for fn, _ in row.values.values()]
-            minors = ([_stacked_minors(m) for m in _stacked_forms(x)]
-                      if row.minors else [])
+            minors = []
+            if row.minors:
+                # form 4 is the leading 4x4 block of form 5
+                minors5 = _stacked_minors(_stacked_forms(x)[1])
+                minors = [minors5[:, :4], minors5]
             _require_finite(ids, values + minors)
-            verdicts = row.verdict(s, x, values, eps)
+            verdicts = row.verdict(columns, x, values, eps)
             passed = np.logical_or.reduce(verdicts).tolist()
             values = [v.tolist() for v in values]
             verdicts = [v.tolist() for v in verdicts]
@@ -335,9 +397,10 @@ def _scaling_pass(s: dict, eps: float) -> tuple[dict, dict]:
     return values, verdicts
 
 
-def scaling_report(points: list[PointData], ks: list[float],
+def scaling_report(columns: dict, ks: list[float],
                    eps: float = DEFAULT_EPS) -> list[dict]:
-    """Value homogeneity and verdict invariance, one batched pass per k.
+    """Value homogeneity and verdict invariance of the points of `columns`,
+    one batched pass per k.
 
     A value v of power p passes at k when |v_k - k^p v_0| <= C u (M_k +
     |k^p| M_0), with M the sum of the magnitudes of v's summands, u the unit
@@ -347,8 +410,7 @@ def scaling_report(points: list[PointData], ks: list[float],
     M overflows double precision.
     """
     with np.errstate(all="ignore"):
-        s = _stack(points)
-        ids = [p.id for p in points]
+        s, ids = columns, columns["id"]
         values0, verdicts0 = _scaling_pass(s, eps)
         _require_finite(ids, [a for v, m, _ in values0.values()
                               for a in (v, m)])
@@ -357,7 +419,7 @@ def scaling_report(points: list[PointData], ks: list[float],
         torsion_free = _torsion_free(s)
         partial = {key for row in CONDITIONS.values() if row.torsion_free
                    for key in (*row.values, *row.verdicts)}
-        ok = np.ones(len(points), dtype=bool)
+        ok = np.ones(len(ids), dtype=bool)
         reports = [{"id": pid, "ok": True, "rows": []} for pid in ids]
         for k in ks:
             values, verdicts = _scaling_pass(_scaled(s, np.float64(k)), eps)
@@ -421,9 +483,8 @@ def equivalence_battery(samples: int, seed: int, eps: float = 1e-9) -> dict:
     v311 = _cond_3_11(x, _float)
     v312 = _cond_3_12(x, _float)
 
-    m4, m5 = _stacked_forms(x)
-    minors4 = _stacked_minors(m4)
-    minors5 = _stacked_minors(m5)
+    minors5 = _stacked_minors(_stacked_forms(x)[1])
+    minors4 = minors5[:, :4]     # form 4 is the leading 4x4 block of form 5
     pd4 = np.all(minors4 > 0, axis=1)
     pd5 = np.all(minors5 > 0, axis=1)
 

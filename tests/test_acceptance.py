@@ -97,11 +97,11 @@ def test_criterion_6_scaling_laws():
                   A11_1=0.3 + 0.1j, A11_b=-0.2 + 0.4j, A11_bb=0.05 + 0.02j)
     tf = PointData(R=2.0, R1=0.3 + 0.1j, lapR=-0.2)
     ks = (1 / 7, 1 / 2, 3.0, 100.0)
-    p0, *ps = rg.evaluate_conditions(
-        [p] + [PointData(**rg._scaled(p._asdict(), k)) for k in ks],
+    p0, *ps = rg.evaluate_conditions(rg._stack(
+        [p] + [PointData(**rg._scaled(p._asdict(), k)) for k in ks]),
         ["3.11", "3.12", "thm-a"])
-    tf0, *tfs = rg.evaluate_conditions(
-        [tf] + [PointData(**rg._scaled(tf._asdict(), k)) for k in ks],
+    tf0, *tfs = rg.evaluate_conditions(rg._stack(
+        [tf] + [PointData(**rg._scaled(tf._asdict(), k)) for k in ks]),
         ["corollaryC"])
     ok = True
     worst = 0.0
@@ -121,7 +121,8 @@ def test_criterion_6_scaling_laws():
     points = [PointData(**{name: v.item() for name, v in
                            rg._sample_fields(rng, 1).items()})
               for _ in range(50)]
-    ok &= all(rep["ok"] for rep in rg.scaling_report(points, list(ks)))
+    ok &= all(rep["ok"]
+              for rep in rg.scaling_report(rg._stack(points), list(ks)))
     _report(6, f"scaling powers k^-2/k^-3/k^-4 exact (worst rel {worst:.2e}), "
                "verdicts invariant", ok)
 

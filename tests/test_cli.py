@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phbochner import cli
@@ -318,3 +319,131 @@ def test_json_output_bytes_pinned(args, capsys):
     main(["--format", "json", *args.split()])
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == _PINNED_JSON[args]
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(indent=2, sort_keys=True, default=str) bytes
+# ---------------------------------------------------------------------------
+
+class _Opaque:
+    """A leaf that only `default=str` can print."""
+
+    def __str__(self):
+        return 'opaque "leaf"\n'
+
+
+def _trees():
+    st = pytest.importorskip("hypothesis").strategies
+    text = st.text(max_size=6) | st.sampled_from(
+        ['"', "\\", "\x00\x1f\n\t", "é€\U0001f600", "\ud800"])
+    leaves = (st.none() | st.booleans() | st.integers()
+              | st.sampled_from([2 ** 64, -(2 ** 64) - 1, 3 ** 200])
+              | st.floats() | st.sampled_from([-0.0, float("nan")])
+              | text | st.just(_Opaque()))
+    # the keys of one dict are of one kind that sort_keys can order
+    numbers = st.integers() | st.floats(allow_nan=False) | st.booleans()
+    return st.recursive(leaves, lambda kids: (
+        st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+        | st.dictionaries(text, kids, max_size=4)
+        | st.dictionaries(numbers, kids, max_size=3)
+        | st.dictionaries(st.none(), kids)), max_leaves=12)
+
+
+def test_json_writer_matches_json_dumps():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(_trees())
+    def check(obj):
+        out = []
+        cli._json_into(obj, 0, out)
+        assert "".join(out) == json.dumps(obj, indent=2, sort_keys=True,
+                                          default=str)
+    check()
+
+
+def test_json_writer_refuses_keys_json_refuses():
+    for obj in ({(1, 2): [1]}, {_Opaque(): {}}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, default=str)
+        with pytest.raises(TypeError):
+            cli._json_into(obj, 0, [])
+
+
+# ---------------------------------------------------------------------------
+# the point loader: the first bad record in file order, today's messages
+# ---------------------------------------------------------------------------
+
+_GOOD = [{"id": f"g{k}", "R": 1.0 + k, "R1": [0.5, -0.25],
+          "A11": [0.0, 0.0]} for k in range(3)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"id": "b", "R": 1.0, "R0": True},
+     "point 'b': field 'R0' is not a finite number: True"),
+    ({"id": "b", "R": 1.0, "A11": [True, 0.0]},
+     "point 'b': field 'A11' is not a finite number: [True, 0.0]"),
+    ({"id": "b", "R": 10 ** 400},
+     f"point 'b': field 'R' is not a finite number: {10 ** 400!r}"),
+    ({"id": "b", "R": 1.0, "R1": [1, 2, 3]},
+     "point 'b': field 'R1' is not a finite number: [1, 2, 3]"),
+    ({"id": "b", "R": 1.0, "A11_b": [[1, 2], 3]},
+     "point 'b': field 'A11_b' is not a finite number: [[1, 2], 3]"),
+    ({"id": "b", "R": 1.0, "lapR": "2.0"},
+     "point 'b': field 'lapR' is not a finite number: '2.0'"),
+    ({"id": "b", "R": 1.0, "R0": [1.0, 0.0]},
+     "point 'b': field 'R0' is not a finite number: [1.0, 0.0]"),
+    ([1.0], "point record is not an object with the field 'R': [1.0]"),
+    ({"id": "b", "R0": 1.0},
+     "point record is not an object with the field 'R': "
+     "{'id': 'b', 'R0': 1.0}"),
+    # within a record, real fields are read before complex ones
+    ({"id": 3, "R": 1.0, "A11": "x", "lapR": None},
+     "point '3': field 'lapR' is not a finite number: None"),
+], ids=["bool", "bool-part", "int-overflow", "long-pair", "nested-pair",
+        "string", "pair-for-real", "not-an-object", "no-R", "read-order"])
+def test_load_points_names_the_bad_record(bad, message, capsys, tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(_GOOD + [bad] + _GOOD))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(path), "--cond", "thm-b"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"phbochner: error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("records, named", [
+    # the bad R of the later record is read first, but the earlier is named
+    ([{"id": "first", "R": 1.0, "A11_bb": "x"}, {"id": "second", "R": None}],
+     "'first'"),
+    ([{"id": "first", "R": 1.0, "lapR": True}, 7], "'first'"),
+    ([7, {"id": "second", "R": "x"}], ": 7"),
+])
+def test_load_points_names_the_first_bad_record(records, named, capsys,
+                                                tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(_GOOD + records))
+    with pytest.raises(SystemExit):
+        main(["scaletest", str(path)])
+    err = capsys.readouterr().err
+    assert named in err and "second" not in err
+
+
+def test_load_points_keeps_signed_zeros(tmp_path):
+    from phbochner.rigidity import PointData
+    records = [{"id": "a", "R": -0.0, "A11": [-0.0, 1.0]},
+               {"id": "b", "R": 1, "A11": [-0.0, -0.0], "R1": 2}]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(records))
+    columns = cli._load_points(str(path))
+    assert columns["id"] == ["a", "b"]
+    assert list(np.signbit(columns["R"])) == [True, False]
+    assert list(np.signbit(columns["A11"].real)) == [True, True]
+    assert list(np.signbit(columns["A11"].imag)) == [False, True]
+    assert columns["R1"].tolist() == [0j, 2 + 0j]
+    # one record at a time, through the same validator
+    for k, rec in enumerate(records):
+        p = PointData.from_mapping(rec)
+        assert [getattr(p, name) for name in ("R", "A11", "R1")] == [
+            columns[name][k] for name in ("R", "A11", "R1")]
+        assert np.signbit(p.A11.real) and np.signbit(p.R) == (k == 0)

@@ -38,9 +38,9 @@ def test_export_lists_resolve():
 
 
 def test_thmA_examples():
-    strict, border, positive = rg.evaluate_conditions(
+    strict, border, positive = rg.evaluate_conditions(rg._stack(
         [PointData(R=-1.0, R0=1.0), PointData(R=-1.0, R0=0.0),
-         PointData(R=1.0, R0=5.0)], ["thm-a"])
+         PointData(R=1.0, R0=5.0)]), ["thm-a"])
     assert abs(strict["values"]["thm_a"] - 3 ** 0.5) < 1e-15
     assert strict["verdicts"]["thm_a"]
     assert not strict["verdicts"]["thm_a_borderline"]
@@ -56,9 +56,9 @@ def test_thmA_examples():
 def test_thmA_band_is_eps_times_M():
     # value 1.5e-12 against M = sqrt3 |R0| + 2 |Im A11_bb| ~ 2: inside the
     # band eps * M = 2e-12 although it exceeds eps times either summand
-    (point,) = rg.evaluate_conditions(
+    (point,) = rg.evaluate_conditions(rg._stack(
         [PointData.from_mapping({"R": -1.0, "R0": 1 / 3 ** 0.5,
-                                 "A11_bb": [0.0, (1 - 1.5e-12) / 2]})],
+                                 "A11_bb": [0.0, (1 - 1.5e-12) / 2]})]),
         ["thm-a"])
     assert point["values"]["thm_a"] == pytest.approx(1.5e-12, rel=1e-4)
     assert not point["verdicts"]["thm_a"]
@@ -66,22 +66,22 @@ def test_thmA_band_is_eps_times_M():
 
 
 def test_cond_3_11_examples():
-    flat, twisted = rg.evaluate_conditions(
-        [PointData(R=1.0), PointData(R=2.0, A11=0.1 + 0j)], ["3.11"])
+    flat, twisted = rg.evaluate_conditions(rg._stack(
+        [PointData(R=1.0), PointData(R=2.0, A11=0.1 + 0j)]), ["3.11"])
     assert flat["values"]["3.11"] == pytest.approx(0.375, abs=0)
     assert twisted["values"]["3.11"] == pytest.approx(1.25)
 
 
 def test_cond_3_12_torsion_free_example():
-    [rep] = rg.evaluate_conditions([PointData(R=1.0)], ["3.12"])
+    [rep] = rg.evaluate_conditions(rg._stack([PointData(R=1.0)]), ["3.12"])
     assert rep["values"]["3.12"] == pytest.approx(
         (3.0 / 8.0) * (83.0 / 3456.0))
 
 
 def test_corollary_C_examples():
-    good, bad, torsion = rg.evaluate_conditions(
+    good, bad, torsion = rg.evaluate_conditions(rg._stack(
         [PointData(R=1.0), PointData(R=1.0, R1=complex(10 ** 0.5, 0)),
-         PointData(R=1.0, A11=0.5 + 0j)], ["corollaryC"])
+         PointData(R=1.0, A11=0.5 + 0j)]), ["corollaryC"])
     assert good["values"]["corollaryC"] == pytest.approx(20.0)
     assert good["verdicts"]["corollaryC"]
     assert bad["values"]["corollaryC"] < 0
@@ -95,8 +95,8 @@ def test_bianchi_flag_synthetic():
     for _ in range(50):
         bb = complex(rng.standard_normal(), rng.standard_normal())
         points.append(PointData(R=1.0, R0=2.0 * bb.real, A11_bb=bb))
-    *consistent, off = rg.evaluate_conditions(
-        points + [PointData(R=1.0, R0=1.0)], ["bianchi"])
+    *consistent, off = rg.evaluate_conditions(rg._stack(
+        points + [PointData(R=1.0, R0=1.0)]), ["bianchi"])
     assert all(rep["verdicts"]["bianchi"] for rep in consistent)
     assert not off["verdicts"]["bianchi"]
 
@@ -186,21 +186,31 @@ def test_equivalence_battery():
     assert abs(report["kappa_mean"] - 1.0 / 9.0) < 1e-12
 
 
+def test_form4_minors_are_leading_form5_minors():
+    # `check --cond thm-b` and `equiv` take form 4's minors from form 5's
+    x = rg._float_inputs(rg._sample_fields(np.random.default_rng(3), 20_000))
+    m4, m5 = rg._stacked_forms(x)
+    minors4, minors5 = rg._stacked_minors(m4), rg._stacked_minors(m5)
+    assert np.array_equal(minors4, minors5[:, :4])
+    assert np.array_equal(minors4.view(np.int64),
+                          minors5[:, :4].view(np.int64))
+
+
 def test_scale_identity_and_powers():
     p = PointData(R=1.3, R0=-0.4, R1=0.2 + 0.5j, lapR=0.7, A11=0.1 - 0.2j,
                   A11_1=0.3 + 0.1j, A11_b=-0.2 + 0.4j, A11_bb=0.05 + 0.02j)
     assert PointData(**rg._scaled(p._asdict(), 1.0)) == p
     ks = (1 / 7, 1 / 2, 3.0, 100.0)
-    base, *scaled = rg.evaluate_conditions(
-        [p] + [PointData(**rg._scaled(p._asdict(), k)) for k in ks],
+    base, *scaled = rg.evaluate_conditions(rg._stack(
+        [p] + [PointData(**rg._scaled(p._asdict(), k)) for k in ks]),
         ["3.11", "3.12", "thm-a"])
     for k, rep in zip(ks, scaled):
         for key, power in (("3.11", -2), ("3.12", -4), ("thm_a", -2)):
             assert rep["values"][key] == pytest.approx(
                 base["values"][key] * k ** power, rel=1e-12)
     tf = PointData(R=2.0, R1=0.3 + 0.1j, lapR=-0.2)
-    base, *scaled = rg.evaluate_conditions(
-        [tf] + [PointData(**rg._scaled(tf._asdict(), k)) for k in ks],
+    base, *scaled = rg.evaluate_conditions(rg._stack(
+        [tf] + [PointData(**rg._scaled(tf._asdict(), k)) for k in ks]),
         ["corollaryC"])
     for k, rep in zip(ks, scaled):
         assert rep["values"]["corollaryC"] == pytest.approx(
@@ -212,7 +222,8 @@ def test_scaling_report_verdict_invariance():
     points = [PointData(**{name: v.item() for name, v in
                            rg._sample_fields(rng, 1).items()})
               for _ in range(25)]
-    for rep in rg.scaling_report(points, [1 / 7, 1 / 2, 3.0, 100.0]):
+    for rep in rg.scaling_report(rg._stack(points),
+                                 [1 / 7, 1 / 2, 3.0, 100.0]):
         assert rep["ok"], rep
 
 
@@ -232,14 +243,14 @@ P3252 = {"id": "p3252", "R": -1.00372685082875,
 def test_scaling_bound_accounts_for_cancellation(monkeypatch):
     p = PointData.from_mapping(P3252)
     ks = [1 / 7, 1 / 2, 3.0, 100.0]
-    [rep] = rg.scaling_report([p], ks)
+    [rep] = rg.scaling_report(rg._stack([p]), ks)
     assert rep["ok"], rep
     assert rep["rows"][0]["errors"]["3.12"] > 1e-12
     # a value whose stated power is off by k^0.5 must still fail
     wrong = rg.Condition({"3.12 wrong": (kernel._cond_3_12, -4.5)}, (),
                          lambda s, x, v, eps: ())
     monkeypatch.setitem(rg.CONDITIONS, "wrong", wrong)
-    [rep] = rg.scaling_report([p], ks)
+    [rep] = rg.scaling_report(rg._stack([p]), ks)
     assert not rep["ok"]
     assert rep["rows"][1]["errors"]["3.12 wrong"] > 0.1
 
@@ -265,7 +276,7 @@ SMALL_THM_A = {"id": "a", "R": -1e-3, "R0": 1e-3,
                          ids=["corollaryC", "thm-a"])
 def test_eps_verdicts_scale_invariant(record):
     p = PointData.from_mapping(record)
-    [rep] = rg.scaling_report([p], [1 / 7, 1 / 2, 3.0, 100.0])
+    [rep] = rg.scaling_report(rg._stack([p]), [1 / 7, 1 / 2, 3.0, 100.0])
     assert [row["verdicts_invariant"] for row in rep["rows"]] == [True] * 4
     assert rep["ok"]
 
@@ -287,9 +298,9 @@ def test_scaletest_judges_torsion_free_verdicts_at_torsion_free_points():
     eps = _corollary_c_ratio(p)
     assert eps == _corollary_c_ratio(twin)
     ks = [1 / 7, 1 / 2, 3.0, 100.0]
-    [rep] = rg.scaling_report([p], ks, eps)
+    [rep] = rg.scaling_report(rg._stack([p]), ks, eps)
     assert rep["ok"], rep
-    [rep] = rg.scaling_report([twin], ks, eps)
+    [rep] = rg.scaling_report(rg._stack([twin]), ks, eps)
     assert not all(row["verdicts_invariant"] for row in rep["rows"])
     assert not rep["ok"]
 
@@ -299,21 +310,21 @@ def test_bianchi_band_scales_with_the_data():
     # at theta / 100, where the residual is 5e-6 on data of size 10
     p = PointData(R=1e-3, R0=1e-3 + 5e-10, A11_bb=5e-4 + 0j)
     scaled = PointData(**rg._scaled(p._asdict(), 1 / 100))
-    for rep in rg.evaluate_conditions([p, scaled], ["bianchi"]):
+    for rep in rg.evaluate_conditions(rg._stack([p, scaled]), ["bianchi"]):
         assert rep["values"]["bianchi_residual"] != 0.0
         assert rep["verdicts"] == {"bianchi": False}
 
 
 def test_thm_a_band_scales_with_the_data():
     # 5e-13 is 1.4e-10 of the data's size, far outside the eps band
-    [rep] = rg.evaluate_conditions(
-        [PointData.from_mapping(SMALL_THM_A)], ["thm-a"])
+    [rep] = rg.evaluate_conditions(rg._stack(
+        [PointData.from_mapping(SMALL_THM_A)]), ["thm-a"])
     assert rep["verdicts"] == {"thm_a": True, "thm_a_borderline": False}
 
 
 def test_scaling_report_exact_zero_value():
     # torsion-free and Bianchi-consistent: thm-a is 0 with every summand 0
-    [rep] = rg.scaling_report([PointData(R=-1.0)], [1 / 7, 3.0])
+    [rep] = rg.scaling_report(rg._stack([PointData(R=-1.0)]), [1 / 7, 3.0])
     assert rep["ok"] and rep["rows"][0]["errors"]["thm_a"] == 0.0
 
 
@@ -321,7 +332,7 @@ def test_torsion_free_consistency():
     # with A = 0: positive definiteness of the 4x4 form <=> R > 0
     Rs = (-2.0, -0.1, 0.5, 3.0)
     points = [PointData(R=R) for R in Rs]
-    reps = rg.evaluate_conditions(points, ["3.11"])
+    reps = rg.evaluate_conditions(rg._stack(points), ["3.11"])
     for R, p, rep in zip(Rs, points, reps):
         assert all(m > 0 for m in build_form_4(p).leading_minors()) == (R > 0)
         # equals (3/8) R^2 when A = 0
@@ -393,9 +404,10 @@ def test_pointdata_io():
 
 def test_evaluate_conditions_report():
     p = PointData(R=1.0, id="pt")
-    [rep] = rg.evaluate_conditions([p], ["thm-b", "corollaryC", "bianchi"])
+    [rep] = rg.evaluate_conditions(rg._stack([p]),
+                                   ["thm-b", "corollaryC", "bianchi"])
     assert rep["verdicts"]["thm_b"] and rep["verdicts"]["corollaryC"]
     assert rep["verdicts"]["bianchi"] and not rep["errors"]
-    [rep2] = rg.evaluate_conditions([PointData(R=1.0, A11=1 + 0j)],
-                                    ["corollaryC"])
+    [rep2] = rg.evaluate_conditions(
+        rg._stack([PointData(R=1.0, A11=1 + 0j)]), ["corollaryC"])
     assert rep2["errors"]
