@@ -35,14 +35,21 @@ The engine implements
   built rows before it is returned, so every such equality decision doubles
   as an audit trail.
 
-All operations are pure.  The module state is four bounded caches:
+The engine reads an Expression's terms in stored order and sorts only
+where the order reaches output.  Canonical forms, relation rows and
+residuals are collected into one dict each, with no Expression per product
+or sum, and a canonical term is added as it is.  Every coefficient is exact,
+so the order in which terms are collected changes no value.
 
-* canonical forms of factors (`_canon_cache`) and the unit expansions of
-  non-canonical terms (`_term_cache`), each at most MAX_CACHED_FACTORS;
+All operations are pure.  The module state is five bounded caches:
+
+* canonical forms of non-canonical factors (`_canon_cache`) and, per term,
+  its unit expansion or the mark that it is canonical (`_term_cache`), each
+  at most MAX_CACHED_FACTORS;
 * eliminated systems by sector set and `modulo` generators
   (`_system_cache`, at most MAX_CACHED_SYSTEMS);
-* the sector of each monomial (`_sector`, an LRU cache of at most
-  MAX_CACHED_MONOMIALS).
+* the sector and the sort key of each monomial (`_sector` and
+  `_monomial_sort_key`, LRU caches of at most MAX_CACHED_MONOMIALS each).
 
 The first three evict their oldest entry first.
 """
@@ -55,7 +62,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (_LETTER_ALPHA, _LETTER_ORDER, _LETTER_WEIGHT, DERIV_LETTERS,
-                   SYMBOLS, Expression, Factor, Term)
+                   SYMBOLS, Expression, Factor, Term, _sorted_factors)
 from .scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
 __all__ = [
@@ -68,10 +75,11 @@ __all__ = [
 # against; the catalog needs well under a thousand.
 MAX_RELATIONS = 10_000
 # Bounds of the caches shared across queries: canonical forms of factors
-# (and of non-canonical terms), eliminated systems and the sectors of
-# monomials.  After `verify all --mutate` they hold 95 factors, 54 terms,
-# 6 systems (four sectors, their three-sector merge, and that merge with the
-# slice-relation rows of 3.5) and 59 monomials.
+# and of terms, eliminated systems, and the sectors and sort keys of
+# monomials.  After `verify all --mutate` they hold 43 non-canonical factors,
+# 220 terms (52 of them non-canonical), 6 systems (four sectors, their
+# three-sector merge, and that merge with the slice-relation rows of 3.5),
+# the sectors of 59 monomials and the sort keys of 161.
 MAX_CACHED_FACTORS = 10_000
 MAX_CACHED_SYSTEMS = 64
 MAX_CACHED_MONOMIALS = 10_000
@@ -134,6 +142,12 @@ class RewriteTrace:
 # Differentiation
 # ---------------------------------------------------------------------------
 
+def _add(acc: dict, key, coeff: ScalarExact) -> None:
+    """acc[key] += coeff; a zero stays in place (Expression drops it)."""
+    prev = acc.get(key)
+    acc[key] = coeff if prev is None else prev + coeff
+
+
 def differentiate(e: Expression, letters: str | Iterable[str]) -> Expression:
     """Covariant derivative of a non-integrated expression (Leibniz rule)."""
     if isinstance(letters, str):
@@ -142,15 +156,15 @@ def differentiate(e: Expression, letters: str | Iterable[str]) -> Expression:
     for letter in letters:
         if letter not in DERIV_LETTERS:
             raise CalculusError(f"unknown derivative letter {letter!r}")
-        parts = []
-        for key, coeff in out.items():
-            integrated, factors = key
+        acc: dict = {}
+        for (integrated, factors), coeff in out._terms.items():
             if integrated:
                 raise CalculusError("cannot differentiate an integrated expression")
             for j in range(len(factors)):
-                new = factors[:j] + (factors[j].with_deriv(letter),) + factors[j + 1:]
-                parts.append(Expression.from_term(coeff, new))
-        out = Expression.sum(parts)
+                _add(acc, (False, _sorted_factors(
+                    factors[:j] + (factors[j].with_deriv(letter),)
+                    + factors[j + 1:])), coeff)
+        out = Expression(acc)
     return out
 
 
@@ -202,9 +216,11 @@ _SWAP_RULES = {
 }
 
 _canon_cache: dict[Factor, Expression] = {}
-# (integrated, factors) of a non-canonical term -> the canonical items of its
-# expansion with coefficient 1; a term's expansion is this scaled
-_term_cache: dict[tuple, tuple] = {}
+# (integrated, factors) of a term -> the canonical items of its expansion
+# with coefficient 1 (a term's expansion is this scaled), or None when the
+# term is canonical
+_term_cache: dict[tuple, tuple | None] = {}
+_UNSEEN = object()
 
 
 def _first_disorder(derivs: tuple[str, ...]) -> int | None:
@@ -223,32 +239,70 @@ def canonicalize_factor(factor: Factor) -> Expression:
     if p is None:
         out = Expression.from_factor(factor)
     else:
-        parts = []
-        for key, coeff in commute_swap(factor, p).items():
-            _, factors = key
-            prod = Expression.scalar(coeff)
-            for f in factors:
-                prod = prod * canonicalize_factor(f)
-            parts.append(prod)
-        out = Expression.sum(parts)
+        acc: dict = {}
+        for (_, factors), coeff in commute_swap(factor, p)._terms.items():
+            _product_into(acc, coeff, factors)
+        out = Expression({(False, m): c for m, c in acc.items()})
     _remember(_canon_cache, factor, out, MAX_CACHED_FACTORS)
     return out
 
 
-def _expand_term(key) -> tuple:
-    """Canonical (key, coefficient) pairs of a non-canonical unit term."""
-    cached = _term_cache.get(key)
-    if cached is None:
-        integrated, factors = key
-        prod = Expression.from_term(1, [f for f in factors if f.is_canonical()])
-        for f in factors:
-            if not f.is_canonical():
-                prod = prod * canonicalize_factor(f)
-        if integrated:
-            prod = prod.integrate()
-        cached = tuple(prod.items())
-        _remember(_term_cache, key, cached, MAX_CACHED_FACTORS)
-    return cached
+def _product_into(acc: dict, coeff: ScalarExact,
+                  factors: tuple[Factor, ...]) -> None:
+    """acc[m] += coeff * c over the terms c * m of the product of the
+    canonical forms of `factors`, m a sorted monomial."""
+    prod = {(): coeff}
+    for f in factors:
+        if f.is_canonical():
+            prod = {m + (f,): c for m, c in prod.items()}
+            continue
+        terms = canonicalize_factor(f)._terms
+        new: dict = {}
+        for m1, c1 in prod.items():
+            neg = -c1
+            for (_, m2), c2 in terms.items():
+                m = m1 + m2
+                new[m] = sub_mul(new.get(m, ZERO), neg, c2)
+        prod = new
+    for m, c in prod.items():
+        _add(acc, _sorted_factors(m), c)
+
+
+def _expand_term(key) -> tuple | None:
+    """Canonical (key, coefficient) pairs of a unit term, or None for a term
+    that is canonical already; remembered in `_term_cache`."""
+    integrated, factors = key
+    if all(f.is_canonical() for f in factors):
+        expansion = None
+    else:
+        acc: dict = {}
+        _product_into(acc, ONE, factors)
+        expansion = tuple(((integrated, m), c) for m, c in acc.items() if c)
+    _remember(_term_cache, key, expansion, MAX_CACHED_FACTORS)
+    return expansion
+
+
+def _canonical_into(acc: dict, terms: Iterable[tuple[tuple, ScalarExact]],
+                    subtract: bool = False) -> None:
+    """acc += (or -=, with `subtract`) the canonical form of each
+    (key, coeff) term of `terms`; a canonical term is added as it is.
+    Zeros stay in place."""
+    get = acc.get
+    for key, coeff in terms:
+        expansion = _term_cache.get(key, _UNSEEN)
+        if expansion is _UNSEEN:
+            expansion = _expand_term(key)
+        if expansion is None:
+            prev = get(key)
+            if subtract:
+                acc[key] = -coeff if prev is None else prev - coeff
+            else:
+                acc[key] = coeff if prev is None else prev + coeff
+        else:
+            # acc[k] += coeff * c, or -=, by one fused multiply-subtract
+            f = coeff if subtract else -coeff
+            for k, c in expansion:
+                acc[k] = sub_mul(get(k, ZERO), f, c)
 
 
 def canonicalize(e: Expression) -> Expression:
@@ -259,16 +313,26 @@ def canonicalize(e: Expression) -> Expression:
     canonicalized.
     """
     acc: dict = {}
-    for key, coeff in e.items():
-        if all(f.is_canonical() for f in key[1]):
-            expanded = ((key, ONE),)
-        else:
-            expanded = _expand_term(key)
-        neg = -coeff
-        for k, c in expanded:
-            # zeros stay in place, so the collected order is unchanged
-            acc[k] = sub_mul(acc.get(k, ZERO), neg, c)
+    _canonical_into(acc, e._terms.items())
     return Expression(acc)
+
+
+def _canonical_difference(a: Expression, b: Expression) -> Expression:
+    """canonicalize(a - b), without forming a - b."""
+    acc: dict = {}
+    _canonical_into(acc, a._terms.items())
+    _canonical_into(acc, b._terms.items(), subtract=True)
+    return Expression(acc)
+
+
+def _canonical_row(terms: Iterable[tuple[ScalarExact, tuple[Factor, ...]]]
+                   ) -> dict[Monomial, ScalarExact]:
+    """The canonical vector of the plain sum of coeff * (product of factors)
+    over `terms`."""
+    acc: dict = {}
+    _canonical_into(acc, (((False, _sorted_factors(factors)), coeff)
+                          for coeff, factors in terms))
+    return {key[1]: c for key, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -333,25 +397,21 @@ def apply_rule(e: Expression, rule: Rule) -> Expression:
     """Apply a substitution rule everywhere, to a fixpoint (at most 64 rounds)."""
     current = e
     for _ in range(64):
-        parts = []
+        acc: dict = {}
         changed = False
-        for key, coeff in current.items():
+        for key, coeff in current._terms.items():
             integrated, factors = key
             hit = next((j for j, f in enumerate(factors) if rule.matches(f)), None)
             if hit is None:
-                parts.append(Expression.from_term(coeff, factors, integrated))
+                _add(acc, key, coeff)
                 continue
             changed = True
             tail = factors[hit].derivs[len(rule.prefix):]
             repl = differentiate(rule.replacement, tail) if tail else rule.replacement
-            prod = Expression.scalar(coeff) * repl
-            for k, f in enumerate(factors):
-                if k != hit:
-                    prod = prod * Expression.from_factor(f)
-            if integrated:
-                prod = prod.integrate()
-            parts.append(prod)
-        current = Expression.sum(parts)
+            rest = factors[:hit] + factors[hit + 1:]
+            for (_, rf), rc in repl._terms.items():
+                _add(acc, (integrated, _sorted_factors(rf + rest)), coeff * rc)
+        current = Expression(acc)
         if not changed:
             return current
     raise CalculusError(f"substitution rule {rule.name} did not reach a fixpoint")
@@ -379,6 +439,7 @@ def _monomial_balance(m: Monomial) -> int:
     return sum(f.alpha() for f in m)
 
 
+@lru_cache(maxsize=MAX_CACHED_MONOMIALS)
 def _monomial_sort_key(m: Monomial):
     return (len(m), tuple(f.sort_key() for f in m))
 
@@ -396,19 +457,16 @@ def _sector(m: Monomial) -> tuple[int, int, tuple[str, ...]]:
 
 def _canonical_vector(e: Expression) -> dict[Monomial, ScalarExact]:
     vec: dict[Monomial, ScalarExact] = {}
-    for key, coeff in e.items():
-        _, factors = key
-        vec[factors] = vec.get(factors, ZERO) + coeff
-    return {m: c for m, c in vec.items() if not c.is_zero()}
+    for (_, factors), coeff in e._terms.items():
+        _add(vec, factors, coeff)
+    return {m: c for m, c in vec.items() if c}
 
 
 def _relation_row(parent: Monomial, direction: str) -> dict[Monomial, ScalarExact]:
     """INT[(product of parent)_{,direction}] = 0, canonicalized."""
-    expr = Expression.sum(
-        Expression.from_term(1, parent[:k] + (parent[k].with_deriv(direction),)
-                             + parent[k + 1:])
+    return _canonical_row(
+        (ONE, parent[:k] + (parent[k].with_deriv(direction),) + parent[k + 1:])
         for k in range(len(parent)))
-    return _canonical_vector(canonicalize(expr))
 
 
 class _LinearSystem:
@@ -445,8 +503,9 @@ class _LinearSystem:
         needed.
         """
         factor = vec[lead]
+        get = vec.get
         for m, c in self.pivots[lead][0].items():
-            val = sub_mul(vec.get(m, ZERO), factor, c)
+            val = sub_mul(get(m, ZERO), factor, c)
             if val is ZERO:
                 vec.pop(m, None)
             else:
@@ -521,14 +580,16 @@ class _LinearSystem:
         return combo
 
 
-def _enumerate_strings(weight: int) -> list[tuple[str, ...]]:
-    """Canonical derivative strings (1s, then bs, then 0s) of given weight."""
+def _enumerate_strings(weight: int) -> list[tuple[tuple[str, ...], int]]:
+    """Canonical derivative strings (1s, then bs, then 0s) of given weight,
+    each with its balance (#1 - #1bar)."""
     out = []
     for zeros in range(weight // 2 + 1):
         rest = weight - 2 * zeros
         for ones in range(rest + 1):
             bars = rest - ones
-            out.append(("1",) * ones + ("b",) * bars + ("0",) * zeros)
+            out.append((("1",) * ones + ("b",) * bars + ("0",) * zeros,
+                        ones - bars))
     return out
 
 
@@ -547,12 +608,14 @@ def _sector_monomials(weight: int, balance: int,
             for split in itertools.product(range(budget + 1), repeat=len(syms)):
                 if sum(split) != budget:
                     continue
-                choices = [[Factor(sym, s) for s in _enumerate_strings(w)]
+                # (factor, its balance) for each string of each factor
+                choices = [[(Factor(sym, s), SYMBOLS[sym].base_alpha + a)
+                            for s, a in _enumerate_strings(w)]
                            for sym, w in zip(syms, split)]
                 for combo in itertools.product(*choices):
-                    mono = tuple(sorted(combo, key=Factor.sort_key))
-                    if _monomial_balance(mono) == balance:
-                        out.add(mono)
+                    if sum(a for _, a in combo) == balance:
+                        out.add(tuple(sorted((f for f, _ in combo),
+                                             key=Factor.sort_key)))
     return sorted(out, key=_monomial_sort_key)
 
 
@@ -568,10 +631,8 @@ def _build_row(rid: tuple, modulo: Sequence[Expression]) -> dict:
     if rid[0] == "ibp":
         return _relation_row(rid[1], rid[2])
     if rid[0] == "modulo":
-        prod = modulo[rid[1]]
-        for f in rid[2]:
-            prod = prod * Expression.from_factor(f)
-        return _canonical_vector(canonicalize(prod))
+        return _canonical_row((c, factors + rid[2])
+                              for (_, factors), c in modulo[rid[1]]._terms.items())
     raise CalculusError(f"unknown relation row {rid!r}")  # pragma: no cover
 
 
@@ -677,7 +738,7 @@ def ibp_residual(a: Expression, b: Expression,
     `check_certificate`, and CalculusError is raised if the replay fails.
     """
     trace = RewriteTrace()
-    d = canonicalize(a - b)
+    d = _canonical_difference(a, b)
     if d.is_zero():
         return Expression.zero(), trace
     if not d.integrated:
@@ -687,22 +748,25 @@ def ibp_residual(a: Expression, b: Expression,
         return d, trace
 
     # (weight, balance) -> (sectors met, the class's part of the vector)
+    # every term is integrated, so the monomials are distinct
     groups: dict[tuple[int, int], tuple[set, dict[Monomial, ScalarExact]]] = {}
-    for mono, coeff in _canonical_vector(d).items():
+    for (_, mono), coeff in d._terms.items():
         sector = _sector(mono)
-        sectors, gvec = groups.setdefault(sector[:2], (set(), {}))
-        sectors.add(sector)
-        gvec[mono] = coeff
+        group = groups.get(sector[:2])
+        if group is None:
+            group = groups[sector[:2]] = (set(), {})  # (sectors, vector)
+        group[0].add(sector)
+        group[1][mono] = coeff
 
-    parts = []
+    left: dict = {}
     for _, (sectors, gvec) in sorted(groups.items(), key=lambda kv: kv[0]):
         system = _eliminated_system(frozenset(sectors), tuple(modulo))
         reduced, steps = system.reduce_vector(gvec)
         trace._pending.append((system, steps))
-        parts.extend(Expression.from_term(coeff, mono, True)
-                     for mono, coeff in reduced.items())
+        # the classes share no monomial, and reduce_vector drops zeros
+        left.update(((True, mono), coeff) for mono, coeff in reduced.items())
 
-    residual = Expression.sum(parts)
+    residual = Expression(left)
     trace.residual = None if residual.is_zero() else residual
     if trace.residual is None and not check_certificate(a, b, trace, modulo):
         raise CalculusError("the equality certificate does not replay")
@@ -727,7 +791,7 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
     exact arithmetic, so a True result is an independent proof that the
     recorded elimination was sound.
     """
-    total = _canonical_vector(canonicalize(a - b))
+    total = _canonical_vector(_canonical_difference(a, b))
     for rid, coeff in trace.certificate:
         for mono, c in _build_row(rid, modulo).items():
             val = sub_mul(total.get(mono, ZERO), coeff, c)

@@ -17,6 +17,9 @@ one call to the stdlib's C encoder, and Python walks only the containers that
 hold other containers (with `indent`, `json.dumps` runs the pure-Python
 encoder on every value).  Point files are read into columns by
 `rigidity.point_columns`.
+A completed run freezes the garbage collector's objects before `main`
+returns, as the process exits next: the interpreter's last collection would
+walk every module, cache and report only for the exit to free them.
 Exit status is 0 when every requested verification or condition passed, 1
 when one failed, 2 on a usage or input error (an unknown identity, operator
 or condition name included), reported as one line on stderr, and 141
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -365,6 +369,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # 128 + SIGPIPE
+    # the process exits next, and the interpreter's last garbage collection
+    # would walk every object the run left (modules, caches, the report)
+    # only for the exit to free them anyway; frozen, they are skipped
+    gc.freeze()
     return code
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .scalar import ScalarExact, ZERO
+from .scalar import _ZERO_V, ScalarExact, ZERO
 
 # ---------------------------------------------------------------------------
 # Derivative letters
@@ -80,8 +80,8 @@ SYMBOL_ORDER = ["f", "g", "gb", "R", "A11", "Ab1b1", "E11", "Eb1b1", "Q11", "Qb1
                 "W", "Wb"]
 _SYMBOL_INDEX = {name: k for k, name in enumerate(SYMBOL_ORDER)}
 
-# Bound of the LRU caches of factor sort keys and of `Factor.is_canonical`;
-# the catalog uses a few hundred distinct factors.
+# Bound of the LRU caches of factor sort keys, of `Factor.is_canonical` and
+# of sorted factor tuples; the catalog uses a few hundred distinct factors.
 MAX_CACHED_FACTOR_KEYS = 4096
 
 
@@ -156,6 +156,11 @@ TermKey = tuple[bool, tuple[Factor, ...]]
 
 
 def _sorted_factors(factors: Iterable[Factor]) -> tuple[Factor, ...]:
+    return _sorted_tuple(tuple(factors))
+
+
+@lru_cache(maxsize=MAX_CACHED_FACTOR_KEYS)
+def _sorted_tuple(factors: tuple[Factor, ...]) -> tuple[Factor, ...]:
     return tuple(sorted(factors, key=Factor.sort_key))
 
 
@@ -166,12 +171,13 @@ def _sorted_factors(factors: Iterable[Factor]) -> tuple[Factor, ...]:
 class Expression:
     """Collected sum of terms mapping (integrated, factors) -> coefficient."""
 
-    __slots__ = ("_terms",)
+    # `_hash` is set when the hash is first asked for
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[TermKey, ScalarExact] | None = None):
         object.__setattr__(self, "_terms", {
             key: coeff for key, coeff in (terms or {}).items()
-            if not coeff.is_zero()})
+            if coeff._v != _ZERO_V})
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Expression is immutable")
@@ -254,7 +260,13 @@ class Expression:
         return Expression({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "Expression") -> "Expression":
-        return self + (-other)
+        if not isinstance(other, Expression):
+            return NotImplemented
+        merged = dict(self._terms)
+        for key, coeff in other._terms.items():
+            prev = merged.get(key)
+            merged[key] = -coeff if prev is None else prev - coeff
+        return Expression(merged)
 
     def __mul__(self, other) -> "Expression":
         if isinstance(other, (int, ScalarExact)):
@@ -344,7 +356,12 @@ class Expression:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(frozenset(self._terms.items()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __str__(self):
         return format_expression(self)

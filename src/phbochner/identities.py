@@ -7,6 +7,10 @@ expected expressions.  A PASS requires an exact zero residual in Q(i, sqrt3);
 there is no numeric tolerance in symbolic checks.  Scripts record their
 intermediate steps so a failure localizes to a stage, and the equality engine
 attaches the relation certificate to the trace.
+
+What a script builds before it reads its target is built once per process,
+from the catalog as it reads then, so a mutant of mutation testing runs only
+the part that its target changes.
 """
 
 from __future__ import annotations
@@ -86,32 +90,51 @@ def _finish(name, ok, steps, residual, trace, **details) -> ScriptResult:
 # Section 2 scripts
 # ---------------------------------------------------------------------------
 
+# Each script splits into a half that no target changes, built once per
+# process by a cached function below (`_numeric_form` keys its half on the
+# kernel functions and constants it is given, so a stand-in builds anew),
+# and the target-dependent rest, which runs on every call and mutant.  A
+# half that is compared with the target is also kept canonicalized:
+# canonicalization is linear and fixes canonical terms, so
+# canonicalize(canonicalize(x) - t) is canonicalize(x - t), term for term,
+# and an equality query on canonicalize(x) has the residual and the
+# certificate of one on x.
+
+@lru_cache(maxsize=None)
+def _dj_star_dj_f() -> tuple[Expression, Expression]:
+    """(DJ* DJ f, its canonical form)."""
+    lhs = ops.apply_template(ops.build_DJstar(), ops.build_DJ().expr)
+    return lhs, canonicalize(lhs)
+
+
 def verify_2_3(target_override: Expression | None = None) -> ScriptResult:
-    steps = []
-    dj = ops.build_DJ()
-    djstar = ops.build_DJstar()
-    lhs = ops.apply_template(djstar, dj.expr)
-    steps.append(("expand DJ* DJ f", lhs))
+    lhs, canonical = _dj_star_dj_f()
     target = _target("2.3", target_override)
-    residual = canonicalize(lhs - target)
-    steps.append(("canonical residual", residual))
-    return _finish("2.3", residual.is_zero(), steps, residual, None)
+    residual = canonicalize(canonical - target)
+    return _finish("2.3", residual.is_zero(),
+                   [("expand DJ* DJ f", lhs), ("canonical residual", residual)],
+                   residual, None)
+
+
+@lru_cache(maxsize=None)
+def _l_star_l_f(alpha: ScalarExact) -> tuple[str, Expression, Expression]:
+    """(alpha as text, (1/2) L_alpha* L_alpha f, its canonical form)."""
+    L = ops.build_Lalpha(alpha)
+    lhs = ops.apply_template(ops.adjoint(L), L.expr) * ScalarExact(Fraction(1, 2))
+    return str(alpha), lhs, canonicalize(lhs)
 
 
 def verify_2_7(alpha: ScalarExact = ops.ALPHA_SECTION2,
                target_override: Expression | None = None) -> ScriptResult:
-    steps = []
-    L = ops.build_Lalpha(alpha)
-    Lstar = ops.adjoint(L)
-    lhs = ops.apply_template(Lstar, L.expr) * ScalarExact(Fraction(1, 2))
-    steps.append((f"expand (1/2) L* L f with alpha = {alpha}", lhs))
+    alpha_text, lhs, canonical = _l_star_l_f(alpha)
     target = _target("2.7", target_override)
-    residual = canonicalize(lhs - target)
-    steps.append(("canonical residual", residual))
-    has_t = any(any("0" in f.derivs for f in t.factors)
-                for t in residual.term_list())
+    residual = canonicalize(canonical - target)
+    steps = [(f"expand (1/2) L* L f with alpha = {alpha_text}", lhs),
+             ("canonical residual", residual)]
+    has_t = any("0" in f.derivs for _, factors in residual._terms
+                for f in factors)
     return _finish("2.7", residual.is_zero(), steps, residual, None,
-                   alpha=str(alpha), residual_has_T_derivative=has_t)
+                   alpha=alpha_text, residual_has_T_derivative=has_t)
 
 
 def verify_2_ibp(target_override: Expression | None = None) -> ScriptResult:
@@ -123,16 +146,22 @@ def verify_2_ibp(target_override: Expression | None = None) -> ScriptResult:
                    trace.residual, trace)
 
 
-def verify_2_8(target_override: Expression | None = None) -> ScriptResult:
+@lru_cache(maxsize=None)
+def _paired_2_8() -> tuple[Expression, Expression]:
+    """(INT[((2.3) - (2.7)) * f], its canonical form)."""
     corpus = Corpus.load()
-    steps = []
     diff = corpus.expr("2.3", "target") - corpus.expr("2.7", "target")
     paired = (diff * Factor("f")).integrate()
-    steps.append(("<(2.3) - (2.7), f> integrand", paired))
+    return paired, canonicalize(paired)
+
+
+def verify_2_8(target_override: Expression | None = None) -> ScriptResult:
+    paired, canonical = _paired_2_8()
     target = _target("2.8", target_override)
-    steps.append(("catalog integrals", target))
-    ok, trace = equal_mod_ibp(paired, target)
-    return _finish("2.8", ok, steps, trace.residual, trace)
+    ok, trace = equal_mod_ibp(canonical, target)
+    return _finish("2.8", ok, [("<(2.3) - (2.7), f> integrand", paired),
+                               ("catalog integrals", target)],
+                   trace.residual, trace)
 
 
 def _f_squared(e: Expression) -> Expression:
@@ -141,17 +170,23 @@ def _f_squared(e: Expression) -> Expression:
                                         if f.symbol == "f"] == [Factor("f")] * 2)
 
 
-def verify_2_11(target_override: Expression | None = None) -> ScriptResult:
-    corpus = Corpus.load()
-    steps = []
-    s = corpus.expr("2.8", "integrals")
+@lru_cache(maxsize=None)
+def _flat_2_8() -> tuple[Expression, Expression]:
+    """(the (2.8) integrals with the DJ f = 0 rules applied, twice them
+    canonicalized)."""
+    s = Corpus.load().expr("2.8", "integrals")
     for rule in ops.flatness_rules():
         s = apply_rule(s, rule)
-    steps.append(("(2.8) integrals with DJ f = 0 substituted", s))
+    return s, canonicalize(s * 2)
+
+
+def verify_2_11(target_override: Expression | None = None) -> ScriptResult:
+    s, twice = _flat_2_8()
+    steps = [("(2.8) integrals with DJ f = 0 substituted", s)]
     target = _target("2.11", target_override)
     t = apply_rule(target, ops.bianchi_rule())
     steps.append(("(2.11) integrals with Bianchi expanded", t))
-    ok, trace = equal_mod_ibp(s * 2, t)
+    ok, trace = equal_mod_ibp(twice, t)
     # the Bianchi rule with A = 0 annihilates the f^2 integrand
     f2 = _f_squared(t).drop_symbols({"A11", "Ab1b1"})
     steps.append(("f^2 integrand with Bianchi expanded and A = 0", f2))
@@ -180,14 +215,18 @@ def verify_3_2(target_override: Expression | None = None) -> ScriptResult:
                    residual, None)
 
 
-def verify_3_3(target_override: Expression | None = None) -> ScriptResult:
+@lru_cache(maxsize=None)
+def _ibp_stage_3_3() -> tuple[bool, RewriteTrace]:
+    """start == mid modulo IBP, and its trace."""
     corpus = Corpus.load()
-    steps = []
-    start = corpus.expr("3.3", "start")
-    mid = corpus.expr("3.3", "mid")
+    return equal_mod_ibp(corpus.expr("3.3", "start"), corpus.expr("3.3", "mid"))
+
+
+def verify_3_3(target_override: Expression | None = None) -> ScriptResult:
+    mid = Corpus.load().expr("3.3", "mid")
     final = _target("3.3", target_override)
-    ok1, trace = equal_mod_ibp(start, mid)
-    steps.append(("integration by parts stage", "PASS" if ok1 else "FAIL"))
+    ok1, trace = _ibp_stage_3_3()
+    steps = [("integration by parts stage", "PASS" if ok1 else "FAIL")]
     residual2 = canonicalize(mid - final)
     ok2 = residual2.is_zero()
     steps.append(("commutation stage residual", residual2))
@@ -196,12 +235,8 @@ def verify_3_3(target_override: Expression | None = None) -> ScriptResult:
     return _finish("3.3", ok, steps, residual, trace)
 
 
-@lru_cache(maxsize=None)
 def _pairing_with_E(expr: Expression) -> Expression:
-    """<2Re[expr theta^1 (x) Z_b1], E> = INT[expr*Eb1b1 + conjugate].
-
-    Cached: 3.4 and 3.5 pair the same target-independent coefficient on
-    every run and mutant."""
+    """<2Re[expr theta^1 (x) Z_b1], E> = INT[expr*Eb1b1 + conjugate]."""
     half = (expr * Factor("Eb1b1")).integrate()
     return half + half.conjugate()
 
@@ -213,15 +248,23 @@ def _dqj_after_3_2() -> Expression:
     return phi - corpus.expr("3.2", "lhs") + corpus.expr("3.2", "rhs")
 
 
+@lru_cache(maxsize=None)
+def _torsion_free_pairing() -> tuple[Expression, Expression, Expression]:
+    """(the 3.2-substituted coefficient without torsion, its pairing with E,
+    that pairing's canonical form)."""
+    torsion_free = _dqj_after_3_2().drop_symbols({"A11", "Ab1b1"})
+    paired = _pairing_with_E(torsion_free)
+    return torsion_free, paired, canonicalize(paired)
+
+
 def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
     phi = _dqj_after_3_2()
-    torsion_free = phi.drop_symbols({"A11", "Ab1b1"})
-    paired = _pairing_with_E(torsion_free)
+    torsion_free, paired, canonical = _torsion_free_pairing()
     steps = [("coefficient after substituting the commutation identity", phi),
              ("torsion-free reduction", torsion_free),
              ("pairing with E", paired)]
     target = _target("3.4", target_override)
-    ok, trace = equal_mod_ibp(paired, target)
+    ok, trace = equal_mod_ibp(canonical, target)
     form, minors = _numeric_form(torsion_free_entries, _corollary_c_minors,
                                  _constant)
     proof = [("torsion-free form against 3.4", _match(form, target)),
@@ -231,14 +274,21 @@ def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
                    trace, corollary_c_proven=_passed(proof))
 
 
-def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
+@lru_cache(maxsize=None)
+def _pairing_3_5() -> tuple[Expression, Expression, tuple[Expression]]:
+    """(the pairing with E, torsion kept; its canonical form; the slice
+    relation DJ* E = 0)."""
     paired = _pairing_with_E(_dqj_after_3_2())
+    return paired, canonicalize(paired), (ops.build_DJstar().expr,)
+
+
+def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
+    paired, canonical, slice_relation = _pairing_3_5()
     steps = [("pairing with E (torsion kept)", paired)]
     target = _target("3.5", target_override)
 
     # 3.5 does not close modulo IBP alone, only modulo the slice relation
-    residual, trace = ibp_residual(paired, target,
-                                   modulo=[ops.build_DJstar().expr])
+    residual, trace = ibp_residual(canonical, target, modulo=slice_relation)
     if residual.is_zero():
         steps.append(("closure", "exact modulo the slice relation DJ* E = 0"))
         return _finish("3.5", True, steps, None, trace,
@@ -392,13 +442,30 @@ def _numeric_form(entries, minors, K) -> tuple[Expression, str]:
 
 
 def _match(got: Expression, want: Expression) -> str | partial[str]:
-    """An exact comparison, without IBP, as a step value."""
-    return ("PASS" if got == want
-            else partial("FAIL (difference {})".format, got - want))
+    """An exact comparison, without IBP, as a step value; the difference
+    of a failure is computed when the step is formatted."""
+    return "PASS" if got == want else partial(_difference_text, got, want)
+
+
+def _difference_text(got: Expression, want: Expression) -> str:
+    return f"FAIL (difference {got - want})"
 
 
 def _passed(steps: list[tuple[str, object]]) -> bool:
     return all(value == "PASS" for _, value in steps)
+
+
+@lru_cache(maxsize=None)
+def _built_3_8() -> tuple[Expression, Expression, Expression]:
+    """(the completed-square deficit at lam = rho = 1/4, the canonical form
+    of 3.5 - INT[3.7 lhs] + that deficit, INT[3.7 rhs])."""
+    corpus = Corpus.load()
+    deficit = (_instantiate("3.6", "lhs", _QUARTERS)
+               - _instantiate("3.6", "rhs", _QUARTERS))
+    built = (corpus.expr("3.5", "integrand")
+             - corpus.expr("3.7", "lhs").integrate() + deficit)
+    return (deficit, canonicalize(built),
+            corpus.expr("3.7", "rhs").integrate())
 
 
 def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult:
@@ -411,20 +478,14 @@ def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult
     plus the estimate's right side, term by term, and have the leading
     minors of Theorem B.
     """
-    corpus = Corpus.load()
-    steps = []
-    a35 = corpus.expr("3.5", "integrand")
-    l37 = corpus.expr("3.7", "lhs").integrate()
-    deficit = (_instantiate("3.6", "lhs", _QUARTERS)
-               - _instantiate("3.6", "rhs", _QUARTERS))
-    steps.append(("completed-square deficit", deficit))
-    built = a35 - l37 + deficit
+    deficit, built, rhs_3_7 = _built_3_8()
     target = _target("3.8", target_override)
     ok, trace = equal_mod_ibp(built, target)
-    steps.append(("match modulo IBP", "PASS" if ok else "FAIL"))
+    steps = [("completed-square deficit", deficit),
+             ("match modulo IBP", "PASS" if ok else "FAIL")]
     form, minors = _numeric_form(form_entries, _thm_b_minors, _constant)
     proof = [("numeric form against 3.8 + INT[3.7 rhs]",
-              _match(form, target + corpus.expr("3.7", "rhs").integrate())),
+              _match(form, target + rhs_3_7)),
              ("leading minors 29/48, 5/24, (5/72)R, (5/216)v_3.11, "
               "(1/9)v_3.12", minors)]
     steps += proof

@@ -22,12 +22,11 @@ scalar-valued subexpressions.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .expr import DERIV_LETTERS, Expression, Factor, SYMBOLS
-from .scalar import I, SQRT3, ScalarExact
+from .expr import DERIV_LETTERS, Expression, Factor, SYMBOLS, _sorted_factors
+from .scalar import I, ONE, SQRT3, ScalarExact
 
 __all__ = ["parse", "ParseError", "Corpus"]
 
@@ -50,22 +49,22 @@ _TOKEN_RE = re.compile(
   | (?P<name>[A-Za-z][A-Za-z0-9]*)
   | (?P<suffix>_\{[A-Za-z0-9]*\})
   | (?P<op>[-+*/()\[\]])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    # every character starts a match (`bad` takes any other), so the
+    # matches tile the text
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
         if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -93,61 +92,62 @@ class _Parser:
         return tok
 
     # -- grammar ------------------------------------------------------------
+    #
+    # A product of numbers, i, s3 and factors is kept as one plain term, a
+    # (coefficient, factors) pair; a sum collects its terms into one dict of
+    # Expression terms (zeros kept until the Expression is made).  Anything
+    # else (a parenthesized sum, INT[...], 2Re[...]) is an Expression, and a
+    # product with one is formed, and fails, by Expression arithmetic.
 
     def parse(self) -> Expression:
-        e = self.expression()
+        terms = self.expression()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return e
+        return Expression(terms)
 
-    def expression(self) -> Expression:
-        out = self.term()
+    def expression(self) -> dict:
+        terms: dict = {}
+        _collect(terms, self.term(), False)
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                rhs = self.term()
-                out = out + rhs if value == "+" else out - rhs
+                _collect(terms, self.term(), value == "-")
             else:
-                return out
+                return terms
 
-    def term(self) -> Expression:
+    def term(self) -> "Expression | tuple":
         out = self.atom()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
                 rhs = self.atom()
-                if value == "*":
-                    try:
-                        out = out * rhs
-                    except ValueError as exc:
-                        raise ParseError(str(exc), pos) from None
-                else:
-                    try:
-                        out = out / rhs
-                    except (ValueError, ZeroDivisionError) as exc:
-                        raise ParseError(str(exc), pos) from None
+                try:
+                    out = _product(out, rhs) if value == "*" else _quotient(out, rhs)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ParseError(str(exc), pos) from None
             else:
                 return out
 
-    def atom(self) -> Expression:
+    def atom(self) -> "Expression | tuple":
         kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return -self.atom()
+            inner = self.atom()
+            return (-inner[0], inner[1]) if type(inner) is tuple else -inner
         if kind == "number":
             self.advance()
-            return Expression.scalar(ScalarExact(Fraction(int(value))))
+            return ScalarExact.coerce(int(value)), ()
         if kind == "twore":
             self.advance()
-            inner = self.expression()
+            inner = Expression(self.expression())
             self.expect("op", "]")
             return inner + inner.conjugate()
         if kind == "int":
             self.advance()
-            inner = self.expression()
+            inner = Expression(self.expression())
             self.expect("op", "]")
             try:
                 return inner.integrate()
@@ -155,19 +155,23 @@ class _Parser:
                 raise ParseError("nested INT[...]", pos) from None
         if kind == "op" and value == "(":
             self.advance()
-            inner = self.expression()
+            terms = self.expression()
             self.expect("op", ")")
-            return inner
+            if len(terms) == 1:
+                ((integrated, factors), coeff), = terms.items()
+                if not integrated:
+                    return coeff, factors
+            return Expression(terms)
         if kind == "name":
             return self.factor_atom()
         raise ParseError(f"unexpected token {value!r}", pos)
 
-    def factor_atom(self) -> Expression:
+    def factor_atom(self) -> tuple:
         kind, name, pos = self.advance()
         if name == "i":
-            return Expression.scalar(I)
+            return I, ()
         if name == "s3":
-            return Expression.scalar(SQRT3)
+            return SQRT3, ()
         if name in SYMBOLS:
             symbol = name
         elif name in ("A", "E", "Q"):
@@ -190,7 +194,40 @@ class _Parser:
                 raise ParseError(f"unknown derivative letter {bad[0]!r}", spos)
             self.advance()
             derivs = tuple(letters)
-        return Expression.from_factor(Factor(symbol, derivs))
+        return ONE, (Factor(symbol, derivs),)
+
+
+def _as_expression(value: "Expression | tuple") -> Expression:
+    if type(value) is tuple:
+        coeff, factors = value
+        return Expression({(False, _sorted_factors(factors)): coeff})
+    return value
+
+
+def _collect(terms: dict, value: "Expression | tuple", negate: bool) -> None:
+    """terms += value, or -= it when `negate`."""
+    pairs = ([((False, _sorted_factors(value[1])), value[0])]
+             if type(value) is tuple else value._terms.items())
+    for key, coeff in pairs:
+        if negate:
+            coeff = -coeff
+        prev = terms.get(key)
+        terms[key] = coeff if prev is None else prev + coeff
+
+
+def _product(x: "Expression | tuple", y: "Expression | tuple"):
+    if type(x) is tuple and type(y) is tuple:
+        # a factor comes with the coefficient ONE itself
+        cx, cy = x[0], y[0]
+        return (cx if cy is ONE else cy if cx is ONE else cx * cy), x[1] + y[1]
+    return _as_expression(x) * _as_expression(y)
+
+
+def _quotient(x: "Expression | tuple", y: "Expression | tuple"):
+    if type(y) is tuple and not y[1]:
+        inverse = y[0].inverse()
+        return (x[0] * inverse, x[1]) if type(x) is tuple else x * inverse
+    return _as_expression(x) / _as_expression(y)
 
 
 @lru_cache(maxsize=MAX_CACHED_PARSES)

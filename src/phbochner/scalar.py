@@ -93,7 +93,12 @@ class ScalarExact:
         return _wrap((-a, -b, -c, -d, q))
 
     def __sub__(self, other):
-        return self + (-ScalarExact.coerce(other))
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = ScalarExact.coerce(other)._v
+        if q1 == q2:
+            return _make(a1 - a2, b1 - b2, c1 - c2, d1 - d2, q1)
+        return _make(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1,
+                     c1 * q2 - c2 * q1, d1 * q2 - d2 * q1, q1 * q2)
 
     def __rsub__(self, other):
         return (-self) + ScalarExact.coerce(other)
@@ -223,7 +228,9 @@ def _make(a: int, b: int, c: int, d: int, q: int) -> ScalarExact:
         c //= g
         d //= g
         q //= g
-    return _wrap((a, b, c, d, q))
+    out = _new(ScalarExact)
+    _set_v(out, (a, b, c, d, q))
+    return out
 
 
 def sub_mul(x: ScalarExact, f: ScalarExact, y: ScalarExact) -> ScalarExact:

@@ -1,5 +1,6 @@
 """Command-line interface behaviour and report determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -319,6 +320,31 @@ def test_json_output_bytes_pinned(args, capsys):
     main(["--format", "json", *args.split()])
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == _PINNED_JSON[args]
+
+
+def test_completed_run_freezes_the_collected_objects(capsys):
+    # the process exits after `main`, so its objects are kept out of the
+    # interpreter's last garbage collection
+    gc.unfreeze()
+    try:
+        assert main(["ops"]) == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+
+
+def test_pinned_outputs_independent_of_command_order(capsys):
+    """The per-process caches are shared by every command of a process:
+    from cold caches, the pinned commands in reverse order (traces before
+    `verify all --mutate`, that before `verify all`) keep their pins."""
+    from test_identities import _clear_ibp_caches
+
+    _clear_ibp_caches()
+    for args in reversed(list(_PINNED_JSON)):
+        main(["--format", "json", *args.split()])
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == _PINNED_JSON[args], args
 
 
 # ---------------------------------------------------------------------------

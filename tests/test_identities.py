@@ -7,6 +7,7 @@ import pytest
 
 import phbochner.calculus as calc
 from phbochner import identities as ids
+from phbochner import operators as ops
 from phbochner.calculus import check_certificate
 from phbochner.expr import Expression, Factor
 from phbochner.kernel import form_entries
@@ -49,6 +50,7 @@ def test_3_7_tight_family_is_checked(monkeypatch):
 def test_cube_root_never_in_an_ibp_query(monkeypatch):
     """W is not differentiable where A11_{,1} = 0, so no IBP query of the
     catalog scripts may contain it; 3.8 matches its terms exactly."""
+    _clear_ibp_caches()  # so that the queries of cached halves run too
     queries = []
     query = calc.ibp_residual
 
@@ -324,10 +326,73 @@ def _residual(ident: str, mutated: Expression) -> Expression:
     return ids._run_mutated(ident, mutated).residual
 
 
+def _script_caches() -> list:
+    """The per-process caches of `identities`: the scripts' halves and the
+    numeric forms."""
+    return [value for value in vars(ids).values()
+            if getattr(value, "__module__", None) == ids.__name__
+            and hasattr(value, "cache_clear")]
+
+
 def _clear_ibp_caches():
+    """Empty the engine's caches and every per-process cache of a script's
+    target-independent half."""
     calc._canon_cache.clear()
     calc._term_cache.clear()
     calc._system_cache.clear()
+    for cache in _script_caches():
+        cache.cache_clear()
+
+
+def test_clear_ibp_caches_empties_the_script_halves():
+    ids.run_script("3.3")
+    ids.run_script("3.8")
+    assert len(_script_caches()) >= 9
+    assert ids._ibp_stage_3_3.cache_info().currsize == 1
+    _clear_ibp_caches()
+    assert all(c.cache_info().currsize == 0 for c in _script_caches())
+
+
+def test_cold_and_warm_caches_agree():
+    """Each mutation report, and the residual of each mutant of 3.4, 3.5
+    and 3.8, is the same from cold caches as after every other run."""
+    cold_reports = {}
+    for ident in ids.MUTABLE_IDS:
+        _clear_ibp_caches()
+        cold_reports[ident] = ids.mutation_test(ident)
+    mutants = [m for m in _mutants() if m[1] in ("3.4", "3.5", "3.8")]
+    assert len(mutants) == 59
+    cold_residuals = {}
+    for name, ident, mutated in mutants:
+        _clear_ibp_caches()
+        cold_residuals[name] = _residual(ident, mutated)
+    for ident in ids.MUTABLE_IDS:
+        assert ids.mutation_test(ident) == cold_reports[ident], ident
+    for name, ident, mutated in mutants:
+        assert _residual(ident, mutated) == cold_residuals[name], name
+
+
+def test_2_7_mutants_format_no_scalar(monkeypatch):
+    """alpha is formatted when 2.7's half is built, for the operator name
+    and for the label and detail, and never again by a mutant."""
+    formatted = []
+    text = ScalarExact.__str__
+
+    def counting(self):
+        formatted.append(self)
+        return text(self)
+
+    _clear_ibp_caches()
+    monkeypatch.setattr(ScalarExact, "__str__", counting)
+    assert ids.mutation_test("2.7")["survivors"] == []
+    assert formatted == [ops.ALPHA_SECTION2] * 2
+    formatted.clear()
+    assert ids.mutation_test("2.7")["survivors"] == []
+    result = ids.verify_2_7()
+    assert formatted == []
+    monkeypatch.undo()
+    assert result.details["alpha"] == "i*s3"
+    assert result.steps[0][0] == "expand (1/2) L* L f with alpha = i*s3"
 
 
 def test_residual_independent_of_cache_state():
