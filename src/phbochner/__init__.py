@@ -11,7 +11,6 @@ _EXPORTS = {
     "parse": "parser", "ParseError": "parser",
     "canonicalize": "calculus", "commute_swap": "calculus",
     "differentiate": "calculus", "equal_mod_ibp": "calculus",
-    "integrate_by_parts": "calculus",
     "PointData": "rigidity", "HermitianForm": "rigidity",
 }
 

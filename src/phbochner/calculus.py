@@ -57,7 +57,6 @@ The first three evict their oldest entry first.
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -67,8 +66,8 @@ from .scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
 __all__ = [
     "CalculusError", "RewriteTrace", "Rule",
-    "differentiate", "commute_swap", "canonicalize", "integrate_by_parts",
-    "apply_rule", "equal_mod_ibp", "ibp_residual",
+    "differentiate", "commute_swap", "canonicalize", "apply_rule",
+    "equal_mod_ibp", "ibp_residual",
 ]
 
 # Hard cap on the rows of the relation system an equality query reduces
@@ -101,7 +100,7 @@ class RewriteTrace:
     it.  An equality query stores each reduction's (system, eliminations)
     pair instead of its combination of rows, and `certificate` computes the
     pending combinations, in query order, the first time it is read.
-    `entries` (and the text and JSON exports) lists the certificate as
+    `entries` (and `to_text` and `to_dict`) lists the certificate as
     (rule, before, after, coefficient) records.
     """
 
@@ -131,11 +130,12 @@ class RewriteTrace:
             lines.append(f"residual: {self.residual}")
         return "\n".join(lines)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The entries, and the residual as text unless there is none."""
         payload = {"entries": self.entries}
         if self.residual is not None:
             payload["residual"] = str(self.residual)
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -333,47 +333,6 @@ def _canonical_row(terms: Iterable[tuple[ScalarExact, tuple[Factor, ...]]]
     _canonical_into(acc, (((False, _sorted_factors(factors)), coeff)
                           for coeff, factors in terms))
     return {key[1]: c for key, c in acc.items() if c}
-
-
-# ---------------------------------------------------------------------------
-# Integration by parts
-# ---------------------------------------------------------------------------
-
-def _ibp_term(coeff: ScalarExact, factors: tuple[Factor, ...],
-              j: int) -> Expression:
-    """Move the last derivative of factors[j] onto the others (negated)."""
-    letter = factors[j].derivs[-1]
-    shortened = Factor(factors[j].symbol, factors[j].derivs[:-1])
-    rest = factors[:j] + factors[j + 1:]
-    return Expression.sum(
-        Expression.from_term(-coeff, rest[:k] + (rest[k].with_deriv(letter),)
-                             + rest[k + 1:] + (shortened,), True)
-        for k in range(len(rest)))
-
-
-def integrate_by_parts(e: Expression, term_index: int,
-                       factor_index: int) -> Expression:
-    """Integrate the selected factor's last derivative by parts.
-
-    `term_index` counts the terms of `e` in canonical print order and
-    `factor_index` the factors of that term in canonical factor order.  Any
-    letter may be moved, 0 included: INT[X_{,0}] = 0 holds, and the
-    equality engine uses it too.
-    """
-    items = list(e.items())
-    if not 0 <= term_index < len(items):
-        raise CalculusError(f"term index {term_index} out of range")
-    key, coeff = items[term_index]
-    integrated, factors = key
-    if not integrated:
-        raise CalculusError("integration by parts requires an integrated term")
-    if not 0 <= factor_index < len(factors):
-        raise CalculusError(f"factor index {factor_index} out of range")
-    factor = factors[factor_index]
-    if not factor.derivs:
-        raise CalculusError(f"factor {factor} has no derivatives")
-    return (e - Expression.from_term(coeff, factors, True)
-            + _ibp_term(coeff, factors, factor_index))
 
 
 # ---------------------------------------------------------------------------

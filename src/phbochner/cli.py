@@ -32,10 +32,10 @@ they evaluate, and none of the symbolic modules are; `verify` and `trace`
 load the symbolic engine and the `kernel` it proves, never `rigidity` or
 numpy; `ops` loads `operators` and the parser, and `calculus` only to
 build an operator derived by it.
-`--samples` and `--seed` (default `DEFAULT_SEED`) act on `equiv` and
-`sylvester`.  Each command is a function of the parsed `argparse`
-namespace, which `_run` validates first; `_COMMANDS` maps each subcommand to
-its function.
+`--samples` (at most `MAX_SAMPLES`) and `--seed` (default `DEFAULT_SEED`)
+act on `equiv` and `sylvester`.  Each command is a function of the parsed
+`argparse` namespace, which `_run` validates first; `_COMMANDS` maps each
+subcommand to its function.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ import os
 import sys
 
 DEFAULT_SEED = 20240814
+# Largest `--samples`: the `equiv` battery peaks at about 700 bytes per
+# sample and `sylvester` at about 475 (tracemalloc, 10^4 and 10^5 samples),
+# so a battery at the ceiling stays under 1 GB.
+MAX_SAMPLES = 1_000_000
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -258,15 +262,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     result = identities.run_script(args.id)
     if args.format == "json":
         payload = result.to_dict()
-        payload["trace"] = (json.loads(result.trace.to_json())
-                            if result.trace else None)
+        payload["trace"] = result.trace.to_dict() if result.trace else None
         _emit(payload, "json")
     else:
-        print(f"[{result.name}] {result.status}")
-        for label, value in result.steps:
-            print(f"-- {label}:\n   {value}")
+        lines = [f"[{result.name}] {result.status}"]
+        lines += [f"-- {label}:\n   {value}" for label, value in result.steps]
         if result.trace is not None:
-            print(result.trace.to_text())
+            lines.append(result.trace.to_text())
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0 if result.status != "FAIL" else 1
 
 
@@ -378,8 +381,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.samples < 1:
-        _input_error(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        _input_error(f"--samples must be between 1 and {MAX_SAMPLES}, "
+                     f"got {args.samples}")
     if args.eps is not None and not (math.isfinite(args.eps)
                                      and args.eps >= 0):
         _input_error(f"--eps must be finite and nonnegative, got {args.eps}")

@@ -24,8 +24,8 @@ from . import operators as ops
 from .calculus import (RewriteTrace, apply_rule, canonicalize, equal_mod_ibp,
                        ibp_residual)
 from .expr import Expression, Factor
-from .kernel import (FormInputs, _cond_3_11, _cond_3_12, _corollary_c,
-                     _thm_a, det, form_entries, torsion_free_entries)
+from .kernel import (FormInputs, _thm_a, corollary_c_minors, det,
+                     form_entries, thm_b_minors, torsion_free_entries)
 from .parser import Corpus, parse
 from .scalar import ScalarExact
 
@@ -265,7 +265,7 @@ def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
              ("pairing with E", paired)]
     target = _target("3.4", target_override)
     ok, trace = equal_mod_ibp(canonical, target)
-    form, minors = _numeric_form(torsion_free_entries, _corollary_c_minors,
+    form, minors = _numeric_form(torsion_free_entries, corollary_c_minors,
                                  _constant)
     proof = [("torsion-free form against 3.4", _match(form, target)),
              ("leading minors 2/3, 1/3, R/9, corollaryC/648", minors)]
@@ -405,18 +405,12 @@ def _inputs() -> FormInputs:
     return FormInputs(**{k: parse(v) for k, v in _FORM_INPUTS.items()})
 
 
-# The leading principal minors of the two forms.  By Sylvester's criterion
-# (Horn & Johnson, Matrix Analysis, 2nd ed., Thm 7.2.5) the 5x5 form is
-# positive definite iff R > 0, 3.11 > 0 and 3.12 > 0 (Theorem B), and the
-# torsion-free one iff R > 0 and corollaryC > 0 (Corollary C).
-
-def _thm_b_minors(x: FormInputs, K) -> list:
-    return [K(29, 48), K(5, 24), K(5, 72) * x.R, K(5, 216) * _cond_3_11(x, K),
-            K(1, 9) * _cond_3_12(x, K, lambda z: z * z.conjugate())]
+def _abs2(z: Expression) -> Expression:
+    return z * z.conjugate()
 
 
-def _corollary_c_minors(x: FormInputs, K) -> list:
-    return [K(2, 3), K(1, 3), x.R / K(9), K(1, 648) * _corollary_c(x, K)]
+# one callable, so that `_numeric_form` builds 3.8's half once per process
+_thm_b_minors = partial(thm_b_minors, abs2=_abs2)
 
 
 @lru_cache(maxsize=4)

@@ -1,11 +1,13 @@
-"""The rigidity kernel: each form entry and condition formula, written once.
+"""The rigidity kernel: each form entry, condition formula and leading minor,
+written once.
 
 Every formula is a function of the point quantities (`FormInputs`) and a
 constant constructor `K(n, d, s3)`, and combines them by + - * / alone
-(3.12 also takes |z|^2 as `abs2`), so it runs on any ring that supplies
-them.  `rigidity` runs it on numpy arrays holding a whole batch of points;
-`identities` runs it on catalog expressions, where it proves the algebra
-behind Theorems A and B and Corollary C exactly (scripts 2.11, 3.8, 3.4).
+(3.12 and the 5x5 form's minors also take |z|^2 as `abs2`), so it runs on
+any ring that supplies them.  `rigidity` runs it on numpy arrays holding a
+whole batch of points; `identities` runs it on catalog expressions, where it
+proves the algebra behind Theorems A and B and Corollary C exactly (scripts
+2.11, 3.8, 3.4).
 The module imports nothing outside the standard library, so the symbolic
 commands load no float code.
 """
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-__all__ = ["FormInputs", "form_entries", "torsion_free_entries", "det"]
+__all__ = ["FormInputs", "form_entries", "torsion_free_entries",
+           "thm_b_minors", "corollary_c_minors", "det"]
 
 
 class FormInputs(NamedTuple):
@@ -101,6 +104,23 @@ def _corollary_c(x: FormInputs, K):
 def _bianchi(x: FormInputs, K):
     """R_{,0} - 2 Re(A11_{,bb}); zero for consistent data."""
     return x.R0 + K(-2) * x.rebb
+
+
+# The leading principal minors of the two forms.  By Sylvester's criterion
+# (Horn & Johnson, Matrix Analysis, 2nd ed., Thm 7.2.5) the 5x5 form is
+# positive definite iff R > 0, 3.11 > 0 and 3.12 > 0 (Theorem B), and the
+# torsion-free one iff R > 0 and corollaryC > 0 (Corollary C).
+
+def thm_b_minors(x: FormInputs, K, abs2=_abs2) -> list:
+    """Leading principal minors of the 5x5 form, smallest first; the first
+    four are those of the 4x4 form."""
+    return [K(29, 48), K(5, 24), K(5, 72) * x.R, K(5, 216) * _cond_3_11(x, K),
+            K(1, 9) * _cond_3_12(x, K, abs2)]
+
+
+def corollary_c_minors(x: FormInputs, K) -> list:
+    """Leading principal minors of the torsion-free form, smallest first."""
+    return [K(2, 3), K(1, 3), x.R / K(9), K(1, 648) * _corollary_c(x, K)]
 
 
 def det(matrix: list[list]):

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .kernel import (FormInputs, _bianchi, _cond_3_11, _cond_3_12,
-                     _corollary_c, _thm_a, form_entries)
+                     _corollary_c, _thm_a, form_entries, thm_b_minors)
 
 __all__ = [
     "PointData", "point_columns", "HermitianForm", "Condition", "CONDITIONS",
@@ -212,14 +212,15 @@ class Condition(NamedTuple):
     under theta -> k theta); a power of None leaves the row out of
     `scaling_report`.  `verdict(fields, inputs, values, eps)` returns one
     array per key of `verdicts`, and the condition passes where any of them
-    holds.
+    holds.  `minors`, when set, is the kernel function of the leading minors
+    of the 5x5 form, which the report gives for the 4x4 and 5x5 forms.
     """
 
     values: dict[str, tuple[Callable, float | None]]
     verdicts: tuple[str, ...]
     verdict: Callable
     torsion_free: bool = False   # defined only where A = 0
-    minors: bool = False         # also reports the leading minors of both forms
+    minors: Callable | None = None
 
 
 def _thm_a_verdicts(s, x, v, eps):
@@ -247,7 +248,7 @@ CONDITIONS: dict[str, Condition] = {
     "thm-b": Condition({**_V_3_11, **_V_3_12}, ("thm_b",),
                        lambda s, x, v, eps: ((s["R"] > 0) & (v[0] > 0)
                                              & (v[1] > 0),),
-                       minors=True),
+                       minors=thm_b_minors),
     "corollaryC": Condition({"corollaryC": (_corollary_c, -3.0)},
                             ("corollaryC",), _corollary_c_verdict,
                             torsion_free=True),
@@ -335,17 +336,15 @@ def evaluate_conditions(columns: dict, conditions: list[str],
         for name in conditions:
             row = CONDITIONS[name]
             values = [fn(x, _float) for fn, _ in row.values.values()]
-            minors = []
+            _require_finite(ids, values)
+            minors = None
             if row.minors:
-                # form 4 is the leading 4x4 block of form 5
-                minors5 = _stacked_minors(_stacked_forms(x)[1])
-                minors = [minors5[:, :4], minors5]
-            _require_finite(ids, values + minors)
+                minors = np.stack(np.broadcast_arrays(*row.minors(x, _float)),
+                                  axis=1).tolist()
             verdicts = row.verdict(columns, x, values, eps)
             passed = np.logical_or.reduce(verdicts).tolist()
             values = [v.tolist() for v in values]
             verdicts = [v.tolist() for v in verdicts]
-            minors = [m.tolist() for m in minors]
             for i, rep in enumerate(reports):
                 rep["passed"][name] = False
                 if row.torsion_free and not torsion_free[i]:
@@ -356,8 +355,9 @@ def evaluate_conditions(columns: dict, conditions: list[str],
                 rep["verdicts"].update(zip(row.verdicts,
                                            (v[i] for v in verdicts)))
                 if minors:
-                    rep["minors"]["form_4"] = minors[0][i]
-                    rep["minors"]["form_5"] = minors[1][i]
+                    # form 4's minors are the first four of form 5's
+                    rep["minors"]["form_4"] = minors[i][:4]
+                    rep["minors"]["form_5"] = minors[i]
                 rep["passed"][name] = passed[i]
         return reports
 

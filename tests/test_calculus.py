@@ -7,7 +7,7 @@ import pytest
 import phbochner.calculus as calc
 from phbochner.calculus import (CalculusError, canonicalize, check_certificate,
                                 commute_swap, differentiate, equal_mod_ibp,
-                                ibp_residual, integrate_by_parts)
+                                ibp_residual)
 from phbochner.expr import Expression, Factor, Term
 from phbochner.parser import parse
 from phbochner.scalar import I, ONE, ZERO, ScalarExact, sub_mul
@@ -145,37 +145,32 @@ def test_commute_swap_preserves_weight():
 # integration by parts
 # ---------------------------------------------------------------------------
 
+def _moved(a: str, b: str) -> None:
+    """b is a with one derivative moved by hand: equal modulo IBP, with a
+    certificate."""
+    a, b = parse(a), parse(b)
+    ok, trace = equal_mod_ibp(a, b)
+    assert ok and check_certificate(a, b, trace)
+
+
 def test_ibp_worked_example():
-    e = parse("INT[ Ab1b1_{11}*f*f ]")
-    out = integrate_by_parts(e, 0, 2)  # factors sort as (f, f, Ab1b1_{11})
-    assert out == parse("INT[ -2*Ab1b1_{1}*f_{1}*f ]")
+    # the repeated factor doubles the moved term, and its sign matters
+    _moved("INT[ Ab1b1_{11}*f*f ]", "INT[ -2*Ab1b1_{1}*f_{1}*f ]")
+    assert not equal_mod_ibp(parse("INT[ Ab1b1_{11}*f*f ]"),
+                             parse("INT[ 2*Ab1b1_{1}*f_{1}*f ]"))[0]
 
 
 def test_ibp_single_factor_divergence():
-    e = parse("INT[ R_{1} ]")
-    assert integrate_by_parts(e, 0, 0).is_zero()
+    _moved("INT[ R_{1} ]", "0")
 
 
 def test_ibp_involution():
-    # two factors: moving the derivative across and back is the identity
-    e = parse("INT[ E11_{1}*Eb1b1 ]")
-    once = integrate_by_parts(e, 0, 0)
-    assert once == parse("INT[ -E11*Eb1b1_{1} ]")
-    assert integrate_by_parts(once, 0, 1) == e
-    # with more factors the result stays equal modulo further IBP
-    e3 = parse("INT[ R*E11_{1}*Eb1b1 ]")
-    moved = integrate_by_parts(e3, 0, 1)
-    ok, _ = equal_mod_ibp(moved, e3)
-    assert ok
-
-
-def test_ibp_errors():
-    with pytest.raises(CalculusError):
-        integrate_by_parts(parse("R*f"), 0, 0)  # not integrated
-    with pytest.raises(CalculusError):
-        integrate_by_parts(parse("INT[ R*f ]"), 0, 0)  # no derivatives
-    out = integrate_by_parts(parse("INT[ R_{0}*f ]"), 0, 1)
-    assert out == parse("INT[ -R*f_{0} ]")
+    # two factors: the derivative moves across, and back
+    _moved("INT[ E11_{1}*Eb1b1 ]", "INT[ -E11*Eb1b1_{1} ]")
+    _moved("INT[ -E11*Eb1b1_{1} ]", "INT[ E11_{1}*Eb1b1 ]")
+    # three factors: it moves onto each of the others
+    _moved("INT[ R*E11_{1}*Eb1b1 ]",
+           "INT[ -R_{1}*E11*Eb1b1 - R*E11*Eb1b1_{1} ]")
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +196,7 @@ def test_equal_mod_ibp_t_direction():
     ok, _ = equal_mod_ibp(parse("INT[ E11_{0}*Eb1b1_{0} ]"),
                           parse("INT[ -E11_{00}*Eb1b1 ]"))
     assert ok
+    _moved("INT[ R_{0}*f ]", "INT[ -R*f_{0} ]")
 
 
 def test_equal_mod_ibp_same_symbol_pair():
@@ -346,6 +342,6 @@ def test_trace_export_formats():
     ok, trace = equal_mod_ibp(parse("INT[ Ab1b1_{1}*f_{1}*f ]"),
                               parse("INT[ (-1/2)*Ab1b1_{11}*f*f ]"))
     text = trace.to_text()
-    blob = trace.to_json()
+    payload = trace.to_dict()
     assert "relation" in text
-    assert '"entries"' in blob
+    assert payload["entries"] and "residual" not in payload

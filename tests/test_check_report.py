@@ -20,7 +20,7 @@ POINTS = [
 
 CONDITIONS = ["thm-a", "thm-b", "corollaryC", "3.11", "3.12", "bianchi"]
 
-_TOP = [0.6041666666666666, 0.20833333333333323]
+_TOP = [0.6041666666666666, 0.20833333333333334]
 
 # the report in the order the text output prints it
 EXPECTED = {
@@ -33,11 +33,11 @@ EXPECTED = {
          "verdicts": {"thm_a": False, "thm_a_borderline": False,
                       "thm_b": True, "corollaryC": True, "3.11": True,
                       "3.12": True, "bianchi": True},
-         "minors": {"form_4": _TOP + [0.06944444444444439,
-                                      0.008680555555555554],
-                    "form_5": _TOP + [0.06944444444444439,
-                                      0.008680555555555554,
-                                      0.001907018967616704]},
+         "minors": {"form_4": _TOP + [0.06944444444444445,
+                                      0.008680555555555556],
+                    "form_5": _TOP + [0.06944444444444445,
+                                      0.008680555555555556,
+                                      0.0019070189676167054]},
          "passed": {"thm-a": False, "thm-b": True, "corollaryC": True,
                     "3.11": True, "3.12": True, "bianchi": True},
          "errors": []},
@@ -47,11 +47,11 @@ EXPECTED = {
          "verdicts": {"thm_a": False, "thm_a_borderline": False,
                       "thm_b": True, "3.11": True, "3.12": True,
                       "bianchi": True},
-         "minors": {"form_4": _TOP + [0.13888888888888884,
-                                      0.023784722222222214],
-                    "form_5": _TOP + [0.13888888888888884,
-                                      0.023784722222222214,
-                                      0.01211435149016202]},
+         "minors": {"form_4": _TOP + [0.1388888888888889,
+                                      0.023784722222222224],
+                    "form_5": _TOP + [0.1388888888888889,
+                                      0.023784722222222224,
+                                      0.012114351490162038]},
          "passed": {"thm-a": False, "thm-b": True, "corollaryC": False,
                     "3.11": True, "3.12": True, "bianchi": True},
          "errors": ["the torsion-free condition requires A = 0 input"]},
@@ -62,11 +62,11 @@ EXPECTED = {
          "verdicts": {"thm_a": False, "thm_a_borderline": True,
                       "thm_b": False, "corollaryC": False, "3.11": True,
                       "3.12": True, "bianchi": True},
-         "minors": {"form_4": _TOP + [-0.06944444444444439,
-                                      0.008680555555555554],
-                    "form_5": _TOP + [-0.06944444444444439,
-                                      0.008680555555555554,
-                                      0.0010713176962770044]},
+         "minors": {"form_4": _TOP + [-0.06944444444444445,
+                                      0.008680555555555556],
+                    "form_5": _TOP + [-0.06944444444444445,
+                                      0.008680555555555556,
+                                      0.001071317696277006]},
          "passed": {"thm-a": True, "thm-b": False, "corollaryC": False,
                     "3.11": True, "3.12": True, "bianchi": True},
          "errors": []},

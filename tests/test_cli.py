@@ -67,6 +67,22 @@ def test_check_thm_b(capsys, torsion_file):
     assert code == 0
 
 
+def test_check_thm_b_needs_no_lu_minors(capsys, torsion_file, monkeypatch):
+    # `check` reports the kernel's closed-form minors; the stacked float
+    # forms and their LU minors serve only the `equiv` oracle
+    from phbochner import rigidity
+
+    def unused(*args):
+        raise AssertionError("check reached the LU minors")
+
+    monkeypatch.setattr(rigidity, "_stacked_forms", unused)
+    monkeypatch.setattr(rigidity, "_stacked_minors", unused)
+    assert main(["--format", "json", "check", torsion_file,
+                 "--cond", "thm-b"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["points"][0]["minors"]["form_5"]) == 5
+
+
 def test_check_corollary_on_torsion_errors(capsys, torsion_file):
     assert main(["check", torsion_file, "--cond", "corollaryC"]) == 1
     assert "A = 0" in capsys.readouterr().out
@@ -122,6 +138,11 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
     (ONE_POINT, ["--samples", "-3", "equiv"], ["--samples"]),
     (ONE_POINT, ["--samples", "0", "equiv"], ["--samples"]),
     (ONE_POINT, ["--samples", "0", "verify", "3.7"], ["--samples"]),
+    # far above `cli.MAX_SAMPLES`, and above what numpy can allocate
+    (ONE_POINT, ["--samples", "100000000000000000000000", "equiv"],
+     ["--samples"]),
+    (ONE_POINT, ["--samples", "100000000000000000000000", "sylvester"],
+     ["--samples"]),
     (ONE_POINT, ["--eps=-1e-12", "check", "{}", "--cond", "thm-b"],
      ["--eps"]),
     (ONE_POINT, ["--seed", "-5", "--samples", "100", "sylvester"],
@@ -136,6 +157,7 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
         "value-overflow", "k-overflow", "not-a-record", "empty-array",
         "not-json", "k-divides-by-zero", "k-not-a-number", "k-negative",
         "samples-negative", "samples-zero", "samples-zero-verify",
+        "samples-huge-equiv", "samples-huge-sylvester",
         "eps-negative", "seed-negative", "seed-negative-verify",
         "verify-unknown-id",
         "trace-unknown-id", "ops-unknown-name", "cond-unknown-name"])

@@ -206,8 +206,8 @@ def test_rigidity_proofs_reported(ident, key):
 
 # the kernel formulas that 2.11, 3.4 and 3.8 evaluate, as `identities`
 # names them
-_KERNEL = ("form_entries", "torsion_free_entries", "_thm_a", "_cond_3_11",
-           "_cond_3_12", "_corollary_c")
+_KERNEL = ("form_entries", "torsion_free_entries", "_thm_a",
+           "corollary_c_minors", "_thm_b_minors")
 # the bump test replaces ids._constant; _BumpK wraps the original
 _CONSTANT = ids._constant
 
@@ -445,7 +445,7 @@ def _trace_payloads() -> list[str]:
     for ident in ids.catalog_ids():
         result = ids.run_script(ident)
         payload = result.to_dict()
-        payload["trace"] = result.trace.to_json() if result.trace else None
+        payload["trace"] = result.trace.to_dict() if result.trace else None
         out.append(json.dumps(payload, sort_keys=True))
     return out
 
@@ -461,7 +461,7 @@ def test_certificates_independent_of_query_order():
 
 def _mutant_queries(monkeypatch, settle: bool) -> list[tuple]:
     """Run every mutant of 3.4, 3.5 and 3.8 from cold caches and return
-    [a, b, modulo, trace, trace JSON, certificate] per IBP query; with
+    [a, b, modulo, trace, trace dict, certificate] per IBP query; with
     `settle` the trace is read as soon as its query returns, else after the
     run."""
     _clear_ibp_caches()
@@ -472,7 +472,7 @@ def _mutant_queries(monkeypatch, settle: bool) -> list[tuple]:
         residual, trace = query(a, b, modulo)
         queries.append([a, b, tuple(modulo), trace])
         if settle:
-            queries[-1] += [trace.to_json(), list(trace.certificate)]
+            queries[-1] += [trace.to_dict(), list(trace.certificate)]
         return residual, trace
 
     monkeypatch.setattr(calc, "ibp_residual", recording)
@@ -483,7 +483,7 @@ def _mutant_queries(monkeypatch, settle: bool) -> list[tuple]:
     monkeypatch.undo()
     if not settle:
         for q in queries:
-            q += [q[3].to_json(), list(q[3].certificate)]
+            q += [q[3].to_dict(), list(q[3].certificate)]
     return queries
 
 

@@ -12,9 +12,12 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
+from phbochner import rigidity as rg
 from phbochner.cli import main
+from phbochner.kernel import thm_b_minors
 
 _TORSION = ("A11", "A11_1", "A11_b", "A11_bb")
 
@@ -65,14 +68,14 @@ _CONDITIONS = ["--cond", "thm-a", "--cond", "thm-b", "--cond", "corollaryC",
 
 # (command, format) -> (exit status, sha256 of stdout)
 _PINS = {
-    ("check {full}", "text"): (1, "49bc4f569e05df843f043f670210a19e"
-                                  "0cb82c25292ef4b201dcdbc9ee5b5349"),
-    ("check {full}", "json"): (1, "2d3ced1dedc3b38d483629e4e10a938c"
-                                  "7584c02f03f9cb76df32cdd3c38f538a"),
-    ("check {free}", "text"): (1, "ae5c1e2c70a3501c1491b0c782251e81"
-                                  "9f9a3306d7fbd55fbcc40bdad990ff23"),
-    ("check {free}", "json"): (1, "98f43e3ed1a7eead7ba5364b75fe81f3"
-                                  "65e4d275b842a54e44af90811d1ab992"),
+    ("check {full}", "text"): (1, "809e32ae66686ec8337f2c187f0c8e7c"
+                                  "bed59498e38f5f61a886e8f04dc648b9"),
+    ("check {full}", "json"): (1, "184a9f276d62debbd54d4391a9ad48ca"
+                                  "a1ebf02a27dd3b4fb04ac34c773c64a9"),
+    ("check {free}", "text"): (1, "e4164c1c802a6b7b4740976454fa8a97"
+                                  "4b2ac0daee8104345a98e1ddbbdc8caf"),
+    ("check {free}", "json"): (1, "265c080ca32dbb3afc8833c4eea5eedd"
+                                  "9941fa6e7c80506fd6de1b8a14f46256"),
     ("scaletest {full}", "text"): (0, "9d9edd8d0b5ed8ae6f805c8245836d33"
                                       "e28bd04d3aa10f3636dd7a31920ba36d"),
     ("scaletest {full}", "json"): (0, "666ad8ab3599de02ce233b2902b90c62"
@@ -107,3 +110,21 @@ def test_float_output_bytes_pinned(command, fmt, point_files, capsys):
     code = main(args)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == _PINS[command, fmt]
+
+
+def test_check_reports_the_proven_minors(point_files, capsys):
+    """At every point, `check` reports as form 5's minors the closed forms
+    that 3.8 proves, evaluated in floats, bit for bit; form 4's are the
+    first four, and thm-b holds exactly where all five are positive."""
+    main(["--format", "json", "check", point_files["full"], "--cond", "thm-b"])
+    reports = json.loads(capsys.readouterr().out)["points"]
+    with open(point_files["full"]) as fh:
+        x = rg._float_inputs(rg.point_columns(json.load(fh)))
+    got = np.array([rep["minors"]["form_5"] for rep in reports])
+    for k, want in enumerate(thm_b_minors(x, rg._float)):
+        want = np.broadcast_to(want, len(got))
+        assert np.array_equal(got[:, k].view(np.int64), want.view(np.int64)), k
+    for rep in reports:
+        form_5 = rep["minors"]["form_5"]
+        assert rep["minors"]["form_4"] == form_5[:4]
+        assert rep["verdicts"]["thm_b"] == all(m > 0 for m in form_5)

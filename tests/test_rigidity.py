@@ -10,7 +10,8 @@ from phbochner import identities as ids
 from phbochner import kernel
 from phbochner import rigidity as rg
 from phbochner.expr import Expression
-from phbochner.kernel import det, form_entries, torsion_free_entries
+from phbochner.kernel import (det, form_entries, thm_b_minors,
+                              torsion_free_entries)
 from phbochner.parser import parse
 from phbochner.rigidity import (HermitianForm, PointData, build_form_4,
                                 build_form_5)
@@ -187,13 +188,34 @@ def test_equivalence_battery():
 
 
 def test_form4_minors_are_leading_form5_minors():
-    # `check --cond thm-b` and `equiv` take form 4's minors from form 5's
+    # `equiv` takes form 4's minors from form 5's
     x = rg._float_inputs(rg._sample_fields(np.random.default_rng(3), 20_000))
     m4, m5 = rg._stacked_forms(x)
     minors4, minors5 = rg._stacked_minors(m4), rg._stacked_minors(m5)
     assert np.array_equal(minors4, minors5[:, :4])
     assert np.array_equal(minors4.view(np.int64),
                           minors5[:, :4].view(np.int64))
+
+
+# |LU minor - closed form| <= C u M, with M the closed form's sum of the
+# magnitudes of its summands: the LU path rounds through other intermediates,
+# and the largest ratio |LU - closed| / (u M) is 65 on the `test_output_pins`
+# file (44 on the seed-1 benchmark file)
+_LU_MINORS_C = 256
+
+
+def test_lu_minors_agree_with_proven_minors():
+    # `equiv` judges the closed forms that 3.8 proves by the LU minors of the
+    # stacked forms; on the pinned point file the two agree within rounding
+    from test_output_pins import _records
+
+    x = rg._float_inputs(rg.point_columns(_records()[0]))
+    lu = rg._stacked_minors(rg._stacked_forms(x)[1])
+    closed = thm_b_minors(x, rg._float)
+    magnitude = thm_b_minors(rg._magnitudes(x), rg._magnitude)
+    for k in range(5):
+        assert np.all(np.abs(lu[:, k] - closed[k])
+                      <= _LU_MINORS_C * 2.0 ** -53 * magnitude[k]), k
 
 
 def test_scale_identity_and_powers():
