@@ -193,7 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                  "survivors": m["survivors"]})
         else:
             result = identities.run_script(ident)
-            failed |= result.status == "FAIL"
+            failed |= not result.passed
             report["results"].append({"id": ident, "status": result.status,
                                       **result.outcome()})
     report["ok"] = not failed
@@ -270,7 +270,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if result.trace is not None:
             lines.append(result.trace.to_text())
         sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if result.status != "FAIL" else 1
+    return 0 if result.passed else 1
 
 
 def cmd_ops(args: argparse.Namespace) -> int:

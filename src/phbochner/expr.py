@@ -56,7 +56,9 @@ def _sym(name, conj, alpha, weight, real=False):
 # E11: deformation tensor coefficient; Q11: Cartan tensor coefficient;
 # W: a cube root of A11_{,1}, so |A11_{,1}|^{2/3} = W*Wb.  W is not
 # differentiable where A11_{,1} = 0, so it never carries a derivative and
-# no integration-by-parts query contains it.
+# no integration-by-parts query contains it.  LAM, RHO: the free real
+# parameters of Lemma 3.1 (record 3.6); constants, so they never carry a
+# derivative, and 3.6 strips them before any integration-by-parts query.
 SYMBOLS: dict[str, SymbolInfo] = {
     s.name: s
     for s in (
@@ -72,12 +74,14 @@ SYMBOLS: dict[str, SymbolInfo] = {
         _sym("Qb1b1", "Q11", -2, 4),
         _sym("W", "Wb", 1, 1),
         _sym("Wb", "W", -1, 1),
+        _sym("LAM", "LAM", 0, 0, real=True),
+        _sym("RHO", "RHO", 0, 0, real=True),
     )
 }
 
 # Fixed total symbol order: used for the canonical factor order inside terms.
 SYMBOL_ORDER = ["f", "g", "gb", "R", "A11", "Ab1b1", "E11", "Eb1b1", "Q11", "Qb1b1",
-                "W", "Wb"]
+                "W", "Wb", "LAM", "RHO"]
 _SYMBOL_INDEX = {name: k for k, name in enumerate(SYMBOL_ORDER)}
 
 # Bound of the LRU caches of factor sort keys, of `Factor.is_canonical` and
@@ -289,11 +293,6 @@ class Expression:
                 prev = out.get(key)
                 out[key] = val if prev is None else prev + val
         return Expression(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, ScalarExact, Factor)):
-            return self.__mul__(other)
-        return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, ScalarExact)):

@@ -40,9 +40,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class ScriptResult(NamedTuple):
-    """One script's outcome: status PASS, RESIDUAL or FAIL, its (label,
-    value) steps, the residual unless it passed, the equality trace and
-    named details.
+    """One script's outcome: status PASS or FAIL, its (label, value)
+    steps, the residual unless it passed, the equality trace and named
+    details.
 
     A step value is kept as the script made it (text, an Expression, or a
     callable that makes the text) and formatted only when `steps` is read,
@@ -289,14 +289,10 @@ def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
 
     # 3.5 does not close modulo IBP alone, only modulo the slice relation
     residual, trace = ibp_residual(canonical, target, modulo=slice_relation)
-    if residual.is_zero():
-        steps.append(("closure", "exact modulo the slice relation DJ* E = 0"))
-        return _finish("3.5", True, steps, None, trace,
-                       used_slice_relation=True)
-
-    steps.append(("residual (verbatim)", residual))
-    return ScriptResult("3.5", "RESIDUAL", steps, residual, trace,
-                        {"used_slice_relation": True})
+    ok = residual.is_zero()
+    steps.append(("closure", "exact modulo the slice relation DJ* E = 0")
+                 if ok else ("residual (verbatim)", residual))
+    return _finish("3.5", ok, steps, residual, trace, used_slice_relation=True)
 
 
 # a factor token of the grammar: a name with its derivative suffix, if any
@@ -305,7 +301,7 @@ _FACTOR_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:_\{[A-Za-z0-9]*\})?")
 
 def _instantiate(record: str, fld: str, values: dict[str, str]) -> Expression:
     """A catalog field with every whole factor token named in `values` (a
-    placeholder such as LAM, or a factor such as Eb1b1_{1}) replaced by its
+    parameter such as LAM, or a factor such as Eb1b1_{1}) replaced by its
     text in parentheses, all in one pass."""
     return parse(_FACTOR_TOKEN.sub(
         lambda m: f"({values[m[0]]})" if m[0] in values else m[0],
@@ -323,40 +319,44 @@ def _substitution(record: str, fld: str) -> dict[str, str]:
     return out
 
 
-def verify_lemma_3_1(lam: Fraction, rho: Fraction,
-                     target_override: Expression | None = None) -> ScriptResult:
-    values = {"LAM": str(lam), "RHO": str(rho)}
-    lhs = _instantiate("3.6", "lhs", values)
-    rhs = _target("3.6", target_override, values)
-    square = _instantiate("3.6", "square", values)
-    ok, trace = equal_mod_ibp(rhs - lhs, square)
-    return _finish(f"3.6[lam={lam},rho={rho}]", ok,
-                   [("rhs - lhs", rhs - lhs), ("square", square)],
-                   trace.residual, trace)
+# the free real parameters of Lemma 3.1; constants, never differentiated
+_PARAMETERS = frozenset({"LAM", "RHO"})
 
 
-_GRID = [Fraction(0), Fraction(1), Fraction(2)]
+def _parameter_classes(e: Expression) -> dict[str, Expression]:
+    """e as a polynomial in the parameters: {monomial text: its coefficient,
+    an expression free of them}, in the order of the monomials."""
+    classes: dict[tuple[Factor, ...], dict] = {}
+    for (integrated, factors), coeff in e._terms.items():
+        monomial = tuple(f for f in factors if f.symbol in _PARAMETERS)
+        rest = tuple(f for f in factors if f.symbol not in _PARAMETERS)
+        classes.setdefault(monomial, {})[integrated, rest] = coeff
+    return {"*".join(map(str, m)) or "1": Expression(classes[m])
+            for m in sorted(classes)}
 
 
-def verify_lemma_3_1_symbolic(target_override: Expression | None = None
-                              ) -> ScriptResult:
-    """Prove the completed-square identity for symbolic lam, rho.
+def verify_3_6(target_override: Expression | None = None) -> ScriptResult:
+    """Lemma 3.1, the completed square, for all real lam and rho.
 
-    Both sides are polynomials of degree <= 2 in (lam, rho); exact equality
-    on a 3 x 3 rational grid therefore proves the identity for all values.
-    The suite's case lam = rho = 1/4 is included explicitly.
+    rhs - lhs - square is a polynomial in LAM and RHO whose coefficients
+    are free of them.  It vanishes modulo IBP for every value when each
+    coefficient does, so each is decided on its own, and no query contains
+    a parameter or rests on a bound of the degree.
     """
-    pairs = [(l, r) for l in _GRID for r in _GRID]
-    pairs.append((Fraction(1, 4), Fraction(1, 4)))
-    steps = []
-    for lam, rho in pairs:
-        res = verify_lemma_3_1(lam, rho, target_override)
-        steps.append((res.name, res.status))
-        if not res.passed:
-            return ScriptResult("3.6", "FAIL", steps, res.residual, res.trace,
-                                {})
-    return ScriptResult("3.6", "PASS", steps, None, None,
-                        {"grid_points": len(pairs)})
+    corpus = Corpus.load()
+    rhs = _target("3.6", target_override)
+    diff = rhs - corpus.expr("3.6", "lhs") - corpus.expr("3.6", "square")
+    steps = [("rhs - lhs - square", diff)]
+    classes = _parameter_classes(diff)
+    ok, trace = True, None
+    for monomial, coefficient in classes.items():
+        ok, trace = equal_mod_ibp(coefficient, Expression.zero())
+        steps.append((f"coefficient of {monomial} modulo IBP",
+                      "PASS" if ok else "FAIL"))
+        if not ok:
+            break
+    return _finish("3.6", ok, steps, None if trace is None else trace.residual,
+                   trace, classes=list(classes))
 
 
 def verify_3_7() -> ScriptResult:
@@ -389,7 +389,6 @@ _FORM_INPUTS = {"R": "R", "t": "W*Wb", "a2": "A11*Ab1b1",
                 "Rb": "R_{b}", "Ab": "Ab1b1", "Ab1": "Ab1b1_{1}",
                 "R0": "R_{0}", "grad2": "2*R_{1}*R_{b}"}
 _FORM_BASIS = ("E11_{b1}", "i*E11_{0}", "E11_{1}", "E11_{b}", "E11")
-_QUARTER = Fraction(1, 4)
 _QUARTERS = {"LAM": "1/4", "RHO": "1/4"}
 
 
@@ -491,56 +490,35 @@ def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult
 # Registry, mutation testing
 # ---------------------------------------------------------------------------
 
+# identity -> (script, the field of its catalog record that mutation
+# perturbs, or None if it has no target)
 SCRIPTS = {
-    "2.3": verify_2_3,
-    "2.7": verify_2_7,
-    "2.8": verify_2_8,
-    "2.ibp": verify_2_ibp,
-    "2.11": verify_2_11,
-    "3.2": verify_3_2,
-    "3.3": verify_3_3,
-    "3.4": verify_3_4,
-    "3.5": verify_3_5,
-    "3.6": verify_lemma_3_1_symbolic,
-    "3.7": verify_3_7,
-    "3.8": verify_3_5_to_3_8,
+    "2.3": (verify_2_3, "target"),
+    "2.7": (verify_2_7, "target"),
+    "2.8": (verify_2_8, "integrals"),
+    "2.ibp": (verify_2_ibp, "rhs"),
+    "2.11": (verify_2_11, "integrals"),
+    "3.2": (verify_3_2, "rhs"),
+    "3.3": (verify_3_3, "final"),
+    "3.4": (verify_3_4, "integrand"),
+    "3.5": (verify_3_5, "integrand"),
+    "3.6": (verify_3_6, "rhs"),
+    "3.7": (verify_3_7, None),
+    "3.8": (verify_3_5_to_3_8, "integrand_exact"),
 }
-
-# identity -> (record, field) of the catalog target that mutation perturbs;
-# 3.6's is instantiated at lam = rho = 1/4
-_MUTATION_TARGETS = {
-    "2.3": ("2.3", "target"),
-    "2.7": ("2.7", "target"),
-    "2.8": ("2.8", "integrals"),
-    "2.ibp": ("2.ibp", "rhs"),
-    "2.11": ("2.11", "integrals"),
-    "3.2": ("3.2", "rhs"),
-    "3.3": ("3.3", "final"),
-    "3.4": ("3.4", "integrand"),
-    "3.5": ("3.5", "integrand"),
-    "3.6": ("3.6", "rhs"),
-    "3.8": ("3.8", "integrand_exact"),
-}
-MUTABLE_IDS = list(_MUTATION_TARGETS)
+MUTABLE_IDS = [ident for ident, (_, fld) in SCRIPTS.items() if fld]
 
 
-def _target(ident: str, override: Expression | None = None,
-            values: dict[str, str] = _QUARTERS) -> Expression:
+def _target(ident: str, override: Expression | None = None) -> Expression:
     """`override` unless it is None (a zero override is kept), else the
-    catalog target of `ident` that mutation perturbs; 3.6's is instantiated
-    at `values`."""
+    catalog target of `ident` that mutation perturbs."""
     if override is not None:
         return override
-    record, fld = _MUTATION_TARGETS[ident]
-    if record == "3.6":
-        return _instantiate(record, fld, values)
-    return Corpus.load().expr(record, fld)
+    return Corpus.load().expr(ident, SCRIPTS[ident][1])
 
 
 def _run_mutated(ident: str, mutated: Expression) -> ScriptResult:
-    if ident == "3.6":
-        return verify_lemma_3_1(_QUARTER, _QUARTER, target_override=mutated)
-    return SCRIPTS[ident](target_override=mutated)
+    return SCRIPTS[ident][0](target_override=mutated)
 
 
 def mutation_test(ident: str) -> dict:
@@ -572,4 +550,4 @@ def catalog_ids() -> list[str]:
 def run_script(ident: str) -> ScriptResult:
     if ident not in SCRIPTS:
         raise KeyError(f"unknown identity id {ident!r}")
-    return SCRIPTS[ident]()
+    return SCRIPTS[ident][0]()

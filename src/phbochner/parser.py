@@ -11,7 +11,7 @@ Grammar (documented in README):
 
 Symbols: f R A11 Ab1b1 E11 Eb1b1 Q11 Qb1b1 W Wb (W is a cube root of
 A11_{,1}; plus g/gb, a complex scalar, the free parameter of the 3.7 tight
-family).  The derivative alphabet is 1, b (= 1-bar), 0; the leftmost
+family, and LAM, RHO, the free real parameters of Lemma 3.1).  The derivative alphabet is 1, b (= 1-bar), 0; the leftmost
 letter is applied first.  '2Re[X]' is expanded to X + conj(X) at parse time;
 there is no Re/Im node in the AST.  Division is only defined by
 scalar-valued subexpressions.

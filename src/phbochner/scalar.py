@@ -100,9 +100,6 @@ class ScalarExact:
         return _make(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1,
                      c1 * q2 - c2 * q1, d1 * q2 - d2 * q1, q1 * q2)
 
-    def __rsub__(self, other):
-        return (-self) + ScalarExact.coerce(other)
-
     def __mul__(self, other):
         a1, b1, c1, d1, q1 = self._v
         a2, b2, c2, d2, q2 = ScalarExact.coerce(other)._v
@@ -139,9 +136,6 @@ class ScalarExact:
 
     def __truediv__(self, other):
         return self * ScalarExact.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return ScalarExact.coerce(other) * self.inverse()
 
     # -- involution and predicates ------------------------------------------
 

@@ -50,20 +50,15 @@ def test_criterion_3_section3_chain():
     ok = True
     for ident in ("3.2", "3.3", "3.4"):
         ok &= ids.run_script(ident).passed
-    # completed square for symbolic lam, rho (polynomial identity on a grid)
-    ok &= ids.verify_lemma_3_1_symbolic().passed
+    # the completed square for all real lam, rho, one coefficient at a time
+    ok &= ids.verify_3_6().passed
     # coefficient bookkeeping into the estimated form
-    r38 = ids.verify_3_5_to_3_8()
-    ok &= r38.passed
-    # the torsion identity either closes or must emit its residual verbatim
+    ok &= ids.verify_3_5_to_3_8().passed
+    # the torsion identity closes exactly, modulo the slice relation
     r35 = ids.verify_3_5()
-    if r35.status == "RESIDUAL":
-        ok &= r35.residual is not None and not r35.residual.is_zero()
-        label35 = "torsion identity residual emitted verbatim"
-    else:
-        ok &= r35.passed
-        label35 = "torsion identity closes exactly (slice relation used)"
-    _report(3, f"section-3 chain exact; {label35}", ok)
+    ok &= r35.passed and r35.residual is None
+    _report(3, "section-3 chain exact; torsion identity closes exactly "
+               "(slice relation used)", ok)
 
 
 def test_criterion_4_pointwise_inequality():

@@ -53,6 +53,35 @@ def test_verify_mutate(capsys):
     assert "killed" in out
 
 
+# catalog fields changed so that the identity no longer holds: a 3.6 term
+# that vanishes at every point of the 3 x 3 grid {0, 1, 2}^2 and at
+# lam = rho = 1/4, and the first coefficient of 3.5 bumped by +1
+_TAMPERED = {
+    "3.6": ("rhs", lambda text: text + " + INT[ (LAM*LAM*LAM - 3*LAM*LAM"
+            " + 2*LAM)*(4*RHO - 1)*R*E11*Eb1b1 ]"),
+    "3.5": ("integrand", lambda text: text.replace(
+        "(2/3)*E11_{b1}*Eb1b1_{1b}", "(5/3)*E11_{b1}*Eb1b1_{1b}", 1)),
+}
+
+
+@pytest.mark.parametrize("ident", list(_TAMPERED))
+def test_failed_identity_exits_1(ident, capsys, monkeypatch):
+    from phbochner.parser import Corpus
+
+    record = Corpus.load().records[ident]
+    fld, tamper = _TAMPERED[ident]
+    original = record[fld]
+    monkeypatch.setitem(record, fld, tamper(original))
+    assert record[fld] != original
+    assert main(["--format", "json", "verify", ident]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    (result,) = report["results"]
+    assert result["status"] == "FAIL" and result["residual"] not in (None, "0")
+    assert main(["trace", ident]) == 1
+    assert capsys.readouterr().out.startswith(f"[{ident}] FAIL\n")
+
+
 def test_check_sphere(capsys, sphere_file):
     assert main(["check", sphere_file, "--cond", "corollaryC"]) == 0
     out = capsys.readouterr().out
@@ -289,7 +318,7 @@ def test_trace_bytes_independent_of_hash_seed(ident):
 # bytes must be intended and listed in CHANGES.md
 _PINNED_JSON = {
     "verify all":
-        "b0deefa93b7d4a7998d98ac2aa38f9b8cdadc97a789e9f219df1a92e0ebc45d2",
+        "16a4bfde13b68c342e34d9fbe44a3705fcf67087d748df852b0b0507ce56370c",
     "verify all --mutate":
         "e597dfa63f808bc1c0a473cd54ac910cc40899258c95e990cdfd6bd6373d680a",
     "trace 2.3":
@@ -311,7 +340,7 @@ _PINNED_JSON = {
     "trace 3.5":
         "2cc0245e1263d7419d03d41682fc44893e43ff7bf501cffd69d31bf70b51eecf",
     "trace 3.6":
-        "ceb077f459179da8e8344708a64cc950ec0f17e9f3dfe1e08b07fc50497c6f99",
+        "82488f638545ac0c60000340e8dd46ee319898dd02577bdde5f9114e84605afc",
     "trace 3.7":
         "a1b4a302f16d16f6a5a1d532f02d467211b6be76828e3a7385dfeaaf19d5725e",
     "trace 3.8":

@@ -1,7 +1,6 @@
 """The identity suite: every catalog derivation must replay and close."""
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -49,7 +48,8 @@ def test_3_7_tight_family_is_checked(monkeypatch):
 
 def test_cube_root_never_in_an_ibp_query(monkeypatch):
     """W is not differentiable where A11_{,1} = 0, so no IBP query of the
-    catalog scripts may contain it; 3.8 matches its terms exactly."""
+    catalog scripts may contain it; 3.8 matches its terms exactly.  3.6
+    strips its parameters LAM and RHO before it queries."""
     _clear_ibp_caches()  # so that the queries of cached halves run too
     queries = []
     query = calc.ibp_residual
@@ -62,8 +62,9 @@ def test_cube_root_never_in_an_ibp_query(monkeypatch):
     monkeypatch.setattr(ids, "ibp_residual", recording)
     for ident in ids.catalog_ids():
         assert ids.run_script(ident).passed, ident
-    assert len(queries) > 10
-    assert not any(f.symbol in ("W", "Wb") for q in queries for e in q
+    assert len(queries) == 8
+    assert not any(f.symbol in ("W", "Wb", "LAM", "RHO")
+                   for q in queries for e in q
                    for t in e.term_list() for f in t.factors)
     form, _ = ids._numeric_form(form_entries, ids._thm_b_minors,
                                 ids._constant)
@@ -108,12 +109,15 @@ def test_bianchi_annihilates_final_f2_integrand():
     assert result.details["bianchi_torsion_free_f2"].is_zero()
 
 
-def test_lemma_3_1_grid_cases():
-    res = ids.verify_lemma_3_1(Fraction(1, 4), Fraction(1, 4))
-    assert res.passed
-    # degenerate case lam = 0: the inequality collapses to 0 <= rho^2 INT R^2|E|^2
-    res0 = ids.verify_lemma_3_1(Fraction(0), Fraction(1))
-    assert res0.passed
+def test_lemma_3_1_for_all_lam_rho():
+    """3.6 splits rhs - lhs - square by its LAM/RHO monomials: the LAM^2
+    and RHO^2 terms cancel with the square's, and the LAM*RHO coefficient
+    closes modulo IBP with a certificate."""
+    result = ids.verify_3_6()
+    assert result.passed
+    assert result.details["classes"] == ["LAM*RHO"]
+    assert ("coefficient of LAM*RHO modulo IBP", "PASS") in result.steps
+    assert result.trace.certificate
 
 
 def test_3_4_quadratic_form_variables():
