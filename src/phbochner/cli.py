@@ -20,11 +20,15 @@ encoder on every value).  Point files are read into columns by
 A completed run freezes the garbage collector's objects before `main`
 returns, as the process exits next: the interpreter's last collection would
 walk every module, cache and report only for the exit to free them.
-Exit status is 0 when every requested verification or condition passed, 1
-when one failed, 2 on a usage or input error (an unknown identity, operator
-or condition name included), reported as one line on stderr, and 141
-(128 + SIGPIPE) when the reader closes stdout early, as in
-`phbochner ops | head -1`; that ends without a traceback.
+Each command takes the parsed `argparse` namespace and returns `(report,
+ok)`, `trace`'s text report being one string, and `main` emits the report
+once: exit 0 when ok, 1 when a verification or condition failed.  Every
+usage or input error, argparse's own included, is one `phbochner: error:`
+line on stderr and exit 2 (`_input_error`).  Each argument is checked by its
+argparse `type` (`--samples` at most `MAX_SAMPLES`), and a name that needs a
+module (identity id, operator, `--cond`) by the command importing it.  A
+reader closing stdout early (`phbochner ops | head -1`) ends the run without
+a traceback, with exit 141, 128 + SIGPIPE.
 
 Each command imports only what it runs: `rigidity` and numpy are loaded by
 `check`, `scaletest`, `equiv` and `sylvester`, with the formula `kernel`
@@ -32,10 +36,6 @@ they evaluate, and none of the symbolic modules are; `verify` and `trace`
 load the symbolic engine and the `kernel` it proves, never `rigidity` or
 numpy; `ops` loads `operators` and the parser, and `calculus` only to
 build an operator derived by it.
-`--samples` (at most `MAX_SAMPLES`) and `--seed` (default `DEFAULT_SEED`)
-act on `equiv` and `sylvester`.  Each command is a function of the parsed
-`argparse` namespace, which `_run` validates first; `_COMMANDS` maps each
-subcommand to its function.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ DEFAULT_SEED = 20240814
 MAX_SAMPLES = 1_000_000
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _emit(report: dict | str, fmt: str) -> None:
     """Write a report to stdout in one call: JSON, or indented text."""
     out: list[str] = []
     if fmt == "json":
@@ -142,9 +142,18 @@ def _text_into(obj, prefix: str, out: list[str]) -> None:
 
 
 def _input_error(message: str):
-    """Report an input error as one stderr line and exit with status 2."""
-    print(f"phbochner: error: {message}", file=sys.stderr)
+    """Report an input error as one stderr line and exit with status 2; a
+    newline the message quotes from argv or a path is escaped."""
+    print("phbochner: error: " + message.replace("\n", "\\n"),
+          file=sys.stderr)
     raise SystemExit(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own usage errors are input errors too."""
+
+    def error(self, message: str):
+        _input_error(message)
 
 
 def _load_points(path: str) -> dict:
@@ -154,7 +163,7 @@ def _load_points(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         _input_error(f"{path}: {exc}")
     if not isinstance(data, list) or not data:
         _input_error(f"{path}: expected a non-empty JSON array of points")
@@ -164,11 +173,24 @@ def _load_points(path: str) -> dict:
         _input_error(f"{path}: {exc}")
 
 
+def _on_points(args: argparse.Namespace, evaluate, *params):
+    """`evaluate(points, *params, eps)` on the point file of args; a
+    ValueError of the data is an input error."""
+    from .rigidity import DEFAULT_EPS
+
+    points = _load_points(args.points)
+    eps = DEFAULT_EPS if args.eps is None else args.eps
+    try:
+        return evaluate(points, *params, eps)
+    except ValueError as exc:
+        _input_error(f"{args.points}: {exc}")
+
+
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the parsed arguments and returns (report, ok)
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
     from . import identities
 
     wanted = identities.catalog_ids() if args.ids == ["all"] else args.ids
@@ -197,112 +219,116 @@ def cmd_verify(args: argparse.Namespace) -> int:
             report["results"].append({"id": ident, "status": result.status,
                                       **result.outcome()})
     report["ok"] = not failed
-    _emit(report, args.format)
-    return 1 if failed else 0
+    return report, not failed
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> tuple[dict, bool]:
     from . import rigidity
 
     for name in args.cond:
         if name not in rigidity.CONDITIONS:
             _input_error(f"unknown condition {name!r}; "
                          f"known: {list(rigidity.CONDITIONS)}")
-    points = _load_points(args.points)
-    eps = rigidity.DEFAULT_EPS if args.eps is None else args.eps
-    try:
-        reports = rigidity.evaluate_conditions(points, args.cond, eps)
-    except ValueError as exc:
-        _input_error(f"{args.points}: {exc}")
+    reports = _on_points(args, rigidity.evaluate_conditions, args.cond)
     ok = all(not r["errors"] and all(r["passed"].values()) for r in reports)
-    summary = {
-        "command": "check",
-        "conditions": args.cond,
-        "points": reports,
-        "n_points": len(points["id"]),
-        "ok": ok,
-    }
-    _emit(summary, args.format)
-    return 0 if ok else 1
+    return {"command": "check", "conditions": args.cond, "points": reports,
+            "n_points": len(reports), "ok": ok}, ok
 
 
-def cmd_scaletest(args: argparse.Namespace) -> int:
-    from . import rigidity
+def cmd_scaletest(args: argparse.Namespace) -> tuple[dict, bool]:
+    from .rigidity import scaling_report
 
-    ks = _parse_k_list(args.k)
-    points = _load_points(args.points)
-    eps = rigidity.DEFAULT_EPS if args.eps is None else args.eps
-    try:
-        rows = rigidity.scaling_report(points, ks, eps)
-    except ValueError as exc:
-        _input_error(f"{args.points}: {exc}")
+    rows = _on_points(args, scaling_report, args.k)
     ok = all(r["ok"] for r in rows)
-    _emit({"command": "scaletest", "k": ks, "points": rows, "ok": ok},
-          args.format)
-    return 0 if ok else 1
+    return {"command": "scaletest", "k": args.k, "points": rows, "ok": ok}, ok
 
 
-def cmd_battery(args: argparse.Namespace) -> int:
-    """`equiv` or `sylvester`: one sampling battery, named by the command."""
+def cmd_battery(args: argparse.Namespace) -> tuple[dict, bool]:
+    """`equiv` or `sylvester`: the sampling battery its parser names."""
     from . import rigidity
 
-    battery = {"equiv": rigidity.equivalence_battery,
-               "sylvester": rigidity.sylvester_battery}[args.command]
-    report = battery(args.samples, args.seed)
+    report = getattr(rigidity, args.battery)(args.samples, args.seed)
     report["command"] = args.command
-    _emit(report, args.format)
-    return 0 if report["ok"] else 1
+    return report, report["ok"]
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace) -> tuple[dict | str, bool]:
     from . import identities
 
     if args.id not in identities.catalog_ids():
         _input_error(f"unknown identity id: {args.id}")
     result = identities.run_script(args.id)
     if args.format == "json":
-        payload = result.to_dict()
-        payload["trace"] = result.trace.to_dict() if result.trace else None
-        _emit(payload, "json")
+        report = result.to_dict()
+        report["trace"] = result.trace.to_dict() if result.trace else None
     else:
         lines = [f"[{result.name}] {result.status}"]
         lines += [f"-- {label}:\n   {value}" for label, value in result.steps]
         if result.trace is not None:
             lines.append(result.trace.to_text())
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if result.passed else 1
+        report = "\n".join(lines)
+    return report, result.passed
 
 
-def cmd_ops(args: argparse.Namespace) -> int:
+def cmd_ops(args: argparse.Namespace) -> tuple[dict, bool]:
     from .operators import REGISTRY
 
     name = args.name
     if name is None:
-        _emit({"command": "ops", "operators": sorted(REGISTRY)}, args.format)
-        return 0
+        return {"command": "ops", "operators": sorted(REGISTRY)}, True
     if name not in REGISTRY:
         _input_error(f"unknown operator {name!r}; known: {sorted(REGISTRY)}")
-    _emit({"command": "ops", "name": name,
-           "definition": str(REGISTRY[name]())}, args.format)
-    return 0
+    return {"command": "ops", "name": name,
+            "definition": str(REGISTRY[name]())}, True
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _checked(convert, ok, want: str):
+    """An argparse `type`: convert(text) if ok accepts it, else an error."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"{want}, got {text!r}")
+    return parse
+
+
+def _scale_factor(text: str) -> float:
+    num, _, den = text.partition("/")
+    return float(num) / float(den or 1)
+
+
+def _scale_factors(text: str) -> list[float]:
+    """`--k`: comma-separated positive, finite numbers or fractions."""
+    factor = _checked(_scale_factor, lambda k: math.isfinite(k) and k > 0,
+                      "scale factors must be positive, finite numbers or "
+                      "fractions")
+    return [factor(piece.strip()) for piece in text.split(",")]
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="phbochner",
         description="Exact identity verification and pointwise rigidity checks "
                     "for 3-dimensional pseudohermitian geometry.")
     ap.add_argument("--format", choices=("text", "json"), default="text",
                     help="output format (default: text)")
-    ap.add_argument("--eps", type=float, default=None,
+    ap.add_argument("--eps", default=None, type=_checked(
+                        float, lambda e: math.isfinite(e) and e >= 0,
+                        "must be a finite, nonnegative number"),
                     help="verdict boundary tolerance")
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    ap.add_argument("--seed", default=DEFAULT_SEED, type=_checked(
+                        int, lambda n: n >= 0, "must be a nonnegative integer"),
                     help="seed of equiv and sylvester")
-    ap.add_argument("--samples", type=int, default=100_000,
+    ap.add_argument("--samples", default=100_000, type=_checked(
+                        int, lambda n: 1 <= n <= MAX_SAMPLES,
+                        f"must be an integer from 1 to {MAX_SAMPLES}"),
                     help="sample count of equiv and sylvester")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -311,58 +337,42 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="identity ids from the catalog, or 'all'")
     p_verify.add_argument("--mutate", action="store_true",
                           help="run coefficient-mutation sensitivity instead")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_check = sub.add_parser("check", help="evaluate conditions on point data")
     p_check.add_argument("points", help="JSON array of point records")
     p_check.add_argument("--cond", action="append", required=True,
                          help="condition to evaluate (repeatable)")
+    p_check.set_defaults(run=cmd_check)
 
     p_scale = sub.add_parser("scaletest", help="contact-form scaling battery")
     p_scale.add_argument("points", help="JSON array of point records")
-    p_scale.add_argument("--k", default="1/7,1/2,3,100",
+    p_scale.add_argument("--k", default="1/7,1/2,3,100", type=_scale_factors,
                          help="comma-separated scale factors (fractions allowed)")
+    p_scale.set_defaults(run=cmd_scaletest)
 
-    sub.add_parser("equiv", help="determinant-equivalence sampling battery")
-    sub.add_parser("sylvester", help="Sylvester vs eigenvalue oracle battery")
+    p_equiv = sub.add_parser("equiv",
+                             help="determinant-equivalence sampling battery")
+    p_equiv.set_defaults(run=cmd_battery, battery="equivalence_battery")
+    p_sylv = sub.add_parser("sylvester",
+                            help="Sylvester vs eigenvalue oracle battery")
+    p_sylv.set_defaults(run=cmd_battery, battery="sylvester_battery")
 
     p_trace = sub.add_parser("trace", help="export a derivation trace")
     p_trace.add_argument("id", help="identity id")
+    p_trace.set_defaults(run=cmd_trace)
 
     p_ops = sub.add_parser("ops", help="show operator templates")
     p_ops.add_argument("name", nargs="?", default=None)
+    p_ops.set_defaults(run=cmd_ops)
     return ap
-
-
-def _parse_k_list(text: str) -> list[float]:
-    out = []
-    for piece in text.split(","):
-        num, _, den = piece.strip().partition("/")
-        try:
-            k = float(num) / float(den or 1)
-        except (ValueError, ZeroDivisionError):
-            _input_error(f"--k: {piece.strip()!r} is not a number or fraction")
-        if not (math.isfinite(k) and k > 0):
-            _input_error(f"--k: scale factors must be positive and finite, "
-                         f"got {piece.strip()!r}")
-        out.append(k)
-    return out
-
-
-# subcommand -> its function of the parsed arguments
-_COMMANDS = {
-    "verify": cmd_verify,
-    "check": cmd_check,
-    "scaletest": cmd_scaletest,
-    "equiv": cmd_battery,
-    "sylvester": cmd_battery,
-    "trace": cmd_trace,
-    "ops": cmd_ops,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        code = _run(argv)
+        args = _build_parser().parse_args(argv)
+        report, ok = args.run(args)
+        _emit(report, args.format)
         sys.stdout.flush()
     except BrokenPipeError:
         # stdout was closed early (`| head`); send the interpreter's final
@@ -376,20 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     # would walk every object the run left (modules, caches, the report)
     # only for the exit to free them anyway; frozen, they are skipped
     gc.freeze()
-    return code
-
-
-def _run(argv: list[str] | None) -> int:
-    args = _build_parser().parse_args(argv)
-    if not 1 <= args.samples <= MAX_SAMPLES:
-        _input_error(f"--samples must be between 1 and {MAX_SAMPLES}, "
-                     f"got {args.samples}")
-    if args.eps is not None and not (math.isfinite(args.eps)
-                                     and args.eps >= 0):
-        _input_error(f"--eps must be finite and nonnegative, got {args.eps}")
-    if args.seed < 0:
-        _input_error(f"--seed must be nonnegative, got {args.seed}")
-    return _COMMANDS[args.command](args)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

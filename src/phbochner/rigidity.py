@@ -168,9 +168,9 @@ def _stack(points: list[PointData]) -> dict:
 
 
 def _torsion_free(s: dict) -> np.ndarray:
+    """Where the four torsion fields are 0, at any contact-form scale."""
     return np.logical_and.reduce(
-        [np.abs(s[name]) <= DEFAULT_EPS
-         for name, f in _FIELDS.items() if f.torsion])
+        [s[name] == 0 for name, f in _FIELDS.items() if f.torsion])
 
 
 # ---------------------------------------------------------------------------

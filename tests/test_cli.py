@@ -182,6 +182,18 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
     (ONE_POINT, ["trace", "9.9"], ["9.9"]),
     (ONE_POINT, ["ops", "nosuch"], ["'nosuch'"]),
     (ONE_POINT, ["check", "{}", "--cond", "nosuch"], ["'nosuch'", "thm-b"]),
+    # argparse's own errors
+    (ONE_POINT, [], ["command"]),
+    (ONE_POINT, ["bogus"], ["'bogus'"]),
+    (ONE_POINT, ["verify"], ["ids"]),
+    (ONE_POINT, ["check", "{}"], ["--cond"]),
+    (ONE_POINT, ["--format", "xml", "ops"], ["'xml'"]),
+    (ONE_POINT, ["--samples", "x", "equiv"], ["--samples", "'x'"]),
+    (ONE_POINT, ["--eps"], ["--eps"]),
+    (ONE_POINT, ["trace", "2.3", "extra"], ["extra"]),
+    (ONE_POINT, ["verify", "2.3", "a\nb"], ["a\\nb"]),
+    ("[" * 100000 + "]" * 100000, ["check", "{}", "--cond", "thm-b"],
+     ["recursion"]),
 ], ids=["infinite-field", "nan-field", "string-field", "long-pair",
         "value-overflow", "k-overflow", "not-a-record", "empty-array",
         "not-json", "k-divides-by-zero", "k-not-a-number", "k-negative",
@@ -189,7 +201,10 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
         "samples-huge-equiv", "samples-huge-sylvester",
         "eps-negative", "seed-negative", "seed-negative-verify",
         "verify-unknown-id",
-        "trace-unknown-id", "ops-unknown-name", "cond-unknown-name"])
+        "trace-unknown-id", "ops-unknown-name", "cond-unknown-name",
+        "no-command", "unknown-command", "verify-no-ids", "check-no-cond",
+        "format-unknown", "samples-not-a-number", "eps-no-value",
+        "trace-extra-argument", "newline-in-id", "nested-file"])
 def test_input_error_exits_2(capsys, tmp_path, content, args, names):
     path = tmp_path / "points.json"
     path.write_text(content)
@@ -199,6 +214,28 @@ def test_input_error_exits_2(capsys, tmp_path, content, args, names):
     err = capsys.readouterr().err
     assert err.startswith("phbochner: error: ") and err.count("\n") == 1
     assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: phbochner") and err == ""
+
+
+def test_torsion_free_is_scale_invariant(capsys, tmp_path):
+    # torsion 1e-13 is torsion, whatever its size: corollaryC, defined only
+    # where A = 0, rejects the point and its image under theta -> theta/100
+    outs = []
+    for R, lap_r, a11 in ((1, 0.5, 1e-13), (100, 5000, 1e-11)):
+        path = tmp_path / f"p{R}.json"
+        path.write_text(json.dumps(
+            [{"id": "p", "R": R, "lapR": lap_r, "A11": [a11, 0]}]))
+        assert main(["check", str(path), "--cond", "corollaryC"]) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "A = 0" in outs[0]
 
 
 @pytest.mark.parametrize("args", [["--format", "json", "ops"],
@@ -524,3 +561,95 @@ def test_load_points_keeps_signed_zeros(tmp_path):
         assert [getattr(p, name) for name in ("R", "A11", "R1")] == [
             columns[name][k] for name in ("R", "A11", "R1")]
         assert np.signbit(p.A11.real) and np.signbit(p.R) == (k == 0)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: argv from a small token set, on malformed point files
+# ---------------------------------------------------------------------------
+
+# global flags with good or bad values, a command with its arguments, then a
+# few more tokens
+_FLAG_VALUES = {"--format": ["text", "json", "xml"],
+                "--eps": ["0", "1e-12", "-1", "nan", "1e400"],
+                "--seed": ["0", "3", "-1", "x"],
+                "--samples": ["3", "0", "x", "10" * 12]}
+_COMMAND_HEADS = [[], ["bogus"], ["verify"], ["verify", "all"],
+                  ["verify", "3.7", "--mutate"], ["verify", "9.9"],
+                  ["trace"], ["trace", "2.3"], ["ops"], ["ops", "Q11"],
+                  ["equiv"], ["sylvester"], ["check", "{points}"],
+                  ["check", "{points}", "--cond", "thm-b"],
+                  ["check", "{points}", "--cond", "corollaryC"],
+                  ["check", "{points}", "--cond", "nosuch"],
+                  ["scaletest", "{points}"], ["scaletest", "/nonexistent"]]
+_TOKENS = ["--cond", "bianchi", "--k", "1/2,3", "1/0", "-1", "x", "--mutate",
+           "--help", "--", "{points}", "--format", "a\nb"]
+
+
+def _argv():
+    """Half of the argv: flags, a command head and tokens; the other half: a
+    valid `check` or `scaletest` on the point file."""
+    st = pytest.importorskip("hypothesis").strategies
+    flag = st.sampled_from(list(_FLAG_VALUES)).flatmap(
+        lambda name: st.tuples(st.just(name),
+                               st.sampled_from(_FLAG_VALUES[name])))
+    tokens = st.builds(
+        lambda flags, head, tail: [t for pair in flags for t in pair]
+        + head + tail,
+        st.lists(flag, max_size=2), st.sampled_from(_COMMAND_HEADS),
+        st.lists(st.sampled_from(_TOKENS), max_size=2))
+    on_points = st.builds(
+        lambda fmt, command: fmt + command,
+        st.sampled_from([[], ["--format", "json"], ["--eps", "0"]]),
+        st.sampled_from([["check", "{points}", "--cond", cond] for cond in (
+            "thm-a", "thm-b", "corollaryC", "3.11", "3.12", "bianchi")]
+            + [["scaletest", "{points}"],
+               ["scaletest", "{points}", "--k", "1/100"]]))
+    return tokens | on_points
+
+
+def _point_texts():
+    st = pytest.importorskip("hypothesis").strategies
+    good = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.3, 1e-13])
+    bad = st.sampled_from([1e200, 1e308, 10 ** 400, float("nan"),
+                           float("inf"), -float("inf"), True, None, "1.0",
+                           {}])
+    number = good | bad
+    value = number | st.lists(number, max_size=3)
+    record = st.fixed_dictionaries(
+        {"id": st.sampled_from(["p", 3, None]), "R": number},
+        optional={name: value for name in ("R0", "R1", "lapR", "A11",
+                                           "A11_1", "A11_b", "A11_bb")})
+    records = st.lists(record | st.dictionaries(st.just("id"), value)
+                       | number, min_size=1, max_size=4)
+    nested = st.sampled_from([3, 200, 100000]).map(
+        lambda d: "[" * d + "]" * d)
+    return (records.map(json.dumps) | nested
+            | nested.map(lambda v: f'[{{"id": "n", "R": {v}}}]')
+            | st.sampled_from(["", "[]", "not json", "{}", "[1, 2"]))
+
+
+def test_fuzzed_argv_exits_0_1_or_2(capsys, tmp_path):
+    """Every run exits 0, 1 or 2, raises nothing else, and on exit 2 prints
+    exactly one `phbochner: error:` line."""
+    hyp = pytest.importorskip("hypothesis")
+    path = tmp_path / "points.json"
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(_argv(), _point_texts())
+    def check(args, content):
+        path.write_text(content)
+        # a small battery: a later --samples in args overrides it
+        argv = ["--samples", "7"] + [a.format(points=path) for a in args]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.startswith("phbochner: error: "), argv
+            assert err.count("\n") == 1, argv
+        else:
+            assert err == "", argv
+    check()
