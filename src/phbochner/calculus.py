@@ -18,22 +18,25 @@ The engine implements
   for a parent of balance 0 the 0-direction relation already follows from
   the 1 and b ones, since X_{,1b} - X_{,b1} = i X_{,0} there);
 * a complete decision procedure for equality modulo integration by parts:
-  the difference is canonicalized, and each (weight, balance) class of it is
+  the difference is canonicalized, and the part of it in each sector is
   reduced, by exact Gaussian elimination, against every divergence relation
-  of the sectors its monomials lie in.  A sector is (weight, balance,
-  non-curvature symbols); differentiation and the commutation rules only add
-  R, A11 and Ab1b1 factors, so each relation lies in one sector, and each
-  sector is finite.  Each sector's relations are listed and eliminated once,
-  in a fixed order, and the pivot rows are then back-substituted into
-  reduced echelon form, so a query is reduced in one pass over its own
-  pivot monomials.  The residual is the normal form modulo their span:
-  every pivot lead is eliminated, so it is the same for all inputs equal
-  modulo IBP, whatever the cache state or query order, and so is the
-  certificate (which relation was used with which coefficient).  The
-  certificate is computed when the trace is first read; a zero residual
-  found by elimination is replayed with `check_certificate` from freshly
-  built rows before it is returned, so every such equality decision doubles
-  as an audit trail.
+  of that sector.  A sector is (weight, balance, non-curvature symbols);
+  differentiation and the commutation rules only add R, A11 and Ab1b1
+  factors, so each relation lies in one sector, and each sector is finite.
+  Each sector's relations are listed and eliminated once, in a fixed order,
+  and the pivot rows are then back-substituted into reduced echelon form,
+  so a query is reduced in one pass over its own pivot monomials.  The
+  residual is the normal form modulo their span: every pivot lead is
+  eliminated, so it is the same for all inputs equal modulo IBP, whatever
+  the cache state or query order, and so is the certificate (which
+  relation was used with which coefficient, listed per (weight, balance)
+  class).  A relation has one kind of id, its parent monomial and its
+  direction.  The certificate is computed when the trace is first read; a
+  zero residual found by elimination is replayed with `check_certificate`
+  from freshly built rows before it is returned, so every such equality
+  decision doubles as an audit trail.  A constraint that holds only on a
+  slice, such as DJ* E = 0 for 3.5, is no relation of the engine: the
+  caller subtracts a stated witness that vanishes there.
 
 The engine reads an Expression's terms in stored order and sorts only
 where the order reaches output.  Canonical forms, relation rows and
@@ -46,8 +49,8 @@ All operations are pure.  The module state is five bounded caches:
 * canonical forms of non-canonical factors (`_canon_cache`) and, per term,
   its unit expansion or the mark that it is canonical (`_term_cache`), each
   at most MAX_CACHED_FACTORS;
-* eliminated systems by sector set and `modulo` generators
-  (`_system_cache`, at most MAX_CACHED_SYSTEMS);
+* eliminated systems, one per sector (`_system_cache`, at most
+  MAX_CACHED_SYSTEMS);
 * the sector and the sort key of each monomial (`_sector` and
   `_monomial_sort_key`, LRU caches of at most MAX_CACHED_MONOMIALS each).
 
@@ -61,7 +64,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (_LETTER_ALPHA, _LETTER_ORDER, _LETTER_WEIGHT, DERIV_LETTERS,
-                   SYMBOLS, Expression, Factor, Term, _sorted_factors)
+                   SYMBOLS, Expression, Factor, _sorted_factors)
 from .scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
 __all__ = [
@@ -76,9 +79,8 @@ MAX_RELATIONS = 10_000
 # Bounds of the caches shared across queries: canonical forms of factors
 # and of terms, eliminated systems, and the sectors and sort keys of
 # monomials.  After `verify all --mutate` they hold 43 non-canonical factors,
-# 220 terms (52 of them non-canonical), 6 systems (four sectors, their
-# three-sector merge, and that merge with the slice-relation rows of 3.5),
-# the sectors of 59 monomials and the sort keys of 161.
+# 213 terms (52 of them non-canonical), 4 systems (one per sector the
+# catalog touches), the sectors of 52 monomials and the sort keys of 154.
 MAX_CACHED_FACTORS = 10_000
 MAX_CACHED_SYSTEMS = 64
 MAX_CACHED_MONOMIALS = 10_000
@@ -96,10 +98,12 @@ class RewriteTrace:
     """The certificate of an equality-mod-IBP decision, and its residual.
 
     The certificate is the combination difference = sum(coeff * relation) +
-    residual, as (row id, coefficient) pairs; `check_certificate` replays
-    it.  An equality query stores each reduction's (system, eliminations)
-    pair instead of its combination of rows, and `certificate` computes the
-    pending combinations, in query order, the first time it is read.
+    residual, as (row id, coefficient) pairs, a row id being (parent
+    monomial, direction); `check_certificate` replays it.  An equality
+    query stores, per (weight, balance) class, the (system, eliminations)
+    pair of each sector's reduction instead of its combination of rows, and
+    `certificate` computes the pending combinations, class by class in
+    query order, the first time it is read.
     `entries` (and `to_text` and `to_dict`) lists the certificate as
     (rule, before, after, coefficient) records.
     """
@@ -107,13 +111,16 @@ class RewriteTrace:
     def __init__(self):
         self.residual: Expression | None = None
         self._certificate: list[tuple[tuple, ScalarExact]] = []
-        self._pending: list[tuple["_LinearSystem", list]] = []
+        self._pending: list[list[tuple["_LinearSystem", list]]] = []
 
     @property
     def certificate(self) -> list[tuple[tuple, ScalarExact]]:
         pending, self._pending = self._pending, []
-        for system, steps in pending:
-            combo = system.combination(steps)
+        for reductions in pending:
+            # sectors share no row, so their combinations merge by update
+            combo: dict = {}
+            for system, steps in reductions:
+                combo.update(system.combination(steps))
             self._certificate.extend(
                 sorted(combo.items(), key=lambda kv: str(kv[0])))
         return self._certificate
@@ -325,16 +332,6 @@ def _canonical_difference(a: Expression, b: Expression) -> Expression:
     return Expression(acc)
 
 
-def _canonical_row(terms: Iterable[tuple[ScalarExact, tuple[Factor, ...]]]
-                   ) -> dict[Monomial, ScalarExact]:
-    """The canonical vector of the plain sum of coeff * (product of factors)
-    over `terms`."""
-    acc: dict = {}
-    _canonical_into(acc, (((False, _sorted_factors(factors)), coeff)
-                          for coeff, factors in terms))
-    return {key[1]: c for key, c in acc.items() if c}
-
-
 # ---------------------------------------------------------------------------
 # Substitution rules
 # ---------------------------------------------------------------------------
@@ -382,7 +379,7 @@ def apply_rule(e: Expression, rule: Rule) -> Expression:
 
 Monomial = tuple[Factor, ...]
 
-# (frozenset of sectors, modulo) -> eliminated system
+# sector -> eliminated system
 _system_cache: dict[tuple, "_LinearSystem"] = {}
 
 # The factors the commutation rules add; every other factor of a monomial
@@ -423,9 +420,11 @@ def _canonical_vector(e: Expression) -> dict[Monomial, ScalarExact]:
 
 def _relation_row(parent: Monomial, direction: str) -> dict[Monomial, ScalarExact]:
     """INT[(product of parent)_{,direction}] = 0, canonicalized."""
-    return _canonical_row(
-        (ONE, parent[:k] + (parent[k].with_deriv(direction),) + parent[k + 1:])
-        for k in range(len(parent)))
+    acc: dict = {}
+    _canonical_into(acc, (((False, _sorted_factors(
+        parent[:k] + (parent[k].with_deriv(direction),) + parent[k + 1:])), ONE)
+        for k in range(len(parent))))
+    return {key[1]: c for key, c in acc.items() if c}
 
 
 class _LinearSystem:
@@ -440,16 +439,10 @@ class _LinearSystem:
     """
 
     def __init__(self):
-        # leading monomial -> (vector, combo over original row ids); the
-        # entries are never mutated, so copies may share them
+        # leading monomial -> (vector, combo over original row ids)
         self.pivots: dict[Monomial, tuple[dict, dict]] = {}
         # number of rows added, pivots or not
         self.rows = 0
-
-    def merge(self, other: "_LinearSystem") -> None:
-        """Take over the pivots of a system on disjoint monomials."""
-        self.pivots.update(other.pivots)
-        self.rows += other.rows
 
     @staticmethod
     def _leading(vec: dict) -> Monomial:
@@ -499,20 +492,15 @@ class _LinearSystem:
 
         A pivot row's other monomials are smaller than its lead, so taking
         the rows from the smallest lead up, the rows subtracted from each are
-        already reduced and bring in no lead.  A changed row is a new pair
-        of dicts: the old one may be shared with other systems.  Which rows
-        are kept depends on the order rows were added in alone, so neither
-        residuals nor certificates change.
+        already reduced and bring in no lead.  Which rows are kept depends
+        on the order rows were added in alone, so neither residuals nor
+        certificates change.
         """
         pivots = self.pivots
         for lead in sorted(pivots, key=_monomial_sort_key):
             pvec, pcombo = pivots[lead]
-            inner = [m for m in pvec if m != lead and m in pivots]
-            if inner:
-                vec, combo = dict(pvec), dict(pcombo)
-                for m in inner:
-                    self._combine(combo, m, self._eliminate(vec, m))
-                pivots[lead] = (vec, combo)
+            for m in [m for m in pvec if m != lead and m in pivots]:
+                self._combine(pcombo, m, self._eliminate(pvec, m))
 
     def reduce_vector(self, vec: dict) -> tuple[dict, list]:
         """(normal form of vec, its eliminations as (lead, factor) pairs).
@@ -585,16 +573,6 @@ def _remember(cache: dict, key, value, bound: int) -> None:
     cache[key] = value
 
 
-def _build_row(rid: tuple, modulo: Sequence[Expression]) -> dict:
-    """The relation row of a row id, built afresh."""
-    if rid[0] == "ibp":
-        return _relation_row(rid[1], rid[2])
-    if rid[0] == "modulo":
-        return _canonical_row((c, factors + rid[2])
-                              for (_, factors), c in modulo[rid[1]]._terms.items())
-    raise CalculusError(f"unknown relation row {rid!r}")  # pragma: no cover
-
-
 def _build_relations(weight: int, balance: int,
                      symbols: tuple[str, ...]) -> list[tuple]:
     """Ids of every divergence relation of a sector, in a fixed order.
@@ -606,96 +584,66 @@ def _build_relations(weight: int, balance: int,
     first) fixes the echelon basis; of the orders tried it gave the
     shortest certificates on the catalog and its mutants.
     """
-    return [("ibp", parent, d) for d in ("0", "1", "b")
+    return [(parent, d) for d in ("0", "1", "b")
             for parent in reversed(_sector_monomials(
                 weight - _LETTER_WEIGHT[d], balance - _LETTER_ALPHA[d],
                 symbols))]
 
 
-def _modulo_rows(weight: int, balance: int, modulo: Sequence[Expression]):
-    """(row id, row) for INT[S * N] = 0, N of the class's remaining weight.
-
-    The multipliers N are the E-linear monomials: one E11 or Eb1b1 factor
-    times a monomial in R, A11, Ab1b1.
-    """
-    for gi, gen in enumerate(modulo):
-        gen_weights = {Term(c, k[1], k[0]).weight() for k, c in gen.items()}
-        gen_balances = {Term(c, k[1], k[0]).alpha() for k, c in gen.items()}
-        if len(gen_weights) != 1 or len(gen_balances) != 1:
-            raise CalculusError("modulo generators must be homogeneous")
-        mw, mb = weight - gen_weights.pop(), balance - gen_balances.pop()
-        for sym in ("E11", "Eb1b1"):
-            for mult in _sector_monomials(mw, mb, (sym,)):
-                rid = ("modulo", gi, mult)
-                yield rid, _build_row(rid, modulo)
-
-
-def _check_relation_cap(rows: int, sectors: Iterable[tuple]) -> None:
+def _check_relation_cap(rows: int, sector: tuple) -> None:
     if rows > MAX_RELATIONS:
         raise CalculusError(
             f"relation cap ({MAX_RELATIONS}) exceeded: {rows} relations in "
-            f"the sectors {sorted(sectors)}")
+            f"the sector {sector}")
 
 
-def _eliminated_system(sectors: frozenset,
-                       modulo: tuple[Expression, ...]) -> _LinearSystem:
-    """The echelon system of the sectors' relations (plus `modulo` rows), cached.
+def _eliminated_system(sector: tuple) -> _LinearSystem:
+    """The reduced echelon system of a sector's relations, cached.
 
-    One sector adds the rows of `_build_relations` in order.  Several sectors
-    merge the pivots of their own systems, since sectors share no monomial.
-    With `modulo`, the rows INT[S * N] extend a copy of the plain system of
-    every sector that the support or those rows touch.
+    The rows of `_build_relations` are added in order.  The relation cap is
+    checked on every call, so a lowered cap also refuses a cached system.
     """
-    key = (sectors, modulo)
-    system = _system_cache.get(key)
+    system = _system_cache.get(sector)
     if system is None:
-        system, rows = _LinearSystem(), ()
-        if modulo:
-            weight, balance, _ = next(iter(sectors))
-            rows = list(_modulo_rows(weight, balance, modulo))
-            system.merge(_eliminated_system(
-                sectors.union(_sector(m) for _, row in rows for m in row), ()))
-        elif len(sectors) > 1:
-            for sector in sorted(sectors):
-                system.merge(_eliminated_system(frozenset((sector,)), ()))
-        else:
-            rids = _build_relations(*next(iter(sectors)))
-            _check_relation_cap(len(rids), sectors)
-            rows = ((rid, _build_row(rid, ())) for rid in rids)
-        for rid, row in rows:
-            system.add_row(rid, row)
+        rids = _build_relations(*sector)
+        _check_relation_cap(len(rids), sector)
+        system = _LinearSystem()
+        for rid in rids:
+            system.add_row(rid, _relation_row(*rid))
         system.reduce_basis()
-        _remember(_system_cache, key, system, MAX_CACHED_SYSTEMS)
-    _check_relation_cap(system.rows, sectors)
+        _remember(_system_cache, sector, system, MAX_CACHED_SYSTEMS)
+    _check_relation_cap(system.rows, sector)
     return system
 
 
-def _row_id_str(rid) -> str:
-    if rid[0] == "ibp":
-        parent, direction = rid[1], rid[2]
-        prod = "*".join(str(f) for f in parent) or "1"
-        return f"INT[({prod})_{{{direction}}}]"
-    if rid[0] == "modulo":
-        gen_index, mult = rid[1], rid[2]
-        prod = "*".join(str(f) for f in mult) or "1"
-        return f"INT[S{gen_index}*{prod}]"
-    return str(rid)
+def _row_id_str(rid: tuple) -> str:
+    parent, direction = rid
+    prod = "*".join(str(f) for f in parent) or "1"
+    return f"INT[({prod})_{{{direction}}}]"
+
+
+def _no_modulo(modulo: Sequence[Expression]) -> None:
+    # `ibp_residual` and `check_certificate` keep a trailing `modulo` only
+    # because the benchmark tracer passes an empty one positionally; it goes
+    # when the tracer stops passing it.
+    if modulo:
+        raise CalculusError("modulo relations are not supported; subtract "
+                            "a stated witness instead")
 
 
 def ibp_residual(a: Expression, b: Expression,
                  modulo: Sequence[Expression] = ()
                  ) -> tuple[Expression, RewriteTrace]:
-    """Normal form of a - b modulo integration by parts (and `modulo` rules).
+    """Normal form of a - b modulo integration by parts.
 
-    `modulo` entries are non-integrated scalar expressions S that vanish
-    identically on the configurations considered (for instance a divergence
-    constraint); the reduction may use INT[S * N] = 0 for every E-linear
-    multiplier N of matching weight and balance (one E11 or Eb1b1 factor
-    times a monomial in R, A11, Ab1b1), not for other monomials.  Returns
-    (residual, trace); the residual is zero exactly when a == b modulo the
-    stated relations.  A zero found by elimination is replayed with
-    `check_certificate`, and CalculusError is raised if the replay fails.
+    Returns (residual, trace); the residual is zero exactly when a == b
+    modulo IBP.  Each (weight, balance) class of the canonical difference
+    is split by sector, and each part is reduced against its own sector's
+    system; relations never cross sectors.  A zero found by elimination is
+    replayed with `check_certificate`, and CalculusError is raised if the
+    replay fails.  `modulo` must be empty.
     """
+    _no_modulo(modulo)
     trace = RewriteTrace()
     d = _canonical_difference(a, b)
     if d.is_zero():
@@ -706,37 +654,35 @@ def ibp_residual(a: Expression, b: Expression,
         trace.residual = d
         return d, trace
 
-    # (weight, balance) -> (sectors met, the class's part of the vector)
+    # (weight, balance) -> sector -> that sector's part of the vector;
     # every term is integrated, so the monomials are distinct
-    groups: dict[tuple[int, int], tuple[set, dict[Monomial, ScalarExact]]] = {}
+    groups: dict[tuple[int, int], dict[tuple, dict]] = {}
     for (_, mono), coeff in d._terms.items():
         sector = _sector(mono)
-        group = groups.get(sector[:2])
-        if group is None:
-            group = groups[sector[:2]] = (set(), {})  # (sectors, vector)
-        group[0].add(sector)
-        group[1][mono] = coeff
+        groups.setdefault(sector[:2], {}).setdefault(sector, {})[mono] = coeff
 
     left: dict = {}
-    for _, (sectors, gvec) in sorted(groups.items(), key=lambda kv: kv[0]):
-        system = _eliminated_system(frozenset(sectors), tuple(modulo))
-        reduced, steps = system.reduce_vector(gvec)
-        trace._pending.append((system, steps))
-        # the classes share no monomial, and reduce_vector drops zeros
-        left.update(((True, mono), coeff) for mono, coeff in reduced.items())
+    for _, parts in sorted(groups.items(), key=lambda kv: kv[0]):
+        reductions = []
+        for sector, part in parts.items():
+            system = _eliminated_system(sector)
+            reduced, steps = system.reduce_vector(part)
+            reductions.append((system, steps))
+            # the sectors share no monomial, and reduce_vector drops zeros
+            left.update(((True, mono), coeff)
+                        for mono, coeff in reduced.items())
+        trace._pending.append(reductions)
 
     residual = Expression(left)
     trace.residual = None if residual.is_zero() else residual
-    if trace.residual is None and not check_certificate(a, b, trace, modulo):
+    if trace.residual is None and not check_certificate(a, b, trace):
         raise CalculusError("the equality certificate does not replay")
     return residual, trace
 
 
-def equal_mod_ibp(a: Expression, b: Expression,
-                  modulo: Sequence[Expression] = ()
-                  ) -> tuple[bool, RewriteTrace]:
+def equal_mod_ibp(a: Expression, b: Expression) -> tuple[bool, RewriteTrace]:
     """Decide a == b modulo integration by parts; trace carries the audit."""
-    residual, trace = ibp_residual(a, b, modulo)
+    residual, trace = ibp_residual(a, b)
     return residual.is_zero(), trace
 
 
@@ -748,11 +694,12 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
     cache (canonical forms of factors and terms still come from
     `_canon_cache` and `_term_cache`), and the combination is checked by
     exact arithmetic, so a True result is an independent proof that the
-    recorded elimination was sound.
+    recorded elimination was sound.  `modulo` must be empty.
     """
+    _no_modulo(modulo)
     total = _canonical_vector(_canonical_difference(a, b))
     for rid, coeff in trace.certificate:
-        for mono, c in _build_row(rid, modulo).items():
+        for mono, c in _relation_row(*rid).items():
             val = sub_mul(total.get(mono, ZERO), coeff, c)
             if val is ZERO:
                 total.pop(mono, None)

@@ -230,10 +230,6 @@ class Expression:
     def term_list(self) -> list[Term]:
         return [Term(coeff, key[1], key[0]) for key, coeff in self.items()]
 
-    def coefficient(self, factors: Iterable[Factor], integrated: bool = False) -> ScalarExact:
-        key = (integrated, _sorted_factors(factors))
-        return self._terms.get(key, ZERO)
-
     def is_zero(self) -> bool:
         return not self._terms
 

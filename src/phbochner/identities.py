@@ -275,22 +275,27 @@ def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
 
 
 @lru_cache(maxsize=None)
-def _pairing_3_5() -> tuple[Expression, Expression, tuple[Expression]]:
-    """(the pairing with E, torsion kept; its canonical form; the slice
-    relation DJ* E = 0)."""
+def _pairing_3_5() -> tuple[Expression, Expression, Expression]:
+    """(the pairing with E, torsion kept; the slice witness INT[DJ* E *
+    slice] of the catalog, zero where DJ* E = 0; the canonical form of
+    their difference)."""
     paired = _pairing_with_E(_dqj_after_3_2())
-    return paired, canonicalize(paired), (ops.build_DJstar().expr,)
+    witness = (ops.build_DJstar().expr
+               * Corpus.load().expr("3.5", "slice")).integrate()
+    return paired, witness, canonicalize(paired - witness)
 
 
 def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
-    paired, canonical, slice_relation = _pairing_3_5()
+    paired, _, canonical = _pairing_3_5()
     steps = [("pairing with E (torsion kept)", paired)]
     target = _target("3.5", target_override)
 
-    # 3.5 does not close modulo IBP alone, only modulo the slice relation
-    residual, trace = ibp_residual(canonical, target, modulo=slice_relation)
+    # 3.5 does not close modulo IBP alone, only once the slice witness,
+    # which vanishes where DJ* E = 0, is subtracted
+    residual, trace = ibp_residual(canonical, target)
     ok = residual.is_zero()
-    steps.append(("closure", "exact modulo the slice relation DJ* E = 0")
+    steps.append(("closure", "exact modulo IBP less the slice witness "
+                  "INT[DJ* E * slice], zero where DJ* E = 0")
                  if ok else ("residual (verbatim)", residual))
     return _finish("3.5", ok, steps, residual, trace, used_slice_relation=True)
 

@@ -293,7 +293,7 @@ def test_sector_relations_stay_in_their_sector(monkeypatch):
         rids = build(*sector)
         assert rids
         for rid in rids:
-            row = calc._relation_row(rid[1], rid[2])
+            row = calc._relation_row(*rid)
             assert all(calc._sector(m) == sector for m in row), rid
             assert set(row) <= listed, rid
 
@@ -316,8 +316,9 @@ def test_pass_replays_certificate_from_fresh_rows(monkeypatch):
 
 
 def test_sector_bases_are_fully_reduced(monkeypatch, capsys):
-    # after every query of `verify all --mutate`, each cached system is in
-    # reduced echelon form, and each pivot is the combination it records
+    # after every query of `verify all --mutate`, each cached system lies
+    # in its sector, is in reduced echelon form, and each pivot is the
+    # combination it records
     from phbochner.cli import main
     from test_identities import _clear_ibp_caches
 
@@ -325,15 +326,16 @@ def test_sector_bases_are_fully_reduced(monkeypatch, capsys):
     monkeypatch.setattr(calc, "_system_cache", {})
     assert main(["verify", "all", "--mutate"]) == 0
     capsys.readouterr()
-    assert len(calc._system_cache) >= 6
-    for (_, modulo), system in calc._system_cache.items():
+    assert len(calc._system_cache) == 4  # the sectors the catalog touches
+    for sector, system in calc._system_cache.items():
         pivots = system.pivots
         for lead, (vec, combo) in pivots.items():
             assert vec[lead] == ONE
+            assert all(calc._sector(m) == sector for m in vec), lead
             assert not [m for m in vec if m != lead and m in pivots], lead
             rebuilt = {}
             for rid, coeff in combo.items():
-                for m, c in calc._build_row(rid, modulo).items():
+                for m, c in calc._relation_row(*rid).items():
                     rebuilt[m] = sub_mul(rebuilt.get(m, ZERO), -coeff, c)
             assert {m: c for m, c in rebuilt.items() if c} == vec, lead
 

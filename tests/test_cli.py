@@ -375,7 +375,7 @@ _PINNED_JSON = {
     "trace 3.4":
         "9c7139170411e61551fec22358e363456bffee78b080a5cfe5f4308461923234",
     "trace 3.5":
-        "2cc0245e1263d7419d03d41682fc44893e43ff7bf501cffd69d31bf70b51eecf",
+        "1955a3fc8f9c64f425e5a54d7a8cefe64d9adb28a05e4e6144f0fb205a666d29",
     "trace 3.6":
         "82488f638545ac0c60000340e8dd46ee319898dd02577bdde5f9114e84605afc",
     "trace 3.7":

@@ -96,11 +96,37 @@ def test_3_5_uses_slice_relation():
 
 def test_3_5_does_not_close_without_slice_relation():
     """Modulo integration by parts alone, catalog 3.5 leaves a residual, so
-    `verify_3_5` queries modulo the slice relation DJ* E = 0 only."""
+    `verify_3_5` first subtracts the catalog's slice witness
+    INT[DJ* E * slice], which vanishes where DJ* E = 0."""
     paired = ids._pairing_with_E(ids._dqj_after_3_2())
     target = ids.Corpus.load().expr("3.5", "integrand")
     residual, _ = calc.ibp_residual(paired, target)
     assert not residual.is_zero()
+
+
+def test_3_5_closes_by_its_slice_witness_only(monkeypatch):
+    """A wrong slice witness fails 3.5, and the engine takes no relation
+    but the divergence relations."""
+    record = ids.Corpus.load().records["3.5"]
+    text = record["slice"]
+    assert text == "(4/3)*i*( Ab1b1*E11 - A11*Eb1b1 )"
+    wrong = [f"{text} + Ab1b1*E11", f"{text} + A11*Eb1b1",
+             "(4/3)*i*Ab1b1*E11", "-(4/3)*i*A11*Eb1b1", "0"]
+    try:
+        for slice_text in [text, *wrong]:
+            monkeypatch.setitem(record, "slice", slice_text)
+            ids._pairing_3_5.cache_clear()
+            want = "PASS" if slice_text == text else "FAIL"
+            assert ids.verify_3_5().status == want, slice_text
+    finally:
+        ids._pairing_3_5.cache_clear()
+    a, b = parse("INT[ R*E11*Eb1b1 ]"), parse("0")
+    slice_relation = (ops.build_DJstar().expr,)
+    with pytest.raises(calc.CalculusError):
+        calc.ibp_residual(a, b, slice_relation)
+    _, trace = calc.ibp_residual(a, b)
+    with pytest.raises(calc.CalculusError):
+        check_certificate(a, b, trace, slice_relation)
 
 
 def test_bianchi_annihilates_final_f2_integrand():

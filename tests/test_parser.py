@@ -9,15 +9,15 @@ from phbochner.expr import DERIV_LETTERS, SYMBOLS, Expression, Factor
 from phbochner.parser import Corpus, ParseError, parse
 from phbochner.scalar import I, ScalarExact
 
-from test_expr import random_expression
+from test_expr import coefficient, random_expression
 
 
 def test_two_term_example():
     e = parse("f_{11} + i*A_{11}*f")
     terms = e.term_list()
     assert len(terms) == 2
-    assert e.coefficient((Factor("f", ("1", "1")),)) == ScalarExact(1)
-    assert e.coefficient((Factor("A11"), Factor("f"))) == I
+    assert coefficient(e, (Factor("f", ("1", "1")),)) == ScalarExact(1)
+    assert coefficient(e, (Factor("A11"), Factor("f"))) == I
 
 
 def test_zero_parses_to_empty():
@@ -38,8 +38,8 @@ def test_tworeal_expansion():
 def test_int_wrapper_and_scalars():
     e = parse("INT[ ((s3 + i)/2)*A11_{bb}*f*f ]")
     assert e.integrated
-    coeff = e.coefficient((Factor("A11", ("b", "b")), Factor("f"), Factor("f")),
-                          integrated=True)
+    coeff = coefficient(e, (Factor("A11", ("b", "b")), Factor("f"), Factor("f")),
+                        integrated=True)
     assert coeff == (ScalarExact(0, 1) + I) / 2
 
 
