@@ -26,9 +26,13 @@ once: exit 0 when ok, 1 when a verification or condition failed.  Every
 usage or input error, argparse's own included, is one `phbochner: error:`
 line on stderr and exit 2 (`_input_error`).  Each argument is checked by its
 argparse `type` (`--samples` at most `MAX_SAMPLES`), and a name that needs a
-module (identity id, operator, `--cond`) by the command importing it.  A
-reader closing stdout early (`phbochner ops | head -1`) ends the run without
-a traceback, with exit 141, 128 + SIGPIPE.
+module (identity id, operator, `--cond`) by the command importing it, and
+`check` evaluates each `--cond` name once.  No option sets a tolerance: the
+verdict bands are the `band` of each `rigidity.CONDITIONS` row (1e-12 for
+thm-a and corollaryC, 1e-9 for bianchi) and `rigidity._BOUNDARY_BAND` (1e-9)
+for the batteries.  A reader closing stdout early
+(`phbochner ops | head -1`) ends the run without a traceback, with exit 141,
+128 + SIGPIPE.
 
 Each command imports only what it runs: `rigidity` and numpy are loaded by
 `check`, `scaletest`, `equiv` and `sylvester`, with the formula `kernel`
@@ -174,14 +178,11 @@ def _load_points(path: str) -> dict:
 
 
 def _on_points(args: argparse.Namespace, evaluate, *params):
-    """`evaluate(points, *params, eps)` on the point file of args; a
-    ValueError of the data is an input error."""
-    from .rigidity import DEFAULT_EPS
-
+    """`evaluate(points, *params)` on the point file of args; a ValueError
+    of the data is an input error."""
     points = _load_points(args.points)
-    eps = DEFAULT_EPS if args.eps is None else args.eps
     try:
-        return evaluate(points, *params, eps)
+        return evaluate(points, *params)
     except ValueError as exc:
         _input_error(f"{args.points}: {exc}")
 
@@ -225,13 +226,15 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
 def cmd_check(args: argparse.Namespace) -> tuple[dict, bool]:
     from . import rigidity
 
-    for name in args.cond:
+    # each condition once, in the order first given
+    names = list(dict.fromkeys(args.cond))
+    for name in names:
         if name not in rigidity.CONDITIONS:
             _input_error(f"unknown condition {name!r}; "
                          f"known: {list(rigidity.CONDITIONS)}")
-    reports = _on_points(args, rigidity.evaluate_conditions, args.cond)
+    reports = _on_points(args, rigidity.evaluate_conditions, names)
     ok = all(not r["errors"] and all(r["passed"].values()) for r in reports)
-    return {"command": "check", "conditions": args.cond, "points": reports,
+    return {"command": "check", "conditions": names, "points": reports,
             "n_points": len(reports), "ok": ok}, ok
 
 
@@ -262,11 +265,7 @@ def cmd_trace(args: argparse.Namespace) -> tuple[dict | str, bool]:
         report = result.to_dict()
         report["trace"] = result.trace.to_dict() if result.trace else None
     else:
-        lines = [f"[{result.name}] {result.status}"]
-        lines += [f"-- {label}:\n   {value}" for label, value in result.steps]
-        if result.trace is not None:
-            lines.append(result.trace.to_text())
-        report = "\n".join(lines)
+        report = result.to_text()
     return report, result.passed
 
 
@@ -319,10 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for 3-dimensional pseudohermitian geometry.")
     ap.add_argument("--format", choices=("text", "json"), default="text",
                     help="output format (default: text)")
-    ap.add_argument("--eps", default=None, type=_checked(
-                        float, lambda e: math.isfinite(e) and e >= 0,
-                        "must be a finite, nonnegative number"),
-                    help="verdict boundary tolerance")
     ap.add_argument("--seed", default=DEFAULT_SEED, type=_checked(
                         int, lambda n: n >= 0, "must be a nonnegative integer"),
                     help="seed of equiv and sylvester")

@@ -80,6 +80,14 @@ class ScriptResult(NamedTuple):
             **self.outcome(),
         }
 
+    def to_text(self) -> str:
+        """The text of `trace`: status, steps and the equality trace."""
+        lines = [f"[{self.name}] {self.status}"]
+        lines += [f"-- {label}:\n   {value}" for label, value in self.steps]
+        if self.trace is not None:
+            lines.append(self.trace.to_text())
+        return "\n".join(lines)
+
 
 def _finish(name, ok, steps, residual, trace, **details) -> ScriptResult:
     return ScriptResult(name, "PASS" if ok else "FAIL", steps,
@@ -297,7 +305,7 @@ def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
     steps.append(("closure", "exact modulo IBP less the slice witness "
                   "INT[DJ* E * slice], zero where DJ* E = 0")
                  if ok else ("residual (verbatim)", residual))
-    return _finish("3.5", ok, steps, residual, trace, used_slice_relation=True)
+    return _finish("3.5", ok, steps, residual, trace)
 
 
 # a factor token of the grammar: a name with its derivative suffix, if any

@@ -13,12 +13,14 @@ constant constructor `_float`.  A batch is held as columns: one array per
 from parsed point records, checking each column at C speed; `_stack` builds
 them from a list of `PointData`.
 
-Boundary behaviour: the band verdicts (thm-a, its borderline and corollaryC
-at eps, bianchi at 1e-9) compare a value with the band times M, the sum of
-the magnitudes of the value's summands, which scales as the value does; with
-no absolute floor, rescaling the contact form leaves them unchanged; "= 0"
-cases (the borderline automorphism condition) are reported as "within
-epsilon of zero", never asserted exactly from floats.
+Boundary behaviour: each row of the condition table fixes its verdict band
+(`band`: 1e-12 for thm-a and corollaryC, 1e-9 for bianchi), and `_evaluate`
+compares a value with the band times M, the sum of the magnitudes of the
+value's summands, which scales as the value does; with no absolute floor,
+rescaling the contact form leaves the verdicts unchanged; "= 0" cases (the
+borderline automorphism condition) are reported as within the band of
+zero, never asserted exactly from floats.  The batteries skip samples within
+`_BOUNDARY_BAND` (1e-9) of their boundary.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ __all__ = [
     "evaluate_conditions", "scaling_report",
 ]
 
-DEFAULT_EPS = 1e-12
 _SQRT3 = 3.0 ** 0.5
+_BOUNDARY_BAND = 1e-9   # relative; the batteries skip samples this close to 0
 
 
 class _Field(NamedTuple):
@@ -210,33 +212,19 @@ class Condition(NamedTuple):
 
     `values` maps each reported value's JSON key to (formula, scaling power
     under theta -> k theta); a power of None leaves the row out of
-    `scaling_report`.  `verdict(fields, inputs, values, eps)` returns one
-    array per key of `verdicts`, and the condition passes where any of them
-    holds.  `minors`, when set, is the kernel function of the leading minors
-    of the 5x5 form, which the report gives for the 4x4 and 5x5 forms.
+    `scaling_report`.  `verdict(fields, values, bands)` returns one array
+    per key of `verdicts`, a value's band being `band` times its M, and the
+    condition passes where any of them holds.  `minors`, when set, is the
+    kernel function of the leading minors of the 5x5 form, which the report
+    gives for the 4x4 and 5x5 forms.
     """
 
     values: dict[str, tuple[Callable, float | None]]
     verdicts: tuple[str, ...]
     verdict: Callable
+    band: float = 0.0            # relative tolerance of the verdicts
     torsion_free: bool = False   # defined only where A = 0
     minors: Callable | None = None
-
-
-def _thm_a_verdicts(s, x, v, eps):
-    band = eps * _thm_a(_magnitudes(x), _magnitude)
-    negative = s["R"] < 0
-    return negative & (v[0] > band), negative & (np.abs(v[0]) <= band)
-
-
-def _corollary_c_verdict(s, x, v, eps):
-    band = eps * _corollary_c(_magnitudes(x), _magnitude)
-    return ((s["R"] > 0) & (v[0] > band),)
-
-
-def _bianchi_verdict(s, x, v, eps):
-    band = 1e-9 * _bianchi(_magnitudes(x), _magnitude)
-    return (np.abs(v[0]) <= band,)
 
 
 _V_3_11 = {"3.11": (_cond_3_11, -2.0)}
@@ -244,19 +232,38 @@ _V_3_12 = {"3.12": (_cond_3_12, -4.0)}
 
 CONDITIONS: dict[str, Condition] = {
     "thm-a": Condition({"thm_a": (_thm_a, -2.0)},
-                       ("thm_a", "thm_a_borderline"), _thm_a_verdicts),
+                       ("thm_a", "thm_a_borderline"),
+                       lambda s, v, b: ((s["R"] < 0) & (v[0] > b[0]),
+                                        (s["R"] < 0) & (np.abs(v[0]) <= b[0])),
+                       band=1e-12),
     "thm-b": Condition({**_V_3_11, **_V_3_12}, ("thm_b",),
-                       lambda s, x, v, eps: ((s["R"] > 0) & (v[0] > 0)
-                                             & (v[1] > 0),),
+                       lambda s, v, b: ((s["R"] > 0) & (v[0] > 0)
+                                        & (v[1] > 0),),
                        minors=thm_b_minors),
     "corollaryC": Condition({"corollaryC": (_corollary_c, -3.0)},
-                            ("corollaryC",), _corollary_c_verdict,
-                            torsion_free=True),
-    "3.11": Condition(_V_3_11, ("3.11",), lambda s, x, v, eps: (v[0] > 0,)),
-    "3.12": Condition(_V_3_12, ("3.12",), lambda s, x, v, eps: (v[0] > 0,)),
+                            ("corollaryC",),
+                            lambda s, v, b: ((s["R"] > 0) & (v[0] > b[0]),),
+                            band=1e-12, torsion_free=True),
+    "3.11": Condition(_V_3_11, ("3.11",), lambda s, v, b: (v[0] > 0,)),
+    "3.12": Condition(_V_3_12, ("3.12",), lambda s, v, b: (v[0] > 0,)),
     "bianchi": Condition({"bianchi_residual": (_bianchi, None)}, ("bianchi",),
-                         _bianchi_verdict),
+                         lambda s, v, b: (np.abs(v[0]) <= b[0],), band=1e-9),
 }
+
+
+def _evaluate(s: dict, x: FormInputs, rows) -> tuple[dict, dict]:
+    """The condition rows `rows` on the batch of fields s, x being
+    `_float_inputs(s)`: {key: (v, M)} for their values, with M the sum of
+    the magnitudes of v's summands, and {key: verdict} for their verdicts."""
+    magnitudes = _magnitudes(x)
+    values, verdicts = {}, {}
+    for row in rows:
+        pairs = [(fn(x, _float), fn(magnitudes, _magnitude))
+                 for fn, _ in row.values.values()]
+        values.update(zip(row.values, pairs))
+        verdicts.update(zip(row.verdicts, row.verdict(
+            s, [v for v, _ in pairs], [row.band * m for _, m in pairs])))
+    return values, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +324,9 @@ def _require_finite(ids: list[str], arrays, where: str = "") -> None:
                          f"overflow double precision{where}")
 
 
-def evaluate_conditions(columns: dict, conditions: list[str],
-                        eps: float = DEFAULT_EPS) -> list[dict]:
+def evaluate_conditions(columns: dict, conditions: list[str]) -> list[dict]:
     """One report per point of `columns` (as `point_columns` or `_stack`
-    give them), each condition evaluated on the batch.
+    give them), each named condition evaluated once on the batch.
 
     A report holds the point's `id`, its condition `values`, `verdicts` and
     form `minors`, whether it `passed` each requested condition, and its
@@ -329,31 +335,32 @@ def evaluate_conditions(columns: dict, conditions: list[str],
     """
     with np.errstate(all="ignore"):
         x = _float_inputs(columns)
-        torsion_free = _torsion_free(columns).tolist()
+        rows = {name: CONDITIONS[name] for name in conditions}
+        values, verdicts = _evaluate(columns, x, rows.values())
         ids = columns["id"]
+        _require_finite(ids, [v for v, _ in values.values()])
+        torsion_free = _torsion_free(columns).tolist()
         reports = [{"id": pid, "values": {}, "verdicts": {}, "minors": {},
                     "passed": {}, "errors": []} for pid in ids]
-        for name in conditions:
-            row = CONDITIONS[name]
-            values = [fn(x, _float) for fn, _ in row.values.values()]
-            _require_finite(ids, values)
+        for name, row in rows.items():
             minors = None
             if row.minors:
                 minors = np.stack(np.broadcast_arrays(*row.minors(x, _float)),
                                   axis=1).tolist()
-            verdicts = row.verdict(columns, x, values, eps)
-            passed = np.logical_or.reduce(verdicts).tolist()
-            values = [v.tolist() for v in values]
-            verdicts = [v.tolist() for v in verdicts]
+            row_verdicts = [verdicts[key] for key in row.verdicts]
+            passed = np.logical_or.reduce(row_verdicts).tolist()
+            row_values = [values[key][0].tolist() for key in row.values]
+            row_verdicts = [v.tolist() for v in row_verdicts]
             for i, rep in enumerate(reports):
                 rep["passed"][name] = False
                 if row.torsion_free and not torsion_free[i]:
                     rep["errors"].append("the torsion-free condition "
                                          "requires A = 0 input")
                     continue
-                rep["values"].update(zip(row.values, (v[i] for v in values)))
+                rep["values"].update(zip(row.values,
+                                         (v[i] for v in row_values)))
                 rep["verdicts"].update(zip(row.verdicts,
-                                           (v[i] for v in verdicts)))
+                                           (v[i] for v in row_verdicts)))
                 if minors:
                     # form 4's minors are the first four of form 5's
                     rep["minors"]["form_4"] = minors[i][:4]
@@ -381,39 +388,25 @@ def _scaled(fields, k: float) -> dict:
     return {name: fields[name] * k ** -f.weight for name, f in _FIELDS.items()}
 
 
-def _scaling_pass(s: dict, eps: float) -> tuple[dict, dict]:
-    """The scale-invariant rows on one batch: {key: (v, M, power)} for their
-    values and {key: verdict} for their verdicts."""
-    rows = [row for row in CONDITIONS.values()
-            if all(power is not None for _, power in row.values.values())]
-    x = _float_inputs(s)
-    magnitudes = _magnitudes(x)
-    values = {key: (fn(x, _float), fn(magnitudes, _magnitude), power)
-              for row in rows for key, (fn, power) in row.values.items()}
-    verdicts = {}
-    for row in rows:
-        verdicts.update(zip(row.verdicts, row.verdict(
-            s, x, [values[key][0] for key in row.values], eps)))
-    return values, verdicts
-
-
-def scaling_report(columns: dict, ks: list[float],
-                   eps: float = DEFAULT_EPS) -> list[dict]:
+def scaling_report(columns: dict, ks: list[float]) -> list[dict]:
     """Value homogeneity and verdict invariance of the points of `columns`,
     one batched pass per k.
 
     A value v of power p passes at k when |v_k - k^p v_0| <= C u (M_k +
     |k^p| M_0), with M the sum of the magnitudes of v's summands, u the unit
     roundoff and C = _HOMOGENEITY_C; `errors` reports |v_k - k^p v_0|
-    relative to the larger of |v_k| and |k^p v_0|.  Verdicts use the band
-    eps, as in `evaluate_conditions`.  Raises ValueError when a value or its
-    M overflows double precision.
+    relative to the larger of |v_k| and |k^p v_0|.  Verdicts are those of
+    `evaluate_conditions`, by the same `_evaluate`.  Raises ValueError when
+    a value or its M overflows double precision.
     """
     with np.errstate(all="ignore"):
         s, ids = columns, columns["id"]
-        values0, verdicts0 = _scaling_pass(s, eps)
-        _require_finite(ids, [a for v, m, _ in values0.values()
-                              for a in (v, m)])
+        rows = [row for row in CONDITIONS.values()
+                if all(power is not None for _, power in row.values.values())]
+        powers = {key: power for row in rows
+                  for key, (_, power) in row.values.items()}
+        values0, verdicts0 = _evaluate(s, _float_inputs(s), rows)
+        _require_finite(ids, [a for pair in values0.values() for a in pair])
         # torsion-free rows are judged, and their values reported, at
         # torsion-free points only
         torsion_free = _torsion_free(s)
@@ -422,16 +415,17 @@ def scaling_report(columns: dict, ks: list[float],
         ok = np.ones(len(ids), dtype=bool)
         reports = [{"id": pid, "ok": True, "rows": []} for pid in ids]
         for k in ks:
-            values, verdicts = _scaling_pass(_scaled(s, np.float64(k)), eps)
-            _require_finite(ids, [a for v, m, _ in values.values()
-                                  for a in (v, m)], f" at k = {k}")
+            scaled = _scaled(s, np.float64(k))
+            values, verdicts = _evaluate(scaled, _float_inputs(scaled), rows)
+            _require_finite(ids, [a for pair in values.values() for a in pair],
+                            f" at k = {k}")
             invariant = np.logical_and.reduce(
                 [(verdicts[key] == v0) | (key in partial and ~torsion_free)
                  for key, v0 in verdicts0.items()])
             errors = {}
-            for key, (v0, m0, power) in values0.items():
-                vk, mk, _ = values[key]
-                kp = np.float64(k) ** power
+            for key, (v0, m0) in values0.items():
+                vk, mk = values[key]
+                kp = np.float64(k) ** powers[key]
                 diff = np.abs(vk - v0 * kp)
                 ok &= diff <= (_HOMOGENEITY_C * _UNIT_ROUNDOFF
                                * (mk + abs(kp) * m0))
@@ -469,14 +463,15 @@ def _sample_fields(rng: np.random.Generator, n: int) -> dict:
     return {name: draw(f) for name, f in _FIELDS.items()}
 
 
-def _in_band(a: np.ndarray, eps: float) -> np.ndarray:
-    """Rows of a whose smallest magnitude is within eps of zero, relative to
-    max(1, the largest); a 1-D a is taken as one-entry rows."""
+def _in_band(a: np.ndarray) -> np.ndarray:
+    """Rows of a whose smallest magnitude is within `_BOUNDARY_BAND` of zero,
+    relative to max(1, the largest); a 1-D a is taken as one-entry rows."""
     a = np.abs(a if a.ndim == 2 else a[:, None])
-    return np.min(a, axis=1) <= eps * np.maximum(1.0, np.max(a, axis=1))
+    return np.min(a, axis=1) <= _BOUNDARY_BAND * np.maximum(
+        1.0, np.max(a, axis=1))
 
 
-def equivalence_battery(samples: int, seed: int, eps: float = 1e-9) -> dict:
+def equivalence_battery(samples: int, seed: int) -> dict:
     """Sampled verification of both determinant equivalences (vectorized)."""
     rng = np.random.default_rng(seed)
     x = _float_inputs(_sample_fields(rng, samples))
@@ -489,7 +484,7 @@ def equivalence_battery(samples: int, seed: int, eps: float = 1e-9) -> dict:
     pd5 = np.all(minors5 > 0, axis=1)
 
     boundary = np.logical_or.reduce(
-        [_in_band(a, eps) for a in (minors4, minors5, v311, v312, x.R)])
+        [_in_band(a) for a in (minors4, minors5, v311, v312, x.R)])
     live = ~boundary
     rhs4 = (x.R > 0) & (v311 > 0)
     rhs5 = pd4 & (v312 > 0)
@@ -513,7 +508,7 @@ def equivalence_battery(samples: int, seed: int, eps: float = 1e-9) -> dict:
     }
 
 
-def sylvester_battery(samples: int, seed: int, eps: float = 1e-9) -> dict:
+def sylvester_battery(samples: int, seed: int) -> dict:
     """Sylvester verdict against the eigenvalue-sign oracle on random input.
 
     Random Hermitian matrices of sizes 2..6; a positive fraction are shifted
@@ -540,7 +535,7 @@ def sylvester_battery(samples: int, seed: int, eps: float = 1e-9) -> dict:
         eig = np.linalg.eigvalsh(mats)
         pd_minor = np.all(minors > 0, axis=1)
         pd_eig = np.all(eig > 0, axis=1)
-        boundary = _in_band(minors, eps) | _in_band(eig, eps)
+        boundary = _in_band(minors) | _in_band(eig)
         boundary_skips += int(np.sum(boundary))
         disagreements += int(np.sum(~boundary & (pd_minor != pd_eig)))
     return {"samples": samples, "seed": seed,

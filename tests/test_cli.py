@@ -96,6 +96,32 @@ def test_check_thm_b(capsys, torsion_file):
     assert code == 0
 
 
+def test_check_repeated_cond_evaluates_once(capsys, torsion_file,
+                                            monkeypatch):
+    # each --cond name is listed and evaluated once, in first-given order
+    from phbochner import rigidity
+
+    evaluated = []
+    evaluate = rigidity._evaluate
+
+    def spy(s, x, rows):
+        rows = list(rows)
+        evaluated.append(len(rows))
+        return evaluate(s, x, rows)
+
+    monkeypatch.setattr(rigidity, "_evaluate", spy)
+    outs = []
+    for conds in (["3.11", "thm-b", "3.11", "thm-b"], ["3.11", "thm-b"]):
+        argv = ["--format", "json", "check", torsion_file]
+        for cond in conds:
+            argv += ["--cond", cond]
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["conditions"] == ["3.11", "thm-b"]
+    assert evaluated == [2, 2]
+
+
 def test_check_thm_b_needs_no_lu_minors(capsys, torsion_file, monkeypatch):
     # `check` reports the kernel's closed-form minors; the stacked float
     # forms and their LU minors serve only the `equiv` oracle
@@ -172,8 +198,10 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
      ["--samples"]),
     (ONE_POINT, ["--samples", "100000000000000000000000", "sylvester"],
      ["--samples"]),
-    (ONE_POINT, ["--eps=-1e-12", "check", "{}", "--cond", "thm-b"],
+    # the verdict bands are fixed: `--eps` is no option
+    (ONE_POINT, ["--eps=1e-12", "check", "{}", "--cond", "thm-b"],
      ["--eps"]),
+    (ONE_POINT, ["--eps", "0", "ops"], ["'0'"]),
     (ONE_POINT, ["--seed", "-5", "--samples", "100", "sylvester"],
      ["--seed", "-5"]),
     (ONE_POINT, ["--seed", "-5", "--samples", "100", "verify", "3.7"],
@@ -189,7 +217,6 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
     (ONE_POINT, ["check", "{}"], ["--cond"]),
     (ONE_POINT, ["--format", "xml", "ops"], ["'xml'"]),
     (ONE_POINT, ["--samples", "x", "equiv"], ["--samples", "'x'"]),
-    (ONE_POINT, ["--eps"], ["--eps"]),
     (ONE_POINT, ["trace", "2.3", "extra"], ["extra"]),
     (ONE_POINT, ["verify", "2.3", "a\nb"], ["a\\nb"]),
     ("[" * 100000 + "]" * 100000, ["check", "{}", "--cond", "thm-b"],
@@ -199,11 +226,11 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
         "not-json", "k-divides-by-zero", "k-not-a-number", "k-negative",
         "samples-negative", "samples-zero", "samples-zero-verify",
         "samples-huge-equiv", "samples-huge-sylvester",
-        "eps-negative", "seed-negative", "seed-negative-verify",
+        "eps-removed", "eps-removed-ops", "seed-negative", "seed-negative-verify",
         "verify-unknown-id",
         "trace-unknown-id", "ops-unknown-name", "cond-unknown-name",
         "no-command", "unknown-command", "verify-no-ids", "check-no-cond",
-        "format-unknown", "samples-not-a-number", "eps-no-value",
+        "format-unknown", "samples-not-a-number",
         "trace-extra-argument", "newline-in-id", "nested-file"])
 def test_input_error_exits_2(capsys, tmp_path, content, args, names):
     path = tmp_path / "points.json"
@@ -355,7 +382,7 @@ def test_trace_bytes_independent_of_hash_seed(ident):
 # bytes must be intended and listed in CHANGES.md
 _PINNED_JSON = {
     "verify all":
-        "16a4bfde13b68c342e34d9fbe44a3705fcf67087d748df852b0b0507ce56370c",
+        "5fa0dbf4b3d10fa0f700c71612af2a23202c252e7781072ab303c4203da6cc37",
     "verify all --mutate":
         "e597dfa63f808bc1c0a473cd54ac910cc40899258c95e990cdfd6bd6373d680a",
     "trace 2.3":
@@ -375,7 +402,7 @@ _PINNED_JSON = {
     "trace 3.4":
         "9c7139170411e61551fec22358e363456bffee78b080a5cfe5f4308461923234",
     "trace 3.5":
-        "1955a3fc8f9c64f425e5a54d7a8cefe64d9adb28a05e4e6144f0fb205a666d29",
+        "7b8853bbfa8a391df8ae8b35f75f3969d30bcc79f871afa0696c59dc06c8b88a",
     "trace 3.6":
         "82488f638545ac0c60000340e8dd46ee319898dd02577bdde5f9114e84605afc",
     "trace 3.7":
@@ -570,7 +597,6 @@ def test_load_points_keeps_signed_zeros(tmp_path):
 # global flags with good or bad values, a command with its arguments, then a
 # few more tokens
 _FLAG_VALUES = {"--format": ["text", "json", "xml"],
-                "--eps": ["0", "1e-12", "-1", "nan", "1e400"],
                 "--seed": ["0", "3", "-1", "x"],
                 "--samples": ["3", "0", "x", "10" * 12]}
 _COMMAND_HEADS = [[], ["bogus"], ["verify"], ["verify", "all"],
@@ -599,7 +625,7 @@ def _argv():
         st.lists(st.sampled_from(_TOKENS), max_size=2))
     on_points = st.builds(
         lambda fmt, command: fmt + command,
-        st.sampled_from([[], ["--format", "json"], ["--eps", "0"]]),
+        st.sampled_from([[], ["--format", "json"]]),
         st.sampled_from([["check", "{points}", "--cond", cond] for cond in (
             "thm-a", "thm-b", "corollaryC", "3.11", "3.12", "bianchi")]
             + [["scaletest", "{points}"],

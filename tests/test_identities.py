@@ -6,6 +6,7 @@ import pytest
 
 import phbochner.calculus as calc
 from phbochner import identities as ids
+from phbochner import kernel
 from phbochner import operators as ops
 from phbochner.calculus import check_certificate
 from phbochner.expr import Expression, Factor
@@ -89,9 +90,10 @@ def test_2_7_right_alpha_kills_T_terms():
 
 def test_3_5_uses_slice_relation():
     result = ids.verify_3_5()
-    assert result.passed
-    assert result.details["used_slice_relation"] is True
-    assert "bracket_doubled" not in result.details
+    assert result.passed and result.details == {}
+    # the closure step names the slice witness it subtracted
+    label, value = result.steps[-1]
+    assert label == "closure" and "INT[DJ* E * slice]" in value
 
 
 def test_3_5_does_not_close_without_slice_relation():
@@ -127,6 +129,16 @@ def test_3_5_closes_by_its_slice_witness_only(monkeypatch):
     _, trace = calc.ibp_residual(a, b)
     with pytest.raises(calc.CalculusError):
         check_certificate(a, b, trace, slice_relation)
+
+
+def test_bianchi_value_is_the_rule_2_11_uses():
+    """`check`'s bianchi value R_{,0} - 2 Re(A11_{,bb}), on the catalog
+    inputs with Re(A11_{,bb}) = (1/2)(A11_{bb} + Ab1b1_{11}), is R_{,0} less
+    the replacement of the Bianchi rule that 2.11 rewrites by."""
+    x = ids._inputs()._replace(rebb=parse("(1/2)*(A11_{bb} + Ab1b1_{11})"))
+    value = kernel._bianchi(x, ids._constant)
+    assert value == parse("R_{0}") - ops.bianchi_rule().replacement
+    assert not value.is_zero()
 
 
 def test_bianchi_annihilates_final_f2_integrand():

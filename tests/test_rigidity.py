@@ -56,7 +56,7 @@ def test_thmA_examples():
 
 def test_thmA_band_is_eps_times_M():
     # value 1.5e-12 against M = sqrt3 |R0| + 2 |Im A11_bb| ~ 2: inside the
-    # band eps * M = 2e-12 although it exceeds eps times either summand
+    # band 1e-12 * M = 2e-12 although it exceeds 1e-12 times either summand
     (point,) = rg.evaluate_conditions(rg._stack(
         [PointData.from_mapping({"R": -1.0, "R0": 1 / 3 ** 0.5,
                                  "A11_bb": [0.0, (1 - 1.5e-12) / 2]})]),
@@ -270,15 +270,15 @@ def test_scaling_bound_accounts_for_cancellation(monkeypatch):
     assert rep["rows"][0]["errors"]["3.12"] > 1e-12
     # a value whose stated power is off by k^0.5 must still fail
     wrong = rg.Condition({"3.12 wrong": (kernel._cond_3_12, -4.5)}, (),
-                         lambda s, x, v, eps: ())
+                         lambda s, v, b: ())
     monkeypatch.setitem(rg.CONDITIONS, "wrong", wrong)
     [rep] = rg.scaling_report(rg._stack([p]), ks)
     assert not rep["ok"]
     assert rep["rows"][1]["errors"]["3.12 wrong"] > 0.1
 
 
-# Records whose eps verdicts flipped under theta -> k theta while their bands
-# had an absolute floor of eps: p9064 of the benchmark's seed-1406 point
+# Records whose band verdicts flipped under theta -> k theta while their bands
+# had an absolute floor of 1e-12: p9064 of the benchmark's seed-1406 point
 # file, where the corollaryC value is 2.9e-7 at k = 1 and 2.9e-13 at k = 100
 # (2.3e-5 of its magnitude at both), and a thm-a value of 5e-13 on data of
 # size 1e-3, which the floor called borderline at k = 1/7 and 1/2 only
@@ -304,27 +304,39 @@ def test_eps_verdicts_scale_invariant(record):
 
 
 def _corollary_c_ratio(p: PointData) -> float:
-    """corollaryC's v/M at p: as eps, it puts the verdict on its band edge."""
+    """corollaryC's v/M at p: as the row's band, it puts the verdict on its
+    band edge."""
     x = rg._float_inputs(rg._stack([p]))
     return float(kernel._corollary_c(x, rg._float)[0]
                  / kernel._corollary_c(rg._magnitudes(x), rg._magnitude)[0])
 
 
-def test_scaletest_judges_torsion_free_verdicts_at_torsion_free_points():
+def test_scaletest_judges_torsion_free_verdicts_at_torsion_free_points(
+        monkeypatch):
     # on its band edge the corollaryC verdict flips under theta -> k theta;
     # corollaryC is defined only where A = 0, so the flip counts only there
     p = PointData(R=0.9034701816518086, lapR=0.09401229776087457,
                   R1=-0.7434992493538084 - 0.9217253762584194j,
                   A11=0.3 + 0.1j)
     twin = p._replace(A11=0j)
-    eps = _corollary_c_ratio(p)
-    assert eps == _corollary_c_ratio(twin)
+    band = _corollary_c_ratio(p)
+    assert band == _corollary_c_ratio(twin)
+    monkeypatch.setitem(rg.CONDITIONS, "corollaryC",
+                        rg.CONDITIONS["corollaryC"]._replace(band=band))
     ks = [1 / 7, 1 / 2, 3.0, 100.0]
-    [rep] = rg.scaling_report(rg._stack([p]), ks, eps)
+    [rep] = rg.scaling_report(rg._stack([p]), ks)
     assert rep["ok"], rep
-    [rep] = rg.scaling_report(rg._stack([twin]), ks, eps)
+    [rep] = rg.scaling_report(rg._stack([twin]), ks)
     assert not all(row["verdicts_invariant"] for row in rep["rows"])
     assert not rep["ok"]
+
+
+def test_condition_bands():
+    # the verdict bands are fixed facts of the table, relative to M
+    assert {name: row.band for name, row in rg.CONDITIONS.items()} == {
+        "thm-a": 1e-12, "thm-b": 0.0, "corollaryC": 1e-12, "3.11": 0.0,
+        "3.12": 0.0, "bianchi": 1e-9}
+    assert rg._BOUNDARY_BAND == 1e-9
 
 
 def test_bianchi_band_scales_with_the_data():
@@ -338,7 +350,7 @@ def test_bianchi_band_scales_with_the_data():
 
 
 def test_thm_a_band_scales_with_the_data():
-    # 5e-13 is 1.4e-10 of the data's size, far outside the eps band
+    # 5e-13 is 1.4e-10 of the data's size, far outside the 1e-12 band
     [rep] = rg.evaluate_conditions(rg._stack(
         [PointData.from_mapping(SMALL_THM_A)]), ["thm-a"])
     assert rep["verdicts"] == {"thm_a": True, "thm_a_borderline": False}
