@@ -208,12 +208,14 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
                      "note": "mutation not applicable"})
                 continue
             m = identities.mutation_test(ident)
-            ok = m["kill_rate"] == 1
-            failed |= not ok
-            report["results"].append(
-                {"id": ident, "status": "PASS" if ok else "FAIL",
-                 "mutants": m["total"], "killed": m["killed"],
-                 "survivors": m["survivors"]})
+            if "note" in m:     # the unchanged target fails
+                record = {"status": "FAIL", "note": m["note"]}
+            else:
+                record = {"status": "PASS" if m["kill_rate"] == 1 else "FAIL",
+                          "mutants": m["total"], "killed": m["killed"],
+                          "survivors": m["survivors"]}
+            failed |= record["status"] == "FAIL"
+            report["results"].append({"id": ident, **record})
         else:
             result = identities.run_script(ident)
             failed |= not result.passed

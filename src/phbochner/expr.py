@@ -79,10 +79,9 @@ SYMBOLS: dict[str, SymbolInfo] = {
     )
 }
 
-# Fixed total symbol order: used for the canonical factor order inside terms.
-SYMBOL_ORDER = ["f", "g", "gb", "R", "A11", "Ab1b1", "E11", "Eb1b1", "Q11", "Qb1b1",
-                "W", "Wb", "LAM", "RHO"]
-_SYMBOL_INDEX = {name: k for k, name in enumerate(SYMBOL_ORDER)}
+# Fixed total symbol order, that of SYMBOLS: used for the canonical factor
+# order inside terms.
+_SYMBOL_INDEX = {name: k for k, name in enumerate(SYMBOLS)}
 
 # Bound of the LRU caches of factor sort keys, of `Factor.is_canonical` and
 # of sorted factor tuples; the catalog uses a few hundred distinct factors.

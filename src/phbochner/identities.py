@@ -8,17 +8,18 @@ there is no numeric tolerance in symbolic checks.  Scripts record their
 intermediate steps so a failure localizes to a stage, and the equality engine
 attaches the relation certificate to the trace.
 
-What a script builds before it reads its target is built once per process,
-from the catalog as it reads then, so a mutant of mutation testing runs only
-the part that its target changes.
+A script is a function that builds, from the catalog as it reads at the
+call, all that no target changes, and returns `decide(target)`, which runs
+the rest on one target.  `run_script` builds a script and decides its
+catalog target; mutation testing builds it once and decides each mutant
+with it, so a mutant runs only the part that its target changes.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import operators as ops
 from .calculus import (RewriteTrace, apply_rule, canonicalize, equal_mod_ibp,
@@ -94,82 +95,72 @@ def _finish(name, ok, steps, residual, trace, **details) -> ScriptResult:
                         None if ok else residual, trace, details)
 
 
+# a built script: its target (None for 3.7, which has none) -> its result
+Decide = Callable[[Expression], ScriptResult]
+
+
 # ---------------------------------------------------------------------------
 # Section 2 scripts
 # ---------------------------------------------------------------------------
 
-# Each script splits into a half that no target changes, built once per
-# process by a cached function below (`_numeric_form` keys its half on the
-# kernel functions and constants it is given, so a stand-in builds anew),
-# and the target-dependent rest, which runs on every call and mutant.  A
-# half that is compared with the target is also kept canonicalized:
+# A part that `decide` compares with the target is kept canonicalized:
 # canonicalization is linear and fixes canonical terms, so
 # canonicalize(canonicalize(x) - t) is canonicalize(x - t), term for term,
 # and an equality query on canonicalize(x) has the residual and the
 # certificate of one on x.
 
-@lru_cache(maxsize=None)
-def _dj_star_dj_f() -> tuple[Expression, Expression]:
-    """(DJ* DJ f, its canonical form)."""
+def script_2_3() -> Decide:
     lhs = ops.apply_template(ops.build_DJstar(), ops.build_DJ().expr)
-    return lhs, canonicalize(lhs)
+    canonical = canonicalize(lhs)
+
+    def decide(target: Expression) -> ScriptResult:
+        residual = canonicalize(canonical - target)
+        return _finish("2.3", residual.is_zero(),
+                       [("expand DJ* DJ f", lhs),
+                        ("canonical residual", residual)],
+                       residual, None)
+    return decide
 
 
-def verify_2_3(target_override: Expression | None = None) -> ScriptResult:
-    lhs, canonical = _dj_star_dj_f()
-    target = _target("2.3", target_override)
-    residual = canonicalize(canonical - target)
-    return _finish("2.3", residual.is_zero(),
-                   [("expand DJ* DJ f", lhs), ("canonical residual", residual)],
-                   residual, None)
-
-
-@lru_cache(maxsize=None)
-def _l_star_l_f(alpha: ScalarExact) -> tuple[str, Expression, Expression]:
-    """(alpha as text, (1/2) L_alpha* L_alpha f, its canonical form)."""
+def script_2_7(alpha: ScalarExact = ops.ALPHA_SECTION2) -> Decide:
     L = ops.build_Lalpha(alpha)
     lhs = ops.apply_template(ops.adjoint(L), L.expr) * ScalarExact(Fraction(1, 2))
-    return str(alpha), lhs, canonicalize(lhs)
+    canonical = canonicalize(lhs)
+    alpha_text = str(alpha)
+
+    def decide(target: Expression) -> ScriptResult:
+        residual = canonicalize(canonical - target)
+        steps = [(f"expand (1/2) L* L f with alpha = {alpha_text}", lhs),
+                 ("canonical residual", residual)]
+        has_t = any("0" in f.derivs for _, factors in residual._terms
+                    for f in factors)
+        return _finish("2.7", residual.is_zero(), steps, residual, None,
+                       alpha=alpha_text, residual_has_T_derivative=has_t)
+    return decide
 
 
-def verify_2_7(alpha: ScalarExact = ops.ALPHA_SECTION2,
-               target_override: Expression | None = None) -> ScriptResult:
-    alpha_text, lhs, canonical = _l_star_l_f(alpha)
-    target = _target("2.7", target_override)
-    residual = canonicalize(canonical - target)
-    steps = [(f"expand (1/2) L* L f with alpha = {alpha_text}", lhs),
-             ("canonical residual", residual)]
-    has_t = any("0" in f.derivs for _, factors in residual._terms
-                for f in factors)
-    return _finish("2.7", residual.is_zero(), steps, residual, None,
-                   alpha=alpha_text, residual_has_T_derivative=has_t)
+def script_2_ibp() -> Decide:
+    lhs = Corpus.load().expr("2.ibp", "lhs")
+
+    def decide(rhs: Expression) -> ScriptResult:
+        ok, trace = equal_mod_ibp(lhs, rhs)
+        return _finish("2.ibp", ok, [("lhs", lhs), ("rhs", rhs)],
+                       trace.residual, trace)
+    return decide
 
 
-def verify_2_ibp(target_override: Expression | None = None) -> ScriptResult:
-    corpus = Corpus.load()
-    lhs = corpus.expr("2.ibp", "lhs")
-    rhs = _target("2.ibp", target_override)
-    ok, trace = equal_mod_ibp(lhs, rhs)
-    return _finish("2.ibp", ok, [("lhs", lhs), ("rhs", rhs)],
-                   trace.residual, trace)
-
-
-@lru_cache(maxsize=None)
-def _paired_2_8() -> tuple[Expression, Expression]:
-    """(INT[((2.3) - (2.7)) * f], its canonical form)."""
+def script_2_8() -> Decide:
     corpus = Corpus.load()
     diff = corpus.expr("2.3", "target") - corpus.expr("2.7", "target")
     paired = (diff * Factor("f")).integrate()
-    return paired, canonicalize(paired)
+    canonical = canonicalize(paired)
 
-
-def verify_2_8(target_override: Expression | None = None) -> ScriptResult:
-    paired, canonical = _paired_2_8()
-    target = _target("2.8", target_override)
-    ok, trace = equal_mod_ibp(canonical, target)
-    return _finish("2.8", ok, [("<(2.3) - (2.7), f> integrand", paired),
-                               ("catalog integrals", target)],
-                   trace.residual, trace)
+    def decide(target: Expression) -> ScriptResult:
+        ok, trace = equal_mod_ibp(canonical, target)
+        return _finish("2.8", ok, [("<(2.3) - (2.7), f> integrand", paired),
+                                   ("catalog integrals", target)],
+                       trace.residual, trace)
+    return decide
 
 
 def _f_squared(e: Expression) -> Expression:
@@ -178,69 +169,62 @@ def _f_squared(e: Expression) -> Expression:
                                         if f.symbol == "f"] == [Factor("f")] * 2)
 
 
-@lru_cache(maxsize=None)
-def _flat_2_8() -> tuple[Expression, Expression]:
-    """(the (2.8) integrals with the DJ f = 0 rules applied, twice them
-    canonicalized)."""
+def script_2_11() -> Decide:
     s = Corpus.load().expr("2.8", "integrals")
     for rule in ops.flatness_rules():
         s = apply_rule(s, rule)
-    return s, canonicalize(s * 2)
-
-
-def verify_2_11(target_override: Expression | None = None) -> ScriptResult:
-    s, twice = _flat_2_8()
-    steps = [("(2.8) integrals with DJ f = 0 substituted", s)]
-    target = _target("2.11", target_override)
-    t = apply_rule(target, ops.bianchi_rule())
-    steps.append(("(2.11) integrals with Bianchi expanded", t))
-    ok, trace = equal_mod_ibp(twice, t)
-    # the Bianchi rule with A = 0 annihilates the f^2 integrand
-    f2 = _f_squared(t).drop_symbols({"A11", "Ab1b1"})
-    steps.append(("f^2 integrand with Bianchi expanded and A = 0", f2))
+    twice = canonicalize(s * 2)
+    bianchi = ops.bianchi_rule()
     # Theorem A: its value is the f^2 coefficient of 2.11
-    value = _thm_a(_inputs(), _constant) * Factor("f") * Factor("f")
-    proof = [("f^2 part of (2.11) against INT[thm-a value*f*f]",
-              _match(_f_squared(target), value.integrate()))]
-    steps += proof
-    return _finish("2.11", ok and f2.is_zero() and _passed(proof), steps,
-                   f2 if ok else trace.residual, trace,
-                   bianchi_torsion_free_f2=f2, thm_a_proven=_passed(proof))
+    value = (_thm_a(_inputs(), _constant)
+             * Factor("f") * Factor("f")).integrate()
+
+    def decide(target: Expression) -> ScriptResult:
+        t = apply_rule(target, bianchi)
+        ok, trace = equal_mod_ibp(twice, t)
+        # the Bianchi rule with A = 0 annihilates the f^2 integrand
+        f2 = _f_squared(t).drop_symbols({"A11", "Ab1b1"})
+        proof = [("f^2 part of (2.11) against INT[thm-a value*f*f]",
+                  _match(_f_squared(target), value))]
+        steps = [("(2.8) integrals with DJ f = 0 substituted", s),
+                 ("(2.11) integrals with Bianchi expanded", t),
+                 ("f^2 integrand with Bianchi expanded and A = 0", f2),
+                 *proof]
+        return _finish("2.11", ok and f2.is_zero() and _passed(proof), steps,
+                       f2 if ok else trace.residual, trace,
+                       bianchi_torsion_free_f2=f2, thm_a_proven=_passed(proof))
+    return decide
 
 
 # ---------------------------------------------------------------------------
 # Section 3 scripts
 # ---------------------------------------------------------------------------
 
-def verify_3_2(target_override: Expression | None = None) -> ScriptResult:
+def script_3_2() -> Decide:
+    lhs = Corpus.load().expr("3.2", "lhs")
+
+    def decide(rhs: Expression) -> ScriptResult:
+        residual = canonicalize(lhs - rhs)
+        return _finish("3.2", residual.is_zero(),
+                       [("lhs", lhs), ("rhs", rhs),
+                        ("canonical residual", residual)],
+                       residual, None)
+    return decide
+
+
+def script_3_3() -> Decide:
     corpus = Corpus.load()
-    lhs = corpus.expr("3.2", "lhs")
-    rhs = _target("3.2", target_override)
-    residual = canonicalize(lhs - rhs)
-    return _finish("3.2", residual.is_zero(),
-                   [("lhs", lhs), ("rhs", rhs),
-                    ("canonical residual", residual)],
-                   residual, None)
+    mid = corpus.expr("3.3", "mid")
+    ok1, trace = equal_mod_ibp(corpus.expr("3.3", "start"), mid)
 
-
-@lru_cache(maxsize=None)
-def _ibp_stage_3_3() -> tuple[bool, RewriteTrace]:
-    """start == mid modulo IBP, and its trace."""
-    corpus = Corpus.load()
-    return equal_mod_ibp(corpus.expr("3.3", "start"), corpus.expr("3.3", "mid"))
-
-
-def verify_3_3(target_override: Expression | None = None) -> ScriptResult:
-    mid = Corpus.load().expr("3.3", "mid")
-    final = _target("3.3", target_override)
-    ok1, trace = _ibp_stage_3_3()
-    steps = [("integration by parts stage", "PASS" if ok1 else "FAIL")]
-    residual2 = canonicalize(mid - final)
-    ok2 = residual2.is_zero()
-    steps.append(("commutation stage residual", residual2))
-    ok = ok1 and ok2
-    residual = trace.residual if not ok1 else (None if ok2 else residual2)
-    return _finish("3.3", ok, steps, residual, trace)
+    def decide(final: Expression) -> ScriptResult:
+        residual2 = canonicalize(mid - final)
+        ok2 = residual2.is_zero()
+        steps = [("integration by parts stage", "PASS" if ok1 else "FAIL"),
+                 ("commutation stage residual", residual2)]
+        residual = trace.residual if not ok1 else (None if ok2 else residual2)
+        return _finish("3.3", ok1 and ok2, steps, residual, trace)
+    return decide
 
 
 def _pairing_with_E(expr: Expression) -> Expression:
@@ -249,63 +233,53 @@ def _pairing_with_E(expr: Expression) -> Expression:
     return half + half.conjugate()
 
 
-@lru_cache(maxsize=None)
 def _dqj_after_3_2() -> Expression:
     corpus = Corpus.load()
-    phi = ops.build_DQJ_rhs()
-    return phi - corpus.expr("3.2", "lhs") + corpus.expr("3.2", "rhs")
+    return (ops.build_DQJ_rhs() - corpus.expr("3.2", "lhs")
+            + corpus.expr("3.2", "rhs"))
 
 
-@lru_cache(maxsize=None)
-def _torsion_free_pairing() -> tuple[Expression, Expression, Expression]:
-    """(the 3.2-substituted coefficient without torsion, its pairing with E,
-    that pairing's canonical form)."""
-    torsion_free = _dqj_after_3_2().drop_symbols({"A11", "Ab1b1"})
-    paired = _pairing_with_E(torsion_free)
-    return torsion_free, paired, canonicalize(paired)
-
-
-def verify_3_4(target_override: Expression | None = None) -> ScriptResult:
+def script_3_4() -> Decide:
     phi = _dqj_after_3_2()
-    torsion_free, paired, canonical = _torsion_free_pairing()
-    steps = [("coefficient after substituting the commutation identity", phi),
-             ("torsion-free reduction", torsion_free),
-             ("pairing with E", paired)]
-    target = _target("3.4", target_override)
-    ok, trace = equal_mod_ibp(canonical, target)
-    form, minors = _numeric_form(torsion_free_entries, corollary_c_minors,
-                                 _constant)
-    proof = [("torsion-free form against 3.4", _match(form, target)),
-             ("leading minors 2/3, 1/3, R/9, corollaryC/648", minors)]
-    steps += proof
-    return _finish("3.4", ok and _passed(proof), steps, trace.residual,
-                   trace, corollary_c_proven=_passed(proof))
+    torsion_free = phi.drop_symbols({"A11", "Ab1b1"})
+    paired = _pairing_with_E(torsion_free)
+    canonical = canonicalize(paired)
+    x = _inputs()
+    form, minors = _numeric_form(torsion_free_entries(x, _constant),
+                                 corollary_c_minors(x, _constant))
+
+    def decide(target: Expression) -> ScriptResult:
+        ok, trace = equal_mod_ibp(canonical, target)
+        proof = [("torsion-free form against 3.4", _match(form, target)),
+                 ("leading minors 2/3, 1/3, R/9, corollaryC/648", minors)]
+        steps = [("coefficient after substituting the commutation identity",
+                  phi),
+                 ("torsion-free reduction", torsion_free),
+                 ("pairing with E", paired), *proof]
+        return _finish("3.4", ok and _passed(proof), steps, trace.residual,
+                       trace, corollary_c_proven=_passed(proof))
+    return decide
 
 
-@lru_cache(maxsize=None)
-def _pairing_3_5() -> tuple[Expression, Expression, Expression]:
-    """(the pairing with E, torsion kept; the slice witness INT[DJ* E *
-    slice] of the catalog, zero where DJ* E = 0; the canonical form of
-    their difference)."""
+def script_3_5() -> Decide:
+    # the pairing with E, torsion kept, and the slice witness INT[DJ* E *
+    # slice] of the catalog, zero where DJ* E = 0
     paired = _pairing_with_E(_dqj_after_3_2())
     witness = (ops.build_DJstar().expr
                * Corpus.load().expr("3.5", "slice")).integrate()
-    return paired, witness, canonicalize(paired - witness)
+    canonical = canonicalize(paired - witness)
 
-
-def verify_3_5(target_override: Expression | None = None) -> ScriptResult:
-    paired, _, canonical = _pairing_3_5()
-    steps = [("pairing with E (torsion kept)", paired)]
-    target = _target("3.5", target_override)
-
-    # 3.5 does not close modulo IBP alone, only once the slice witness,
-    # which vanishes where DJ* E = 0, is subtracted
-    residual, trace = ibp_residual(canonical, target)
-    ok = residual.is_zero()
-    steps.append(("closure", "exact modulo IBP less the slice witness "
+    def decide(target: Expression) -> ScriptResult:
+        # 3.5 does not close modulo IBP alone, only once the slice witness,
+        # which vanishes where DJ* E = 0, is subtracted
+        residual, trace = ibp_residual(canonical, target)
+        ok = residual.is_zero()
+        steps = [("pairing with E (torsion kept)", paired),
+                 ("closure", "exact modulo IBP less the slice witness "
                   "INT[DJ* E * slice], zero where DJ* E = 0")
-                 if ok else ("residual (verbatim)", residual))
-    return _finish("3.5", ok, steps, residual, trace)
+                 if ok else ("residual (verbatim)", residual)]
+        return _finish("3.5", ok, steps, residual, trace)
+    return decide
 
 
 # a factor token of the grammar: a name with its derivative suffix, if any
@@ -348,7 +322,7 @@ def _parameter_classes(e: Expression) -> dict[str, Expression]:
             for m in sorted(classes)}
 
 
-def verify_3_6(target_override: Expression | None = None) -> ScriptResult:
+def script_3_6() -> Decide:
     """Lemma 3.1, the completed square, for all real lam and rho.
 
     rhs - lhs - square is a polynomial in LAM and RHO whose coefficients
@@ -357,29 +331,34 @@ def verify_3_6(target_override: Expression | None = None) -> ScriptResult:
     a parameter or rests on a bound of the degree.
     """
     corpus = Corpus.load()
-    rhs = _target("3.6", target_override)
-    diff = rhs - corpus.expr("3.6", "lhs") - corpus.expr("3.6", "square")
-    steps = [("rhs - lhs - square", diff)]
-    classes = _parameter_classes(diff)
-    ok, trace = True, None
-    for monomial, coefficient in classes.items():
-        ok, trace = equal_mod_ibp(coefficient, Expression.zero())
-        steps.append((f"coefficient of {monomial} modulo IBP",
-                      "PASS" if ok else "FAIL"))
-        if not ok:
-            break
-    return _finish("3.6", ok, steps, None if trace is None else trace.residual,
-                   trace, classes=list(classes))
+    lhs, square = corpus.expr("3.6", "lhs"), corpus.expr("3.6", "square")
+
+    def decide(rhs: Expression) -> ScriptResult:
+        diff = rhs - lhs - square
+        steps = [("rhs - lhs - square", diff)]
+        classes = _parameter_classes(diff)
+        ok, trace = True, None
+        for monomial, coefficient in classes.items():
+            ok, trace = equal_mod_ibp(coefficient, Expression.zero())
+            steps.append((f"coefficient of {monomial} modulo IBP",
+                          "PASS" if ok else "FAIL"))
+            if not ok:
+                break
+        return _finish("3.6", ok, steps,
+                       None if trace is None else trace.residual,
+                       trace, classes=list(classes))
+    return decide
 
 
-def verify_3_7() -> ScriptResult:
+def script_3_7() -> Decide:
     """The cube-root torsion estimate lhs >= rhs, pointwise and exactly.
 
     With W a cube root of w = A11_{,1}, u = Eb1b1_{,1} and v = Eb1b1,
     lhs - rhs is the square (2/3)|W^2 v + i conj(W u)|^2, so the estimate
     holds for all data.  Both sides agree on the tight family
     v = conj(W) g, u = -i conj(W)^2 conj(g), so no smaller right side holds.
-    W carries no derivative, so the check is canonicalization alone.
+    W carries no derivative, so the check is canonicalization alone.  3.7
+    has no target: all of it is built, and `decide` returns the result.
     """
     cube = _substitution("3.7", "cube_root")
     lhs, rhs, square = (_instantiate("3.7", fld, cube)
@@ -391,8 +370,9 @@ def verify_3_7() -> ScriptResult:
     steps = [("lhs with w = W^3", lhs), ("rhs", rhs),
              ("square", square), ("lhs - rhs - square", residual),
              ("lhs - rhs on the tight family", gap)]
-    return _finish("3.7", residual.is_zero() and gap.is_zero(), steps,
-                   gap if residual.is_zero() else residual, None)
+    result = _finish("3.7", residual.is_zero() and gap.is_zero(), steps,
+                     gap if residual.is_zero() else residual, None)
+    return lambda _: result
 
 
 # The kernel's inputs in catalog symbols; t = |A11_{,1}|^{2/3} = W*Wb.
@@ -421,19 +401,11 @@ def _abs2(z: Expression) -> Expression:
     return z * z.conjugate()
 
 
-# one callable, so that `_numeric_form` builds 3.8's half once per process
-_thm_b_minors = partial(thm_b_minors, abs2=_abs2)
-
-
-@lru_cache(maxsize=4)
-def _numeric_form(entries, minors, K) -> tuple[Expression, str]:
-    """The Hermitian form that `entries` (`form_entries` or a stand-in)
-    builds on the kernel's inputs: INT of sum m_ij u_i conj(u_j) on the 3.8
-    basis, and PASS when its leading principal minors are `minors(x, K)`
-    identically, else the first that is not.  Neither depends on a target,
-    so both are built once per (entries, minors, K), not once per mutant."""
-    x = _inputs()
-    e = entries(x, K)
+def _numeric_form(e: dict, minors: list) -> tuple[Expression, str]:
+    """The Hermitian form whose entries `e` a kernel form builds on
+    `_inputs()`: INT of sum m_ij u_i conj(u_j) on the 3.8 basis, and PASS
+    when its leading principal minors are `minors` identically, else the
+    first that is not."""
     index = sorted({i for ij in e for i in ij})
     m = [[e[i, j] if (i, j) in e else
           e.get((j, i), Expression.zero()).conjugate() for j in index]
@@ -441,40 +413,23 @@ def _numeric_form(entries, minors, K) -> tuple[Expression, str]:
     u = [parse(_FORM_BASIS[i]) for i in index]
     form = Expression.sum((m[a][b] * u[a] * u[b].conjugate()).integrate()
                           for a in range(len(u)) for b in range(len(u)))
-    for k, want in enumerate(minors(x, K), 1):
+    for k, want in enumerate(minors, 1):
         if det([row[:k] for row in m[:k]]) != want:
             return form, f"FAIL (minor {k})"
     return form, "PASS"
 
 
-def _match(got: Expression, want: Expression) -> str | partial[str]:
+def _match(got: Expression, want: Expression) -> str | Callable[[], str]:
     """An exact comparison, without IBP, as a step value; the difference
     of a failure is computed when the step is formatted."""
-    return "PASS" if got == want else partial(_difference_text, got, want)
-
-
-def _difference_text(got: Expression, want: Expression) -> str:
-    return f"FAIL (difference {got - want})"
+    return "PASS" if got == want else lambda: f"FAIL (difference {got - want})"
 
 
 def _passed(steps: list[tuple[str, object]]) -> bool:
     return all(value == "PASS" for _, value in steps)
 
 
-@lru_cache(maxsize=None)
-def _built_3_8() -> tuple[Expression, Expression, Expression]:
-    """(the completed-square deficit at lam = rho = 1/4, the canonical form
-    of 3.5 - INT[3.7 lhs] + that deficit, INT[3.7 rhs])."""
-    corpus = Corpus.load()
-    deficit = (_instantiate("3.6", "lhs", _QUARTERS)
-               - _instantiate("3.6", "rhs", _QUARTERS))
-    built = (corpus.expr("3.5", "integrand")
-             - corpus.expr("3.7", "lhs").integrate() + deficit)
-    return (deficit, canonicalize(built),
-            corpus.expr("3.7", "rhs").integrate())
-
-
-def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult:
+def script_3_8() -> Decide:
     """Coefficient bookkeeping from the torsion identity to the estimated form.
 
     The left side of the cube-root estimate 3.7 is removed and the
@@ -484,19 +439,27 @@ def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult
     plus the estimate's right side, term by term, and have the leading
     minors of Theorem B.
     """
-    deficit, built, rhs_3_7 = _built_3_8()
-    target = _target("3.8", target_override)
-    ok, trace = equal_mod_ibp(built, target)
-    steps = [("completed-square deficit", deficit),
-             ("match modulo IBP", "PASS" if ok else "FAIL")]
-    form, minors = _numeric_form(form_entries, _thm_b_minors, _constant)
-    proof = [("numeric form against 3.8 + INT[3.7 rhs]",
-              _match(form, target + rhs_3_7)),
-             ("leading minors 29/48, 5/24, (5/72)R, (5/216)v_3.11, "
-              "(1/9)v_3.12", minors)]
-    steps += proof
-    return _finish("3.8", ok and _passed(proof), steps, trace.residual, trace,
-                   thm_b_proven=_passed(proof))
+    corpus = Corpus.load()
+    deficit = (_instantiate("3.6", "lhs", _QUARTERS)
+               - _instantiate("3.6", "rhs", _QUARTERS))
+    built = canonicalize(corpus.expr("3.5", "integrand")
+                         - corpus.expr("3.7", "lhs").integrate() + deficit)
+    rhs_3_7 = corpus.expr("3.7", "rhs").integrate()
+    x = _inputs()
+    form, minors = _numeric_form(form_entries(x, _constant),
+                                 thm_b_minors(x, _constant, _abs2))
+
+    def decide(target: Expression) -> ScriptResult:
+        ok, trace = equal_mod_ibp(built, target)
+        proof = [("numeric form against 3.8 + INT[3.7 rhs]",
+                  _match(form, target + rhs_3_7)),
+                 ("leading minors 29/48, 5/24, (5/72)R, (5/216)v_3.11, "
+                  "(1/9)v_3.12", minors)]
+        steps = [("completed-square deficit", deficit),
+                 ("match modulo IBP", "PASS" if ok else "FAIL"), *proof]
+        return _finish("3.8", ok and _passed(proof), steps, trace.residual,
+                       trace, thm_b_proven=_passed(proof))
+    return decide
 
 
 # ---------------------------------------------------------------------------
@@ -506,45 +469,51 @@ def verify_3_5_to_3_8(target_override: Expression | None = None) -> ScriptResult
 # identity -> (script, the field of its catalog record that mutation
 # perturbs, or None if it has no target)
 SCRIPTS = {
-    "2.3": (verify_2_3, "target"),
-    "2.7": (verify_2_7, "target"),
-    "2.8": (verify_2_8, "integrals"),
-    "2.ibp": (verify_2_ibp, "rhs"),
-    "2.11": (verify_2_11, "integrals"),
-    "3.2": (verify_3_2, "rhs"),
-    "3.3": (verify_3_3, "final"),
-    "3.4": (verify_3_4, "integrand"),
-    "3.5": (verify_3_5, "integrand"),
-    "3.6": (verify_3_6, "rhs"),
-    "3.7": (verify_3_7, None),
-    "3.8": (verify_3_5_to_3_8, "integrand_exact"),
+    "2.3": (script_2_3, "target"),
+    "2.7": (script_2_7, "target"),
+    "2.8": (script_2_8, "integrals"),
+    "2.ibp": (script_2_ibp, "rhs"),
+    "2.11": (script_2_11, "integrals"),
+    "3.2": (script_3_2, "rhs"),
+    "3.3": (script_3_3, "final"),
+    "3.4": (script_3_4, "integrand"),
+    "3.5": (script_3_5, "integrand"),
+    "3.6": (script_3_6, "rhs"),
+    "3.7": (script_3_7, None),
+    "3.8": (script_3_8, "integrand_exact"),
 }
 MUTABLE_IDS = [ident for ident, (_, fld) in SCRIPTS.items() if fld]
 
 
-def _target(ident: str, override: Expression | None = None) -> Expression:
-    """`override` unless it is None (a zero override is kept), else the
-    catalog target of `ident` that mutation perturbs."""
-    if override is not None:
-        return override
-    return Corpus.load().expr(ident, SCRIPTS[ident][1])
+def _target(ident: str) -> Expression | None:
+    """The catalog target of `ident` that mutation perturbs, if any."""
+    fld = SCRIPTS[ident][1]
+    return Corpus.load().expr(ident, fld) if fld else None
 
 
-def _run_mutated(ident: str, mutated: Expression) -> ScriptResult:
-    return SCRIPTS[ident][0](target_override=mutated)
+# one mutant's decision, a function of its own so that a profiler can time it
+def _run_mutated(decide: Decide, mutated: Expression) -> ScriptResult:
+    return decide(mutated)
 
 
 def mutation_test(ident: str) -> dict:
-    """Perturb each coefficient of the catalog target by +1; all must FAIL."""
+    """Perturb each coefficient of the catalog target by +1; all must FAIL.
+
+    The unchanged target is decided first and must PASS: a mutant of a
+    target that fails is killed whatever the script checks.  If it fails,
+    the report is a `note` saying so, and no mutant is decided."""
     if ident not in MUTABLE_IDS:
         raise KeyError(f"identity {ident!r} does not support mutation testing")
+    decide = SCRIPTS[ident][0]()
     base = _target(ident)
+    if not decide(base).passed:
+        return {"identity": ident,
+                "note": "the catalog target fails, so no mutant is decided"}
     terms = base.term_list()
     survivors = []
-    for k, term in enumerate(terms):
+    for term in terms:
         bump = Expression.from_term(1, term.factors, term.integrated)
-        result = _run_mutated(ident, base + bump)
-        if result.passed:
+        if _run_mutated(decide, base + bump).passed:
             survivors.append(str(bump))
     return {
         "identity": ident,
@@ -563,4 +532,4 @@ def catalog_ids() -> list[str]:
 def run_script(ident: str) -> ScriptResult:
     if ident not in SCRIPTS:
         raise KeyError(f"unknown identity id {ident!r}")
-    return SCRIPTS[ident][0]()
+    return SCRIPTS[ident][0]()(_target(ident))

@@ -271,7 +271,3 @@ ZERO = ScalarExact(0)
 ONE = ScalarExact(1)
 I = ScalarExact(0, 0, 1, 0)
 SQRT3 = ScalarExact(0, 1, 0, 0)
-
-
-def rational(p: int, q: int = 1) -> ScalarExact:
-    return ScalarExact(Fraction(p, q))

@@ -30,8 +30,8 @@ def test_criterion_1_section2_chain():
     ok = all(r.passed and r.residual is None for r in results)
     ok &= elapsed < 10.0
     # the distinguished parameter kills T-derivative terms; alpha = 1 does not
-    good = ids.verify_2_7()
-    bad = ids.verify_2_7(alpha=ScalarExact(1))
+    good = ids.run_script("2.7")
+    bad = ids.script_2_7(ScalarExact(1))(ids._target("2.7"))
     ok &= good.passed and not good.details["residual_has_T_derivative"]
     ok &= (not bad.passed) and bad.details["residual_has_T_derivative"]
     _report(1, f"section-2 chain exact in {elapsed:.2f}s, "
@@ -40,7 +40,7 @@ def test_criterion_1_section2_chain():
 
 def test_criterion_2_bianchi_consistency():
     """The Bianchi rule with A = 0 annihilates the final f^2 integrand."""
-    result = ids.verify_2_11()
+    result = ids.run_script("2.11")
     ok = result.passed and result.details["bianchi_torsion_free_f2"].is_zero()
     _report(2, "Bianchi + torsion-free annihilates the f^2 integrand", ok)
 
@@ -51,11 +51,11 @@ def test_criterion_3_section3_chain():
     for ident in ("3.2", "3.3", "3.4"):
         ok &= ids.run_script(ident).passed
     # the completed square for all real lam, rho, one coefficient at a time
-    ok &= ids.verify_3_6().passed
+    ok &= ids.run_script("3.6").passed
     # coefficient bookkeeping into the estimated form
-    ok &= ids.verify_3_5_to_3_8().passed
+    ok &= ids.run_script("3.8").passed
     # the torsion identity closes exactly, less its slice witness
-    r35 = ids.verify_3_5()
+    r35 = ids.run_script("3.5")
     ok &= r35.passed and r35.residual is None
     _report(3, "section-3 chain exact; torsion identity closes exactly "
                "modulo IBP less its slice witness", ok)
@@ -63,7 +63,7 @@ def test_criterion_3_section3_chain():
 
 def test_criterion_4_pointwise_inequality():
     """The cube-root estimate is a completed square, tight on a family."""
-    result = ids.verify_3_7()
+    result = ids.run_script("3.7")
     steps = dict(result.steps)
     ok = (result.passed and steps["lhs - rhs - square"] == "0"
           and steps["lhs - rhs on the tight family"] == "0")

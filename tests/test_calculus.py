@@ -277,9 +277,7 @@ def test_sector_relations_stay_in_their_sector(monkeypatch):
     # every row of a sector's system lies in that sector, among the
     # monomials the sector enumerator lists
     import phbochner.identities as ids
-    from test_identities import _clear_ibp_caches
 
-    _clear_ibp_caches()  # so that the queries of cached script halves run
     sectors = []
     build = calc._build_relations
     monkeypatch.setattr(calc, "_build_relations",
@@ -320,9 +318,7 @@ def test_sector_bases_are_fully_reduced(monkeypatch, capsys):
     # in its sector, is in reduced echelon form, and each pivot is the
     # combination it records
     from phbochner.cli import main
-    from test_identities import _clear_ibp_caches
 
-    _clear_ibp_caches()  # so that the queries of cached script halves run
     monkeypatch.setattr(calc, "_system_cache", {})
     assert main(["verify", "all", "--mutate"]) == 0
     capsys.readouterr()

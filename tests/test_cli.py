@@ -450,9 +450,10 @@ def test_completed_run_freezes_the_collected_objects(capsys):
 
 
 def test_pinned_outputs_independent_of_command_order(capsys):
-    """The per-process caches are shared by every command of a process:
-    from cold caches, the pinned commands in reverse order (traces before
-    `verify all --mutate`, that before `verify all`) keep their pins."""
+    """The engine's per-process caches are shared by every command of a
+    process: from cold caches, the pinned commands in reverse order
+    (traces before `verify all --mutate`, that before `verify all`) keep
+    their pins."""
     from test_identities import _clear_ibp_caches
 
     _clear_ibp_caches()

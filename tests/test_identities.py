@@ -35,14 +35,14 @@ def test_3_7_coefficient_bumps_fail(fld, monkeypatch):
     for term in terms:
         bump = Expression.from_term(1, term.factors, term.integrated)
         monkeypatch.setitem(record, fld, f"{text} + {bump}")
-        assert ids.verify_3_7().status == "FAIL", (fld, str(bump))
+        assert ids.run_script("3.7").status == "FAIL", (fld, str(bump))
 
 
 def test_3_7_tight_family_is_checked(monkeypatch):
     # u -> -u on the tight family flips the left side only
     monkeypatch.setitem(ids.Corpus.load().records["3.7"], "tight",
                         "Eb1b1 = Wb*g, Eb1b1_{1} = i*Wb*Wb*gb")
-    result = ids.verify_3_7()
+    result = ids.run_script("3.7")
     assert result.status == "FAIL"
     assert ("lhs - rhs - square", "0") in result.steps
 
@@ -51,7 +51,6 @@ def test_cube_root_never_in_an_ibp_query(monkeypatch):
     """W is not differentiable where A11_{,1} = 0, so no IBP query of the
     catalog scripts may contain it; 3.8 matches its terms exactly.  3.6
     strips its parameters LAM and RHO before it queries."""
-    _clear_ibp_caches()  # so that the queries of cached halves run too
     queries = []
     query = calc.ibp_residual
 
@@ -67,13 +66,12 @@ def test_cube_root_never_in_an_ibp_query(monkeypatch):
     assert not any(f.symbol in ("W", "Wb", "LAM", "RHO")
                    for q in queries for e in q
                    for t in e.term_list() for f in t.factors)
-    form, _ = ids._numeric_form(form_entries, ids._thm_b_minors,
-                                ids._constant)
+    form, _ = ids._numeric_form(form_entries(ids._inputs(), ids._constant), [])
     assert any(f.symbol == "W" for t in form.term_list() for f in t.factors)
 
 
 def test_2_7_wrong_alpha_leaves_T_residual():
-    result = ids.verify_2_7(alpha=ScalarExact(1))
+    result = ids.script_2_7(ScalarExact(1))(ids._target("2.7"))
     assert result.status == "FAIL"
     assert result.details["residual_has_T_derivative"]
     want = parse(
@@ -83,13 +81,13 @@ def test_2_7_wrong_alpha_leaves_T_residual():
 
 
 def test_2_7_right_alpha_kills_T_terms():
-    result = ids.verify_2_7()
+    result = ids.run_script("2.7")
     assert result.passed
     assert result.details["residual_has_T_derivative"] is False
 
 
 def test_3_5_uses_slice_relation():
-    result = ids.verify_3_5()
+    result = ids.run_script("3.5")
     assert result.passed and result.details == {}
     # the closure step names the slice witness it subtracted
     label, value = result.steps[-1]
@@ -98,7 +96,7 @@ def test_3_5_uses_slice_relation():
 
 def test_3_5_does_not_close_without_slice_relation():
     """Modulo integration by parts alone, catalog 3.5 leaves a residual, so
-    `verify_3_5` first subtracts the catalog's slice witness
+    `script_3_5` first subtracts the catalog's slice witness
     INT[DJ* E * slice], which vanishes where DJ* E = 0."""
     paired = ids._pairing_with_E(ids._dqj_after_3_2())
     target = ids.Corpus.load().expr("3.5", "integrand")
@@ -108,20 +106,17 @@ def test_3_5_does_not_close_without_slice_relation():
 
 def test_3_5_closes_by_its_slice_witness_only(monkeypatch):
     """A wrong slice witness fails 3.5, and the engine takes no relation
-    but the divergence relations."""
+    but the divergence relations.  Each run reads the catalog as it is
+    then: a field changed after a script ran is the next run's."""
     record = ids.Corpus.load().records["3.5"]
     text = record["slice"]
     assert text == "(4/3)*i*( Ab1b1*E11 - A11*Eb1b1 )"
     wrong = [f"{text} + Ab1b1*E11", f"{text} + A11*Eb1b1",
              "(4/3)*i*Ab1b1*E11", "-(4/3)*i*A11*Eb1b1", "0"]
-    try:
-        for slice_text in [text, *wrong]:
-            monkeypatch.setitem(record, "slice", slice_text)
-            ids._pairing_3_5.cache_clear()
-            want = "PASS" if slice_text == text else "FAIL"
-            assert ids.verify_3_5().status == want, slice_text
-    finally:
-        ids._pairing_3_5.cache_clear()
+    for slice_text in [text, *wrong, text]:
+        monkeypatch.setitem(record, "slice", slice_text)
+        want = "PASS" if slice_text == text else "FAIL"
+        assert ids.run_script("3.5").status == want, slice_text
     a, b = parse("INT[ R*E11*Eb1b1 ]"), parse("0")
     slice_relation = (ops.build_DJstar().expr,)
     with pytest.raises(calc.CalculusError):
@@ -142,7 +137,7 @@ def test_bianchi_value_is_the_rule_2_11_uses():
 
 
 def test_bianchi_annihilates_final_f2_integrand():
-    result = ids.verify_2_11()
+    result = ids.run_script("2.11")
     assert result.passed
     assert result.details["bianchi_torsion_free_f2"].is_zero()
 
@@ -151,7 +146,7 @@ def test_lemma_3_1_for_all_lam_rho():
     """3.6 splits rhs - lhs - square by its LAM/RHO monomials: the LAM^2
     and RHO^2 terms cancel with the square's, and the LAM*RHO coefficient
     closes modulo IBP with a certificate."""
-    result = ids.verify_3_6()
+    result = ids.run_script("3.6")
     assert result.passed
     assert result.details["classes"] == ["LAM*RHO"]
     assert ("coefficient of LAM*RHO modulo IBP", "PASS") in result.steps
@@ -197,7 +192,7 @@ def test_torsion_free_specializations():
 
 
 def test_certificates_replay():
-    result = ids.verify_2_8()
+    result = ids.run_script("2.8")
     assert result.trace is not None and result.trace.certificate
     corpus = ids.Corpus.load()
     diff = corpus.expr("2.3", "target") - corpus.expr("2.7", "target")
@@ -214,7 +209,7 @@ def test_3_8_judges_the_numeric_form(monkeypatch):
         return entries
 
     monkeypatch.setattr(ids, "form_entries", perturbed)
-    result = ids.verify_3_5_to_3_8()
+    result = ids.run_script("3.8")
     assert result.status == "FAIL"
     assert ("numeric form against 3.8 + INT[3.7 rhs]", "PASS") \
         not in result.steps
@@ -230,11 +225,11 @@ def test_3_8_judges_the_cube_root_terms(entry, monkeypatch):
             x.t if entry == (3, 3) else x.t * x.t)
         return entries
 
-    assert (ids._numeric_form(bumped, ids._thm_b_minors, ids._constant)[0]
-            != ids._numeric_form(form_entries, ids._thm_b_minors,
-                                 ids._constant)[0])
+    x, K = ids._inputs(), ids._constant
+    assert (ids._numeric_form(bumped(x, K), [])[0]
+            != ids._numeric_form(form_entries(x, K), [])[0])
     monkeypatch.setattr(ids, "form_entries", bumped)
-    result = ids.verify_3_5_to_3_8()
+    result = ids.run_script("3.8")
     assert result.status == "FAIL"
     assert ("match modulo IBP", "PASS") in result.steps
 
@@ -249,7 +244,7 @@ def test_rigidity_proofs_reported(ident, key):
 # the kernel formulas that 2.11, 3.4 and 3.8 evaluate, as `identities`
 # names them
 _KERNEL = ("form_entries", "torsion_free_entries", "_thm_a",
-           "corollary_c_minors", "_thm_b_minors")
+           "corollary_c_minors", "thm_b_minors")
 # the bump test replaces ids._constant; _BumpK wraps the original
 _CONSTANT = ids._constant
 
@@ -321,11 +316,36 @@ def test_mutation_test_formats_no_expression(monkeypatch):
     assert formatted == []
 
 
-def test_zero_target_override_fails():
-    # a zero override is a target like any other, not "no override"
+def test_zero_target_fails():
     passed = [ident for ident in ids.MUTABLE_IDS
-              if ids._run_mutated(ident, Expression.zero()).passed]
+              if _decide(ident)(Expression.zero()).passed]
     assert passed == []
+
+
+def test_mutation_test_decides_the_unchanged_target_first(monkeypatch,
+                                                          capsys):
+    """A catalog target that fails is reported with a note and no mutant
+    decided: its mutants would be killed whatever the script checks.  The
+    3.5 integrand with its first coefficient 2/3 bumped to 5/3 fails 3.5,
+    and 3.8, which builds on it."""
+    from phbochner.cli import main
+
+    record = ids.Corpus.load().records["3.5"]
+    assert record["integrand"].startswith("INT[ (2/3)*")
+    monkeypatch.setitem(record, "integrand",
+                        record["integrand"].replace("(2/3)*", "(5/3)*", 1))
+    decisions, run = [], ids._run_mutated
+    monkeypatch.setattr(ids, "_run_mutated",
+                        lambda *args: decisions.append(args) or run(*args))
+    for ident in ("3.5", "3.8"):
+        assert ids.mutation_test(ident) == {
+            "identity": ident,
+            "note": "the catalog target fails, so no mutant is decided"}
+    assert decisions == []
+    assert main(["--format", "json", "verify", "3.5", "--mutate"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"] == [
+        {"id": "3.5", "status": "FAIL",
+         "note": "the catalog target fails, so no mutant is decided"}]
 
 
 def test_unknown_identity():
@@ -342,7 +362,7 @@ def test_catalog_listing():
 
 
 def test_result_serialization():
-    result = ids.verify_3_2()
+    result = ids.run_script("3.2")
     d = result.to_dict()
     assert d["status"] == "PASS"
     assert d["residual"] is None
@@ -364,35 +384,22 @@ def _mutants() -> list[tuple[str, str, Expression]]:
     return out
 
 
+def _decide(ident: str) -> ids.Decide:
+    """The script of `ident`, built now."""
+    return ids.SCRIPTS[ident][0]()
+
+
 def _residual(ident: str, mutated: Expression) -> Expression:
-    return ids._run_mutated(ident, mutated).residual
-
-
-def _script_caches() -> list:
-    """The per-process caches of `identities`: the scripts' halves and the
-    numeric forms."""
-    return [value for value in vars(ids).values()
-            if getattr(value, "__module__", None) == ids.__name__
-            and hasattr(value, "cache_clear")]
+    """A mutant's residual, by a script built for it, so that after
+    `_clear_ibp_caches` the build runs from cold caches too."""
+    return ids._run_mutated(_decide(ident), mutated).residual
 
 
 def _clear_ibp_caches():
-    """Empty the engine's caches and every per-process cache of a script's
-    target-independent half."""
+    """Empty the engine's caches; a script built after this runs cold."""
     calc._canon_cache.clear()
     calc._term_cache.clear()
     calc._system_cache.clear()
-    for cache in _script_caches():
-        cache.cache_clear()
-
-
-def test_clear_ibp_caches_empties_the_script_halves():
-    ids.run_script("3.3")
-    ids.run_script("3.8")
-    assert len(_script_caches()) >= 9
-    assert ids._ibp_stage_3_3.cache_info().currsize == 1
-    _clear_ibp_caches()
-    assert all(c.cache_info().currsize == 0 for c in _script_caches())
 
 
 def test_cold_and_warm_caches_agree():
@@ -415,8 +422,9 @@ def test_cold_and_warm_caches_agree():
 
 
 def test_2_7_mutants_format_no_scalar(monkeypatch):
-    """alpha is formatted when 2.7's half is built, for the operator name
-    and for the label and detail, and never again by a mutant."""
+    """alpha is formatted when 2.7's script is built, for the operator name
+    and for the label and detail, and never by a decision: one build
+    serves the catalog target and every mutant."""
     formatted = []
     text = ScalarExact.__str__
 
@@ -424,14 +432,12 @@ def test_2_7_mutants_format_no_scalar(monkeypatch):
         formatted.append(self)
         return text(self)
 
-    _clear_ibp_caches()
     monkeypatch.setattr(ScalarExact, "__str__", counting)
     assert ids.mutation_test("2.7")["survivors"] == []
     assert formatted == [ops.ALPHA_SECTION2] * 2
     formatted.clear()
-    assert ids.mutation_test("2.7")["survivors"] == []
-    result = ids.verify_2_7()
-    assert formatted == []
+    result = ids.run_script("2.7")
+    assert formatted == [ops.ALPHA_SECTION2] * 2
     monkeypatch.undo()
     assert result.details["alpha"] == "i*s3"
     assert result.steps[0][0] == "expand (1/2) L* L f with alpha = i*s3"
@@ -521,7 +527,7 @@ def _mutant_queries(monkeypatch, settle: bool) -> list[tuple]:
     monkeypatch.setattr(ids, "ibp_residual", recording)
     for _, ident, mutated in _mutants():
         if ident in ("3.4", "3.5", "3.8"):
-            ids._run_mutated(ident, mutated)
+            _residual(ident, mutated)
     monkeypatch.undo()
     if not settle:
         for q in queries:

@@ -6,8 +6,11 @@ from math import gcd
 
 import pytest
 
-from phbochner.scalar import (I, ONE, SQRT3, ZERO, ScalarExact, rational,
-                              sub_mul)
+from phbochner.scalar import I, ONE, SQRT3, ZERO, ScalarExact, sub_mul
+
+
+def rational(p: int, q: int = 1) -> ScalarExact:
+    return ScalarExact(Fraction(p, q))
 
 
 def random_scalar(rng, max_den=7):
