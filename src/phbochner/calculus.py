@@ -44,23 +44,24 @@ residuals are collected into one dict each, with no Expression per product
 or sum, and a canonical term is added as it is.  Every coefficient is exact,
 so the order in which terms are collected changes no value.
 
-All operations are pure.  The module state is five bounded caches:
+All operations are pure.  The module state is five memo tables that keep
+every entry for the life of the process:
 
 * canonical forms of non-canonical factors (`_canon_cache`) and, per term,
-  its unit expansion or the mark that it is canonical (`_term_cache`), each
-  at most MAX_CACHED_FACTORS;
-* eliminated systems, one per sector (`_system_cache`, at most
-  MAX_CACHED_SYSTEMS);
+  its unit expansion or the mark that it is canonical (`_term_cache`);
+* eliminated systems, one per sector (`_system_cache`);
 * the sector and the sort key of each monomial (`_sector` and
-  `_monomial_sort_key`, LRU caches of at most MAX_CACHED_MONOMIALS each).
+  `_monomial_sort_key`).
 
-The first three evict their oldest entry first.
+Only the catalog and its mutants fill them, so they stay small:
+`tests/test_imports.py::test_mutation_run_memo_sizes` pins their sizes
+after `verify all --mutate`.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (_LETTER_ALPHA, _LETTER_ORDER, _LETTER_WEIGHT, DERIV_LETTERS,
@@ -76,14 +77,6 @@ __all__ = [
 # Hard cap on the rows of the relation system an equality query reduces
 # against; the catalog needs well under a thousand.
 MAX_RELATIONS = 10_000
-# Bounds of the caches shared across queries: canonical forms of factors
-# and of terms, eliminated systems, and the sectors and sort keys of
-# monomials.  After `verify all --mutate` they hold 43 non-canonical factors,
-# 213 terms (52 of them non-canonical), 4 systems (one per sector the
-# catalog touches), the sectors of 52 monomials and the sort keys of 154.
-MAX_CACHED_FACTORS = 10_000
-MAX_CACHED_SYSTEMS = 64
-MAX_CACHED_MONOMIALS = 10_000
 
 
 class CalculusError(RuntimeError):
@@ -250,7 +243,7 @@ def canonicalize_factor(factor: Factor) -> Expression:
         for (_, factors), coeff in commute_swap(factor, p)._terms.items():
             _product_into(acc, coeff, factors)
         out = Expression({(False, m): c for m, c in acc.items()})
-    _remember(_canon_cache, factor, out, MAX_CACHED_FACTORS)
+    _canon_cache[factor] = out
     return out
 
 
@@ -285,7 +278,7 @@ def _expand_term(key) -> tuple | None:
         acc: dict = {}
         _product_into(acc, ONE, factors)
         expansion = tuple(((integrated, m), c) for m, c in acc.items() if c)
-    _remember(_term_cache, key, expansion, MAX_CACHED_FACTORS)
+    _term_cache[key] = expansion
     return expansion
 
 
@@ -395,12 +388,12 @@ def _monomial_balance(m: Monomial) -> int:
     return sum(f.alpha() for f in m)
 
 
-@lru_cache(maxsize=MAX_CACHED_MONOMIALS)
+@cache
 def _monomial_sort_key(m: Monomial):
     return (len(m), tuple(f.sort_key() for f in m))
 
 
-@lru_cache(maxsize=MAX_CACHED_MONOMIALS)
+@cache
 def _sector(m: Monomial) -> tuple[int, int, tuple[str, ...]]:
     """(weight, balance, non-curvature symbols in factor order) of m.
 
@@ -441,8 +434,6 @@ class _LinearSystem:
     def __init__(self):
         # leading monomial -> (vector, combo over original row ids)
         self.pivots: dict[Monomial, tuple[dict, dict]] = {}
-        # number of rows added, pivots or not
-        self.rows = 0
 
     @staticmethod
     def _leading(vec: dict) -> Monomial:
@@ -476,7 +467,6 @@ class _LinearSystem:
     def add_row(self, row_id, vec: dict):
         # combo tracks vec as a combination of rows, so every elimination
         # vec -= f * pvec subtracts f * pcombo from it
-        self.rows += 1
         vec, combo = dict(vec), {row_id: ONE}
         while vec:
             lead = self._leading(vec)
@@ -566,13 +556,6 @@ def _sector_monomials(weight: int, balance: int,
     return sorted(out, key=_monomial_sort_key)
 
 
-def _remember(cache: dict, key, value, bound: int) -> None:
-    """Insert into a bounded cache, evicting the oldest entries first."""
-    while cache and len(cache) >= bound:
-        del cache[next(iter(cache))]
-    cache[key] = value
-
-
 def _build_relations(weight: int, balance: int,
                      symbols: tuple[str, ...]) -> list[tuple]:
     """Ids of every divergence relation of a sector, in a fixed order.
@@ -590,29 +573,24 @@ def _build_relations(weight: int, balance: int,
                 symbols))]
 
 
-def _check_relation_cap(rows: int, sector: tuple) -> None:
-    if rows > MAX_RELATIONS:
-        raise CalculusError(
-            f"relation cap ({MAX_RELATIONS}) exceeded: {rows} relations in "
-            f"the sector {sector}")
-
-
 def _eliminated_system(sector: tuple) -> _LinearSystem:
     """The reduced echelon system of a sector's relations, cached.
 
-    The rows of `_build_relations` are added in order.  The relation cap is
-    checked on every call, so a lowered cap also refuses a cached system.
+    The rows of `_build_relations` are added in order; a sector with more
+    than MAX_RELATIONS of them is refused before any row is built.
     """
     system = _system_cache.get(sector)
     if system is None:
         rids = _build_relations(*sector)
-        _check_relation_cap(len(rids), sector)
+        if len(rids) > MAX_RELATIONS:
+            raise CalculusError(
+                f"relation cap ({MAX_RELATIONS}) exceeded: {len(rids)} "
+                f"relations in the sector {sector}")
         system = _LinearSystem()
         for rid in rids:
             system.add_row(rid, _relation_row(*rid))
         system.reduce_basis()
-        _remember(_system_cache, sector, system, MAX_CACHED_SYSTEMS)
-    _check_relation_cap(system.rows, sector)
+        _system_cache[sector] = system
     return system
 
 

@@ -13,7 +13,7 @@ All values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .scalar import _ZERO_V, ScalarExact, ZERO
@@ -83,10 +83,6 @@ SYMBOLS: dict[str, SymbolInfo] = {
 # order inside terms.
 _SYMBOL_INDEX = {name: k for k, name in enumerate(SYMBOLS)}
 
-# Bound of the LRU caches of factor sort keys, of `Factor.is_canonical` and
-# of sorted factor tuples; the catalog uses a few hundred distinct factors.
-MAX_CACHED_FACTOR_KEYS = 4096
-
 
 # ---------------------------------------------------------------------------
 # Factor
@@ -122,12 +118,14 @@ class Factor(NamedTuple):
     def with_deriv(self, letter: str) -> "Factor":
         return Factor(self.symbol, self.derivs + (letter,))
 
-    @lru_cache(maxsize=MAX_CACHED_FACTOR_KEYS)
+    # sort keys, `is_canonical` and `_sorted_tuple` are memoized for the
+    # life of the process: the catalog and its mutants ask for a few hundred
+    @cache
     def sort_key(self):
         return (_SYMBOL_INDEX[self.symbol], len(self.derivs),
                 tuple(_LETTER_ORDER[l] for l in self.derivs))
 
-    @lru_cache(maxsize=MAX_CACHED_FACTOR_KEYS)
+    @cache
     def is_canonical(self) -> bool:
         keys = [_LETTER_ORDER[l] for l in self.derivs]
         return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
@@ -150,10 +148,6 @@ class Term(NamedTuple):
     def weight(self) -> int:
         return sum(f.weight() for f in self.factors)
 
-    def alpha(self) -> int:
-        """Net index balance; 0 for every term of a real integrand."""
-        return sum(f.alpha() for f in self.factors)
-
 
 TermKey = tuple[bool, tuple[Factor, ...]]
 
@@ -162,7 +156,7 @@ def _sorted_factors(factors: Iterable[Factor]) -> tuple[Factor, ...]:
     return _sorted_tuple(tuple(factors))
 
 
-@lru_cache(maxsize=MAX_CACHED_FACTOR_KEYS)
+@cache
 def _sorted_tuple(factors: tuple[Factor, ...]) -> tuple[Factor, ...]:
     return tuple(sorted(factors, key=Factor.sort_key))
 

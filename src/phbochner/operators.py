@@ -23,7 +23,7 @@ with u = f, or u = E11 plus (-1)^|I| (c Eb1b1)_{,rev I} for a tensor value.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
 # `calculus` is imported by the functions that run it, so that listing the
@@ -165,7 +165,7 @@ def flatness_rules() -> list[Rule]:
 # Adjoint
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
+@cache
 def adjoint(template: OperatorTemplate) -> OperatorTemplate:
     """Adjoint with respect to the catalog inner products, cached per
     template (an equal template is a cache hit), so each operator's adjoint

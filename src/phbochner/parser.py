@@ -22,16 +22,13 @@ scalar-valued subexpressions.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache
 from importlib import resources
 
 from .expr import DERIV_LETTERS, Expression, Factor, SYMBOLS, _sorted_factors
 from .scalar import I, ONE, SQRT3, ScalarExact
 
 __all__ = ["parse", "ParseError", "Corpus"]
-
-# Bound of the LRU cache of parsed texts; the corpus holds a few dozen.
-MAX_CACHED_PARSES = 1024
 
 
 class ParseError(ValueError):
@@ -230,21 +227,20 @@ def _quotient(x: "Expression | tuple", y: "Expression | tuple"):
     return _as_expression(x) / _as_expression(y)
 
 
-@lru_cache(maxsize=MAX_CACHED_PARSES)
+@cache
 def parse(text: str) -> Expression:
     """Parse grammar text into an Expression.
 
     Raises ParseError (with position) on syntax errors or unknown symbols;
-    errors are not cached.  Results are cached by text, which is safe since
-    an Expression is immutable.
+    errors are not cached.  Results are cached by text for the life of the
+    process, which is safe since an Expression is immutable; the corpus
+    holds a few dozen texts.
     """
     return _Parser(text).parse()
 
 
 class Corpus:
     """Loader for the identity catalog shipped with the package."""
-
-    _instance: "Corpus | None" = None
 
     def __init__(self, text: str):
         self.records: dict[str, dict[str, str]] = {}
@@ -264,11 +260,11 @@ class Corpus:
             current[key.strip()] = value.strip()
 
     @classmethod
+    @cache
     def load(cls) -> "Corpus":
-        if cls._instance is None:
-            data = (resources.files("phbochner") / "data" / "identities.corpus")
-            cls._instance = cls(data.read_text())
-        return cls._instance
+        """The shipped catalog, read once per process."""
+        data = resources.files("phbochner") / "data" / "identities.corpus"
+        return cls(data.read_text())
 
     def text(self, record: str, fld: str) -> str:
         try:

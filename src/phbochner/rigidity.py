@@ -254,13 +254,15 @@ CONDITIONS: dict[str, Condition] = {
 def _evaluate(s: dict, x: FormInputs, rows) -> tuple[dict, dict]:
     """The condition rows `rows` on the batch of fields s, x being
     `_float_inputs(s)`: {key: (v, M)} for their values, with M the sum of
-    the magnitudes of v's summands, and {key: verdict} for their verdicts."""
+    the magnitudes of v's summands, and {key: verdict} for their verdicts.
+    A key that several rows report is computed once."""
     magnitudes = _magnitudes(x)
-    values, verdicts = {}, {}
+    formulas = {key: fn for row in rows for key, (fn, _) in row.values.items()}
+    values = {key: (fn(x, _float), fn(magnitudes, _magnitude))
+              for key, fn in formulas.items()}
+    verdicts = {}
     for row in rows:
-        pairs = [(fn(x, _float), fn(magnitudes, _magnitude))
-                 for fn, _ in row.values.values()]
-        values.update(zip(row.values, pairs))
+        pairs = [values[key] for key in row.values]
         verdicts.update(zip(row.verdicts, row.verdict(
             s, [v for v, _ in pairs], [row.band * m for _, m in pairs])))
     return values, verdicts

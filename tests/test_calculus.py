@@ -247,11 +247,16 @@ def test_equivalence_relation_on_samples():
 
 
 def test_relation_cap_guard(monkeypatch):
+    # the cap is checked when a sector's system is built, before any row
     a, b = parse("INT[ R*E11_{1b}*Eb1b1 ]"), parse("INT[ 2*R*E11_{1b}*Eb1b1 ]")
-    equal_mod_ibp(a, b)  # the cap holds with the query's rows cached
+    monkeypatch.setattr(calc, "_system_cache", {})
     monkeypatch.setattr(calc, "MAX_RELATIONS", 3)
+    rows = []
+    monkeypatch.setattr(calc, "_relation_row",
+                        lambda *rid: rows.append(rid))
     with pytest.raises(CalculusError):
         equal_mod_ibp(a, b)
+    assert rows == [] and calc._system_cache == {}
 
 
 def test_same_sector_reuses_the_system(monkeypatch):

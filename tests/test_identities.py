@@ -462,17 +462,6 @@ def test_residual_independent_of_cache_state():
                 assert _residual(ident, mutated) == cold[name], name
 
 
-def test_cache_eviction_keeps_residuals(monkeypatch):
-    mutants = [m for m in _mutants() if m[1] == "3.4"]
-    default = [_residual(ident, mutated) for _, ident, mutated in mutants]
-    monkeypatch.setattr(calc, "MAX_CACHED_FACTORS", 1)
-    monkeypatch.setattr(calc, "MAX_CACHED_SYSTEMS", 1)
-    _clear_ibp_caches()
-    assert [_residual(ident, mutated)
-            for _, ident, mutated in mutants] == default
-    assert len(calc._canon_cache) == len(calc._system_cache) == 1
-
-
 def test_mutant_residuals_are_normal_forms():
     # a mutant differs from its passing target by its bump, so its residual
     # is the normal form of the bump, up to the sign of the difference

@@ -134,3 +134,34 @@ def test_every_export_is_its_defining_module_object(name):
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError):
         phbochner.no_such_name
+
+
+# Runs `verify all --mutate` and prints, as JSON, the sizes of the calculus
+# memo tables at its end and the rows of the relation systems they hold.
+_MEMO_PROBE = """
+import contextlib, io, json
+from phbochner import calculus as c
+from phbochner.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "all", "--mutate"]) == 0
+sizes = {"factors": len(c._canon_cache), "terms": len(c._term_cache),
+         "systems": len(c._system_cache),
+         "sectors": c._sector.cache_info().currsize,
+         "sort_keys": c._monomial_sort_key.cache_info().currsize}
+# read after the sizes, since listing a sector's relations sorts monomials
+sizes["relation_rows"] = sum(len(c._build_relations(*s))
+                             for s in c._system_cache)
+print(json.dumps(sizes))
+"""
+
+
+def test_mutation_run_memo_sizes():
+    # the memo tables keep every entry for the life of the process, so their
+    # sizes after the catalog and all 105 mutants are the whole symbolic
+    # traffic of any command
+    out = subprocess.run([sys.executable, "-c", _MEMO_PROBE], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert json.loads(out) == {"factors": 43, "terms": 213, "systems": 4,
+                               "relation_rows": 69, "sectors": 52,
+                               "sort_keys": 154}

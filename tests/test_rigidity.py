@@ -445,3 +445,21 @@ def test_evaluate_conditions_report():
     [rep2] = rg.evaluate_conditions(
         rg._stack([PointData(R=1.0, A11=1 + 0j)]), ["corollaryC"])
     assert rep2["errors"]
+
+
+def test_evaluate_computes_a_shared_key_once():
+    # two rows that report the same key share one (v, M) computation
+    calls = []
+
+    def counted(x, num):
+        calls.append(num)
+        return rg._cond_3_11(x, num)
+
+    value = {"3.11": (counted, -2.0)}
+    rows = [rg.Condition(value, ("a",), lambda s, v, b: (v[0] > 0,)),
+            rg.Condition(value, ("b",), lambda s, v, b: (v[0] <= 0,))]
+    s = rg._stack([PointData(R=1.0, id="pt")])
+    values, verdicts = rg._evaluate(s, rg._float_inputs(s), rows)
+    assert calls == [rg._float, rg._magnitude]
+    assert list(values) == ["3.11"]
+    assert verdicts["a"].tolist() == [True] and verdicts["b"].tolist() == [False]
