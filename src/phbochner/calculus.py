@@ -172,10 +172,6 @@ def differentiate(e: Expression, letters: str | Iterable[str]) -> Expression:
 # Commutation rules
 # ---------------------------------------------------------------------------
 
-def _diff_tail(e: Expression, tail: Sequence[str]) -> Expression:
-    return differentiate(e, tail) if tail else e
-
-
 def commute_swap(factor: Factor, position: int) -> Expression:
     """Swap the adjacent derivative pair at `position` (0-based).
 
@@ -203,7 +199,7 @@ def commute_swap(factor: Factor, position: int) -> Expression:
     letter, multiplier, curvature, alpha_sign = rule
     corr = (Expression.from_factor(Factor(factor.symbol, prefix + (letter,)))
             * multiplier + base * curvature * (alpha_sign * alpha))
-    return swapped + _diff_tail(corr if sign > 0 else -corr, tail)
+    return swapped + differentiate(corr if sign > 0 else -corr, tail)
 
 
 # ordered letter pair (a, b) -> (letter of the inserted X-derivative, its
@@ -332,38 +328,21 @@ def _canonical_difference(a: Expression, b: Expression) -> Expression:
 class Rule(NamedTuple):
     """Rewrite factors symbol_{prefix+tail} -> replacement differentiated by tail."""
 
-    name: str
     symbol: str
     prefix: tuple[str, ...]
     replacement: Expression
 
-    def matches(self, factor: Factor) -> bool:
-        return (factor.symbol == self.symbol
-                and factor.derivs[:len(self.prefix)] == self.prefix)
-
 
 def apply_rule(e: Expression, rule: Rule) -> Expression:
-    """Apply a substitution rule everywhere, to a fixpoint (at most 64 rounds)."""
-    current = e
-    for _ in range(64):
-        acc: dict = {}
-        changed = False
-        for key, coeff in current._terms.items():
-            integrated, factors = key
-            hit = next((j for j, f in enumerate(factors) if rule.matches(f)), None)
-            if hit is None:
-                _add(acc, key, coeff)
-                continue
-            changed = True
-            tail = factors[hit].derivs[len(rule.prefix):]
-            repl = differentiate(rule.replacement, tail) if tail else rule.replacement
-            rest = factors[:hit] + factors[hit + 1:]
-            for (_, rf), rc in repl._terms.items():
-                _add(acc, (integrated, _sorted_factors(rf + rest)), coeff * rc)
-        current = Expression(acc)
-        if not changed:
-            return current
-    raise CalculusError(f"substitution rule {rule.name} did not reach a fixpoint")
+    """Rewrite every factor the rule matches, in one `Expression.substitute`
+    pass.  No rule of the engine (Bianchi, DJ f = 0 and its conjugate) has a
+    replacement that its own pattern matches, so repeating the pass would
+    change nothing; and as each rule is a true identity, a partly applied
+    one is still sound."""
+    n = len(rule.prefix)
+    return e.substitute(
+        lambda f: differentiate(rule.replacement, f.derivs[n:])
+        if f.symbol == rule.symbol and f.derivs[:n] == rule.prefix else None)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         _input_error(message)
 
+    def parse_args(self, args=None, namespace=None):
+        """Fail first on an option before the command that is unknown: argparse
+        sets it aside and reads its value as the command (`--eps 0 ops`)."""
+        tokens = iter(sys.argv[1:] if args is None else args)
+        for token in tokens:
+            if not token.startswith("-"):
+                break  # the command
+            name, eq, _ = token.partition("=")
+            known = [a for o, a in self._option_string_actions.items()
+                     if o.startswith(name)]  # a prefix names an option too
+            if not known:
+                self.error(f"unrecognized arguments: {token}")
+            if not eq and known[0].nargs != 0:
+                next(tokens, None)  # its value
+        return super().parse_args(args, namespace)
+
 
 def _load_points(path: str) -> dict:
     """The point file at path as `rigidity.point_columns` gives it."""

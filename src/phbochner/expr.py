@@ -8,13 +8,15 @@ real scalar f, ...) together with an ordered string of covariant
 derivative letters over {1, b, 0}, where "b" stands for 1-bar and the
 leftmost letter is applied first.
 
-All values are immutable; operations are pure functions.
+All values are immutable; operations are pure functions.  Operator
+templates, rewrite rules and catalog values all put expressions in place of
+factors through one primitive, `Expression.substitute`.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .scalar import _ZERO_V, ScalarExact, ZERO
 
@@ -168,8 +170,7 @@ def _sorted_tuple(factors: tuple[Factor, ...]) -> tuple[Factor, ...]:
 class Expression:
     """Collected sum of terms mapping (integrated, factors) -> coefficient."""
 
-    # `_hash` is set when the hash is first asked for
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[TermKey, ScalarExact] | None = None):
         object.__setattr__(self, "_terms", {
@@ -326,10 +327,25 @@ class Expression:
         return Expression({k: c for k, c in self._terms.items()
                            if predicate(Term(c, k[1], k[0]))})
 
-    def map_terms(self, fn) -> "Expression":
-        """fn(Term) -> Expression; results are summed."""
-        return Expression.sum(fn(Term(coeff, key[1], key[0]))
-                              for key, coeff in self._terms.items())
+    def substitute(self, replace: Callable[[Factor], "Expression | None"]
+                   ) -> "Expression":
+        """Each factor for which `replace` gives a plain expression replaced
+        by it (None keeps the factor), and every term multiplied out, in one
+        pass; an integrated term stays integrated."""
+        acc: dict[TermKey, ScalarExact] = {}
+        for (integrated, factors), coeff in self._terms.items():
+            products = [((), coeff)]
+            for f in factors:
+                value = replace(f)
+                if value is None:
+                    products = [(fs + (f,), c) for fs, c in products]
+                else:
+                    products = [(fs + vf, c * vc) for fs, c in products
+                                for (_, vf), vc in value._terms.items()]
+            for fs, c in products:
+                key = (integrated, _sorted_factors(fs))
+                acc[key] = acc[key] + c if key in acc else c
+        return Expression(acc)
 
     def drop_symbols(self, symbols: set[str]) -> "Expression":
         """Set the listed symbols to zero (drop every term containing one)."""
@@ -344,12 +360,7 @@ class Expression:
         return self._terms == other._terms
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self):
         return format_expression(self)

@@ -17,7 +17,6 @@ with it, so a mutant runs only the part that its target changes.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -282,27 +281,25 @@ def script_3_5() -> Decide:
     return decide
 
 
-# a factor token of the grammar: a name with its derivative suffix, if any
-_FACTOR_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:_\{[A-Za-z0-9]*\})?")
+def _instantiate(record: str, fld: str,
+                 values: dict[Factor, Expression]) -> Expression:
+    """A catalog field with every factor that `values` names (a parameter
+    such as LAM, or a factor such as Eb1b1_{1}) replaced by its value, in
+    one `Expression.substitute` pass.  A factor is matched whole: a value
+    for Eb1b1 leaves Eb1b1_{1} as it is."""
+    return Corpus.load().expr(record, fld).substitute(values.get)
 
 
-def _instantiate(record: str, fld: str, values: dict[str, str]) -> Expression:
-    """A catalog field with every whole factor token named in `values` (a
-    parameter such as LAM, or a factor such as Eb1b1_{1}) replaced by its
-    text in parentheses, all in one pass."""
-    return parse(_FACTOR_TOKEN.sub(
-        lambda m: f"({values[m[0]]})" if m[0] in values else m[0],
-        Corpus.load().text(record, fld)))
-
-
-def _substitution(record: str, fld: str) -> dict[str, str]:
-    """A catalog substitution "X = text, ..." with the conjugate of each
-    pair added, for `_instantiate`."""
+def _substitution(record: str, fld: str) -> dict[Factor, Expression]:
+    """A catalog substitution "X = text, ..." as {X: value}, with the
+    conjugate of each pair added, for `_instantiate`."""
     out = {}
     for pair in Corpus.load().text(record, fld).split(","):
-        factor, _, value = (p.strip() for p in pair.partition("="))
+        name, _, text = pair.partition("=")
+        [(_, (factor,))] = parse(name)._terms  # X is a single factor
+        value = parse(text)
         out[factor] = value
-        out[str(parse(factor).conjugate())] = str(parse(value).conjugate())
+        out[factor.conjugate()] = value.conjugate()
     return out
 
 
@@ -382,7 +379,8 @@ _FORM_INPUTS = {"R": "R", "t": "W*Wb", "a2": "A11*Ab1b1",
                 "Rb": "R_{b}", "Ab": "Ab1b1", "Ab1": "Ab1b1_{1}",
                 "R0": "R_{0}", "grad2": "2*R_{1}*R_{b}"}
 _FORM_BASIS = ("E11_{b1}", "i*E11_{0}", "E11_{1}", "E11_{b}", "E11")
-_QUARTERS = {"LAM": "1/4", "RHO": "1/4"}
+_QUARTERS = dict.fromkeys(map(Factor, _PARAMETERS),
+                          Expression.scalar(ScalarExact(Fraction(1, 4))))
 
 
 def _constant(n, d=1, s3=False) -> Expression:

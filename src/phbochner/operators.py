@@ -26,8 +26,9 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
-# `calculus` is imported by the functions that run it, so that listing the
-# registry, or building an operator that needs no calculus, does not load it
+# `calculus` (`differentiate` for `apply_template`'s substitution and for
+# `adjoint`, `Rule`) is imported by the functions that run it, so that listing
+# the registry, or building an operator that needs no calculus, does not load it
 from .expr import Expression, Factor, SYMBOLS, conj_letter
 from .parser import Corpus, parse
 from .scalar import I, ScalarExact
@@ -67,25 +68,17 @@ class OperatorTemplate(NamedTuple):
 
 
 def apply_template(template: OperatorTemplate, argument: Expression) -> Expression:
-    """Substitute the placeholder (and its conjugate) by `argument`."""
+    """Substitute the placeholder by `argument` and its conjugate by
+    conj(argument), each differentiated by the factor's derivative letters,
+    in one `Expression.substitute` pass."""
     from .calculus import differentiate
 
-    placeholder = template.placeholder
-    conj_placeholder = SYMBOLS[placeholder].conj
-    arg_conj = argument.conjugate()
-
-    def expand(term):
-        prod = Expression.scalar(term.coeff)
-        for f in term.factors:
-            if f.symbol == placeholder:
-                prod = prod * differentiate(argument, f.derivs)
-            elif f.symbol == conj_placeholder and conj_placeholder != placeholder:
-                prod = prod * differentiate(arg_conj, f.derivs)
-            else:
-                prod = prod * Expression.from_factor(f)
-        return prod.integrate() if term.integrated else prod
-
-    return template.expr.map_terms(expand)
+    # the real f is its own conjugate: the placeholder's entry, last, wins
+    values = {SYMBOLS[template.placeholder].conj: argument.conjugate(),
+              template.placeholder: argument}
+    return template.expr.substitute(
+        lambda f: differentiate(values[f.symbol], f.derivs)
+        if f.symbol in values else None)
 
 
 def is_linear(template: OperatorTemplate) -> bool:
@@ -146,7 +139,7 @@ def bianchi_rule() -> Rule:
     """R_{,0 ...} -> (A11_{,1bar 1bar} + Ab1b1_{,11}) differentiated by the tail."""
     from .calculus import Rule
 
-    return Rule("bianchi", "R", ("0",), parse("A11_{bb} + Ab1b1_{11}"))
+    return Rule("R", ("0",), parse("A11_{bb} + Ab1b1_{11}"))
 
 
 def flatness_rules() -> list[Rule]:
@@ -156,8 +149,8 @@ def flatness_rules() -> list[Rule]:
 
     rest = -(build_DJ().expr - parse("f_{11}"))
     return [
-        Rule("DJf=0", "f", ("1", "1"), rest),
-        Rule("conj(DJf)=0", "f", ("b", "b"), rest.conjugate()),
+        Rule("f", ("1", "1"), rest),
+        Rule("f", ("b", "b"), rest.conjugate()),
     ]
 
 

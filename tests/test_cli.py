@@ -201,7 +201,7 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
     # the verdict bands are fixed: `--eps` is no option
     (ONE_POINT, ["--eps=1e-12", "check", "{}", "--cond", "thm-b"],
      ["--eps"]),
-    (ONE_POINT, ["--eps", "0", "ops"], ["'0'"]),
+    (ONE_POINT, ["--eps", "0", "ops"], ["--eps"]),
     (ONE_POINT, ["--seed", "-5", "--samples", "100", "sylvester"],
      ["--seed", "-5"]),
     (ONE_POINT, ["--seed", "-5", "--samples", "100", "verify", "3.7"],

@@ -139,3 +139,17 @@ def test_scalar_value():
     assert parse("(1/2)*i + (1/2)*i").scalar_value() == I
     with pytest.raises(ValueError):
         parse("A11").scalar_value()
+
+
+def test_substitute_matches_whole_factors():
+    # a value for Eb1b1 leaves its derivative Eb1b1_{1} as it is
+    e = parse("Eb1b1*Eb1b1_{1} + 2*Eb1b1")
+    values = {Factor("Eb1b1"): parse("Wb*g")}
+    assert e.substitute(values.get) == parse("Wb*g*Eb1b1_{1} + 2*Wb*g")
+
+
+def test_substitute_keeps_integrated_terms_integrated():
+    e = parse("INT[R*f*f] + INT[E11*Eb1b1]")
+    got = e.substitute({Factor("f"): parse("1 + R")}.get)
+    assert got == parse("INT[R + 2*R*R + R*R*R] + INT[E11*Eb1b1]")
+    assert got.integrated

@@ -29,6 +29,21 @@ def test_flatness_rule_examples():
     assert apply_rule(parse("f_{bb}"), rules[1]) == parse("i*Ab1b1*f")
 
 
+def test_flatness_rule_rewrites_every_factor_in_one_call():
+    # both f_{11} factors go, and f_{b} is no match
+    e = apply_rule(parse("f_{11}*f_{11} + f_{11}*f_{b}"), ops.flatness_rules()[0])
+    assert e == parse("-A11*A11*f*f - i*A11*f*f_{b}")
+
+
+def test_apply_template_puts_the_argument_itself_in_place_of_f():
+    # f is its own conjugate: a complex argument goes in as it is, not
+    # as its conjugate
+    got = ops.apply_template(ops.build_sublaplacian(), parse("i*R*f"))
+    assert got == parse("-i*R_{1b}*f - i*R_{b}*f_{1} - i*R_{1}*f_{b} "
+                        "- i*R*f_{1b} - i*R_{b1}*f - i*R_{1}*f_{b} "
+                        "- i*R_{b}*f_{1} - i*R*f_{b1}")
+
+
 def test_DJstar_torsion_free():
     e = ops.build_DJstar().expr.drop_symbols({"A11", "Ab1b1"})
     assert e == parse("E11_{bb} + Eb1b1_{11}")
