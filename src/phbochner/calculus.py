@@ -40,9 +40,10 @@ The engine implements
 
 The engine reads an Expression's terms in stored order and sorts only
 where the order reaches output.  Canonical forms, relation rows and
-residuals are collected into one dict each, with no Expression per product
-or sum, and a canonical term is added as it is.  Every coefficient is exact,
-so the order in which terms are collected changes no value.
+residuals are collected into one dict each, and a canonical term is added
+as it is.  A query canonicalizes the Expression a - b like any other.  Every
+coefficient is exact, so the order in which terms are collected changes no
+value.
 
 All operations are pure.  The module state is five memo tables that keep
 every entry for the life of the process:
@@ -278,11 +279,10 @@ def _expand_term(key) -> tuple | None:
     return expansion
 
 
-def _canonical_into(acc: dict, terms: Iterable[tuple[tuple, ScalarExact]],
-                    subtract: bool = False) -> None:
-    """acc += (or -=, with `subtract`) the canonical form of each
-    (key, coeff) term of `terms`; a canonical term is added as it is.
-    Zeros stay in place."""
+def _canonical_into(acc: dict, terms: Iterable[tuple[tuple, ScalarExact]]
+                    ) -> None:
+    """acc += the canonical form of each (key, coeff) term of `terms`; a
+    canonical term is added as it is.  Zeros stay in place."""
     get = acc.get
     for key, coeff in terms:
         expansion = _term_cache.get(key, _UNSEEN)
@@ -290,15 +290,12 @@ def _canonical_into(acc: dict, terms: Iterable[tuple[tuple, ScalarExact]],
             expansion = _expand_term(key)
         if expansion is None:
             prev = get(key)
-            if subtract:
-                acc[key] = -coeff if prev is None else prev - coeff
-            else:
-                acc[key] = coeff if prev is None else prev + coeff
+            acc[key] = coeff if prev is None else prev + coeff
         else:
-            # acc[k] += coeff * c, or -=, by one fused multiply-subtract
-            f = coeff if subtract else -coeff
+            # acc[k] += coeff * c, by one fused multiply-subtract
+            neg = -coeff
             for k, c in expansion:
-                acc[k] = sub_mul(get(k, ZERO), f, c)
+                acc[k] = sub_mul(get(k, ZERO), neg, c)
 
 
 def canonicalize(e: Expression) -> Expression:
@@ -310,14 +307,6 @@ def canonicalize(e: Expression) -> Expression:
     """
     acc: dict = {}
     _canonical_into(acc, e._terms.items())
-    return Expression(acc)
-
-
-def _canonical_difference(a: Expression, b: Expression) -> Expression:
-    """canonicalize(a - b), without forming a - b."""
-    acc: dict = {}
-    _canonical_into(acc, a._terms.items())
-    _canonical_into(acc, b._terms.items(), subtract=True)
     return Expression(acc)
 
 
@@ -602,7 +591,7 @@ def ibp_residual(a: Expression, b: Expression,
     """
     _no_modulo(modulo)
     trace = RewriteTrace()
-    d = _canonical_difference(a, b)
+    d = canonicalize(a - b)
     if d.is_zero():
         return Expression.zero(), trace
     if not d.integrated:
@@ -654,7 +643,7 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
     recorded elimination was sound.  `modulo` must be empty.
     """
     _no_modulo(modulo)
-    total = _canonical_vector(_canonical_difference(a, b))
+    total = _canonical_vector(canonicalize(a - b))
     for rid, coeff in trace.certificate:
         for mono, c in _relation_row(*rid).items():
             val = sub_mul(total.get(mono, ZERO), coeff, c)

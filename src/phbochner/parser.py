@@ -25,8 +25,8 @@ import re
 from functools import cache
 from importlib import resources
 
-from .expr import DERIV_LETTERS, Expression, Factor, SYMBOLS, _sorted_factors
-from .scalar import I, ONE, SQRT3, ScalarExact
+from .expr import DERIV_LETTERS, Expression, Factor, SYMBOLS
+from .scalar import I, SQRT3
 
 __all__ = ["parse", "ParseError", "Corpus"]
 
@@ -68,7 +68,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
 
@@ -90,31 +89,27 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
     #
-    # A product of numbers, i, s3 and factors is kept as one plain term, a
-    # (coefficient, factors) pair; a sum collects its terms into one dict of
-    # Expression terms (zeros kept until the Expression is made).  Anything
-    # else (a parenthesized sum, INT[...], 2Re[...]) is an Expression, and a
-    # product with one is formed, and fails, by Expression arithmetic.
+    # Every atom is an Expression, and products, quotients and sums are
+    # Expression arithmetic; its errors are reported at the operator.
 
     def parse(self) -> Expression:
-        terms = self.expression()
+        out = self.expression()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return Expression(terms)
+        return out
 
-    def expression(self) -> dict:
-        terms: dict = {}
-        _collect(terms, self.term(), False)
+    def expression(self) -> Expression:
+        terms = [self.term()]
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                _collect(terms, self.term(), value == "-")
+                terms.append(self.term() if value == "+" else -self.term())
             else:
-                return terms
+                return Expression.sum(terms)
 
-    def term(self) -> "Expression | tuple":
+    def term(self) -> Expression:
         out = self.atom()
         while True:
             kind, value, pos = self.peek()
@@ -122,29 +117,28 @@ class _Parser:
                 self.advance()
                 rhs = self.atom()
                 try:
-                    out = _product(out, rhs) if value == "*" else _quotient(out, rhs)
+                    out = out * rhs if value == "*" else out / rhs
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(str(exc), pos) from None
             else:
                 return out
 
-    def atom(self) -> "Expression | tuple":
+    def atom(self) -> Expression:
         kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            inner = self.atom()
-            return (-inner[0], inner[1]) if type(inner) is tuple else -inner
+            return -self.atom()
         if kind == "number":
             self.advance()
-            return ScalarExact.coerce(int(value)), ()
+            return Expression.scalar(int(value))
         if kind == "twore":
             self.advance()
-            inner = Expression(self.expression())
+            inner = self.expression()
             self.expect("op", "]")
             return inner + inner.conjugate()
         if kind == "int":
             self.advance()
-            inner = Expression(self.expression())
+            inner = self.expression()
             self.expect("op", "]")
             try:
                 return inner.integrate()
@@ -152,23 +146,19 @@ class _Parser:
                 raise ParseError("nested INT[...]", pos) from None
         if kind == "op" and value == "(":
             self.advance()
-            terms = self.expression()
+            inner = self.expression()
             self.expect("op", ")")
-            if len(terms) == 1:
-                ((integrated, factors), coeff), = terms.items()
-                if not integrated:
-                    return coeff, factors
-            return Expression(terms)
+            return inner
         if kind == "name":
             return self.factor_atom()
         raise ParseError(f"unexpected token {value!r}", pos)
 
-    def factor_atom(self) -> tuple:
+    def factor_atom(self) -> Expression:
         kind, name, pos = self.advance()
         if name == "i":
-            return I, ()
+            return Expression.scalar(I)
         if name == "s3":
-            return SQRT3, ()
+            return Expression.scalar(SQRT3)
         if name in SYMBOLS:
             symbol = name
         elif name in ("A", "E", "Q"):
@@ -191,40 +181,7 @@ class _Parser:
                 raise ParseError(f"unknown derivative letter {bad[0]!r}", spos)
             self.advance()
             derivs = tuple(letters)
-        return ONE, (Factor(symbol, derivs),)
-
-
-def _as_expression(value: "Expression | tuple") -> Expression:
-    if type(value) is tuple:
-        coeff, factors = value
-        return Expression({(False, _sorted_factors(factors)): coeff})
-    return value
-
-
-def _collect(terms: dict, value: "Expression | tuple", negate: bool) -> None:
-    """terms += value, or -= it when `negate`."""
-    pairs = ([((False, _sorted_factors(value[1])), value[0])]
-             if type(value) is tuple else value._terms.items())
-    for key, coeff in pairs:
-        if negate:
-            coeff = -coeff
-        prev = terms.get(key)
-        terms[key] = coeff if prev is None else prev + coeff
-
-
-def _product(x: "Expression | tuple", y: "Expression | tuple"):
-    if type(x) is tuple and type(y) is tuple:
-        # a factor comes with the coefficient ONE itself
-        cx, cy = x[0], y[0]
-        return (cx if cy is ONE else cy if cx is ONE else cx * cy), x[1] + y[1]
-    return _as_expression(x) * _as_expression(y)
-
-
-def _quotient(x: "Expression | tuple", y: "Expression | tuple"):
-    if type(y) is tuple and not y[1]:
-        inverse = y[0].inverse()
-        return (x[0] * inverse, x[1]) if type(x) is tuple else x * inverse
-    return _as_expression(x) / _as_expression(y)
+        return Expression.from_factor(Factor(symbol, derivs))
 
 
 @cache

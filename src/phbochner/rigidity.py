@@ -26,6 +26,7 @@ zero, never asserted exactly from floats.  The batteries skip samples within
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import sys
 from typing import Callable, NamedTuple
@@ -62,6 +63,8 @@ _FIELDS = {
     "A11_b": _Field(True, True, 1.5),
     "A11_bb": _Field(True, True, 2.0),
 }
+# the keys a point record may have
+_KEYS = frozenset(_FIELDS) | {"id"}
 # (name, complex) in the order records are read: real fields first
 _READ_ORDER = sorted(((name, f.complex) for name, f in _FIELDS.items()),
                      key=lambda item: item[1])
@@ -131,16 +134,23 @@ def _column(values: list, is_complex: bool) -> np.ndarray:
 
 def point_columns(records: list) -> dict:
     """Point records as columns: one array per field, in `_FIELDS` order, and
-    `id`, the list of point ids.
+    `id`, the list of point ids, a non-string id as its JSON text.
 
-    A record is an object with the field 'R'; its fields are finite numbers,
-    complex ones [re, im] pairs or real numbers, and absent ones 0.  Raises
-    ValueError naming the first bad record in order, and in it the first bad
+    A record is an object with the field 'R' and no key but the fields and
+    'id'; its fields are finite numbers, complex ones [re, im] pairs or real
+    numbers, and absent ones 0.  Raises ValueError naming the first bad
+    record in order, and in it its first unknown key, else its first bad
     field in `_READ_ORDER`.
     """
     shaped = list(itertools.takewhile(
         lambda rec: isinstance(rec, dict) and "R" in rec, records))
-    columns, bad, bad_field = {}, len(shaped), None
+    ids = [pid if type(pid) is str else json.dumps(pid)
+           for pid in (rec.get("id", "") for rec in shaped)]
+    # the first record with an unknown key; a bad value is named only in
+    # an earlier record
+    bad = next((k for k, rec in enumerate(shaped)
+                if not _KEYS.issuperset(rec)), len(shaped))
+    columns, bad_field = {}, None
     for name, is_complex in _READ_ORDER:
         absent = [0.0, 0.0] if is_complex else 0.0
         columns[name] = _column([rec.get(name, absent) for rec in shaped],
@@ -149,15 +159,15 @@ def point_columns(records: list) -> dict:
         if bad_rows.size and bad_rows[0] < bad:
             bad, bad_field = int(bad_rows[0]), name
     if bad_field is not None:
-        rec = shaped[bad]
-        raise ValueError(f"point {str(rec.get('id', ''))!r}: field "
-                         f"{bad_field!r} is not a finite number: "
-                         f"{rec[bad_field]!r}")
+        raise ValueError(f"point {ids[bad]!r}: field {bad_field!r} is not a "
+                         f"finite number: {shaped[bad][bad_field]!r}")
+    if bad < len(shaped):
+        unknown = next(key for key in shaped[bad] if key not in _KEYS)
+        raise ValueError(f"point {ids[bad]!r}: unknown field {unknown!r}")
     if len(shaped) < len(records):
         raise ValueError(f"point record is not an object with the field "
                          f"'R': {records[len(shaped)]!r}")
-    return {**{name: columns[name] for name in _FIELDS},
-            "id": [str(rec.get("id", "")) for rec in records]}
+    return {**{name: columns[name] for name in _FIELDS}, "id": ids}
 
 
 def _stack(points: list[PointData]) -> dict:

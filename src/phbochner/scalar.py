@@ -81,8 +81,6 @@ class ScalarExact:
     def __add__(self, other):
         a1, b1, c1, d1, q1 = self._v
         a2, b2, c2, d2, q2 = ScalarExact.coerce(other)._v
-        if q1 == q2:
-            return _make(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1)
         return _make(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
                      c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
 
@@ -95,27 +93,18 @@ class ScalarExact:
     def __sub__(self, other):
         a1, b1, c1, d1, q1 = self._v
         a2, b2, c2, d2, q2 = ScalarExact.coerce(other)._v
-        if q1 == q2:
-            return _make(a1 - a2, b1 - b2, c1 - c2, d1 - d2, q1)
         return _make(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1,
                      c1 * q2 - c2 * q1, d1 * q2 - d2 * q1, q1 * q2)
 
     def __mul__(self, other):
         a1, b1, c1, d1, q1 = self._v
         a2, b2, c2, d2, q2 = ScalarExact.coerce(other)._v
-        q = q1 * q2
-        # a rational factor scales the numerators (almost every product in
-        # the IBP engine has one)
-        if not (b2 or c2 or d2):
-            return _make(a1 * a2, b1 * a2, c1 * a2, d1 * a2, q)
-        if not (b1 or c1 or d1):
-            return _make(a1 * a2, a1 * b2, a1 * c2, a1 * d2, q)
         # (x1 + i y1)(x2 + i y2) with x, y in Q(sqrt3); on Q(sqrt3):
         # (a + b s)(a' + b' s) = (aa' + 3bb') + (ab' + a'b) s
         return _make(a1 * a2 + 3 * b1 * b2 - (c1 * c2 + 3 * d1 * d2),
                      a1 * b2 + a2 * b1 - (c1 * d2 + c2 * d1),
                      a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
-                     a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q)
+                     a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q1 * q2)
 
     __rmul__ = __mul__
 
@@ -231,8 +220,10 @@ def sub_mul(x: ScalarExact, f: ScalarExact, y: ScalarExact) -> ScalarExact:
     """x - f*y, reduced by one gcd; `ZERO` itself when it cancels.
 
     The multiply-subtract of exact elimination, on the (a, b, c, d, q)
-    tuples with no intermediate ScalarExact, with the rational fast paths
-    of `__mul__`; when all three are rational only one component is formed.
+    tuples with no intermediate ScalarExact.  A rational f or y scales the
+    other's numerators, and when all three are rational only one component
+    is formed: elimination's products mostly have a rational factor, and
+    these are the field's only rational fast paths.
     """
     a1, b1, c1, d1, q1 = x._v
     a2, b2, c2, d2, q2 = f._v

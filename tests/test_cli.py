@@ -543,8 +543,15 @@ _GOOD = [{"id": f"g{k}", "R": 1.0 + k, "R1": [0.5, -0.25],
     # within a record, real fields are read before complex ones
     ({"id": 3, "R": 1.0, "A11": "x", "lapR": None},
      "point '3': field 'lapR' is not a finite number: None"),
+    # a misspelt field is no field that defaults to 0
+    ({"id": "t", "R": 1.0, "a11": [0.5, 0.0]},
+     "point 't': unknown field 'a11'"),
+    # within a record, an unknown key is named before a bad value
+    ({"id": "b", "R": "x", "lapR": None, "Z": 1, "Y": 2},
+     "point 'b': unknown field 'Z'"),
 ], ids=["bool", "bool-part", "int-overflow", "long-pair", "nested-pair",
-        "string", "pair-for-real", "not-an-object", "no-R", "read-order"])
+        "string", "pair-for-real", "not-an-object", "no-R", "read-order",
+        "unknown-field", "unknown-before-bad"])
 def test_load_points_names_the_bad_record(bad, message, capsys, tmp_path):
     path = tmp_path / "points.json"
     path.write_text(json.dumps(_GOOD + [bad] + _GOOD))
@@ -560,6 +567,10 @@ def test_load_points_names_the_bad_record(bad, message, capsys, tmp_path):
      "'first'"),
     ([{"id": "first", "R": 1.0, "lapR": True}, 7], "'first'"),
     ([7, {"id": "second", "R": "x"}], ": 7"),
+    ([{"id": "first", "R": 1.0, "R0": "x"}, {"id": "second", "R": 1.0,
+                                              "r0": 0.0}], "'first'"),
+    ([{"id": "first", "R": 1.0, "r0": 0.0}, {"id": "second", "R": "x"}],
+     "'first'"),
 ])
 def test_load_points_names_the_first_bad_record(records, named, capsys,
                                                 tmp_path):
@@ -569,6 +580,21 @@ def test_load_points_names_the_first_bad_record(records, named, capsys,
         main(["scaletest", str(path)])
     err = capsys.readouterr().err
     assert named in err and "second" not in err
+
+
+def test_point_ids_are_json_text(capsys, tmp_path):
+    """A non-string id is written as its JSON text, not as Python's."""
+    from phbochner.rigidity import PointData
+    records = [{"id": pid, "R": 1.0}
+               for pid in ("s", None, True, 3, 2.5, [1, "a"], {"k": None})]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(records))
+    assert main(["--format", "json", "check", str(path), "--cond",
+                 "bianchi"]) == 0
+    ids = [p["id"] for p in json.loads(capsys.readouterr().out)["points"]]
+    assert ids == ["s", "null", "true", "3", "2.5", '[1, "a"]',
+                   '{"k": null}']
+    assert [PointData.from_mapping(rec).id for rec in records] == ids
 
 
 def test_load_points_keeps_signed_zeros(tmp_path):

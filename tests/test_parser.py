@@ -100,11 +100,21 @@ def test_error_position_reported():
     with pytest.raises(ParseError) as err:
         parse("f + zzz")
     assert "position 4" in str(err.value)
+    # an arithmetic error is reported at its operator
+    for text, position in [("f/(g)", 1), ("INT[f]*g", 6)]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position, text
 
 
 def test_division_by_scalar_expression():
     assert parse("A11 / 2") == parse("(1/2)*A11")
     assert parse("A11 / (1 - i)") * parse("1 - i") == parse("A11")
+    # products of numbers, i, s3 and factors collect as one term
+    for text, same in [("(2*f)*(3*g)", "6*f*g"), ("-(-f)", "f"),
+                       ("i*i*f", "-f"), ("s3*s3*f", "3*f"),
+                       ("(1/2)/(1/4)*f", "2*f"), ("f/(2*i)", "(-1/2)*i*f")]:
+        assert parse(text) == parse(same), text
 
 
 # ---------------------------------------------------------------------------
