@@ -13,10 +13,11 @@ The engine implements
   letters already applied (letters left of the swap; 0 is alpha-neutral);
 * canonicalization: every derivative string is sorted to 1 < b < 0 by
   bubble-sorting with the commutation rules, and like terms are collected;
-* integration by parts under INT[...]: INT[(u v)_{,a}] = 0, including the
-  T-direction a = 0 (the divergence theorem holds in all three directions;
-  for a parent of balance 0 the 0-direction relation already follows from
-  the 1 and b ones, since X_{,1b} - X_{,b1} = i X_{,0} there);
+* integration by parts under INT[...] for scalar integrals, those of
+  balance 0: INT[X_{,1}] = 0 for X of balance -1 and its conjugate
+  INT[X_{,b}] = 0; INT[X_{,0}] = 0 follows from these, since X_{,1b} -
+  X_{,b1} = i X_{,0} at balance 0.  An integral of another balance is
+  refused: it is no scalar, as a rotation of the frame changes its phase;
 * a complete decision procedure for equality modulo integration by parts:
   the difference is canonicalized, and the part of it in each sector is
   reduced, by exact Gaussian elimination, against every divergence relation
@@ -526,16 +527,21 @@ def _sector_monomials(weight: int, balance: int,
 
 def _build_relations(weight: int, balance: int,
                      symbols: tuple[str, ...]) -> list[tuple]:
-    """Ids of every divergence relation of a sector, in a fixed order.
+    """Ids of the divergence relations of a balance-0 sector, in a fixed order.
 
     INT[(P)_{,d}] = 0 lies in the sector exactly when the monomial P lies in
     the sector shifted back by the weight and balance of d.  Canonical P
     suffice: a non-canonical P is a combination of canonical ones of its
-    sector.  The order (direction 0 first, then 1 and b, largest parent
+    sector.  Only the directions 1 and b are listed: for a parent P of
+    balance 0, INT[P_{,0}] = -i(INT[(P_{,1})_{,b}] - INT[(P_{,b})_{,1}]),
+    because alpha = 0 in the first commutation rule.  (The canonical forms
+    of the two sides can differ by terms of the Bianchi identity R_{,0} =
+    A11_{,bb} + Ab1b1_{,11}, as for P = E11_{0}*Eb1b1; the 1 and b rows
+    span those too.)  The order (direction b first, then 1, largest parent
     first) fixes the echelon basis; of the orders tried it gave the
     shortest certificates on the catalog and its mutants.
     """
-    return [(parent, d) for d in ("0", "1", "b")
+    return [(parent, d) for d in ("b", "1")
             for parent in reversed(_sector_monomials(
                 weight - _LETTER_WEIGHT[d], balance - _LETTER_ALPHA[d],
                 symbols))]
@@ -586,8 +592,8 @@ def ibp_residual(a: Expression, b: Expression,
     modulo IBP.  Each (weight, balance) class of the canonical difference
     is split by sector, and each part is reduced against its own sector's
     system; relations never cross sectors.  A zero found by elimination is
-    replayed with `check_certificate`, and CalculusError is raised if the
-    replay fails.  `modulo` must be empty.
+    replayed with `check_certificate`.  CalculusError is raised for a class
+    of balance other than 0, and if the replay fails.  `modulo` must be empty.
     """
     _no_modulo(modulo)
     trace = RewriteTrace()
@@ -606,6 +612,11 @@ def ibp_residual(a: Expression, b: Expression,
     for (_, mono), coeff in d._terms.items():
         sector = _sector(mono)
         groups.setdefault(sector[:2], {}).setdefault(sector, {})[mono] = coeff
+    for weight, balance in groups:
+        if balance:
+            raise CalculusError(
+                f"an integral of balance {balance} (weight {weight}) is not "
+                "a scalar; only balance 0 is decided")
 
     left: dict = {}
     for _, parts in sorted(groups.items(), key=lambda kv: kv[0]):

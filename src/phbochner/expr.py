@@ -380,34 +380,20 @@ def _term_sort_key(key: TermKey):
 
 def _coeff_prefix(coeff: ScalarExact) -> tuple[bool, str]:
     """(negative, prefix) where prefix is "" for +-1, else "q*" / "(..)*"."""
-    parts = coeff.parts()
-    if len(parts) == 1:
-        r, tok = parts[0]
-        neg = r < 0
-        mag = abs(r)
-        rat = ScalarExact._rat_str(mag)
-        if tok and mag == 1:
-            return neg, tok + "*"
-        if tok:
-            return neg, f"{rat}*{tok}*"
-        if mag == 1:
-            return neg, ""
-        return neg, rat + "*"
-    # composite scalar: print parenthesized, sign kept inside
-    return False, f"({coeff})*"
+    text = str(coeff)
+    if len(coeff.parts()) != 1:
+        # composite scalar: print parenthesized, sign kept inside
+        return False, f"({text})*"
+    neg = text.startswith("-")
+    return neg, "" if text[neg:] == "1" else text[neg:] + "*"
 
 
 def _term_str(coeff: ScalarExact, factors: tuple[Factor, ...],
               integrated: bool) -> tuple[bool, str]:
-    body = "*".join(str(f) for f in factors)
-    if not factors:
-        s = str(coeff)
-        if s.startswith("-") and coeff.parts() and len(coeff.parts()) == 1:
-            return True, s[1:]
-        text = s if len(coeff.parts()) <= 1 else f"({s})"
-        return False, text
     neg, prefix = _coeff_prefix(coeff)
-    text = prefix + body
+    if not factors:
+        return neg, prefix[:-1] or "1"
+    text = prefix + "*".join(str(f) for f in factors)
     if integrated:
         text = f"INT[{text}]"
     return neg, text

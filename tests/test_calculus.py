@@ -161,16 +161,29 @@ def test_ibp_worked_example():
 
 
 def test_ibp_single_factor_divergence():
-    _moved("INT[ R_{1} ]", "0")
+    _moved("INT[ R_{1b} ]", "0")
 
 
 def test_ibp_involution():
     # two factors: the derivative moves across, and back
-    _moved("INT[ E11_{1}*Eb1b1 ]", "INT[ -E11*Eb1b1_{1} ]")
-    _moved("INT[ -E11*Eb1b1_{1} ]", "INT[ E11_{1}*Eb1b1 ]")
+    _moved("INT[ E11_{b}*Eb1b1_{1} ]", "INT[ -E11*Eb1b1_{1b} ]")
+    _moved("INT[ -E11*Eb1b1_{1b} ]", "INT[ E11_{b}*Eb1b1_{1} ]")
     # three factors: it moves onto each of the others
-    _moved("INT[ R*E11_{1}*Eb1b1 ]",
-           "INT[ -R_{1}*E11*Eb1b1 - R*E11*Eb1b1_{1} ]")
+    _moved("INT[ R*E11_{b}*Eb1b1_{1} ]",
+           "INT[ -R_{b}*E11*Eb1b1_{1} - R*E11*Eb1b1_{1b} ]")
+
+
+@pytest.mark.parametrize("a, b", [
+    ("INT[ R_{1} ]", "0"),
+    ("INT[ E11_{1}*Eb1b1 ]", "INT[ -E11*Eb1b1_{1} ]"),
+    # one class of balance 0 and one of balance -1
+    ("INT[ R*f - R_{b} ]", "INT[ 2*R*f ]"),
+])
+def test_ibp_refuses_nonzero_balance(a, b):
+    # an integral of balance != 0 changes under a rotation of the frame, so
+    # it is no scalar and the engine decides nothing about it
+    with pytest.raises(CalculusError, match="balance"):
+        ibp_residual(parse(a), parse(b))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +205,8 @@ def test_equal_mod_ibp_worked_example():
 
 
 def test_equal_mod_ibp_t_direction():
-    # the T-direction divergence rule INT[X_{,0}] = 0 is part of the engine
+    # the T-direction divergence rule INT[X_{,0}] = 0 needs no row of its
+    # own: at balance 0 it follows from the 1 and b rows
     ok, _ = equal_mod_ibp(parse("INT[ E11_{0}*Eb1b1_{0} ]"),
                           parse("INT[ -E11_{00}*Eb1b1 ]"))
     assert ok
@@ -318,6 +332,24 @@ def test_pass_replays_certificate_from_fresh_rows(monkeypatch):
         equal_mod_ibp(a, b)
 
 
+@pytest.mark.parametrize("sector", [
+    (4, 0, ()), (6, 0, ("f",)), (4, 0, ("f", "f")), (4, 0, ("E11", "Eb1b1")),
+    (6, 0, ("E11", "E11")), (6, 0, ("E11", "Eb1b1"))])
+def test_direction_0_rows_add_nothing_to_the_span(sector):
+    # a balance-0 sector lists no 0 rows: each INT[(P)_{,0}] = 0 it could
+    # hold reduces to zero against the 1 and b rows
+    weight, balance, symbols = sector
+    system = calc._LinearSystem()
+    for rid in calc._build_relations(*sector):
+        system.add_row(rid, calc._relation_row(*rid))
+    system.reduce_basis()
+    parents = calc._sector_monomials(weight - 2, balance, symbols)
+    assert parents
+    for parent in parents:
+        reduced, _ = system.reduce_vector(calc._relation_row(parent, "0"))
+        assert not reduced, parent
+
+
 def test_sector_bases_are_fully_reduced(monkeypatch, capsys):
     # after every query of `verify all --mutate`, each cached system lies
     # in its sector, is in reduced echelon form, and each pivot is the
@@ -327,8 +359,17 @@ def test_sector_bases_are_fully_reduced(monkeypatch, capsys):
     monkeypatch.setattr(calc, "_system_cache", {})
     assert main(["verify", "all", "--mutate"]) == 0
     capsys.readouterr()
-    assert len(calc._system_cache) == 4  # the sectors the catalog touches
+    # the sectors the catalog touches, with their (rows, pivots); the rows
+    # that reduce to zero come from the [0,b] and [0,1] commutation rules
+    # at balance +-1: Z_{,0b} - Z_{,b0} = (Z*Ab1b1)_{,1}
+    assert {sector[2]: (len(calc._build_relations(*sector)),
+                        len(system.pivots))
+            for sector, system in calc._system_cache.items()} == {
+        ("f", "f"): (18, 17), ("E11", "Eb1b1"): (32, 30),
+        ("E11", "E11"): (4, 4), ("Eb1b1", "Eb1b1"): (4, 4)}
     for sector, system in calc._system_cache.items():
+        assert sector[1] == 0
+        assert all(d != "0" for _, d in calc._build_relations(*sector))
         pivots = system.pivots
         for lead, (vec, combo) in pivots.items():
             assert vec[lead] == ONE

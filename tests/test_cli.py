@@ -157,6 +157,19 @@ def test_check_thm_a_strict_point(capsys, tmp_path):
     assert main(["check", str(path2), "--cond", "thm-a"]) == 1
 
 
+def test_check_strict_verdicts_at_exact_zero(capsys, tmp_path):
+    # a value of exactly 0 fails every strict inequality
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps([{"id": "z", "R": 0.0}]))
+    assert main(["--format", "json", "check", str(path), "--cond", "thm-b",
+                 "--cond", "corollaryC", "--cond", "3.11",
+                 "--cond", "3.12"]) == 1
+    point = json.loads(capsys.readouterr().out)["points"][0]
+    assert point["values"] == {"3.11": 0.0, "3.12": 0.0, "corollaryC": 0.0}
+    assert point["verdicts"] == {"3.11": False, "3.12": False,
+                                 "corollaryC": False, "thm_b": False}
+
+
 def test_check_missing_file():
     with pytest.raises(SystemExit):
         main(["check", "/nonexistent.json", "--cond", "thm-b"])
@@ -400,11 +413,11 @@ _PINNED_JSON = {
     "trace 3.3":
         "5ae649ffd559c7bba99b263471cbbc21904bdc66b17acfa60f9ba1f49889a1ae",
     "trace 3.4":
-        "9c7139170411e61551fec22358e363456bffee78b080a5cfe5f4308461923234",
+        "5a91e05d4965cae28077f66d5cd122ad598cea6fb797e5c17d50e37731f9c752",
     "trace 3.5":
-        "7b8853bbfa8a391df8ae8b35f75f3969d30bcc79f871afa0696c59dc06c8b88a",
+        "f1d0684b320d67753779b3d9e7ae1ff3e2636afc7dd39b70b9ab5c625590c4e1",
     "trace 3.6":
-        "82488f638545ac0c60000340e8dd46ee319898dd02577bdde5f9114e84605afc",
+        "f53cbe058565b50fde8647ccac535a6214e29f1fd54a5ad1548ea088c63d1160",
     "trace 3.7":
         "a1b4a302f16d16f6a5a1d532f02d467211b6be76828e3a7385dfeaaf19d5725e",
     "trace 3.8":

@@ -43,6 +43,14 @@ def test_int_wrapper_and_scalars():
     assert coeff == (ScalarExact(0, 1) + I) / 2
 
 
+def test_scalar_times_integral_stays_integrated():
+    # a factor outside the brackets that is a number scales the integral
+    for text, inside in (("2*INT[f*f]", "INT[2*f*f]"),
+                         ("INT[f*f]*3", "INT[3*f*f]")):
+        e = parse(text)
+        assert e.integrated and e == parse(inside)
+
+
 def test_parse_print_roundtrip_random():
     rng = random.Random(3)
     for _ in range(40):
