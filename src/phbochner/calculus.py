@@ -40,17 +40,19 @@ The engine implements
   caller subtracts a stated witness that vanishes there.
 
 The engine reads an Expression's terms in stored order and sorts only
-where the order reaches output.  Canonical forms, relation rows and
-residuals are collected into one dict each, and a canonical term is added
-as it is.  A query canonicalizes the Expression a - b like any other.  Every
-coefficient is exact, so the order in which terms are collected changes no
-value.
+where the order reaches output.  A term is keyed by its sorted factor
+tuple; whether the sum is an integral is the Expression's one flag.
+Canonical forms, relation rows and residuals are collected into one dict
+each, and a canonical term is added as it is.  A query canonicalizes the
+Expression a - b like any other.  Every coefficient is exact, so the order
+in which terms are collected changes no value.
 
 All operations are pure.  The module state is five memo tables that keep
 every entry for the life of the process:
 
-* canonical forms of non-canonical factors (`_canon_cache`) and, per term,
-  its unit expansion or the mark that it is canonical (`_term_cache`);
+* canonical forms of non-canonical factors (`_canon_cache`) and, per factor
+  tuple, the unit expansion of its term, plain or integrated alike, or the
+  mark that it is canonical (`_term_cache`);
 * eliminated systems, one per sector (`_system_cache`);
 * the sector and the sort key of each monomial (`_sector` and
   `_monomial_sort_key`).
@@ -67,7 +69,7 @@ from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (_LETTER_ALPHA, _LETTER_ORDER, _LETTER_WEIGHT, DERIV_LETTERS,
-                   SYMBOLS, Expression, Factor, _sorted_factors)
+                   SYMBOLS, Expression, Factor, Monomial, _sorted_factors)
 from .scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
 __all__ = [
@@ -152,6 +154,8 @@ def _add(acc: dict, key, coeff: ScalarExact) -> None:
 
 def differentiate(e: Expression, letters: str | Iterable[str]) -> Expression:
     """Covariant derivative of a non-integrated expression (Leibniz rule)."""
+    if e.integrated:
+        raise CalculusError("cannot differentiate an integrated expression")
     if isinstance(letters, str):
         letters = (letters,)
     out = e
@@ -159,13 +163,11 @@ def differentiate(e: Expression, letters: str | Iterable[str]) -> Expression:
         if letter not in DERIV_LETTERS:
             raise CalculusError(f"unknown derivative letter {letter!r}")
         acc: dict = {}
-        for (integrated, factors), coeff in out._terms.items():
-            if integrated:
-                raise CalculusError("cannot differentiate an integrated expression")
+        for factors, coeff in out._terms.items():
             for j in range(len(factors)):
-                _add(acc, (False, _sorted_factors(
+                _add(acc, _sorted_factors(
                     factors[:j] + (factors[j].with_deriv(letter),)
-                    + factors[j + 1:])), coeff)
+                    + factors[j + 1:]), coeff)
         out = Expression(acc)
     return out
 
@@ -214,10 +216,10 @@ _SWAP_RULES = {
 }
 
 _canon_cache: dict[Factor, Expression] = {}
-# (integrated, factors) of a term -> the canonical items of its expansion
-# with coefficient 1 (a term's expansion is this scaled), or None when the
-# term is canonical
-_term_cache: dict[tuple, tuple | None] = {}
+# the factors of a term -> the canonical items of its expansion with
+# coefficient 1 (a term's expansion is this scaled, plain or integrated
+# alike), or None when the term is canonical
+_term_cache: dict[Monomial, tuple | None] = {}
 _UNSEEN = object()
 
 
@@ -238,9 +240,9 @@ def canonicalize_factor(factor: Factor) -> Expression:
         out = Expression.from_factor(factor)
     else:
         acc: dict = {}
-        for (_, factors), coeff in commute_swap(factor, p)._terms.items():
+        for factors, coeff in commute_swap(factor, p)._terms.items():
             _product_into(acc, coeff, factors)
-        out = Expression({(False, m): c for m, c in acc.items()})
+        out = Expression(acc)
     _canon_cache[factor] = out
     return out
 
@@ -258,7 +260,7 @@ def _product_into(acc: dict, coeff: ScalarExact,
         new: dict = {}
         for m1, c1 in prod.items():
             neg = -c1
-            for (_, m2), c2 in terms.items():
+            for m2, c2 in terms.items():
                 m = m1 + m2
                 new[m] = sub_mul(new.get(m, ZERO), neg, c2)
         prod = new
@@ -266,23 +268,22 @@ def _product_into(acc: dict, coeff: ScalarExact,
         _add(acc, _sorted_factors(m), c)
 
 
-def _expand_term(key) -> tuple | None:
-    """Canonical (key, coefficient) pairs of a unit term, or None for a term
-    that is canonical already; remembered in `_term_cache`."""
-    integrated, factors = key
+def _expand_term(factors: Monomial) -> tuple | None:
+    """Canonical (monomial, coefficient) pairs of a unit term, or None for a
+    term that is canonical already; remembered in `_term_cache`."""
     if all(f.is_canonical() for f in factors):
         expansion = None
     else:
         acc: dict = {}
         _product_into(acc, ONE, factors)
-        expansion = tuple(((integrated, m), c) for m, c in acc.items() if c)
-    _term_cache[key] = expansion
+        expansion = tuple((m, c) for m, c in acc.items() if c)
+    _term_cache[factors] = expansion
     return expansion
 
 
-def _canonical_into(acc: dict, terms: Iterable[tuple[tuple, ScalarExact]]
+def _canonical_into(acc: dict, terms: Iterable[tuple[Monomial, ScalarExact]]
                     ) -> None:
-    """acc += the canonical form of each (key, coeff) term of `terms`; a
+    """acc += the canonical form of each (factors, coeff) term of `terms`; a
     canonical term is added as it is.  Zeros stay in place."""
     get = acc.get
     for key, coeff in terms:
@@ -308,7 +309,7 @@ def canonicalize(e: Expression) -> Expression:
     """
     acc: dict = {}
     _canonical_into(acc, e._terms.items())
-    return Expression(acc)
+    return Expression(acc, e.integrated)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +339,6 @@ def apply_rule(e: Expression, rule: Rule) -> Expression:
 # ---------------------------------------------------------------------------
 # Equality modulo integration by parts
 # ---------------------------------------------------------------------------
-
-Monomial = tuple[Factor, ...]
 
 # sector -> eliminated system
 _system_cache: dict[tuple, "_LinearSystem"] = {}
@@ -373,20 +372,13 @@ def _sector(m: Monomial) -> tuple[int, int, tuple[str, ...]]:
             tuple(f.symbol for f in m if f.symbol not in _CURVATURE))
 
 
-def _canonical_vector(e: Expression) -> dict[Monomial, ScalarExact]:
-    vec: dict[Monomial, ScalarExact] = {}
-    for (_, factors), coeff in e._terms.items():
-        _add(vec, factors, coeff)
-    return {m: c for m, c in vec.items() if c}
-
-
 def _relation_row(parent: Monomial, direction: str) -> dict[Monomial, ScalarExact]:
     """INT[(product of parent)_{,direction}] = 0, canonicalized."""
     acc: dict = {}
-    _canonical_into(acc, (((False, _sorted_factors(
-        parent[:k] + (parent[k].with_deriv(direction),) + parent[k + 1:])), ONE)
+    _canonical_into(acc, ((_sorted_factors(
+        parent[:k] + (parent[k].with_deriv(direction),) + parent[k + 1:]), ONE)
         for k in range(len(parent))))
-    return {key[1]: c for key, c in acc.items() if c}
+    return {m: c for m, c in acc.items() if c}
 
 
 class _LinearSystem:
@@ -592,24 +584,21 @@ def ibp_residual(a: Expression, b: Expression,
     modulo IBP.  Each (weight, balance) class of the canonical difference
     is split by sector, and each part is reduced against its own sector's
     system; relations never cross sectors.  A zero found by elimination is
-    replayed with `check_certificate`.  CalculusError is raised for a class
-    of balance other than 0, and if the replay fails.  `modulo` must be empty.
+    replayed with `check_certificate`.  A plain difference is its own normal
+    form; a - b raises ValueError for a plain sum and an integral.
+    CalculusError is raised for a class of balance other than 0, and if the
+    replay fails.  `modulo` must be empty.
     """
     _no_modulo(modulo)
     trace = RewriteTrace()
     d = canonicalize(a - b)
-    if d.is_zero():
-        return Expression.zero(), trace
     if not d.integrated:
-        if d.has_mixed_integration():
-            raise CalculusError("mixed integrated and plain terms")
-        trace.residual = d
+        trace.residual = None if d.is_zero() else d
         return d, trace
 
-    # (weight, balance) -> sector -> that sector's part of the vector;
-    # every term is integrated, so the monomials are distinct
+    # (weight, balance) -> sector -> that sector's part of the vector
     groups: dict[tuple[int, int], dict[tuple, dict]] = {}
-    for (_, mono), coeff in d._terms.items():
+    for mono, coeff in d._terms.items():
         sector = _sector(mono)
         groups.setdefault(sector[:2], {}).setdefault(sector, {})[mono] = coeff
     for weight, balance in groups:
@@ -626,11 +615,10 @@ def ibp_residual(a: Expression, b: Expression,
             reduced, steps = system.reduce_vector(part)
             reductions.append((system, steps))
             # the sectors share no monomial, and reduce_vector drops zeros
-            left.update(((True, mono), coeff)
-                        for mono, coeff in reduced.items())
+            left.update(reduced)
         trace._pending.append(reductions)
 
-    residual = Expression(left)
+    residual = Expression(left, True)
     trace.residual = None if residual.is_zero() else residual
     if trace.residual is None and not check_certificate(a, b, trace):
         raise CalculusError("the equality certificate does not replay")
@@ -654,7 +642,7 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
     recorded elimination was sound.  `modulo` must be empty.
     """
     _no_modulo(modulo)
-    total = _canonical_vector(canonicalize(a - b))
+    total = dict(canonicalize(a - b)._terms)
     for rid, coeff in trace.certificate:
         for mono, c in _relation_row(*rid).items():
             val = sub_mul(total.get(mono, ZERO), coeff, c)
@@ -662,6 +650,4 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
                 total.pop(mono, None)
             else:
                 total[mono] = val
-    residual_vec = ({} if trace.residual is None
-                    else _canonical_vector(trace.residual))
-    return total == residual_vec
+    return total == ({} if trace.residual is None else trace.residual._terms)

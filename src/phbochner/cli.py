@@ -27,12 +27,12 @@ usage or input error, argparse's own included, is one `phbochner: error:`
 line on stderr and exit 2 (`_input_error`).  Each argument is checked by its
 argparse `type` (`--samples` at most `MAX_SAMPLES`), and a name that needs a
 module (identity id, operator, `--cond`) by the command importing it, and
-`check` evaluates each `--cond` name once.  No option sets a tolerance: the
-verdict bands are the `band` of each `rigidity.CONDITIONS` row (1e-12 for
-thm-a and corollaryC, 1e-9 for bianchi) and `rigidity._BOUNDARY_BAND` (1e-9)
-for the batteries.  A reader closing stdout early
-(`phbochner ops | head -1`) ends the run without a traceback, with exit 141,
-128 + SIGPIPE.
+`check` evaluates each `--cond` name once and `verify` each id once.  No
+option sets a tolerance: the verdict bands are the `band` of each
+`rigidity.CONDITIONS` row (1e-12 for thm-a and corollaryC, 1e-9 for bianchi)
+and `rigidity._BOUNDARY_BAND` (1e-9) for the batteries.  A reader closing
+stdout early (`phbochner ops | head -1`) ends the run without a traceback,
+with exit 141, 128 + SIGPIPE.
 
 Each command imports only what it runs: `rigidity` and numpy are loaded by
 `check`, `scaletest`, `equiv` and `sylvester`, with the formula `kernel`
@@ -210,7 +210,11 @@ def _on_points(args: argparse.Namespace, evaluate, *params):
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
     from . import identities
 
-    wanted = identities.catalog_ids() if args.ids == ["all"] else args.ids
+    wanted = list(dict.fromkeys(args.ids))  # each once, in order first given
+    if "all" in wanted and len(wanted) > 1:
+        _input_error("'all' must stand alone, without other ids")
+    if wanted == ["all"]:
+        wanted = identities.catalog_ids()
     for ident in wanted:
         if ident not in identities.catalog_ids():
             _input_error(f"unknown identity id: {ident}")

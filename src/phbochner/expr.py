@@ -1,9 +1,9 @@
 """Indexed-tensor expressions with exact coefficients.
 
-An Expression is a collected sum of terms; each term is an exact scalar
-times a product of tensor factors, optionally wrapped in the volume
-integral INT[...].  A factor is a symbol from the fixed symbol table
-(curvature R, torsion A11/Ab1b1, deformation coefficient E11/Eb1b1,
+An Expression is a collected sum of terms, each an exact scalar times a
+product of tensor factors; the sum is plain or, as a whole, under the volume
+integral INT[...], never both.  A factor is a symbol from the fixed symbol
+table (curvature R, torsion A11/Ab1b1, deformation coefficient E11/Eb1b1,
 real scalar f, ...) together with an ordered string of covariant
 derivative letters over {1, b, 0}, where "b" stands for 1-bar and the
 leftmost letter is applied first.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .scalar import _ZERO_V, ScalarExact, ZERO
+from .scalar import _ZERO_V, ONE, ScalarExact, ZERO
 
 # ---------------------------------------------------------------------------
 # Derivative letters
@@ -120,7 +120,7 @@ class Factor(NamedTuple):
     def with_deriv(self, letter: str) -> "Factor":
         return Factor(self.symbol, self.derivs + (letter,))
 
-    # sort keys, `is_canonical` and `_sorted_tuple` are memoized for the
+    # sort keys, `is_canonical` and `_sorted_factors` are memoized for the
     # life of the process: the catalog and its mutants ask for a few hundred
     @cache
     def sort_key(self):
@@ -151,15 +151,12 @@ class Term(NamedTuple):
         return sum(f.weight() for f in self.factors)
 
 
-TermKey = tuple[bool, tuple[Factor, ...]]
-
-
-def _sorted_factors(factors: Iterable[Factor]) -> tuple[Factor, ...]:
-    return _sorted_tuple(tuple(factors))
+# a term's key: its factors, sorted
+Monomial = tuple[Factor, ...]
 
 
 @cache
-def _sorted_tuple(factors: tuple[Factor, ...]) -> tuple[Factor, ...]:
+def _sorted_factors(factors: Monomial) -> Monomial:
     return tuple(sorted(factors, key=Factor.sort_key))
 
 
@@ -168,14 +165,17 @@ def _sorted_tuple(factors: tuple[Factor, ...]) -> tuple[Factor, ...]:
 # ---------------------------------------------------------------------------
 
 class Expression:
-    """Collected sum of terms mapping (integrated, factors) -> coefficient."""
+    """Collected sum of terms mapping factors -> coefficient, either plain or,
+    with `integrated` set, all under one INT[...]; the empty sum is plain."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "integrated")
 
-    def __init__(self, terms: Mapping[TermKey, ScalarExact] | None = None):
-        object.__setattr__(self, "_terms", {
-            key: coeff for key, coeff in (terms or {}).items()
-            if coeff._v != _ZERO_V})
+    def __init__(self, terms: Mapping[Monomial, ScalarExact] | None = None,
+                 integrated: bool = False):
+        kept = {key: coeff for key, coeff in (terms or {}).items()
+                if coeff._v != _ZERO_V}
+        object.__setattr__(self, "_terms", kept)
+        object.__setattr__(self, "integrated", integrated and bool(kept))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Expression is immutable")
@@ -188,25 +188,30 @@ class Expression:
 
     @staticmethod
     def scalar(value: ScalarExact | int) -> "Expression":
-        return Expression({(False, ()): ScalarExact.coerce(value)})
+        return Expression({(): ScalarExact.coerce(value)})
 
     @staticmethod
-    def from_factor(factor: Factor, coeff: ScalarExact | int = 1,
-                    integrated: bool = False) -> "Expression":
-        return Expression({(integrated, (factor,)): ScalarExact.coerce(coeff)})
+    def from_factor(factor: Factor) -> "Expression":
+        return Expression({(factor,): ONE})
 
     @staticmethod
     def from_term(coeff: ScalarExact | int, factors: Iterable[Factor],
                   integrated: bool = False) -> "Expression":
-        return Expression({(integrated, _sorted_factors(factors)):
-                           ScalarExact.coerce(coeff)})
+        return Expression({_sorted_factors(tuple(factors)):
+                           ScalarExact.coerce(coeff)}, integrated)
 
     @staticmethod
     def sum(parts: Iterable["Expression"]) -> "Expression":
         """parts[0] + parts[1] + ..., term for term and in the same insertion
         order, without copying the partial sum for every part."""
-        acc: dict[TermKey, ScalarExact] = {}
+        acc: dict[Monomial, ScalarExact] = {}
+        integrated = False
         for part in parts:
+            if part._terms:
+                if not acc:
+                    integrated = part.integrated
+                elif part.integrated != integrated:
+                    raise ValueError("cannot add a plain sum and an integral")
             for key, coeff in part._terms.items():
                 prev = acc.get(key)
                 val = coeff if prev is None else prev + coeff
@@ -214,15 +219,16 @@ class Expression:
                     del acc[key]
                 else:
                     acc[key] = val
-        return Expression(acc)
+        return Expression(acc, integrated)
 
     # -- iteration ----------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[TermKey, ScalarExact]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: _term_sort_key(kv[0])))
+    def items(self) -> Iterator[tuple[Monomial, ScalarExact]]:
+        return iter(sorted(self._terms.items(),
+                           key=lambda kv: tuple(f.sort_key() for f in kv[0])))
 
     def term_list(self) -> list[Term]:
-        return [Term(coeff, key[1], key[0]) for key, coeff in self.items()]
+        return [Term(coeff, key, self.integrated) for key, coeff in self.items()]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -230,59 +236,55 @@ class Expression:
     def __len__(self):
         return len(self._terms)
 
-    @property
-    def integrated(self) -> bool:
-        """True if every term is integrated (vacuously False when empty)."""
-        return bool(self._terms) and all(key[0] for key in self._terms)
-
-    def has_mixed_integration(self) -> bool:
-        flags = {key[0] for key in self._terms}
-        return len(flags) > 1
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Expression") -> "Expression":
-        if not isinstance(other, Expression):
-            return NotImplemented
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            prev = merged.get(key)
-            merged[key] = coeff if prev is None else prev + coeff
-        return Expression(merged)
+        return self._plus(other, False)
 
     def __neg__(self) -> "Expression":
-        return Expression({k: -c for k, c in self._terms.items()})
+        return Expression({k: -c for k, c in self._terms.items()},
+                          self.integrated)
 
     def __sub__(self, other: "Expression") -> "Expression":
+        return self._plus(other, True)
+
+    def _plus(self, other: "Expression", negate: bool) -> "Expression":
+        """self + other, or self - other, in one pass: a nonzero plain sum and
+        a nonzero integral do not add, and zero (plain) adds to either."""
         if not isinstance(other, Expression):
             return NotImplemented
+        if self._terms and other._terms and self.integrated != other.integrated:
+            raise ValueError("cannot add a plain sum and an integral")
         merged = dict(self._terms)
         for key, coeff in other._terms.items():
             prev = merged.get(key)
-            merged[key] = -coeff if prev is None else prev - coeff
-        return Expression(merged)
+            if prev is None:
+                merged[key] = -coeff if negate else coeff
+            else:
+                merged[key] = prev - coeff if negate else prev + coeff
+        return Expression(merged, self.integrated or other.integrated)
 
     def __mul__(self, other) -> "Expression":
         if isinstance(other, (int, ScalarExact)):
             s = ScalarExact.coerce(other)
-            return Expression({k: c * s for k, c in self._terms.items()})
+            return Expression({k: c * s for k, c in self._terms.items()},
+                              self.integrated)
         if isinstance(other, Factor):
             other = Expression.from_factor(other)
         if not isinstance(other, Expression):
             return NotImplemented
-        out: dict[TermKey, ScalarExact] = {}
-        for (int1, f1), c1 in self._terms.items():
-            for (int2, f2), c2 in other._terms.items():
-                if int1 and int2:
-                    raise ValueError("cannot multiply two integrated terms")
-                if (int1 and f2) or (int2 and f1):
-                    raise ValueError(
-                        "cannot multiply an integrated term by a non-scalar")
-                key = (int1 or int2, _sorted_factors(f1 + f2))
+        # any(e._terms): some term of e has a factor
+        for a, b in ((self, other), (other, self)):
+            if a.integrated and (b.integrated or any(b._terms)):
+                raise ValueError("an integral is multiplied by scalars only")
+        out: dict[Monomial, ScalarExact] = {}
+        for f1, c1 in self._terms.items():
+            for f2, c2 in other._terms.items():
+                key = _sorted_factors(f1 + f2)
                 val = c1 * c2
                 prev = out.get(key)
                 out[key] = val if prev is None else prev + val
-        return Expression(out)
+        return Expression(out, self.integrated or other.integrated)
 
     def __truediv__(self, other):
         if isinstance(other, (int, ScalarExact)):
@@ -294,58 +296,53 @@ class Expression:
 
     def scalar_value(self) -> ScalarExact:
         """The value of a purely scalar expression (no factors, no INT)."""
-        if not self._terms:
-            return ZERO
-        if len(self._terms) == 1:
-            (key, coeff), = self._terms.items()
-            if key == (False, ()):
-                return coeff
-        raise ValueError("expression is not a pure scalar")
+        if self.integrated or set(self._terms) - {()}:
+            raise ValueError("expression is not a pure scalar")
+        return self._terms.get((), ZERO)
 
     # -- structure maps ------------------------------------------------------
 
     def conjugate(self) -> "Expression":
-        out: dict[TermKey, ScalarExact] = {}
-        for (integ, factors), coeff in self._terms.items():
-            key = (integ, _sorted_factors(f.conjugate() for f in factors))
+        out: dict[Monomial, ScalarExact] = {}
+        for factors, coeff in self._terms.items():
+            key = _sorted_factors(tuple(f.conjugate() for f in factors))
             val = coeff.conjugate()
             prev = out.get(key)
             out[key] = val if prev is None else prev + val
-        return Expression(out)
+        return Expression(out, self.integrated)
 
     def integrate(self) -> "Expression":
-        out: dict[TermKey, ScalarExact] = {}
-        for (integ, factors), coeff in self._terms.items():
-            if integ:
-                raise ValueError("term is already integrated")
-            key = (True, factors)
-            prev = out.get(key)
-            out[key] = coeff if prev is None else prev + coeff
-        return Expression(out)
+        if self.integrated:
+            raise ValueError("term is already integrated")
+        return Expression(self._terms, True)
 
     def filter_terms(self, predicate) -> "Expression":
         return Expression({k: c for k, c in self._terms.items()
-                           if predicate(Term(c, k[1], k[0]))})
+                           if predicate(Term(c, k, self.integrated))},
+                          self.integrated)
 
     def substitute(self, replace: Callable[[Factor], "Expression | None"]
                    ) -> "Expression":
         """Each factor for which `replace` gives a plain expression replaced
-        by it (None keeps the factor), and every term multiplied out, in one
-        pass; an integrated term stays integrated."""
-        acc: dict[TermKey, ScalarExact] = {}
-        for (integrated, factors), coeff in self._terms.items():
+        by it (None keeps the factor; an integral raises ValueError), and
+        every term multiplied out, in one pass; an integral stays
+        integrated."""
+        acc: dict[Monomial, ScalarExact] = {}
+        for factors, coeff in self._terms.items():
             products = [((), coeff)]
             for f in factors:
                 value = replace(f)
                 if value is None:
                     products = [(fs + (f,), c) for fs, c in products]
+                elif value.integrated:
+                    raise ValueError("a factor is replaced by an integral")
                 else:
                     products = [(fs + vf, c * vc) for fs, c in products
-                                for (_, vf), vc in value._terms.items()]
+                                for vf, vc in value._terms.items()]
             for fs, c in products:
-                key = (integrated, _sorted_factors(fs))
+                key = _sorted_factors(fs)
                 acc[key] = acc[key] + c if key in acc else c
-        return Expression(acc)
+        return Expression(acc, self.integrated)
 
     def drop_symbols(self, symbols: set[str]) -> "Expression":
         """Set the listed symbols to zero (drop every term containing one)."""
@@ -357,21 +354,17 @@ class Expression:
     def __eq__(self, other):
         if not isinstance(other, Expression):
             return NotImplemented
-        return self._terms == other._terms
+        return (self.integrated == other.integrated
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self.integrated, frozenset(self._terms.items())))
 
     def __str__(self):
         return format_expression(self)
 
     def __repr__(self):
         return f"<Expression {format_expression(self)}>"
-
-
-def _term_sort_key(key: TermKey):
-    integ, factors = key
-    return (integ, tuple(f.sort_key() for f in factors), len(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -388,23 +381,20 @@ def _coeff_prefix(coeff: ScalarExact) -> tuple[bool, str]:
     return neg, "" if text[neg:] == "1" else text[neg:] + "*"
 
 
-def _term_str(coeff: ScalarExact, factors: tuple[Factor, ...],
+def _term_str(coeff: ScalarExact, factors: Monomial,
               integrated: bool) -> tuple[bool, str]:
     neg, prefix = _coeff_prefix(coeff)
-    if not factors:
-        return neg, prefix[:-1] or "1"
-    text = prefix + "*".join(str(f) for f in factors)
-    if integrated:
-        text = f"INT[{text}]"
-    return neg, text
+    text = (prefix + "*".join(str(f) for f in factors) if factors
+            else prefix[:-1] or "1")
+    return neg, f"INT[{text}]" if integrated else text
 
 
 def format_expression(e: Expression) -> str:
     if e.is_zero():
         return "0"
     pieces = []
-    for key, coeff in e.items():
-        neg, text = _term_str(coeff, key[1], key[0])
+    for factors, coeff in e.items():
+        neg, text = _term_str(coeff, factors, e.integrated)
         if not pieces:
             pieces.append(("-" if neg else "") + text)
         else:

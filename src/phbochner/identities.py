@@ -131,7 +131,7 @@ def script_2_7(alpha: ScalarExact = ops.ALPHA_SECTION2) -> Decide:
         residual = canonicalize(canonical - target)
         steps = [(f"expand (1/2) L* L f with alpha = {alpha_text}", lhs),
                  ("canonical residual", residual)]
-        has_t = any("0" in f.derivs for _, factors in residual._terms
+        has_t = any("0" in f.derivs for factors in residual._terms
                     for f in factors)
         return _finish("2.7", residual.is_zero(), steps, residual, None,
                        alpha=alpha_text, residual_has_T_derivative=has_t)
@@ -296,7 +296,7 @@ def _substitution(record: str, fld: str) -> dict[Factor, Expression]:
     out = {}
     for pair in Corpus.load().text(record, fld).split(","):
         name, _, text = pair.partition("=")
-        [(_, (factor,))] = parse(name)._terms  # X is a single factor
+        [(factor,)] = parse(name)._terms  # X is a single factor
         value = parse(text)
         out[factor] = value
         out[factor.conjugate()] = value.conjugate()
@@ -311,11 +311,11 @@ def _parameter_classes(e: Expression) -> dict[str, Expression]:
     """e as a polynomial in the parameters: {monomial text: its coefficient,
     an expression free of them}, in the order of the monomials."""
     classes: dict[tuple[Factor, ...], dict] = {}
-    for (integrated, factors), coeff in e._terms.items():
+    for factors, coeff in e._terms.items():
         monomial = tuple(f for f in factors if f.symbol in _PARAMETERS)
         rest = tuple(f for f in factors if f.symbol not in _PARAMETERS)
-        classes.setdefault(monomial, {})[integrated, rest] = coeff
-    return {"*".join(map(str, m)) or "1": Expression(classes[m])
+        classes.setdefault(monomial, {})[rest] = coeff
+    return {"*".join(map(str, m)) or "1": Expression(classes[m], e.integrated)
             for m in sorted(classes)}
 
 

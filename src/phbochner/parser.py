@@ -13,8 +13,8 @@ Symbols: f R A11 Ab1b1 E11 Eb1b1 Q11 Qb1b1 W Wb (W is a cube root of
 A11_{,1}; plus g/gb, a complex scalar, the free parameter of the 3.7 tight
 family, and LAM, RHO, the free real parameters of Lemma 3.1).  The derivative alphabet is 1, b (= 1-bar), 0; the leftmost
 letter is applied first.  '2Re[X]' is expanded to X + conj(X) at parse time;
-there is no Re/Im node in the AST.  Division is only defined by
-scalar-valued subexpressions.
+there is no Re/Im node in the AST.  Division is only by scalar-valued
+subexpressions, and a sum is plain or of integrals INT[...], never both.
 
 `Corpus` reads the identity catalog, whose fields are texts in this grammar.
 """
@@ -100,14 +100,18 @@ class _Parser:
         return out
 
     def expression(self) -> Expression:
-        terms = [self.term()]
+        out = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                terms.append(self.term() if value == "+" else -self.term())
+                rhs = self.term()
+                try:
+                    out = out + rhs if value == "+" else out - rhs
+                except ValueError as exc:
+                    raise ParseError(str(exc), pos) from None
             else:
-                return Expression.sum(terms)
+                return out
 
     def term(self) -> Expression:
         out = self.atom()

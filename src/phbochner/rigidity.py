@@ -331,9 +331,13 @@ def _require_finite(ids: list[str], arrays, where: str = "") -> None:
     """Raise ValueError naming the first point with a non-finite value."""
     finite = np.logical_and.reduce(
         [np.isfinite(a).reshape(len(ids), -1).all(axis=1) for a in arrays])
-    if not finite.all():
-        raise ValueError(f"point {ids[int(np.argmin(finite))]!r}: values "
-                         f"overflow double precision{where}")
+    _refuse_first(ids, ~finite, f"values overflow double precision{where}")
+
+
+def _refuse_first(ids: list[str], bad: np.ndarray, message: str) -> None:
+    """Raise ValueError naming the first point that `bad` marks."""
+    if bad.any():
+        raise ValueError(f"point {ids[int(np.argmax(bad))]!r}: {message}")
 
 
 def evaluate_conditions(columns: dict, conditions: list[str]) -> list[dict]:
@@ -394,6 +398,7 @@ def evaluate_conditions(columns: dict, conditions: list[str]) -> list[dict]:
 # and the products and sums of 3.12 the rest.  k^p v_0 adds 3 (pow, product).
 _HOMOGENEITY_C = 48
 _UNIT_ROUNDOFF = 2.0 ** -53
+_SMALLEST_NORMAL = 2.0 ** -1022
 
 
 def _scaled(fields, k: float) -> dict:
@@ -409,7 +414,8 @@ def scaling_report(columns: dict, ks: list[float]) -> list[dict]:
     roundoff and C = _HOMOGENEITY_C; `errors` reports |v_k - k^p v_0|
     relative to the larger of |v_k| and |k^p v_0|.  Verdicts are those of
     `evaluate_conditions`, by the same `_evaluate`.  Raises ValueError when
-    a value or its M overflows double precision.
+    a value or its M overflows double precision, or an M positive at k = 1
+    falls below the smallest normal double (the value has lost its digits).
     """
     with np.errstate(all="ignore"):
         s, ids = columns, columns["id"]
@@ -431,6 +437,10 @@ def scaling_report(columns: dict, ks: list[float]) -> list[dict]:
             values, verdicts = _evaluate(scaled, _float_inputs(scaled), rows)
             _require_finite(ids, [a for pair in values.values() for a in pair],
                             f" at k = {k}")
+            _refuse_first(ids, np.logical_or.reduce(
+                [(values0[key][1] > 0) & (mk < _SMALLEST_NORMAL)
+                 for key, (_, mk) in values.items()]),
+                f"values underflow double precision at k = {k}")
             invariant = np.logical_and.reduce(
                 [(verdicts[key] == v0) | (key in partial and ~torsion_free)
                  for key, v0 in verdicts0.items()])

@@ -9,7 +9,7 @@ from phbochner.calculus import (CalculusError, canonicalize, check_certificate,
                                 commute_swap, differentiate, equal_mod_ibp,
                                 ibp_residual)
 from phbochner.expr import Expression, Factor, Term
-from phbochner.parser import parse
+from phbochner.parser import ParseError, parse
 from phbochner.scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
 from test_expr import random_expression
@@ -100,17 +100,16 @@ def _random_schedule_canonicalize(e, rng):
     current = e
     for _ in range(4000):
         candidates = []
-        for key, coeff in current.items():
-            integ, factors = key
+        for factors, coeff in current.items():
             for fi, f in enumerate(factors):
                 for p in range(len(f.derivs) - 1):
                     a, b = f.derivs[p], f.derivs[p + 1]
                     if (a, b) in (("b", "1"), ("0", "1"), ("0", "b")):
-                        candidates.append((key, coeff, fi, p))
+                        candidates.append((factors, coeff, fi, p))
         if not candidates:
             return current
-        key, coeff, fi, p = rng.choice(candidates)
-        integ, factors = key
+        factors, coeff, fi, p = rng.choice(candidates)
+        integ = current.integrated
         swapped = commute_swap(factors[fi], p)
         prod = Expression.scalar(coeff) * swapped
         for k, f in enumerate(factors):
@@ -127,6 +126,14 @@ def test_canonicalize_confluence_random_schedules():
     for _ in range(10):
         e = random_expression(rng, nterms=2)
         assert _random_schedule_canonicalize(e, rng) == canonicalize(e)
+
+
+def test_canonicalize_commutes_with_integration():
+    # one expansion per factor tuple serves a term plain and integrated
+    rng = random.Random(13)
+    for _ in range(30):
+        e = random_expression(rng, nterms=3)
+        assert canonicalize(e.integrate()) == canonicalize(e).integrate()
 
 
 def test_commute_swap_preserves_weight():
@@ -244,8 +251,12 @@ def test_equal_mod_ibp_plain_fallback():
 
 
 def test_equal_mod_ibp_mixed_error():
-    with pytest.raises(CalculusError):
-        ibp_residual(parse("INT[ R*f*f ] + f"), parse("0"))
+    # a plain sum and an integral do not add, so the mixed difference is
+    # refused where it is built
+    with pytest.raises(ParseError):
+        parse("INT[ R*f*f ] + f")
+    with pytest.raises(ValueError):
+        ibp_residual(parse("INT[ R*f*f ]"), parse("f"))
 
 
 def test_equivalence_relation_on_samples():

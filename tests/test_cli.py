@@ -47,6 +47,17 @@ def test_verify_unknown_id(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_decides_each_id_once(capsys):
+    # in the order first given
+    assert main(["--format", "json", "verify", "3.2", "2.3", "3.2"]) == 0
+    ids = [r["id"] for r in json.loads(capsys.readouterr().out)["results"]]
+    assert ids == ["3.2", "2.3"]
+    assert main(["--format", "json", "verify", "2.ibp", "2.ibp",
+                 "--mutate"]) == 0
+    [result] = json.loads(capsys.readouterr().out)["results"]
+    assert result["id"] == "2.ibp" and result["killed"] == result["mutants"]
+
+
 def test_verify_mutate(capsys):
     assert main(["verify", "2.ibp", "--mutate"]) == 0
     out = capsys.readouterr().out
@@ -197,6 +208,8 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
     ('[{"id": "q", "R": 1e200}]', ["check", "{}", "--cond", "thm-b"],
      ["'q'", "overflow"]),
     (ONE_POINT, ["scaletest", "{}", "--k", "1e-200"], ["'p0'", "1e-200"]),
+    (ONE_POINT, ["scaletest", "{}", "--k", "1e100"],
+     ["'p0'", "underflow", "1e+100"]),
     ("[5]", ["check", "{}", "--cond", "thm-b"], []),
     ("[]", ["check", "{}", "--cond", "thm-b"], []),
     ("not json", ["check", "{}", "--cond", "thm-b"], []),
@@ -220,6 +233,8 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
     (ONE_POINT, ["--seed", "-5", "--samples", "100", "verify", "3.7"],
      ["--seed", "-5"]),
     (ONE_POINT, ["verify", "9.9"], ["9.9"]),
+    (ONE_POINT, ["verify", "all", "2.3"], ["'all'", "alone"]),
+    (ONE_POINT, ["verify", "2.3", "all", "--mutate"], ["'all'", "alone"]),
     (ONE_POINT, ["trace", "9.9"], ["9.9"]),
     (ONE_POINT, ["ops", "nosuch"], ["'nosuch'"]),
     (ONE_POINT, ["check", "{}", "--cond", "nosuch"], ["'nosuch'", "thm-b"]),
@@ -235,12 +250,12 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
     ("[" * 100000 + "]" * 100000, ["check", "{}", "--cond", "thm-b"],
      ["recursion"]),
 ], ids=["infinite-field", "nan-field", "string-field", "long-pair",
-        "value-overflow", "k-overflow", "not-a-record", "empty-array",
+        "value-overflow", "k-overflow", "k-underflow", "not-a-record", "empty-array",
         "not-json", "k-divides-by-zero", "k-not-a-number", "k-negative",
         "samples-negative", "samples-zero", "samples-zero-verify",
         "samples-huge-equiv", "samples-huge-sylvester",
         "eps-removed", "eps-removed-ops", "seed-negative", "seed-negative-verify",
-        "verify-unknown-id",
+        "verify-unknown-id", "verify-all-and-id", "verify-id-and-all",
         "trace-unknown-id", "ops-unknown-name", "cond-unknown-name",
         "no-command", "unknown-command", "verify-no-ids", "check-no-cond",
         "format-unknown", "samples-not-a-number",

@@ -61,7 +61,7 @@ def test_sum_matches_repeated_addition():
         total = total + p
     summed = Expression.sum(parts)
     assert summed == total
-    assert [key[1][0].symbol for key in summed._terms] == ["f", "A11", "R"]
+    assert [key[0].symbol for key in summed._terms] == ["f", "A11", "R"]
     rng = random.Random(11)
     for _ in range(50):
         parts = [random_expression(rng, 3) for _ in range(6)]
@@ -128,6 +128,20 @@ def test_integration_flag_rules():
     assert (ie * I).conjugate() == (e.conjugate() * (-I)).integrate()
 
 
+def test_plain_and_integrated_sums_do_not_add():
+    e = parse("A11*f")
+    ie = e.integrate()
+    for make in (lambda: e + ie, lambda: ie - e,
+                 lambda: Expression.sum([e, ie]),
+                 lambda: Expression.sum([ie, -ie, e, ie])):
+        with pytest.raises(ValueError):
+            make()
+    # zero of either kind is the empty, plain sum
+    assert (ie - ie) == (e - e) == Expression.zero()
+    assert not (ie - ie).integrated
+    assert Expression.zero() + ie == ie == Expression.sum([e, -e, ie])
+
+
 def test_coefficient_lookup():
     e = parse("(29/48)*E11_{b1}*Eb1b1_{1b}").integrate()
     got = coefficient(e, (Factor("E11", ("b", "1")),
@@ -153,3 +167,6 @@ def test_substitute_keeps_integrated_terms_integrated():
     got = e.substitute({Factor("f"): parse("1 + R")}.get)
     assert got == parse("INT[R + 2*R*R + R*R*R] + INT[E11*Eb1b1]")
     assert got.integrated
+    # a value is plain: an integral in place of a factor is refused
+    with pytest.raises(ValueError):
+        parse("f*R").substitute({Factor("f"): parse("INT[g]")}.get)

@@ -162,6 +162,6 @@ def test_mutation_run_memo_sizes():
     out = subprocess.run([sys.executable, "-c", _MEMO_PROBE], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": SRC}).stdout
-    assert json.loads(out) == {"factors": 43, "terms": 200, "systems": 4,
+    assert json.loads(out) == {"factors": 43, "terms": 155, "systems": 4,
                                "relation_rows": 58, "sectors": 52,
                                "sort_keys": 143}

@@ -43,6 +43,21 @@ def test_int_wrapper_and_scalars():
     assert coeff == (ScalarExact(0, 1) + I) / 2
 
 
+def test_zero_adds_to_an_integral():
+    # zero, the empty sum, is plain and adds to an integral
+    integral = parse("INT[f]")
+    assert Expression.zero() + integral == integral
+    assert parse("0 + INT[f]") == integral
+    assert parse("INT[f] - INT[f]") == Expression.zero()
+
+
+def test_integral_of_a_scalar_prints_as_one():
+    for text in ("INT[2 + f]", "INT[-(1 + i)]", "INT[1]"):
+        e = parse(text)
+        assert e.integrated and parse(str(e)) == e, str(e)
+    assert str(parse("INT[2 + f]")) == "INT[2] + INT[f]"
+
+
 def test_scalar_times_integral_stays_integrated():
     # a factor outside the brackets that is a number scales the integral
     for text, inside in (("2*INT[f*f]", "INT[2*f*f]"),
@@ -109,7 +124,8 @@ def test_error_position_reported():
         parse("f + zzz")
     assert "position 4" in str(err.value)
     # an arithmetic error is reported at its operator
-    for text, position in [("f/(g)", 1), ("INT[f]*g", 6)]:
+    for text, position in [("f/(g)", 1), ("INT[f]*g", 6), ("INT[f] + f", 7),
+                           ("f - INT[f]", 2)]:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.position == position, text
@@ -142,10 +158,11 @@ def _expressions():
     factor = st.builds(Factor, st.sampled_from(sorted(SYMBOLS)),
                        st.lists(st.sampled_from(DERIV_LETTERS), max_size=3)
                        .map(tuple))
-    term = st.builds(lambda c, fs, integ: Expression.from_term(
-        c, fs, integ and bool(fs)), coeff, st.lists(factor, max_size=3),
-        st.booleans())
-    return st.lists(term, max_size=5).map(Expression.sum)
+    term = st.tuples(coeff, st.lists(factor, max_size=3))
+    # one flag per expression; an integral's scalar term prints as INT[c]
+    return st.builds(lambda terms, integ: Expression.sum(
+        Expression.from_term(c, fs, integ) for c, fs in terms),
+        st.lists(term, max_size=5), st.booleans())
 
 
 def test_print_parse_roundtrip_fuzzed():

@@ -362,6 +362,18 @@ def test_scaling_report_exact_zero_value():
     assert rep["ok"] and rep["rows"][0]["errors"]["thm_a"] == 0.0
 
 
+def test_scaling_report_refuses_an_underflow():
+    # at k = 1e100 the 3.12 value of R = 1 underflows to 0.0, which would
+    # flip its verdict; a k that loses a value's digits is refused, as one
+    # that overflows them is
+    columns = rg._stack([PointData(R=1.0)])
+    with pytest.raises(ValueError, match="underflow double precision at "
+                                         r"k = 1e\+100"):
+        rg.scaling_report(columns, [1e100])
+    [rep] = rg.scaling_report(columns, [100.0])
+    assert rep["ok"]
+
+
 def test_torsion_free_consistency():
     # with A = 0: positive definiteness of the 4x4 form <=> R > 0
     Rs = (-2.0, -0.1, 0.5, 3.0)
