@@ -7,7 +7,7 @@ import importlib
 # exported name -> the submodule that defines it
 _EXPORTS = {
     "ScalarExact": "scalar",
-    "Expression": "expr", "Factor": "expr", "Term": "expr",
+    "Expression": "expr", "Factor": "expr",
     "parse": "parser", "ParseError": "parser",
     "canonicalize": "calculus", "commute_swap": "calculus",
     "differentiate": "calculus", "equal_mod_ibp": "calculus",

@@ -30,14 +30,16 @@ The engine implements
   residual is the normal form modulo their span: every pivot lead is
   eliminated, so it is the same for all inputs equal modulo IBP, whatever
   the cache state or query order, and so is the certificate (which
-  relation was used with which coefficient, listed per (weight, balance)
-  class).  A relation has one kind of id, its parent monomial and its
-  direction.  The certificate is computed when the trace is first read; a
-  zero residual found by elimination is replayed with `check_certificate`
-  from freshly built rows before it is returned, so every such equality
-  decision doubles as an audit trail.  A constraint that holds only on a
-  slice, such as DJ* E = 0 for 3.5, is no relation of the engine: the
-  caller subtracts a stated witness that vanishes there.
+  relation was used with which coefficient, listed by row id).  A relation
+  has one kind of id, its parent monomial and its direction.  The
+  certificate is computed when the trace is first read; a zero residual
+  found by elimination is replayed with `check_certificate` from freshly
+  built rows before it is returned, so every such equality decision
+  doubles as an audit trail.  A constraint that holds only on a slice,
+  such as DJ* E = 0 for 3.5, is no relation of the engine: the caller
+  subtracts a stated witness that vanishes there.
+* substitution: `rewrite` puts values, differentiated, in place of
+  factors; operator templates and the rules DJ f = 0 and Bianchi use it.
 
 The engine reads an Expression's terms in stored order and sorts only
 where the order reaches output.  A term is keyed by its sorted factor
@@ -65,16 +67,16 @@ after `verify all --mutate`.
 from __future__ import annotations
 
 import itertools
-from functools import cache
-from typing import Iterable, NamedTuple, Sequence
+from functools import cache, cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .expr import (_LETTER_ALPHA, _LETTER_ORDER, _LETTER_WEIGHT, DERIV_LETTERS,
                    SYMBOLS, Expression, Factor, Monomial, _sorted_factors)
 from .scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
 __all__ = [
-    "CalculusError", "RewriteTrace", "Rule",
-    "differentiate", "commute_swap", "canonicalize", "apply_rule",
+    "CalculusError", "RewriteTrace",
+    "differentiate", "commute_swap", "canonicalize", "rewrite",
     "equal_mod_ibp", "ibp_residual",
 ]
 
@@ -97,30 +99,25 @@ class RewriteTrace:
     The certificate is the combination difference = sum(coeff * relation) +
     residual, as (row id, coefficient) pairs, a row id being (parent
     monomial, direction); `check_certificate` replays it.  An equality
-    query stores, per (weight, balance) class, the (system, eliminations)
-    pair of each sector's reduction instead of its combination of rows, and
-    `certificate` computes the pending combinations, class by class in
-    query order, the first time it is read.
+    query stores the (system, eliminations) pair of each sector's reduction
+    instead of its combination of rows, and `certificate` merges the
+    combinations and sorts them by row id the first time it is read.
     `entries` (and `to_text` and `to_dict`) lists the certificate as
     (rule, before, after, coefficient) records.
     """
 
     def __init__(self):
         self.residual: Expression | None = None
-        self._certificate: list[tuple[tuple, ScalarExact]] = []
-        self._pending: list[list[tuple["_LinearSystem", list]]] = []
+        self._pending: list[tuple["_LinearSystem", list]] = []
 
-    @property
+    @cached_property
     def certificate(self) -> list[tuple[tuple, ScalarExact]]:
-        pending, self._pending = self._pending, []
-        for reductions in pending:
-            # sectors share no row, so their combinations merge by update
-            combo: dict = {}
-            for system, steps in reductions:
-                combo.update(system.combination(steps))
-            self._certificate.extend(
-                sorted(combo.items(), key=lambda kv: str(kv[0])))
-        return self._certificate
+        # sectors share no row, so their combinations merge by update
+        combo: dict = {}
+        for system, steps in self._pending:
+            combo.update(system.combination(steps))
+        self._pending = []
+        return sorted(combo.items(), key=lambda kv: str(kv[0]))
 
     @property
     def entries(self) -> list[dict]:
@@ -313,27 +310,26 @@ def canonicalize(e: Expression) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Substitution rules
+# Substitution
 # ---------------------------------------------------------------------------
 
-class Rule(NamedTuple):
-    """Rewrite factors symbol_{prefix+tail} -> replacement differentiated by tail."""
+def rewrite(e: Expression, values: Mapping[Factor, Expression]) -> Expression:
+    """Replace each factor X_{PJ} for which `values` holds X_P, the shortest
+    such P first, by that value differentiated by J, in one
+    `Expression.substitute` pass.
 
-    symbol: str
-    prefix: tuple[str, ...]
-    replacement: Expression
-
-
-def apply_rule(e: Expression, rule: Rule) -> Expression:
-    """Rewrite every factor the rule matches, in one `Expression.substitute`
-    pass.  No rule of the engine (Bianchi, DJ f = 0 and its conjugate) has a
-    replacement that its own pattern matches, so repeating the pass would
-    change nothing; and as each rule is a true identity, a partly applied
-    one is still sound."""
-    n = len(rule.prefix)
-    return e.substitute(
-        lambda f: differentiate(rule.replacement, f.derivs[n:])
-        if f.symbol == rule.symbol and f.derivs[:n] == rule.prefix else None)
+    Operator templates (X_P the placeholder and its conjugate) and the rules
+    DJ f = 0 and Bianchi (X_P = f_{11}, f_{bb} and R_{0}) are all such maps.
+    No rule of the engine has a value that its own X_P matches, so repeating
+    the pass would change nothing; and as each rule is a true identity, a
+    partly applied one is still sound."""
+    def replace(f: Factor) -> Expression | None:
+        for n in range(len(f.derivs) + 1):
+            value = values.get(Factor(f.symbol, f.derivs[:n]))
+            if value is not None:
+                return differentiate(value, f.derivs[n:])
+        return None
+    return e.substitute(replace)
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +577,13 @@ def ibp_residual(a: Expression, b: Expression,
     """Normal form of a - b modulo integration by parts.
 
     Returns (residual, trace); the residual is zero exactly when a == b
-    modulo IBP.  Each (weight, balance) class of the canonical difference
-    is split by sector, and each part is reduced against its own sector's
-    system; relations never cross sectors.  A zero found by elimination is
-    replayed with `check_certificate`.  A plain difference is its own normal
-    form; a - b raises ValueError for a plain sum and an integral.
-    CalculusError is raised for a class of balance other than 0, and if the
-    replay fails.  `modulo` must be empty.
+    modulo IBP.  The canonical difference is split by sector, and each part
+    is reduced against its own sector's system; relations never cross
+    sectors.  A zero found by elimination is replayed with
+    `check_certificate`.  A plain difference is its own normal form; a - b
+    raises ValueError for a plain sum and an integral.
+    CalculusError is raised for a part of balance other than 0, before any
+    system is built, and if the replay fails.  `modulo` must be empty.
     """
     _no_modulo(modulo)
     trace = RewriteTrace()
@@ -596,27 +592,23 @@ def ibp_residual(a: Expression, b: Expression,
         trace.residual = None if d.is_zero() else d
         return d, trace
 
-    # (weight, balance) -> sector -> that sector's part of the vector
-    groups: dict[tuple[int, int], dict[tuple, dict]] = {}
+    # sector -> that sector's part of the vector
+    parts: dict[tuple, dict] = {}
     for mono, coeff in d._terms.items():
-        sector = _sector(mono)
-        groups.setdefault(sector[:2], {}).setdefault(sector, {})[mono] = coeff
-    for weight, balance in groups:
+        parts.setdefault(_sector(mono), {})[mono] = coeff
+    for weight, balance, _ in parts:
         if balance:
             raise CalculusError(
                 f"an integral of balance {balance} (weight {weight}) is not "
                 "a scalar; only balance 0 is decided")
 
     left: dict = {}
-    for _, parts in sorted(groups.items(), key=lambda kv: kv[0]):
-        reductions = []
-        for sector, part in parts.items():
-            system = _eliminated_system(sector)
-            reduced, steps = system.reduce_vector(part)
-            reductions.append((system, steps))
-            # the sectors share no monomial, and reduce_vector drops zeros
-            left.update(reduced)
-        trace._pending.append(reductions)
+    for sector, part in parts.items():
+        system = _eliminated_system(sector)
+        reduced, steps = system.reduce_vector(part)
+        trace._pending.append((system, steps))
+        # the sectors share no monomial, and reduce_vector drops zeros
+        left.update(reduced)
 
     residual = Expression(left, True)
     trace.residual = None if residual.is_zero() else residual

@@ -8,15 +8,17 @@ real scalar f, ...) together with an ordered string of covariant
 derivative letters over {1, b, 0}, where "b" stands for 1-bar and the
 leftmost letter is applied first.
 
-All values are immutable; operations are pure functions.  Operator
-templates, rewrite rules and catalog values all put expressions in place of
-factors through one primitive, `Expression.substitute`.
+All values are immutable; operations are pure functions.  A term is read
+as its pair (sorted factor tuple, coefficient), and `Expression.items` lists
+the pairs in factor order.  Operator templates, rewrite rules and catalog
+values all put expressions in place of factors through one primitive,
+`Expression.substitute`.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .scalar import _ZERO_V, ONE, ScalarExact, ZERO
 
@@ -45,11 +47,6 @@ class SymbolInfo(NamedTuple):
     conj: str          # name of the conjugate partner (itself if real)
     base_alpha: int    # (# of index 1) - (# of index 1bar) over the base indices
     base_weight: int
-    real: bool
-
-
-def _sym(name, conj, alpha, weight, real=False):
-    return SymbolInfo(name, conj, alpha, weight, real)
 
 
 # f: real scalar function; g: complex scalar (the free parameter of the 3.7
@@ -64,20 +61,20 @@ def _sym(name, conj, alpha, weight, real=False):
 SYMBOLS: dict[str, SymbolInfo] = {
     s.name: s
     for s in (
-        _sym("f", "f", 0, 0, real=True),
-        _sym("g", "gb", 0, 0),
-        _sym("gb", "g", 0, 0),
-        _sym("R", "R", 0, 2, real=True),
-        _sym("A11", "Ab1b1", 2, 2),
-        _sym("Ab1b1", "A11", -2, 2),
-        _sym("E11", "Eb1b1", 2, 0),
-        _sym("Eb1b1", "E11", -2, 0),
-        _sym("Q11", "Qb1b1", 2, 4),
-        _sym("Qb1b1", "Q11", -2, 4),
-        _sym("W", "Wb", 1, 1),
-        _sym("Wb", "W", -1, 1),
-        _sym("LAM", "LAM", 0, 0, real=True),
-        _sym("RHO", "RHO", 0, 0, real=True),
+        SymbolInfo("f", "f", 0, 0),
+        SymbolInfo("g", "gb", 0, 0),
+        SymbolInfo("gb", "g", 0, 0),
+        SymbolInfo("R", "R", 0, 2),
+        SymbolInfo("A11", "Ab1b1", 2, 2),
+        SymbolInfo("Ab1b1", "A11", -2, 2),
+        SymbolInfo("E11", "Eb1b1", 2, 0),
+        SymbolInfo("Eb1b1", "E11", -2, 0),
+        SymbolInfo("Q11", "Qb1b1", 2, 4),
+        SymbolInfo("Qb1b1", "Q11", -2, 4),
+        SymbolInfo("W", "Wb", 1, 1),
+        SymbolInfo("Wb", "W", -1, 1),
+        SymbolInfo("LAM", "LAM", 0, 0),
+        SymbolInfo("RHO", "RHO", 0, 0),
     )
 }
 
@@ -136,19 +133,6 @@ class Factor(NamedTuple):
         if not self.derivs:
             return self.symbol
         return f"{self.symbol}_{{{''.join(self.derivs)}}}"
-
-
-# ---------------------------------------------------------------------------
-# Term view (used in reports and for the weight operation)
-# ---------------------------------------------------------------------------
-
-class Term(NamedTuple):
-    coeff: ScalarExact
-    factors: tuple[Factor, ...]
-    integrated: bool
-
-    def weight(self) -> int:
-        return sum(f.weight() for f in self.factors)
 
 
 # a term's key: its factors, sorted
@@ -223,12 +207,10 @@ class Expression:
 
     # -- iteration ----------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Monomial, ScalarExact]]:
-        return iter(sorted(self._terms.items(),
-                           key=lambda kv: tuple(f.sort_key() for f in kv[0])))
-
-    def term_list(self) -> list[Term]:
-        return [Term(coeff, key, self.integrated) for key, coeff in self.items()]
+    def items(self) -> list[tuple[Monomial, ScalarExact]]:
+        """The (factors, coefficient) pairs of the terms, in factor order."""
+        return sorted(self._terms.items(),
+                      key=lambda kv: tuple(f.sort_key() for f in kv[0]))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -316,10 +298,11 @@ class Expression:
             raise ValueError("term is already integrated")
         return Expression(self._terms, True)
 
-    def filter_terms(self, predicate) -> "Expression":
+    def filter_terms(self, predicate: Callable[[Monomial], bool]
+                     ) -> "Expression":
+        """The terms whose factor tuple `predicate` accepts."""
         return Expression({k: c for k, c in self._terms.items()
-                           if predicate(Term(c, k, self.integrated))},
-                          self.integrated)
+                           if predicate(k)}, self.integrated)
 
     def substitute(self, replace: Callable[[Factor], "Expression | None"]
                    ) -> "Expression":
@@ -347,7 +330,7 @@ class Expression:
     def drop_symbols(self, symbols: set[str]) -> "Expression":
         """Set the listed symbols to zero (drop every term containing one)."""
         return self.filter_terms(
-            lambda t: not any(f.symbol in symbols for f in t.factors))
+            lambda factors: not any(f.symbol in symbols for f in factors))
 
     # -- comparison / printing ------------------------------------------------
 

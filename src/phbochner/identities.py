@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import operators as ops
-from .calculus import (RewriteTrace, apply_rule, canonicalize, equal_mod_ibp,
-                       ibp_residual)
+from .calculus import (RewriteTrace, canonicalize, equal_mod_ibp, ibp_residual,
+                       rewrite)
 from .expr import Expression, Factor
 from .kernel import (FormInputs, _thm_a, corollary_c_minors, det,
                      form_entries, thm_b_minors, torsion_free_entries)
@@ -164,14 +164,12 @@ def script_2_8() -> Decide:
 
 def _f_squared(e: Expression) -> Expression:
     """The terms of e whose f factors are f*f, underived."""
-    return e.filter_terms(lambda term: [f for f in term.factors
-                                        if f.symbol == "f"] == [Factor("f")] * 2)
+    return e.filter_terms(lambda factors: [f for f in factors if f.symbol == "f"]
+                          == [Factor("f")] * 2)
 
 
 def script_2_11() -> Decide:
-    s = Corpus.load().expr("2.8", "integrals")
-    for rule in ops.flatness_rules():
-        s = apply_rule(s, rule)
+    s = rewrite(Corpus.load().expr("2.8", "integrals"), ops.flatness_rules())
     twice = canonicalize(s * 2)
     bianchi = ops.bianchi_rule()
     # Theorem A: its value is the f^2 coefficient of 2.11
@@ -179,7 +177,7 @@ def script_2_11() -> Decide:
              * Factor("f") * Factor("f")).integrate()
 
     def decide(target: Expression) -> ScriptResult:
-        t = apply_rule(target, bianchi)
+        t = rewrite(target, bianchi)
         ok, trace = equal_mod_ibp(twice, t)
         # the Bianchi rule with A = 0 annihilates the f^2 integrand
         f2 = _f_squared(t).drop_symbols({"A11", "Ab1b1"})
@@ -373,11 +371,11 @@ def script_3_7() -> Decide:
 
 
 # The kernel's inputs in catalog symbols; t = |A11_{,1}|^{2/3} = W*Wb.
+# lapR and grad2 are the operators' own lap_b and |grad_b|^2 at R.
 _FORM_INPUTS = {"R": "R", "t": "W*Wb", "a2": "A11*Ab1b1",
-                "lapR": "-R_{1b} - R_{b1}",
                 "imbb": "(1/2)*i*(Ab1b1_{11} - A11_{bb})",
                 "Rb": "R_{b}", "Ab": "Ab1b1", "Ab1": "Ab1b1_{1}",
-                "R0": "R_{0}", "grad2": "2*R_{1}*R_{b}"}
+                "R0": "R_{0}"}
 _FORM_BASIS = ("E11_{b1}", "i*E11_{0}", "E11_{1}", "E11_{b}", "E11")
 _QUARTERS = dict.fromkeys(map(Factor, _PARAMETERS),
                           Expression.scalar(ScalarExact(Fraction(1, 4))))
@@ -392,7 +390,10 @@ def _constant(n, d=1, s3=False) -> Expression:
 
 
 def _inputs() -> FormInputs:
-    return FormInputs(**{k: parse(v) for k, v in _FORM_INPUTS.items()})
+    at_r = {Factor("f"): Expression.from_factor(Factor("R"))}
+    return FormInputs(lapR=rewrite(ops.build_sublaplacian().expr, at_r),
+                      grad2=rewrite(ops.build_subgradient_sq(), at_r),
+                      **{k: parse(v) for k, v in _FORM_INPUTS.items()})
 
 
 def _abs2(z: Expression) -> Expression:
@@ -507,10 +508,10 @@ def mutation_test(ident: str) -> dict:
     if not decide(base).passed:
         return {"identity": ident,
                 "note": "the catalog target fails, so no mutant is decided"}
-    terms = base.term_list()
+    terms = base.items()
     survivors = []
-    for term in terms:
-        bump = Expression.from_term(1, term.factors, term.integrated)
+    for factors, _ in terms:
+        bump = Expression.from_term(1, factors, base.integrated)
         if _run_mutated(decide, base + bump).passed:
             survivors.append(str(bump))
     return {

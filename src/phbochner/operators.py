@@ -24,17 +24,14 @@ with u = f, or u = E11 plus (-1)^|I| (c Eb1b1)_{,rev I} for a tensor value.
 from __future__ import annotations
 
 from functools import cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-# `calculus` (`differentiate` for `apply_template`'s substitution and for
-# `adjoint`, `Rule`) is imported by the functions that run it, so that listing
-# the registry, or building an operator that needs no calculus, does not load it
+# `calculus` (`rewrite` for `apply_template` and `differentiate` for
+# `adjoint`) is imported by the functions that run it, so that listing the
+# registry, or building an operator that needs no calculus, does not load it
 from .expr import Expression, Factor, SYMBOLS, conj_letter
 from .parser import Corpus, parse
 from .scalar import I, ScalarExact
-
-if TYPE_CHECKING:
-    from .calculus import Rule
 
 __all__ = [
     "OperatorTemplate", "apply_template", "adjoint",
@@ -70,22 +67,20 @@ class OperatorTemplate(NamedTuple):
 def apply_template(template: OperatorTemplate, argument: Expression) -> Expression:
     """Substitute the placeholder by `argument` and its conjugate by
     conj(argument), each differentiated by the factor's derivative letters,
-    in one `Expression.substitute` pass."""
-    from .calculus import differentiate
+    by one `calculus.rewrite`."""
+    from .calculus import rewrite
 
     # the real f is its own conjugate: the placeholder's entry, last, wins
-    values = {SYMBOLS[template.placeholder].conj: argument.conjugate(),
-              template.placeholder: argument}
-    return template.expr.substitute(
-        lambda f: differentiate(values[f.symbol], f.derivs)
-        if f.symbol in values else None)
+    u = Factor(template.placeholder)
+    return rewrite(template.expr,
+                   {u.conjugate(): argument.conjugate(), u: argument})
 
 
 def is_linear(template: OperatorTemplate) -> bool:
     conj_placeholder = SYMBOLS[template.placeholder].conj
     names = {template.placeholder, conj_placeholder}
-    return all(sum(1 for f in t.factors if f.symbol in names) == 1
-               for t in template.expr.term_list())
+    return all(sum(1 for f in factors if f.symbol in names) == 1
+               for factors, _ in template.expr.items())
 
 
 # ---------------------------------------------------------------------------
@@ -132,26 +127,20 @@ def build_DQJ_rhs() -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Substitution rules
+# Substitution rules, as maps for `calculus.rewrite`
 # ---------------------------------------------------------------------------
 
-def bianchi_rule() -> Rule:
-    """R_{,0 ...} -> (A11_{,1bar 1bar} + Ab1b1_{,11}) differentiated by the tail."""
-    from .calculus import Rule
-
-    return Rule("R", ("0",), parse("A11_{bb} + Ab1b1_{11}"))
+def bianchi_rule() -> dict[Factor, Expression]:
+    """R_{,0} -> A11_{,1bar 1bar} + Ab1b1_{,11}."""
+    return {Factor("R", ("0",)): parse("A11_{bb} + Ab1b1_{11}")}
 
 
-def flatness_rules() -> list[Rule]:
-    """Rewrites expressing DJ f = 0: f_{,11} -> -(DJ f - f_{,11}), which is
-    -i A11 f, and its conjugate."""
-    from .calculus import Rule
-
+def flatness_rules() -> dict[Factor, Expression]:
+    """DJ f = 0: f_{,11} -> -(DJ f - f_{,11}), which is -i A11 f, and its
+    conjugate."""
     rest = -(build_DJ().expr - parse("f_{11}"))
-    return [
-        Rule("f", ("1", "1"), rest),
-        Rule("f", ("b", "b"), rest.conjugate()),
-    ]
+    return {Factor("f", ("1", "1")): rest,
+            Factor("f", ("b", "b")): rest.conjugate()}
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +174,11 @@ def adjoint(template: OperatorTemplate) -> OperatorTemplate:
     u = Factor("E11" if tensor else "f")
 
     parts = []
-    for term in template.expr.term_list():
-        (arg,) = [f for f in term.factors if f.symbol == "f"]
+    for factors, coeff in template.expr.items():
+        (arg,) = [f for f in factors if f.symbol == "f"]
         # c times the sign (-1)^|I|, which is real
-        c = Expression.from_term(term.coeff * (-1) ** len(arg.derivs),
-                                 [f for f in term.factors if f.symbol != "f"])
+        c = Expression.from_term(coeff * (-1) ** len(arg.derivs),
+                                 [f for f in factors if f.symbol != "f"])
         rev = arg.derivs[::-1]
         parts.append(differentiate(c.conjugate() * u, [conj_letter(l) for l in rev]))
         if tensor:

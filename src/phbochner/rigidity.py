@@ -346,7 +346,8 @@ def evaluate_conditions(columns: dict, conditions: list[str]) -> list[dict]:
 
     A report holds the point's `id`, its condition `values`, `verdicts` and
     form `minors`, whether it `passed` each requested condition, and its
-    input `errors`.  Raises ValueError when a value overflows double
+    input `errors`.  Raises ValueError when a value or its M (the sum of
+    the magnitudes of its summands, which scales its band) overflows double
     precision.
     """
     with np.errstate(all="ignore"):
@@ -354,7 +355,7 @@ def evaluate_conditions(columns: dict, conditions: list[str]) -> list[dict]:
         rows = {name: CONDITIONS[name] for name in conditions}
         values, verdicts = _evaluate(columns, x, rows.values())
         ids = columns["id"]
-        _require_finite(ids, [v for v, _ in values.values()])
+        _require_finite(ids, [a for pair in values.values() for a in pair])
         torsion_free = _torsion_free(columns).tolist()
         reports = [{"id": pid, "values": {}, "verdicts": {}, "minors": {},
                     "passed": {}, "errors": []} for pid in ids]

@@ -8,7 +8,7 @@ import phbochner.calculus as calc
 from phbochner.calculus import (CalculusError, canonicalize, check_certificate,
                                 commute_swap, differentiate, equal_mod_ibp,
                                 ibp_residual)
-from phbochner.expr import Expression, Factor, Term
+from phbochner.expr import Expression, Factor
 from phbochner.parser import ParseError, parse
 from phbochner.scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
@@ -144,8 +144,8 @@ def test_commute_swap_preserves_weight():
         f = Factor(rng.choice(syms), derivs)
         pos = rng.randint(0, len(derivs) - 2)
         w = f.weight()
-        for t in commute_swap(f, pos).term_list():
-            assert t.weight() == w
+        for factors, _ in commute_swap(f, pos).items():
+            assert sum(g.weight() for g in factors) == w
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +186,27 @@ def test_ibp_involution():
     # one class of balance 0 and one of balance -1
     ("INT[ R*f - R_{b} ]", "INT[ 2*R*f ]"),
 ])
-def test_ibp_refuses_nonzero_balance(a, b):
+def test_ibp_refuses_nonzero_balance(a, b, monkeypatch):
     # an integral of balance != 0 changes under a rotation of the frame, so
-    # it is no scalar and the engine decides nothing about it
+    # it is no scalar and the engine decides nothing about it, and builds
+    # no system for its balance-0 part either
+    monkeypatch.setattr(calc, "_system_cache", {})
     with pytest.raises(CalculusError, match="balance"):
         ibp_residual(parse(a), parse(b))
+    assert calc._system_cache == {}
+
+
+def test_query_of_two_weights_has_one_sorted_certificate():
+    # weights 2 and 4: one certificate over both sectors, sorted by row id,
+    # so the weight-4 row, whose parent starts with R, comes first
+    a = parse("INT[ f_{1}*f_{b} + R*E11*Eb1b1_{b1} ]")
+    b = parse("INT[ -f*f_{b1} - R*E11_{1}*Eb1b1_{b} - R_{1}*E11*Eb1b1_{b} ]")
+    ok, trace = equal_mod_ibp(a, b)
+    assert ok
+    [(r_parent, _)], [(f_parent, _)] = (parse(t).items()
+                                        for t in ("R*E11*Eb1b1_{b}", "f*f_{b}"))
+    assert trace.certificate == [((r_parent, "1"), ONE), ((f_parent, "1"), ONE)]
+    assert check_certificate(a, b, trace)
 
 
 # ---------------------------------------------------------------------------

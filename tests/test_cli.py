@@ -207,6 +207,11 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
      ["scaletest", "{}"], ["'q'", "'R1'"]),
     ('[{"id": "q", "R": 1e200}]', ["check", "{}", "--cond", "thm-b"],
      ["'q'", "overflow"]),
+    # finite values whose M, and so whose band, overflows
+    ('[{"id": "t", "R": -1.0, "R0": 1.0e308, "A11_bb": [0.0, 0.5e308]}]',
+     ["check", "{}", "--cond", "thm-a"], ["'t'", "overflow"]),
+    ('[{"id": "big", "R": 1.0, "R0": 1.7e308, "A11_bb": [0.5e308, 0.0]}]',
+     ["check", "{}", "--cond", "bianchi"], ["'big'", "overflow"]),
     (ONE_POINT, ["scaletest", "{}", "--k", "1e-200"], ["'p0'", "1e-200"]),
     (ONE_POINT, ["scaletest", "{}", "--k", "1e100"],
      ["'p0'", "underflow", "1e+100"]),
@@ -250,7 +255,8 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
     ("[" * 100000 + "]" * 100000, ["check", "{}", "--cond", "thm-b"],
      ["recursion"]),
 ], ids=["infinite-field", "nan-field", "string-field", "long-pair",
-        "value-overflow", "k-overflow", "k-underflow", "not-a-record", "empty-array",
+        "value-overflow", "band-overflow-thm-a", "band-overflow-bianchi",
+        "k-overflow", "k-underflow", "not-a-record", "empty-array",
         "not-json", "k-divides-by-zero", "k-not-a-number", "k-negative",
         "samples-negative", "samples-zero", "samples-zero-verify",
         "samples-huge-equiv", "samples-huge-sylvester",

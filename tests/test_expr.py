@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from phbochner.expr import Expression, Factor, Term
+from phbochner.expr import Expression, Factor
 from phbochner.parser import parse
 from phbochner.scalar import I, ScalarExact
 
@@ -101,9 +101,12 @@ def test_real_symbols_conjugate_to_themselves():
 
 
 def test_spec_weight_examples():
-    assert Term(ScalarExact(1), (Factor("f", ("1", "1", "b", "b")),), False).weight() == 4
-    assert Term(ScalarExact(1), (Factor("f", ("0", "0")),), False).weight() == 4
-    assert Term(ScalarExact(1), (Factor("A11"), Factor("Eb1b1")), False).weight() == 2
+    def weight(*factors):
+        return sum(f.weight() for f in factors)
+
+    assert weight(Factor("f", ("1", "1", "b", "b"))) == 4
+    assert weight(Factor("f", ("0", "0"))) == 4
+    assert weight(Factor("A11"), Factor("Eb1b1")) == 2
 
 
 def test_expression_is_real():

@@ -30,10 +30,10 @@ def test_3_7_coefficient_bumps_fail(fld, monkeypatch):
     """Bumping any one coefficient of a 3.7 field by +1 fails 3.7."""
     record = ids.Corpus.load().records["3.7"]
     text = record[fld]
-    terms = parse(text).term_list()
-    assert terms
-    for term in terms:
-        bump = Expression.from_term(1, term.factors, term.integrated)
+    e = parse(text)
+    assert e.items()
+    for factors, _ in e.items():
+        bump = Expression.from_term(1, factors, e.integrated)
         monkeypatch.setitem(record, fld, f"{text} + {bump}")
         assert ids.run_script("3.7").status == "FAIL", (fld, str(bump))
 
@@ -65,9 +65,9 @@ def test_cube_root_never_in_an_ibp_query(monkeypatch):
     assert len(queries) == 8
     assert not any(f.symbol in ("W", "Wb", "LAM", "RHO")
                    for q in queries for e in q
-                   for t in e.term_list() for f in t.factors)
+                   for factors, _ in e.items() for f in factors)
     form, _ = ids._numeric_form(form_entries(ids._inputs(), ids._constant), [])
-    assert any(f.symbol == "W" for t in form.term_list() for f in t.factors)
+    assert any(f.symbol == "W" for factors, _ in form.items() for f in factors)
 
 
 def test_2_7_wrong_alpha_leaves_T_residual():
@@ -129,11 +129,31 @@ def test_3_5_closes_by_its_slice_witness_only(monkeypatch):
 def test_bianchi_value_is_the_rule_2_11_uses():
     """`check`'s bianchi value R_{,0} - 2 Re(A11_{,bb}), on the catalog
     inputs with Re(A11_{,bb}) = (1/2)(A11_{bb} + Ab1b1_{11}), is R_{,0} less
-    the replacement of the Bianchi rule that 2.11 rewrites by."""
+    the value of R_{0} in the Bianchi rule that 2.11 rewrites by."""
     x = ids._inputs()._replace(rebb=parse("(1/2)*(A11_{bb} + Ab1b1_{11})"))
     value = kernel._bianchi(x, ids._constant)
-    assert value == parse("R_{0}") - ops.bianchi_rule().replacement
+    assert value == parse("R_{0}") - ops.bianchi_rule()[Factor("R", ("0",))]
     assert not value.is_zero()
+
+
+@pytest.mark.parametrize("rule, value", [
+    ("bianchi_rule", "A11_{bb} - Ab1b1_{11}"),
+    ("flatness_rules", None),
+])
+def test_2_11_fails_with_a_wrong_rule(rule, value, monkeypatch):
+    """A wrong rule fails 2.11: the Bianchi value of R_{0} with the sign of
+    Ab1b1_{11} flipped, or the DJ f = 0 values doubled."""
+    right = getattr(ops, rule)()
+    wrong = {x: parse(value) if value else v * 2 for x, v in right.items()}
+    monkeypatch.setattr(ops, rule, lambda: wrong)
+    assert ids.run_script("2.11").status == "FAIL"
+
+
+def test_form_inputs_are_the_operators_at_R():
+    # lap_b R and |grad_b R|^2, as the kernel reads them
+    x = ids._inputs()
+    assert x.lapR == parse("-R_{1b} - R_{b1}")
+    assert x.grad2 == parse("2*R_{1}*R_{b}")
 
 
 def test_bianchi_annihilates_final_f2_integrand():
@@ -157,8 +177,8 @@ def test_3_4_quadratic_form_variables():
     """All integrand monomials pair a derivative of E11 with a conjugate."""
     corpus = ids.Corpus.load()
     target = corpus.expr("3.4", "integrand")
-    for term in target.term_list():
-        e_syms = sorted(f.symbol for f in term.factors
+    for factors, _ in target.items():
+        e_syms = sorted(f.symbol for f in factors
                         if f.symbol in ("E11", "Eb1b1"))
         assert e_syms == ["E11", "Eb1b1"]
 
@@ -186,9 +206,9 @@ def test_torsion_free_specializations():
     assert s211 == parse("INT[ -4*R*f_{1}*f_{b} ] + INT[ s3*R_{0}*f*f ]")
     # constant curvature drops every R-derivative from the deformation identity
     s34 = corpus.expr("3.4", "integrand").filter_terms(
-        lambda t: not any(f.symbol == "R" and f.derivs for f in t.factors))
-    assert all(not f.derivs for t in s34.term_list()
-               for f in t.factors if f.symbol == "R")
+        lambda factors: not any(f.symbol == "R" and f.derivs for f in factors))
+    assert all(not f.derivs for factors, _ in s34.items()
+               for f in factors if f.symbol == "R")
 
 
 def test_certificates_replay():
@@ -378,8 +398,8 @@ def _mutants() -> list[tuple[str, str, Expression]]:
     out = []
     for ident in ids.MUTABLE_IDS:
         base = ids._target(ident)
-        for k, term in enumerate(base.term_list()):
-            bump = Expression.from_term(1, term.factors, term.integrated)
+        for k, (factors, _) in enumerate(base.items()):
+            bump = Expression.from_term(1, factors, base.integrated)
             out.append((f"{ident}#{k}", ident, base + bump))
     return out
 

@@ -14,8 +14,7 @@ from test_expr import coefficient, random_expression
 
 def test_two_term_example():
     e = parse("f_{11} + i*A_{11}*f")
-    terms = e.term_list()
-    assert len(terms) == 2
+    assert len(e.items()) == 2
     assert coefficient(e, (Factor("f", ("1", "1")),)) == ScalarExact(1)
     assert coefficient(e, (Factor("A11"), Factor("f"))) == I
 

@@ -374,6 +374,20 @@ def test_scaling_report_refuses_an_underflow():
     assert rep["ok"]
 
 
+def test_evaluate_conditions_refuses_an_overflowing_band():
+    # thm-a's value is finite, but its M = sqrt3*1e308 + 1e308 is not, so
+    # the band 1e-12*M would be inf and the borderline vacuous
+    columns = rg._stack([PointData(R=-1.0, R0=1e308, A11_bb=0.5e308j,
+                                   id="t")])
+    with np.errstate(over="ignore"):
+        values, _ = rg._evaluate(columns, rg._float_inputs(columns),
+                                 [rg.CONDITIONS["thm-a"]])
+    assert np.isfinite(values["thm_a"][0]) and np.isinf(values["thm_a"][1])
+    with pytest.raises(ValueError, match="'t': values overflow double "
+                                         "precision"):
+        rg.evaluate_conditions(columns, ["thm-a"])
+
+
 def test_torsion_free_consistency():
     # with A = 0: positive definiteness of the 4x4 form <=> R > 0
     Rs = (-2.0, -0.1, 0.5, 3.0)
@@ -410,7 +424,7 @@ _CATALOG_FIELDS = {"R": "R", "R0": "R_{0}", "R1": "R_{1}", "lapR": "R_{1b}",
 
 
 def _weights(e: Expression) -> set:
-    return {term.weight() for term in e.term_list()}
+    return {sum(f.weight() for f in factors) for factors, _ in e.items()}
 
 
 def test_field_table_matches_the_catalog():
