@@ -25,9 +25,9 @@ The engine implements
   differentiation and the commutation rules only add R, A11 and Ab1b1
   factors, so each relation lies in one sector, and each sector is finite.
   Each sector's relations are listed and eliminated once, in a fixed order,
-  and the pivot rows are then back-substituted into reduced echelon form,
-  so a query is reduced in one pass over its own pivot monomials.  The
-  residual is the normal form modulo their span: every pivot lead is
+  and the pivot rows are kept in reduced echelon form as each row is
+  added, so a query is reduced in one pass over its own pivot monomials.
+  The residual is the normal form modulo their span: every pivot lead is
   eliminated, so it is the same for all inputs equal modulo IBP, whatever
   the cache state or query order, and so is the certificate (which
   relation was used with which coefficient, listed by row id).  A relation
@@ -377,90 +377,66 @@ def _relation_row(parent: Monomial, direction: str) -> dict[Monomial, ScalarExac
     return {m: c for m, c in acc.items() if c}
 
 
+def _subtract(vec: dict, f: ScalarExact, row: dict) -> None:
+    """vec -= f * row, in place; an entry that cancels is dropped."""
+    get = vec.get
+    for k, c in row.items():
+        val = sub_mul(get(k, ZERO), f, c)
+        if val is ZERO:
+            vec.pop(k, None)
+        else:
+            vec[k] = val
+
+
 class _LinearSystem:
     """Exact row reduction with a certificate over the original rows.
 
-    `add_row` eliminates leading terms only, so the pivot rows form an
-    echelon basis (distinct leading monomials, each with coefficient 1).
-    `reduce_basis` then back-substitutes them into reduced echelon form: no
-    pivot row holds another pivot's lead.  `reduce_vector` eliminates the
-    vector's own pivot monomials in one pass, and what is left avoids all
-    leads: the unique normal form modulo the span.
+    The pivot rows stay in reduced echelon form after every `add_row`: each
+    lead has coefficient 1, and no pivot row holds another pivot's lead.
+    The reduced echelon form of a span is unique, and a row becomes a pivot
+    exactly when it is outside the span of the rows before it, so the order
+    rows are added in alone fixes the pivots and their combinations.
+    `reduce_vector` eliminates the vector's own pivot monomials in one pass,
+    and what is left avoids all leads: the unique normal form modulo the
+    span.
     """
 
     def __init__(self):
         # leading monomial -> (vector, combo over original row ids)
         self.pivots: dict[Monomial, tuple[dict, dict]] = {}
 
-    @staticmethod
-    def _leading(vec: dict) -> Monomial:
-        return max(vec, key=_monomial_sort_key)
-
-    def _eliminate(self, vec: dict, lead: Monomial) -> ScalarExact:
-        """vec -= f * (pivot row of lead), f = vec[lead]; returns f.
-
-        Pivot rows are stored with leading coefficient 1, so no division is
-        needed.
-        """
-        factor = vec[lead]
-        get = vec.get
-        for m, c in self.pivots[lead][0].items():
-            val = sub_mul(get(m, ZERO), factor, c)
-            if val is ZERO:
-                vec.pop(m, None)
-            else:
-                vec[m] = val
-        return factor
-
-    def _combine(self, combo: dict, lead: Monomial, factor: ScalarExact) -> None:
-        """combo -= factor * (combination of rows behind the pivot of lead)."""
-        for rid, c in self.pivots[lead][1].items():
-            val = sub_mul(combo.get(rid, ZERO), factor, c)
-            if val is ZERO:
-                combo.pop(rid, None)
-            else:
-                combo[rid] = val
-
     def add_row(self, row_id, vec: dict):
-        # combo tracks vec as a combination of rows, so every elimination
-        # vec -= f * pvec subtracts f * pcombo from it
-        vec, combo = dict(vec), {row_id: ONE}
-        while vec:
-            lead = self._leading(vec)
-            if lead not in self.pivots:
-                scale = vec[lead].inverse()
-                self.pivots[lead] = ({m: c * scale for m, c in vec.items()},
-                                     {r: c * scale for r, c in combo.items()})
-                return
-            self._combine(combo, lead, self._eliminate(vec, lead))
-
-    def reduce_basis(self) -> None:
-        """Back-substitute the pivot rows into reduced echelon form.
-
-        A pivot row's other monomials are smaller than its lead, so taking
-        the rows from the smallest lead up, the rows subtracted from each are
-        already reduced and bring in no lead.  Which rows are kept depends
-        on the order rows were added in alone, so neither residuals nor
-        certificates change.
-        """
-        pivots = self.pivots
-        for lead in sorted(pivots, key=_monomial_sort_key):
-            pvec, pcombo = pivots[lead]
-            for m in [m for m in pvec if m != lead and m in pivots]:
-                self._combine(pcombo, m, self._eliminate(pvec, m))
+        vec, steps = self.reduce_vector(vec)
+        if not vec:
+            return
+        lead = max(vec, key=_monomial_sort_key)
+        scale = vec[lead].inverse()
+        vec = {m: c * scale for m, c in vec.items()}
+        # vec is scale times the row less the pivot rows of steps
+        combo = {row_id: scale}
+        _subtract(combo, scale, self.combination(steps))
+        # vec holds no other lead, so removing its lead from each pivot row
+        # keeps the form reduced
+        for pvec, pcombo in self.pivots.values():
+            f = pvec.get(lead)
+            if f is not None:
+                _subtract(pvec, f, vec)
+                _subtract(pcombo, f, combo)
+        self.pivots[lead] = (vec, combo)
 
     def reduce_vector(self, vec: dict) -> tuple[dict, list]:
         """(normal form of vec, its eliminations as (lead, factor) pairs).
 
-        In a reduced basis no pivot row holds another lead, so one pass over
-        vec's own pivot monomials eliminates every lead, each by its
-        coefficient in vec.  `combination` turns the eliminations into the
-        rows subtracted from vec.
+        No pivot row holds another lead, so one pass over vec's own pivot
+        monomials eliminates every lead, each by its coefficient in vec.
+        `combination` turns the eliminations into the rows subtracted from
+        vec.
         """
         vec = dict(vec)
-        pivots = self.pivots
-        return vec, [(lead, self._eliminate(vec, lead))
-                     for lead in [m for m in vec if m in pivots]]
+        steps = [(lead, vec[lead]) for lead in vec if lead in self.pivots]
+        for lead, factor in steps:
+            _subtract(vec, factor, self.pivots[lead][0])
+        return vec, steps
 
     def combination(self, steps: list) -> dict:
         """Row id -> coefficient of the rows `steps` subtracted in total.
@@ -470,7 +446,7 @@ class _LinearSystem:
         """
         combo: dict = {}
         for lead, factor in steps:
-            self._combine(combo, lead, -factor)
+            _subtract(combo, -factor, self.pivots[lead][1])
         return combo
 
 
@@ -538,8 +514,9 @@ def _build_relations(weight: int, balance: int,
 def _eliminated_system(sector: tuple) -> _LinearSystem:
     """The reduced echelon system of a sector's relations, cached.
 
-    The rows of `_build_relations` are added in order; a sector with more
-    than MAX_RELATIONS of them is refused before any row is built.
+    The rows of `_build_relations` are added in order, each reduced against
+    those before it; a sector with more than MAX_RELATIONS of them is
+    refused before any row is built.
     """
     system = _system_cache.get(sector)
     if system is None:
@@ -551,7 +528,6 @@ def _eliminated_system(sector: tuple) -> _LinearSystem:
         system = _LinearSystem()
         for rid in rids:
             system.add_row(rid, _relation_row(*rid))
-        system.reduce_basis()
         _system_cache[sector] = system
     return system
 

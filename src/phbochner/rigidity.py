@@ -44,6 +44,7 @@ __all__ = [
 
 _SQRT3 = 3.0 ** 0.5
 _BOUNDARY_BAND = 1e-9   # relative; the batteries skip samples this close to 0
+_SMALLEST_NORMAL = 2.0 ** -1022
 
 
 class _Field(NamedTuple):
@@ -327,11 +328,33 @@ def build_form_5(p: PointData) -> HermitianForm:
 # Condition reports
 # ---------------------------------------------------------------------------
 
-def _require_finite(ids: list[str], arrays, where: str = "") -> None:
-    """Raise ValueError naming the first point with a non-finite value."""
+def _require_representable(s: dict, rows, values: dict,
+                            where: str = "") -> None:
+    """Raise ValueError naming the first point at which `values`, the
+    {key: (v, M)} of the condition rows `rows`, overflow double precision,
+    or at which an M falls below the smallest normal double although it is
+    positive in exact arithmetic: the value has lost its digits, and an
+    underflow to 0 could flip its verdict.  s holds the unscaled fields."""
+    ids = s["id"]
     finite = np.logical_and.reduce(
-        [np.isfinite(a).reshape(len(ids), -1).all(axis=1) for a in arrays])
+        [np.isfinite(a).reshape(len(ids), -1).all(axis=1)
+         for pair in values.values() for a in pair])
     _refuse_first(ids, ~finite, f"values overflow double precision{where}")
+    small = {key: m < _SMALLEST_NORMAL for key, (_, m) in values.items()}
+    some = np.logical_or.reduce(list(small.values()))
+    if some.any():
+        # where an M is small, each M of 0/1 stand-ins for the nonzero parts
+        # of the fields is positive exactly where the exact M is
+        marks = {}
+        for name, f in _FIELDS.items():
+            v = s[name][some]
+            marks[name] = ((v.real != 0) + 1j * (v.imag != 0) if f.complex
+                           else (v != 0) * 1.0)
+        exact, _ = _evaluate(marks, _float_inputs(marks), rows)
+        lost = np.zeros(len(ids), dtype=bool)
+        lost[some] = np.logical_or.reduce(
+            [small[key][some] & (m > 0) for key, (_, m) in exact.items()])
+        _refuse_first(ids, lost, f"values underflow double precision{where}")
 
 
 def _refuse_first(ids: list[str], bad: np.ndarray, message: str) -> None:
@@ -348,14 +371,15 @@ def evaluate_conditions(columns: dict, conditions: list[str]) -> list[dict]:
     form `minors`, whether it `passed` each requested condition, and its
     input `errors`.  Raises ValueError when a value or its M (the sum of
     the magnitudes of its summands, which scales its band) overflows double
-    precision.
+    precision, or an M positive in exact arithmetic underflows (see
+    `_require_representable`).
     """
     with np.errstate(all="ignore"):
         x = _float_inputs(columns)
         rows = {name: CONDITIONS[name] for name in conditions}
         values, verdicts = _evaluate(columns, x, rows.values())
         ids = columns["id"]
-        _require_finite(ids, [a for pair in values.values() for a in pair])
+        _require_representable(columns, rows.values(), values)
         torsion_free = _torsion_free(columns).tolist()
         reports = [{"id": pid, "values": {}, "verdicts": {}, "minors": {},
                     "passed": {}, "errors": []} for pid in ids]
@@ -399,7 +423,6 @@ def evaluate_conditions(columns: dict, conditions: list[str]) -> list[dict]:
 # and the products and sums of 3.12 the rest.  k^p v_0 adds 3 (pow, product).
 _HOMOGENEITY_C = 48
 _UNIT_ROUNDOFF = 2.0 ** -53
-_SMALLEST_NORMAL = 2.0 ** -1022
 
 
 def _scaled(fields, k: float) -> dict:
@@ -414,9 +437,8 @@ def scaling_report(columns: dict, ks: list[float]) -> list[dict]:
     |k^p| M_0), with M the sum of the magnitudes of v's summands, u the unit
     roundoff and C = _HOMOGENEITY_C; `errors` reports |v_k - k^p v_0|
     relative to the larger of |v_k| and |k^p v_0|.  Verdicts are those of
-    `evaluate_conditions`, by the same `_evaluate`.  Raises ValueError when
-    a value or its M overflows double precision, or an M positive at k = 1
-    falls below the smallest normal double (the value has lost its digits).
+    `evaluate_conditions`, by the same `_evaluate`.  Raises ValueError, at
+    k = 1 and at each k, as `evaluate_conditions` does.
     """
     with np.errstate(all="ignore"):
         s, ids = columns, columns["id"]
@@ -425,7 +447,7 @@ def scaling_report(columns: dict, ks: list[float]) -> list[dict]:
         powers = {key: power for row in rows
                   for key, (_, power) in row.values.items()}
         values0, verdicts0 = _evaluate(s, _float_inputs(s), rows)
-        _require_finite(ids, [a for pair in values0.values() for a in pair])
+        _require_representable(s, rows, values0)
         # torsion-free rows are judged, and their values reported, at
         # torsion-free points only
         torsion_free = _torsion_free(s)
@@ -436,12 +458,7 @@ def scaling_report(columns: dict, ks: list[float]) -> list[dict]:
         for k in ks:
             scaled = _scaled(s, np.float64(k))
             values, verdicts = _evaluate(scaled, _float_inputs(scaled), rows)
-            _require_finite(ids, [a for pair in values.values() for a in pair],
-                            f" at k = {k}")
-            _refuse_first(ids, np.logical_or.reduce(
-                [(values0[key][1] > 0) & (mk < _SMALLEST_NORMAL)
-                 for key, (_, mk) in values.items()]),
-                f"values underflow double precision at k = {k}")
+            _require_representable(s, rows, values, f" at k = {k}")
             invariant = np.logical_and.reduce(
                 [(verdicts[key] == v0) | (key in partial and ~torsion_free)
                  for key, v0 in verdicts0.items()])

@@ -359,9 +359,29 @@ def test_pass_replays_certificate_from_fresh_rows(monkeypatch):
         equal_mod_ibp(a, b)
 
 
-@pytest.mark.parametrize("sector", [
-    (4, 0, ()), (6, 0, ("f",)), (4, 0, ("f", "f")), (4, 0, ("E11", "Eb1b1")),
-    (6, 0, ("E11", "E11")), (6, 0, ("E11", "Eb1b1"))])
+# balance-0 sectors of the catalog's weights, with 4 to 210 relations
+_SECTORS = [(4, 0, ()), (6, 0, ("f",)), (4, 0, ("f", "f")),
+            (4, 0, ("E11", "Eb1b1")), (6, 0, ("E11", "E11")),
+            (6, 0, ("E11", "Eb1b1"))]
+
+
+def _assert_reduced_pivot(system, lead, rows=None):
+    # the pivot of lead has coefficient 1 there and holds no other lead;
+    # given the rows by id, its combination of them rebuilds its vector
+    pivots = system.pivots
+    vec, combo = pivots[lead]
+    assert vec[lead] == ONE, lead
+    assert not [m for m in vec if m != lead and m in pivots], lead
+    if rows is not None:
+        rebuilt = {}
+        for rid, coeff in combo.items():
+            neg = -coeff
+            for m, c in rows[rid].items():
+                rebuilt[m] = sub_mul(rebuilt.get(m, ZERO), neg, c)
+        assert {m: c for m, c in rebuilt.items() if c} == vec, lead
+
+
+@pytest.mark.parametrize("sector", _SECTORS)
 def test_direction_0_rows_add_nothing_to_the_span(sector):
     # a balance-0 sector lists no 0 rows: each INT[(P)_{,0}] = 0 it could
     # hold reduces to zero against the 1 and b rows
@@ -369,12 +389,28 @@ def test_direction_0_rows_add_nothing_to_the_span(sector):
     system = calc._LinearSystem()
     for rid in calc._build_relations(*sector):
         system.add_row(rid, calc._relation_row(*rid))
-    system.reduce_basis()
     parents = calc._sector_monomials(weight - 2, balance, symbols)
     assert parents
     for parent in parents:
         reduced, _ = system.reduce_vector(calc._relation_row(parent, "0"))
         assert not reduced, parent
+
+
+@pytest.mark.parametrize("sector", _SECTORS)
+def test_sector_systems_stay_reduced_after_every_row(sector):
+    # after each add_row every pivot is in reduced echelon form, and each
+    # pivot the step changed is the combination it records of rows built
+    # apart from the system
+    system = calc._LinearSystem()
+    rows = {}
+    for rid in calc._build_relations(*sector):
+        rows[rid] = calc._relation_row(*rid)
+        before = {lead: (dict(vec), dict(combo))
+                  for lead, (vec, combo) in system.pivots.items()}
+        system.add_row(rid, calc._relation_row(*rid))
+        for lead, pivot in system.pivots.items():
+            _assert_reduced_pivot(
+                system, lead, None if before.get(lead) == pivot else rows)
 
 
 def test_sector_bases_are_fully_reduced(monkeypatch, capsys):
@@ -397,16 +433,11 @@ def test_sector_bases_are_fully_reduced(monkeypatch, capsys):
     for sector, system in calc._system_cache.items():
         assert sector[1] == 0
         assert all(d != "0" for _, d in calc._build_relations(*sector))
-        pivots = system.pivots
-        for lead, (vec, combo) in pivots.items():
-            assert vec[lead] == ONE
+        rows = {rid: calc._relation_row(*rid)
+                for rid in calc._build_relations(*sector)}
+        for lead, (vec, _) in system.pivots.items():
             assert all(calc._sector(m) == sector for m in vec), lead
-            assert not [m for m in vec if m != lead and m in pivots], lead
-            rebuilt = {}
-            for rid, coeff in combo.items():
-                for m, c in calc._relation_row(*rid).items():
-                    rebuilt[m] = sub_mul(rebuilt.get(m, ZERO), -coeff, c)
-            assert {m: c for m, c in rebuilt.items() if c} == vec, lead
+            _assert_reduced_pivot(system, lead, rows)
 
 
 def test_trace_export_formats():

@@ -212,6 +212,10 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
      ["check", "{}", "--cond", "thm-a"], ["'t'", "overflow"]),
     ('[{"id": "big", "R": 1.0, "R0": 1.7e308, "A11_bb": [0.5e308, 0.0]}]',
      ["check", "{}", "--cond", "bianchi"], ["'big'", "overflow"]),
+    # values whose digits underflow at k = 1
+    ('[{"id": "u", "R": 1e-200}]', ["check", "{}", "--cond", "thm-b"],
+     ["'u'", "underflow"]),
+    ('[{"id": "u", "R": 1e-200}]', ["scaletest", "{}"], ["'u'", "underflow"]),
     (ONE_POINT, ["scaletest", "{}", "--k", "1e-200"], ["'p0'", "1e-200"]),
     (ONE_POINT, ["scaletest", "{}", "--k", "1e100"],
      ["'p0'", "underflow", "1e+100"]),
@@ -256,6 +260,7 @@ ONE_POINT = '[{"id": "p0", "R": 1.0}]'
      ["recursion"]),
 ], ids=["infinite-field", "nan-field", "string-field", "long-pair",
         "value-overflow", "band-overflow-thm-a", "band-overflow-bianchi",
+        "value-underflow-check", "value-underflow-scaletest",
         "k-overflow", "k-underflow", "not-a-record", "empty-array",
         "not-json", "k-divides-by-zero", "k-not-a-number", "k-negative",
         "samples-negative", "samples-zero", "samples-zero-verify",
@@ -469,6 +474,47 @@ def test_json_output_bytes_pinned(args, capsys):
     main(["--format", "json", *args.split()])
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == _PINNED_JSON[args]
+
+
+# sha256 of the `--format text` stdout of the symbolic reports; any change
+# to these bytes must be intended and listed in CHANGES.md
+_PINNED_TEXT = {
+    "verify all":
+        "452d14226866d0f81cf925ff84a3cd3993d967aa68b829142b7116bb932ca250",
+    "verify all --mutate":
+        "2e1ed4c282b11fc5fa66ada9286c26c39798a9fb6e683d3fbcabd465b319e601",
+    "trace 2.3":
+        "35a7473b43186593fd94aa4766c16794de9c042c4d7d1e311c6005bf533c40a9",
+    "trace 2.7":
+        "841fc30cf3532ad8f157d09bb7846855f39cfa696a0e7da55d788b74f16f3c77",
+    "trace 2.8":
+        "3973aea1b45c45905950791c7de7a581a61338e04b870d0912c9d5b975ed0db2",
+    "trace 2.ibp":
+        "f74e7afaf1167f89593072f337706c106cc489947b74bc3122f95d9c2c427841",
+    "trace 2.11":
+        "51b7ae40a596710a8f85b591739a8777e57105dcfe3eae12399fd76db2b1e65f",
+    "trace 3.2":
+        "485e3abe54adef1fa84863770b11245005161694728bc777544af1e105c5433a",
+    "trace 3.3":
+        "62053d54fa0730cdfbdbd93f271151382a3ff7d0330f39b115ed1fa97e8fc960",
+    "trace 3.4":
+        "48de13c31f12c9a0157e00827b8d7b7a343a8877dcbe3adfab72511b69d0aaa5",
+    "trace 3.5":
+        "17846221e356b5eb65b2360c83d8ac07f78ce280873db60a0ceb1314b171bf10",
+    "trace 3.6":
+        "5057345610b4e636aebd00626a4d6b9b32fb98b7b1decf4a3e9c28c0d8da3761",
+    "trace 3.7":
+        "687bfc0605c0eefe34fea907838dd1fe0a6a7ad627c996241e310faf6232ee0b",
+    "trace 3.8":
+        "004ca97ea8d6c5f79d52a7e96aa03fb3d4ee73a1ce8fbabf1a35d03233dd39c9",
+}
+
+
+@pytest.mark.parametrize("args", list(_PINNED_TEXT))
+def test_text_output_bytes_pinned(args, capsys):
+    main(["--format", "text", *args.split()])
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == _PINNED_TEXT[args]
 
 
 def test_completed_run_freezes_the_collected_objects(capsys):

@@ -374,6 +374,26 @@ def test_scaling_report_refuses_an_underflow():
     assert rep["ok"]
 
 
+def test_values_that_underflow_are_refused_by_check_and_scaletest():
+    # at R = 1e-200 the 3.11, 3.12 and corollaryC values and their M
+    # underflow to 0.0, which would report thm-b and corollaryC as failing
+    # (R = 1 passes both) and pass every scaling error vacuously
+    columns = rg._stack([PointData(R=1e-200, id="u")])
+    for conditions in (["thm-b"], ["corollaryC"]):
+        with pytest.raises(ValueError, match="'u': values underflow double "
+                                             "precision$"):
+            rg.evaluate_conditions(columns, conditions)
+    with pytest.raises(ValueError, match="'u': values underflow double "
+                                         "precision$"):
+        rg.scaling_report(columns, [3.0])
+    # a value whose summands are all exactly 0 has lost no digits
+    [rep] = rg.evaluate_conditions(columns, ["thm-a", "bianchi"])
+    assert rep["values"] == {"thm_a": 0.0, "bianchi_residual": 0.0}
+    [rep] = rg.evaluate_conditions(rg._stack([PointData(R=1.0)]),
+                                   ["thm-b", "corollaryC"])
+    assert rep["passed"] == {"thm-b": True, "corollaryC": True}
+
+
 def test_evaluate_conditions_refuses_an_overflowing_band():
     # thm-a's value is finite, but its M = sqrt3*1e308 + 1e308 is not, so
     # the band 1e-12*M would be inf and the borderline vacuous
