@@ -180,12 +180,6 @@ def _stack(points: list[PointData]) -> dict:
     return columns
 
 
-def _torsion_free(s: dict) -> np.ndarray:
-    """Where the four torsion fields are 0, at any contact-form scale."""
-    return np.logical_and.reduce(
-        [s[name] == 0 for name, f in _FIELDS.items() if f.torsion])
-
-
 # ---------------------------------------------------------------------------
 # Kernel inputs and constants on float batches
 # ---------------------------------------------------------------------------
@@ -227,7 +221,8 @@ class Condition(NamedTuple):
     per key of `verdicts`, a value's band being `band` times its M, and the
     condition passes where any of them holds.  `minors`, when set, is the
     kernel function of the leading minors of the 5x5 form, which the report
-    gives for the 4x4 and 5x5 forms.
+    gives for the 4x4 and 5x5 forms.  Rows that share a key agree on
+    `torsion_free`.
     """
 
     values: dict[str, tuple[Callable, float | None]]
@@ -328,19 +323,32 @@ def build_form_5(p: PointData) -> HermitianForm:
 # Condition reports
 # ---------------------------------------------------------------------------
 
-def _require_representable(s: dict, rows, values: dict,
-                            where: str = "") -> None:
-    """Raise ValueError naming the first point at which `values`, the
-    {key: (v, M)} of the condition rows `rows`, overflow double precision,
-    or at which an M falls below the smallest normal double although it is
-    positive in exact arithmetic: the value has lost its digits, and an
-    underflow to 0 could flip its verdict.  s holds the unscaled fields."""
-    ids = s["id"]
-    finite = np.logical_and.reduce(
-        [np.isfinite(a).reshape(len(ids), -1).all(axis=1)
-         for pair in values.values() for a in pair])
-    _refuse_first(ids, ~finite, f"values overflow double precision{where}")
-    small = {key: m < _SMALLEST_NORMAL for key, (_, m) in values.items()}
+def _judge(s: dict, rows, k: float | None = None) -> tuple:
+    """The condition rows `rows` on the batch of unscaled fields s, at scale
+    k (theta -> k theta) or unscaled: (x, values, verdicts, reported), with
+    x the kernel inputs, values and verdicts as `_evaluate` gives them, and
+    reported the {key: mask} of the points that report each value and
+    verdict key: a torsion-free row's where the torsion fields are 0 (at
+    any scale), every other row's everywhere.
+
+    Raises ValueError naming the first point that reports a value or M which
+    overflows double precision, or an M below the smallest normal double
+    that is positive in exact arithmetic: the value has lost its digits, and
+    an underflow to 0 could flip its verdict."""
+    fields = s if k is None else _scaled(s, np.float64(k))
+    x = _float_inputs(fields)
+    values, verdicts = _evaluate(fields, x, rows)
+    ids, where = s["id"], "" if k is None else f" at k = {k}"
+    torsion_free = np.logical_and.reduce(
+        [s[name] == 0 for name, f in _FIELDS.items() if f.torsion])
+    everywhere = np.ones(len(ids), dtype=bool)
+    reported = {key: torsion_free if row.torsion_free else everywhere
+                for row in rows for key in (*row.values, *row.verdicts)}
+    _refuse_first(ids, np.logical_or.reduce(
+        [reported[key] & ~np.isfinite(a) for key, pair in values.items()
+         for a in pair]), f"values overflow double precision{where}")
+    small = {key: reported[key] & (m < _SMALLEST_NORMAL)
+             for key, (_, m) in values.items()}
     some = np.logical_or.reduce(list(small.values()))
     if some.any():
         # where an M is small, each M of 0/1 stand-ins for the nonzero parts
@@ -355,6 +363,7 @@ def _require_representable(s: dict, rows, values: dict,
         lost[some] = np.logical_or.reduce(
             [small[key][some] & (m > 0) for key, (_, m) in exact.items()])
         _refuse_first(ids, lost, f"values underflow double precision{where}")
+    return x, values, verdicts, reported
 
 
 def _refuse_first(ids: list[str], bad: np.ndarray, message: str) -> None:
@@ -369,20 +378,14 @@ def evaluate_conditions(columns: dict, conditions: list[str]) -> list[dict]:
 
     A report holds the point's `id`, its condition `values`, `verdicts` and
     form `minors`, whether it `passed` each requested condition, and its
-    input `errors`.  Raises ValueError when a value or its M (the sum of
-    the magnitudes of its summands, which scales its band) overflows double
-    precision, or an M positive in exact arithmetic underflows (see
-    `_require_representable`).
+    input `errors`: a torsion-free row at a point that does not report it
+    gives an error instead.  Raises ValueError as `_judge` does.
     """
     with np.errstate(all="ignore"):
-        x = _float_inputs(columns)
         rows = {name: CONDITIONS[name] for name in conditions}
-        values, verdicts = _evaluate(columns, x, rows.values())
-        ids = columns["id"]
-        _require_representable(columns, rows.values(), values)
-        torsion_free = _torsion_free(columns).tolist()
+        x, values, verdicts, reported = _judge(columns, rows.values())
         reports = [{"id": pid, "values": {}, "verdicts": {}, "minors": {},
-                    "passed": {}, "errors": []} for pid in ids]
+                    "passed": {}, "errors": []} for pid in columns["id"]]
         for name, row in rows.items():
             minors = None
             if row.minors:
@@ -392,9 +395,11 @@ def evaluate_conditions(columns: dict, conditions: list[str]) -> list[dict]:
             passed = np.logical_or.reduce(row_verdicts).tolist()
             row_values = [values[key][0].tolist() for key in row.values]
             row_verdicts = [v.tolist() for v in row_verdicts]
+            # a row's keys are reported at the same points
+            shown = reported[row.verdicts[0]].tolist()
             for i, rep in enumerate(reports):
                 rep["passed"][name] = False
-                if row.torsion_free and not torsion_free[i]:
+                if not shown[i]:
                     rep["errors"].append("the torsion-free condition "
                                          "requires A = 0 input")
                     continue
@@ -437,48 +442,41 @@ def scaling_report(columns: dict, ks: list[float]) -> list[dict]:
     |k^p| M_0), with M the sum of the magnitudes of v's summands, u the unit
     roundoff and C = _HOMOGENEITY_C; `errors` reports |v_k - k^p v_0|
     relative to the larger of |v_k| and |k^p v_0|.  Verdicts are those of
-    `evaluate_conditions`, by the same `_evaluate`.  Raises ValueError, at
-    k = 1 and at each k, as `evaluate_conditions` does.
+    `evaluate_conditions`, and a point is judged, and its errors reported,
+    on the values and verdicts it reports, both by the same `_judge`, which
+    raises ValueError at k = 1 and at each k.
     """
     with np.errstate(all="ignore"):
-        s, ids = columns, columns["id"]
+        ids = columns["id"]
         rows = [row for row in CONDITIONS.values()
                 if all(power is not None for _, power in row.values.values())]
         powers = {key: power for row in rows
                   for key, (_, power) in row.values.items()}
-        values0, verdicts0 = _evaluate(s, _float_inputs(s), rows)
-        _require_representable(s, rows, values0)
-        # torsion-free rows are judged, and their values reported, at
-        # torsion-free points only
-        torsion_free = _torsion_free(s)
-        partial = {key for row in CONDITIONS.values() if row.torsion_free
-                   for key in (*row.values, *row.verdicts)}
+        # the points that report a key do so at every k
+        _, values0, verdicts0, reported = _judge(columns, rows)
         ok = np.ones(len(ids), dtype=bool)
         reports = [{"id": pid, "ok": True, "rows": []} for pid in ids]
         for k in ks:
-            scaled = _scaled(s, np.float64(k))
-            values, verdicts = _evaluate(scaled, _float_inputs(scaled), rows)
-            _require_representable(s, rows, values, f" at k = {k}")
+            _, values, verdicts, _ = _judge(columns, rows, k)
             invariant = np.logical_and.reduce(
-                [(verdicts[key] == v0) | (key in partial and ~torsion_free)
+                [(verdicts[key] == v0) | ~reported[key]
                  for key, v0 in verdicts0.items()])
             errors = {}
             for key, (v0, m0) in values0.items():
                 vk, mk = values[key]
                 kp = np.float64(k) ** powers[key]
                 diff = np.abs(vk - v0 * kp)
-                ok &= diff <= (_HOMOGENEITY_C * _UNIT_ROUNDOFF
-                               * (mk + abs(kp) * m0))
+                ok &= (diff <= (_HOMOGENEITY_C * _UNIT_ROUNDOFF
+                                * (mk + abs(kp) * m0))) | ~reported[key]
                 errors[key] = (diff / np.maximum(np.maximum(np.abs(v0 * kp),
                                                             np.abs(vk)), 1e-300)
-                               ).tolist()
+                               ).tolist(), reported[key].tolist()
             ok &= invariant
-            for i, (rep, inv, tf) in enumerate(zip(
-                    reports, invariant.tolist(), torsion_free.tolist())):
+            for i, (rep, inv) in enumerate(zip(reports, invariant.tolist())):
                 rep["rows"].append({
                     "k": k,
-                    "errors": {key: rel[i] for key, rel in errors.items()
-                               if tf or key not in partial},
+                    "errors": {key: rel[i] for key, (rel, on) in errors.items()
+                               if on[i]},
                     "verdicts_invariant": inv})
         for rep, good in zip(reports, ok.tolist()):
             rep["ok"] = good

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -302,6 +303,109 @@ def test_torsion_free_is_scale_invariant(capsys, tmp_path):
         assert main(["check", str(path), "--cond", "corollaryC"]) == 1
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and "A = 0" in outs[0]
+
+
+# x carries torsion, so it reports no corollaryC value: its value, which
+# underflows in the first file and overflows in the second, refuses nothing
+UNREPORTED_UNDERFLOW = ('[{"id": "x", "R": 1e-200, "A11": [1.0, 0.0]}, '
+                        '{"id": "y", "R": 1.0}]')
+UNREPORTED_OVERFLOW = '[{"id": "x", "R": 1e200, "A11": 1.0}]'
+TORSION_ERROR = "the torsion-free condition requires A = 0 input"
+X_REPORT = {"id": "x", "values": {}, "verdicts": {}, "minors": {},
+            "passed": {"corollaryC": False}, "errors": [TORSION_ERROR]}
+Y_REPORT = {"id": "y", "values": {"corollaryC": 20.0},
+            "verdicts": {"corollaryC": True}, "minors": {},
+            "passed": {"corollaryC": True}, "errors": []}
+
+
+@pytest.mark.parametrize("content, reports", [
+    (UNREPORTED_UNDERFLOW, [X_REPORT, Y_REPORT]),
+    (UNREPORTED_OVERFLOW, [X_REPORT]),
+], ids=["underflow", "overflow"])
+def test_check_refuses_no_value_a_point_does_not_report(capsys, tmp_path,
+                                                        content, reports):
+    path = tmp_path / "points.json"
+    path.write_text(content)
+    args = ["check", str(path), "--cond", "corollaryC"]
+    assert main(["--format", "json", *args]) == 1
+    assert json.loads(capsys.readouterr().out)["points"] == reports
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert out.count(TORSION_ERROR) == 1
+    assert ("corollaryC: 20.0" in out) == (len(reports) == 2)
+
+
+def test_scaletest_refuses_no_value_a_point_does_not_report(capsys,
+                                                            tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text(UNREPORTED_UNDERFLOW)
+    ks = [1 / 7, 1 / 2, 3.0, 100.0]
+    assert main(["--format", "json", "scaletest", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["k"] == ks
+    for point, keys in zip(report["points"], (
+            {"thm_a", "3.11", "3.12"},
+            {"thm_a", "3.11", "3.12", "corollaryC"})):
+        assert point["ok"] and [row["k"] for row in point["rows"]] == ks
+        assert all(row["verdicts_invariant"] and set(row["errors"]) == keys
+                   for row in point["rows"])
+    assert [point["id"] for point in report["points"]] == ["x", "y"]
+    assert main(["scaletest", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("corollaryC") == len(ks) and "ok: False" not in out
+    # the overflow file's x reports its 3.11 and 3.12 values, which overflow
+    path.write_text(UNREPORTED_OVERFLOW)
+    with pytest.raises(SystemExit) as exc:
+        main(["scaletest", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "point 'x': values overflow double precision\n")
+
+
+EXTREMES = (0.0, 5e-324, 1e-200, 1e-154, 1e154, 1e200, 1.7e308)
+TORSION = ("A11", "A11_1", "A11_b", "A11_bb")
+
+
+def _extreme_record(rng: random.Random, k: int, torsion: bool) -> dict:
+    """A point record, each field but R present with chance 1/4, and the
+    torsion fields only if `torsion`; a value is 1 or one of `EXTREMES`,
+    with chance 1/2 each, and either sign."""
+    def value():
+        size = 1.0 if rng.random() < 0.5 else rng.choice(EXTREMES)
+        return rng.choice((1.0, -1.0)) * size
+
+    record = {"id": f"p{k}", "R": value()}
+    for name in ("R0", "R1", "lapR", *TORSION):
+        if (torsion or name not in TORSION) and rng.random() < 0.25:
+            complex_field = name == "R1" or name in TORSION
+            record[name] = [value(), value()] if complex_field else value()
+    return record
+
+
+def test_check_and_scaletest_refuse_by_one_rule(capsys, tmp_path):
+    # `scaletest --k 1` judges the rows `check` runs here, at k = 1 twice:
+    # a file refused by one is refused by the other, with the same line
+    rng = random.Random(5)
+    path = tmp_path / "points.json"
+    check = ["check", str(path), "--cond", "thm-a", "--cond", "thm-b",
+             "--cond", "corollaryC", "--cond", "3.11", "--cond", "3.12"]
+    refused = 0
+    for _ in range(100):
+        path.write_text(json.dumps(
+            [_extreme_record(rng, k, rng.random() < 0.5)
+             for k in range(rng.randint(1, 3))]))
+        errors = []
+        for args in (check, ["scaletest", str(path), "--k", "1"]):
+            try:
+                assert main(args) in (0, 1)
+                errors.append(None)
+            except SystemExit as exc:
+                assert exc.code == 2
+                errors.append(capsys.readouterr().err)
+            capsys.readouterr()
+        assert errors[0] == errors[1], path.read_text()
+        refused += errors[0] is not None
+    assert 10 <= refused <= 90
 
 
 @pytest.mark.parametrize("args", [["--format", "json", "ops"],

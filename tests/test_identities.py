@@ -404,6 +404,56 @@ def _mutants() -> list[tuple[str, str, Expression]]:
     return out
 
 
+def _transcription_mutants(base: Expression):
+    """(operator, mutant) for each transcription error of the catalog target
+    `base`: a term dropped, a coefficient negated, a coefficient that is not
+    real conjugated, two unequal adjacent derivative letters of a factor
+    swapped, a factor that is not real conjugated."""
+    integrated = base.integrated
+    for factors, c in base.items():
+        term = Expression.from_term(c, factors, integrated)
+        rest = base - term
+        yield "drop", rest
+        yield "negate", rest - term
+        if c.conjugate() != c:
+            yield "conjugate coefficient", rest + Expression.from_term(
+                c.conjugate(), factors, integrated)
+        for j, f in enumerate(factors):
+            others = factors[:j] + factors[j + 1:]
+            for p, (a, b) in enumerate(zip(f.derivs, f.derivs[1:])):
+                if a != b:
+                    swapped = f.derivs[:p] + (b, a) + f.derivs[p + 2:]
+                    yield "swap letters", rest + Expression.from_term(
+                        c, others + (Factor(f.symbol, swapped),), integrated)
+            if f.conjugate() != f:
+                yield "conjugate factor", rest + Expression.from_term(
+                    c, others + (f.conjugate(),), integrated)
+
+
+def test_transcription_mutants_are_killed():
+    """Every transcription error of a mutable catalog target fails its
+    script, which passes the target itself; a balance refusal of the IBP
+    engine (an integral that is not frame-independent) is a kill.  These
+    mutants model copying errors that no +1 mutant of `verify --mutate`
+    makes, such as a conjugated phase."""
+    counts, survivors = {}, []
+    for ident in ids.MUTABLE_IDS:
+        decide = _decide(ident)
+        assert decide(ids._target(ident)).passed, ident
+        for op, mutant in _transcription_mutants(ids._target(ident)):
+            counts[op] = counts.get(op, 0) + 1
+            try:
+                if decide(mutant).passed:
+                    survivors.append(f"{ident}, {op}: {mutant}")
+            except calc.CalculusError:
+                counts["refused"] = counts.get("refused", 0) + 1
+    assert survivors == []
+    refused = counts.pop("refused")
+    assert counts == {"drop": 105, "negate": 105, "conjugate coefficient": 47,
+                      "swap letters": 39, "conjugate factor": 224}
+    assert 0 < refused < sum(counts.values())
+
+
 def _decide(ident: str) -> ids.Decide:
     """The script of `ident`, built now."""
     return ids.SCRIPTS[ident][0]()
