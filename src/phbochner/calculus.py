@@ -44,10 +44,13 @@ The engine implements
 The engine reads an Expression's terms in stored order and sorts only
 where the order reaches output.  A term is keyed by its sorted factor
 tuple; whether the sum is an integral is the Expression's one flag.
-Canonical forms, relation rows and residuals are collected into one dict
-each, and a canonical term is added as it is.  A query canonicalizes the
-Expression a - b like any other.  Every coefficient is exact, so the order
-in which terms are collected changes no value.
+Canonical forms, relation rows, residuals and certificate replays are
+collected into one dict each, by the two helpers `Expression` itself sums
+with: `_add` adds a canonical term as it is, and `_subtract` subtracts a
+multiple of an expansion or a row by `sub_mul` and drops an entry that
+cancels.  A query canonicalizes the Expression a - b like any other.
+Every coefficient is exact, so the order in which terms are collected
+changes no value.
 
 All operations are pure.  The module state is five memo tables that keep
 every entry for the life of the process:
@@ -71,7 +74,8 @@ from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .expr import (_LETTER_ALPHA, _LETTER_ORDER, _LETTER_WEIGHT, DERIV_LETTERS,
-                   SYMBOLS, Expression, Factor, Monomial, _sorted_factors)
+                   SYMBOLS, Expression, Factor, Monomial, _add, _sorted_factors,
+                   _subtract)
 from .scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
 __all__ = [
@@ -143,12 +147,6 @@ class RewriteTrace:
 # Differentiation
 # ---------------------------------------------------------------------------
 
-def _add(acc: dict, key, coeff: ScalarExact) -> None:
-    """acc[key] += coeff; a zero stays in place (Expression drops it)."""
-    prev = acc.get(key)
-    acc[key] = coeff if prev is None else prev + coeff
-
-
 def differentiate(e: Expression, letters: str | Iterable[str]) -> Expression:
     """Covariant derivative of a non-integrated expression (Leibniz rule)."""
     if e.integrated:
@@ -213,10 +211,10 @@ _SWAP_RULES = {
 }
 
 _canon_cache: dict[Factor, Expression] = {}
-# the factors of a term -> the canonical items of its expansion with
-# coefficient 1 (a term's expansion is this scaled, plain or integrated
-# alike), or None when the term is canonical
-_term_cache: dict[Monomial, tuple | None] = {}
+# the factors of a term -> the canonical terms of its expansion with
+# coefficient 1, as a dict (a term's expansion is this scaled, plain or
+# integrated alike), or None when the term is canonical
+_term_cache: dict[Monomial, dict | None] = {}
 _UNSEEN = object()
 
 
@@ -265,36 +263,35 @@ def _product_into(acc: dict, coeff: ScalarExact,
         _add(acc, _sorted_factors(m), c)
 
 
-def _expand_term(factors: Monomial) -> tuple | None:
-    """Canonical (monomial, coefficient) pairs of a unit term, or None for a
-    term that is canonical already; remembered in `_term_cache`."""
+def _expand_term(factors: Monomial) -> dict | None:
+    """Canonical {monomial: coefficient} of a unit term, or None for a term
+    that is canonical already; remembered in `_term_cache`."""
     if all(f.is_canonical() for f in factors):
         expansion = None
     else:
         acc: dict = {}
         _product_into(acc, ONE, factors)
-        expansion = tuple((m, c) for m, c in acc.items() if c)
+        expansion = {m: c for m, c in acc.items() if c}
     _term_cache[factors] = expansion
     return expansion
 
 
 def _canonical_into(acc: dict, terms: Iterable[tuple[Monomial, ScalarExact]]
                     ) -> None:
-    """acc += the canonical form of each (factors, coeff) term of `terms`; a
-    canonical term is added as it is.  Zeros stay in place."""
-    get = acc.get
+    """acc += the canonical form of each (factors, coeff) term of `terms`.
+
+    A canonical term is added as it is by `_add`, which leaves a zero in
+    place; an expansion is added by `_subtract`, which drops an entry that
+    cancels.  The caller drops what zeros are left.
+    """
     for key, coeff in terms:
         expansion = _term_cache.get(key, _UNSEEN)
         if expansion is _UNSEEN:
             expansion = _expand_term(key)
         if expansion is None:
-            prev = get(key)
-            acc[key] = coeff if prev is None else prev + coeff
+            _add(acc, key, coeff)
         else:
-            # acc[k] += coeff * c, by one fused multiply-subtract
-            neg = -coeff
-            for k, c in expansion:
-                acc[k] = sub_mul(get(k, ZERO), neg, c)
+            _subtract(acc, -coeff, expansion)
 
 
 def canonicalize(e: Expression) -> Expression:
@@ -344,14 +341,6 @@ _system_cache: dict[tuple, "_LinearSystem"] = {}
 _CURVATURE = ("R", "A11", "Ab1b1")
 
 
-def _monomial_weight(m: Monomial) -> int:
-    return sum(f.weight() for f in m)
-
-
-def _monomial_balance(m: Monomial) -> int:
-    return sum(f.alpha() for f in m)
-
-
 @cache
 def _monomial_sort_key(m: Monomial):
     return (len(m), tuple(f.sort_key() for f in m))
@@ -364,7 +353,7 @@ def _sector(m: Monomial) -> tuple[int, int, tuple[str, ...]]:
     Differentiation and the commutation rules keep all three, so every
     divergence relation lies in one sector.
     """
-    return (_monomial_weight(m), _monomial_balance(m),
+    return (sum(f.weight() for f in m), sum(f.alpha() for f in m),
             tuple(f.symbol for f in m if f.symbol not in _CURVATURE))
 
 
@@ -375,17 +364,6 @@ def _relation_row(parent: Monomial, direction: str) -> dict[Monomial, ScalarExac
         parent[:k] + (parent[k].with_deriv(direction),) + parent[k + 1:]), ONE)
         for k in range(len(parent))))
     return {m: c for m, c in acc.items() if c}
-
-
-def _subtract(vec: dict, f: ScalarExact, row: dict) -> None:
-    """vec -= f * row, in place; an entry that cancels is dropped."""
-    get = vec.get
-    for k, c in row.items():
-        val = sub_mul(get(k, ZERO), f, c)
-        if val is ZERO:
-            vec.pop(k, None)
-        else:
-            vec[k] = val
 
 
 class _LinearSystem:
@@ -612,10 +590,5 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
     _no_modulo(modulo)
     total = dict(canonicalize(a - b)._terms)
     for rid, coeff in trace.certificate:
-        for mono, c in _relation_row(*rid).items():
-            val = sub_mul(total.get(mono, ZERO), coeff, c)
-            if val is ZERO:
-                total.pop(mono, None)
-            else:
-                total[mono] = val
+        _subtract(total, coeff, _relation_row(*rid))
     return total == ({} if trace.residual is None else trace.residual._terms)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .scalar import _ZERO_V, ONE, ScalarExact, ZERO
+from .scalar import _ZERO_V, MINUS_ONE, ONE, ScalarExact, ZERO, sub_mul
 
 # ---------------------------------------------------------------------------
 # Derivative letters
@@ -145,6 +145,28 @@ def _sorted_factors(factors: Monomial) -> Monomial:
 
 
 # ---------------------------------------------------------------------------
+# Collecting terms: every sum of `expr` and `calculus` goes through these two
+# ---------------------------------------------------------------------------
+
+def _add(acc: dict, key, coeff: ScalarExact) -> None:
+    """acc[key] += coeff; a zero stays in place (Expression drops it)."""
+    prev = acc.get(key)
+    acc[key] = coeff if prev is None else prev + coeff
+
+
+def _subtract(acc: dict, f: ScalarExact, terms: dict) -> None:
+    """acc -= f * terms, in place, by `sub_mul`; an entry that cancels is
+    dropped."""
+    get = acc.get
+    for k, c in terms.items():
+        val = sub_mul(get(k, ZERO), f, c)
+        if val is ZERO:
+            acc.pop(k, None)
+        else:
+            acc[k] = val
+
+
+# ---------------------------------------------------------------------------
 # Expression
 # ---------------------------------------------------------------------------
 
@@ -196,13 +218,7 @@ class Expression:
                     integrated = part.integrated
                 elif part.integrated != integrated:
                     raise ValueError("cannot add a plain sum and an integral")
-            for key, coeff in part._terms.items():
-                prev = acc.get(key)
-                val = coeff if prev is None else prev + coeff
-                if val.is_zero():
-                    del acc[key]
-                else:
-                    acc[key] = val
+            _subtract(acc, MINUS_ONE, part._terms)
         return Expression(acc, integrated)
 
     # -- iteration ----------------------------------------------------------
@@ -238,12 +254,7 @@ class Expression:
         if self._terms and other._terms and self.integrated != other.integrated:
             raise ValueError("cannot add a plain sum and an integral")
         merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            prev = merged.get(key)
-            if prev is None:
-                merged[key] = -coeff if negate else coeff
-            else:
-                merged[key] = prev - coeff if negate else prev + coeff
+        _subtract(merged, ONE if negate else MINUS_ONE, other._terms)
         return Expression(merged, self.integrated or other.integrated)
 
     def __mul__(self, other) -> "Expression":
@@ -262,10 +273,7 @@ class Expression:
         out: dict[Monomial, ScalarExact] = {}
         for f1, c1 in self._terms.items():
             for f2, c2 in other._terms.items():
-                key = _sorted_factors(f1 + f2)
-                val = c1 * c2
-                prev = out.get(key)
-                out[key] = val if prev is None else prev + val
+                _add(out, _sorted_factors(f1 + f2), c1 * c2)
         return Expression(out, self.integrated or other.integrated)
 
     def __truediv__(self, other):
@@ -287,10 +295,8 @@ class Expression:
     def conjugate(self) -> "Expression":
         out: dict[Monomial, ScalarExact] = {}
         for factors, coeff in self._terms.items():
-            key = _sorted_factors(tuple(f.conjugate() for f in factors))
-            val = coeff.conjugate()
-            prev = out.get(key)
-            out[key] = val if prev is None else prev + val
+            _add(out, _sorted_factors(tuple(f.conjugate() for f in factors)),
+                 coeff.conjugate())
         return Expression(out, self.integrated)
 
     def integrate(self) -> "Expression":
@@ -323,8 +329,7 @@ class Expression:
                     products = [(fs + vf, c * vc) for fs, c in products
                                 for vf, vc in value._terms.items()]
             for fs, c in products:
-                key = _sorted_factors(fs)
-                acc[key] = acc[key] + c if key in acc else c
+                _add(acc, _sorted_factors(fs), c)
         return Expression(acc, self.integrated)
 
     def drop_symbols(self, symbols: set[str]) -> "Expression":

@@ -6,7 +6,9 @@ An element (a + b*sqrt3) + i*(c + d*sqrt3) is stored as four integer
 numerators over one positive common denominator q, reduced so that
 gcd(a, b, c, d, q) = 1.  That form is unique, so equality tests are integer
 tuple comparisons, each result costs one gcd, and no floating point ever
-enters the symbolic layer.
+enters the symbolic layer.  Addition, subtraction and multiplication are all
+the one fused multiply-subtract `sub_mul`; `inverse` is the only other
+formula.
 """
 
 from __future__ import annotations
@@ -79,10 +81,7 @@ class ScalarExact:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        a1, b1, c1, d1, q1 = self._v
-        a2, b2, c2, d2, q2 = ScalarExact.coerce(other)._v
-        return _make(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
-                     c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
+        return sub_mul(self, MINUS_ONE, ScalarExact.coerce(other))
 
     __radd__ = __add__
 
@@ -91,20 +90,10 @@ class ScalarExact:
         return _wrap((-a, -b, -c, -d, q))
 
     def __sub__(self, other):
-        a1, b1, c1, d1, q1 = self._v
-        a2, b2, c2, d2, q2 = ScalarExact.coerce(other)._v
-        return _make(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1,
-                     c1 * q2 - c2 * q1, d1 * q2 - d2 * q1, q1 * q2)
+        return sub_mul(self, ONE, ScalarExact.coerce(other))
 
     def __mul__(self, other):
-        a1, b1, c1, d1, q1 = self._v
-        a2, b2, c2, d2, q2 = ScalarExact.coerce(other)._v
-        # (x1 + i y1)(x2 + i y2) with x, y in Q(sqrt3); on Q(sqrt3):
-        # (a + b s)(a' + b' s) = (aa' + 3bb') + (ab' + a'b) s
-        return _make(a1 * a2 + 3 * b1 * b2 - (c1 * c2 + 3 * d1 * d2),
-                     a1 * b2 + a2 * b1 - (c1 * d2 + c2 * d1),
-                     a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
-                     a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q1 * q2)
+        return sub_mul(ZERO, -self, ScalarExact.coerce(other))
 
     __rmul__ = __mul__
 
@@ -219,11 +208,14 @@ def _make(a: int, b: int, c: int, d: int, q: int) -> ScalarExact:
 def sub_mul(x: ScalarExact, f: ScalarExact, y: ScalarExact) -> ScalarExact:
     """x - f*y, reduced by one gcd; `ZERO` itself when it cancels.
 
-    The multiply-subtract of exact elimination, on the (a, b, c, d, q)
-    tuples with no intermediate ScalarExact.  A rational f or y scales the
-    other's numerators, and when all three are rational only one component
-    is formed: elimination's products mostly have a rational factor, and
-    these are the field's only rational fast paths.
+    The field's one arithmetic kernel: `x + y`, `x - y` and `x * y` are
+    x - (-1)*y, x - 1*y and 0 - (-x)*y, and exact elimination and the
+    collection of sums call it directly.  It works on the (a, b, c, d, q)
+    tuples with no intermediate ScalarExact, so the product rule is written
+    here only.  A rational f or y scales the other's numerators, and when
+    all three are rational only one component is formed: the f of `+` and
+    `-` is rational, elimination's products mostly have a rational factor,
+    and these are the field's only rational fast paths.
     """
     a1, b1, c1, d1, q1 = x._v
     a2, b2, c2, d2, q2 = f._v
@@ -260,5 +252,6 @@ def sub_mul(x: ScalarExact, f: ScalarExact, y: ScalarExact) -> ScalarExact:
 
 ZERO = ScalarExact(0)
 ONE = ScalarExact(1)
+MINUS_ONE = ScalarExact(-1)
 I = ScalarExact(0, 0, 1, 0)
 SQRT3 = ScalarExact(0, 1, 0, 0)

@@ -5,9 +5,9 @@ import random
 import pytest
 
 import phbochner.calculus as calc
-from phbochner.calculus import (CalculusError, canonicalize, check_certificate,
-                                commute_swap, differentiate, equal_mod_ibp,
-                                ibp_residual)
+from phbochner.calculus import (CalculusError, RewriteTrace, canonicalize,
+                                check_certificate, commute_swap,
+                                differentiate, equal_mod_ibp, ibp_residual)
 from phbochner.expr import Expression, Factor
 from phbochner.parser import ParseError, parse
 from phbochner.scalar import I, ONE, ZERO, ScalarExact, sub_mul
@@ -259,6 +259,33 @@ def test_equal_mod_ibp_detects_inequality():
     assert not ok
     assert trace.residual is not None
     assert check_certificate(a, b, trace)
+
+
+@pytest.mark.parametrize("a, b, passes", [
+    ("INT[ R*f_{1}*f_{b} ]", "INT[ 2*R*f_{1}*f_{b} ]", False),
+    ("INT[ Ab1b1_{1}*f_{1}*f ]", "INT[ (-1/2)*Ab1b1_{11}*f*f ]", True),
+])
+def test_certificate_replay_rejects_tampering(a, b, passes):
+    a, b = parse(a), parse(b)
+    ok, trace = equal_mod_ibp(a, b)
+    cert, residual = trace.certificate, trace.residual
+    assert ok == passes and cert and (residual is None) == passes
+    assert check_certificate(a, b, trace)
+
+    def replays(certificate, residual) -> bool:
+        forged = RewriteTrace()
+        forged.certificate = certificate
+        forged.residual = residual
+        return check_certificate(a, b, forged)
+
+    assert replays(list(cert), residual)
+    for k, (rid, coeff) in enumerate(cert):
+        assert not replays(cert[:k] + [(rid, coeff * 2)] + cert[k + 1:],
+                           residual)
+        assert not replays(cert[:k] + cert[k + 1:], residual)
+    for mono, coeff in (residual.items() if residual else ()):
+        assert not replays(cert, Expression(
+            {**residual._terms, mono: coeff * 2}, True))
 
 
 def test_equal_mod_ibp_plain_fallback():
