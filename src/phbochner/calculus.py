@@ -44,13 +44,13 @@ The engine implements
 The engine reads an Expression's terms in stored order and sorts only
 where the order reaches output.  A term is keyed by its sorted factor
 tuple; whether the sum is an integral is the Expression's one flag.
-Canonical forms, relation rows, residuals and certificate replays are
-collected into one dict each, by the two helpers `Expression` itself sums
-with: `_add` adds a canonical term as it is, and `_subtract` subtracts a
-multiple of an expansion or a row by `sub_mul` and drops an entry that
-cancels.  A query canonicalizes the Expression a - b like any other.
-Every coefficient is exact, so the order in which terms are collected
-changes no value.
+Canonical forms, residuals and certificate replays are collected into one
+dict each, by the two helpers `Expression` itself sums with: `_add` adds a
+canonical term as it is, and `_subtract` subtracts a multiple of an
+expansion or a row by `sub_mul` and drops an entry that cancels.  A query,
+and a relation row (`differentiate` of its parent), canonicalizes an
+Expression like any other.  Every coefficient is exact, so the order in
+which terms are collected changes no value.
 
 All operations are pure.  The module state is five memo tables that keep
 every entry for the life of the process:
@@ -73,9 +73,9 @@ import itertools
 from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .expr import (_LETTER_ALPHA, _LETTER_ORDER, _LETTER_WEIGHT, DERIV_LETTERS,
-                   SYMBOLS, Expression, Factor, Monomial, _add, _sorted_factors,
-                   _subtract)
+from .expr import (_LETTER_ALPHA, _LETTER_WEIGHT, DERIV_LETTERS, SYMBOLS,
+                   Expression, Factor, Monomial, _add, _sorted_factors,
+                   _subtract, _term_str)
 from .scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
 __all__ = [
@@ -125,7 +125,7 @@ class RewriteTrace:
 
     @property
     def entries(self) -> list[dict]:
-        return [{"rule": "relation", "before": _row_id_str(rid), "after": "0",
+        return [{"rule": "relation", "before": _row_id_str(*rid), "after": "0",
                  "coefficient": str(coeff)} for rid, coeff in self.certificate]
 
     def to_text(self) -> str:
@@ -218,27 +218,16 @@ _term_cache: dict[Monomial, dict | None] = {}
 _UNSEEN = object()
 
 
-def _first_disorder(derivs: tuple[str, ...]) -> int | None:
-    for p in range(len(derivs) - 1):
-        if _LETTER_ORDER[derivs[p]] > _LETTER_ORDER[derivs[p + 1]]:
-            return p
-    return None
-
-
 def canonicalize_factor(factor: Factor) -> Expression:
-    """Expansion of a factor whose derivative string is sorted to 1 < b < 0."""
-    cached = _canon_cache.get(factor)
-    if cached is not None:
-        return cached
-    p = _first_disorder(factor.derivs)
-    if p is None:
-        out = Expression.from_factor(factor)
-    else:
+    """Canonical form of a factor that is not canonical (every caller tests
+    `Factor.is_canonical` first): its leftmost out-of-order pair swapped."""
+    out = _canon_cache.get(factor)
+    if out is None:
         acc: dict = {}
-        for factors, coeff in commute_swap(factor, p)._terms.items():
+        swapped = commute_swap(factor, factor.first_disorder())
+        for factors, coeff in swapped._terms.items():
             _product_into(acc, coeff, factors)
-        out = Expression(acc)
-    _canon_cache[factor] = out
+        out = _canon_cache[factor] = Expression(acc)
     return out
 
 
@@ -276,15 +265,17 @@ def _expand_term(factors: Monomial) -> dict | None:
     return expansion
 
 
-def _canonical_into(acc: dict, terms: Iterable[tuple[Monomial, ScalarExact]]
-                    ) -> None:
-    """acc += the canonical form of each (factors, coeff) term of `terms`.
+def canonicalize(e: Expression) -> Expression:
+    """Sort every derivative string with the commutation rules and collect.
 
-    A canonical term is added as it is by `_add`, which leaves a zero in
-    place; an expansion is added by `_subtract`, which drops an entry that
-    cancels.  The caller drops what zeros are left.
+    The result is unique for a given input: the sweep always rewrites the
+    leftmost out-of-order pair of each factor, and corrections are recursively
+    canonicalized.  A canonical term is added as it is by `_add`, which
+    leaves a zero in place for `Expression` to drop; an expansion is added
+    by `_subtract`, which drops an entry that cancels.
     """
-    for key, coeff in terms:
+    acc: dict = {}
+    for key, coeff in e._terms.items():
         expansion = _term_cache.get(key, _UNSEEN)
         if expansion is _UNSEEN:
             expansion = _expand_term(key)
@@ -292,17 +283,6 @@ def _canonical_into(acc: dict, terms: Iterable[tuple[Monomial, ScalarExact]]
             _add(acc, key, coeff)
         else:
             _subtract(acc, -coeff, expansion)
-
-
-def canonicalize(e: Expression) -> Expression:
-    """Sort every derivative string with the commutation rules and collect.
-
-    The result is unique for a given input: the sweep always rewrites the
-    leftmost out-of-order pair of each factor, and corrections are recursively
-    canonicalized.
-    """
-    acc: dict = {}
-    _canonical_into(acc, e._terms.items())
     return Expression(acc, e.integrated)
 
 
@@ -359,11 +339,8 @@ def _sector(m: Monomial) -> tuple[int, int, tuple[str, ...]]:
 
 def _relation_row(parent: Monomial, direction: str) -> dict[Monomial, ScalarExact]:
     """INT[(product of parent)_{,direction}] = 0, canonicalized."""
-    acc: dict = {}
-    _canonical_into(acc, ((_sorted_factors(
-        parent[:k] + (parent[k].with_deriv(direction),) + parent[k + 1:]), ONE)
-        for k in range(len(parent))))
-    return {m: c for m, c in acc.items() if c}
+    return canonicalize(differentiate(Expression({parent: ONE}),
+                                      direction))._terms
 
 
 class _LinearSystem:
@@ -428,16 +405,13 @@ class _LinearSystem:
         return combo
 
 
-def _enumerate_strings(weight: int) -> list[tuple[tuple[str, ...], int]]:
-    """Canonical derivative strings (1s, then bs, then 0s) of given weight,
-    each with its balance (#1 - #1bar)."""
+def _enumerate_strings(weight: int) -> list[tuple[str, ...]]:
+    """Canonical derivative strings (1s, then bs, then 0s) of given weight."""
     out = []
     for zeros in range(weight // 2 + 1):
         rest = weight - 2 * zeros
         for ones in range(rest + 1):
-            bars = rest - ones
-            out.append((("1",) * ones + ("b",) * bars + ("0",) * zeros,
-                        ones - bars))
+            out.append(("1",) * ones + ("b",) * (rest - ones) + ("0",) * zeros)
     return out
 
 
@@ -457,13 +431,12 @@ def _sector_monomials(weight: int, balance: int,
                 if sum(split) != budget:
                     continue
                 # (factor, its balance) for each string of each factor
-                choices = [[(Factor(sym, s), SYMBOLS[sym].base_alpha + a)
-                            for s, a in _enumerate_strings(w)]
+                choices = [[(f, f.alpha()) for f in
+                            (Factor(sym, s) for s in _enumerate_strings(w))]
                            for sym, w in zip(syms, split)]
                 for combo in itertools.product(*choices):
                     if sum(a for _, a in combo) == balance:
-                        out.add(tuple(sorted((f for f, _ in combo),
-                                             key=Factor.sort_key)))
+                        out.add(_sorted_factors(tuple(f for f, _ in combo)))
     return sorted(out, key=_monomial_sort_key)
 
 
@@ -510,10 +483,8 @@ def _eliminated_system(sector: tuple) -> _LinearSystem:
     return system
 
 
-def _row_id_str(rid: tuple) -> str:
-    parent, direction = rid
-    prod = "*".join(str(f) for f in parent) or "1"
-    return f"INT[({prod})_{{{direction}}}]"
+def _row_id_str(parent: Monomial, direction: str) -> str:
+    return f"INT[({_term_str(ONE, parent, False)[1]})_{{{direction}}}]"
 
 
 def _no_modulo(modulo: Sequence[Expression]) -> None:

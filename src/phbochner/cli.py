@@ -23,16 +23,17 @@ walk every module, cache and report only for the exit to free them.
 Each command takes the parsed `argparse` namespace and returns `(report,
 ok)`, `trace`'s text report being one string, and `main` emits the report
 once: exit 0 when ok, 1 when a verification or condition failed.  Every
-usage or input error, argparse's own included, is one `phbochner: error:`
-line on stderr and exit 2 (`_input_error`).  Each argument is checked by its
-argparse `type` (`--samples` at most `MAX_SAMPLES`), and a name that needs a
-module (identity id, operator, `--cond`) by the command importing it, and
-`check` evaluates each `--cond` name once and `verify` each id once.  No
-option sets a tolerance: the verdict bands are the `band` of each
-`rigidity.CONDITIONS` row (1e-12 for thm-a and corollaryC, 1e-9 for bianchi)
-and `rigidity._BOUNDARY_BAND` (1e-9) for the batteries.  A reader closing
-stdout early (`phbochner ops | head -1`) ends the run without a traceback,
-with exit 141, 128 + SIGPIPE.
+usage or input error is one `phbochner: error:` line on stderr and exit 2
+(`_input_error`): argparse's own, and a catalog record or field that is
+missing or does not parse, named (`_from_catalog`), included.  Each argument
+is checked by its argparse `type` (`--samples` at most `MAX_SAMPLES`), and a
+name that needs a module (identity id, operator, `--cond`) by the command
+importing it, and `check` evaluates each `--cond` name once and `verify`
+each id once.  No option sets a tolerance: the verdict bands are the `band`
+of each `rigidity.CONDITIONS` row (1e-12 for thm-a and corollaryC, 1e-9 for
+bianchi) and `rigidity._BOUNDARY_BAND` (1e-9) for the batteries.  A reader
+closing stdout early (`phbochner ops | head -1`) ends the run without a
+traceback, with exit 141, 128 + SIGPIPE.
 
 Each command imports only what it runs: `rigidity` and numpy are loaded by
 `check`, `scaletest`, `equiv` and `sylvester`, with the formula `kernel`
@@ -207,6 +208,15 @@ def _on_points(args: argparse.Namespace, evaluate, *params):
 # Commands: each takes the parsed arguments and returns (report, ok)
 # ---------------------------------------------------------------------------
 
+def _from_catalog(run, *args):
+    """run(*args); a catalog that cannot be read is an input error."""
+    from .parser import CatalogError
+    try:
+        return run(*args)
+    except CatalogError as exc:
+        _input_error(str(exc))
+
+
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
     from . import identities
 
@@ -221,26 +231,15 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
     report = {"command": "verify", "results": []}
     failed = False
     for ident in wanted:
-        if args.mutate:
-            if ident not in identities.MUTABLE_IDS:
-                report["results"].append(
-                    {"id": ident, "status": "SKIP",
-                     "note": "mutation not applicable"})
-                continue
-            m = identities.mutation_test(ident)
-            if "note" in m:     # the unchanged target fails
-                record = {"status": "FAIL", "note": m["note"]}
-            else:
-                record = {"status": "PASS" if m["kill_rate"] == 1 else "FAIL",
-                          "mutants": m["total"], "killed": m["killed"],
-                          "survivors": m["survivors"]}
-            failed |= record["status"] == "FAIL"
-            report["results"].append({"id": ident, **record})
+        if not args.mutate:
+            result = _from_catalog(identities.run_script, ident)
+            record = {"status": result.status, **result.outcome()}
+        elif ident in identities.MUTABLE_IDS:
+            record = _from_catalog(identities.mutation_test, ident)
         else:
-            result = identities.run_script(ident)
-            failed |= not result.passed
-            report["results"].append({"id": ident, "status": result.status,
-                                      **result.outcome()})
+            record = {"status": "SKIP", "note": "mutation not applicable"}
+        failed |= record["status"] == "FAIL"
+        report["results"].append({"id": ident, **record})
     report["ok"] = not failed
     return report, not failed
 
@@ -282,7 +281,7 @@ def cmd_trace(args: argparse.Namespace) -> tuple[dict | str, bool]:
 
     if args.id not in identities.catalog_ids():
         _input_error(f"unknown identity id: {args.id}")
-    result = identities.run_script(args.id)
+    result = _from_catalog(identities.run_script, args.id)
     if args.format == "json":
         report = result.to_dict()
         report["trace"] = result.trace.to_dict() if result.trace else None
@@ -300,7 +299,7 @@ def cmd_ops(args: argparse.Namespace) -> tuple[dict, bool]:
     if name not in REGISTRY:
         _input_error(f"unknown operator {name!r}; known: {sorted(REGISTRY)}")
     return {"command": "ops", "name": name,
-            "definition": str(REGISTRY[name]())}, True
+            "definition": str(_from_catalog(REGISTRY[name]))}, True
 
 
 # ---------------------------------------------------------------------------

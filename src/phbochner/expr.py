@@ -101,10 +101,6 @@ class Factor(NamedTuple):
     def weight(self) -> int:
         return self.info.base_weight + sum(_LETTER_WEIGHT[l] for l in self.derivs)
 
-    def alpha(self) -> int:
-        """Total (#1 - #1bar) over base indices plus all derivative letters."""
-        return self.info.base_alpha + sum(_LETTER_ALPHA[l] for l in self.derivs)
-
     def alpha_prefix(self, position: int) -> int:
         """(#1 - #1bar) over base indices plus derivatives left of `position`.
 
@@ -117,8 +113,20 @@ class Factor(NamedTuple):
     def with_deriv(self, letter: str) -> "Factor":
         return Factor(self.symbol, self.derivs + (letter,))
 
-    # sort keys, `is_canonical` and `_sorted_factors` are memoized for the
-    # life of the process: the catalog and its mutants ask for a few hundred
+    def first_disorder(self) -> int | None:
+        """The leftmost position of a derivative pair out of the order
+        1 < b < 0, or None when the string is sorted."""
+        keys = [_LETTER_ORDER[l] for l in self.derivs]
+        return next((p for p in range(len(keys) - 1)
+                     if keys[p] > keys[p + 1]), None)
+
+    # balances, sort keys, `is_canonical` and `_sorted_factors` are memoized
+    # for the process's life: the catalog and its mutants ask for a few hundred
+    @cache
+    def alpha(self) -> int:
+        """Total (#1 - #1bar) over base indices plus all derivative letters."""
+        return self.alpha_prefix(len(self.derivs))
+
     @cache
     def sort_key(self):
         return (_SYMBOL_INDEX[self.symbol], len(self.derivs),
@@ -126,8 +134,7 @@ class Factor(NamedTuple):
 
     @cache
     def is_canonical(self) -> bool:
-        keys = [_LETTER_ORDER[l] for l in self.derivs]
-        return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
+        return self.first_disorder() is None
 
     def __str__(self):
         if not self.derivs:
@@ -277,12 +284,11 @@ class Expression:
         return Expression(out, self.integrated or other.integrated)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, ScalarExact)):
-            s = ScalarExact.coerce(other)
-            return self * s.inverse()
         if isinstance(other, Expression):
-            return self * other.scalar_value().inverse()
-        return NotImplemented
+            other = other.scalar_value()
+        if not isinstance(other, (int, ScalarExact)):
+            return NotImplemented
+        return self * ScalarExact.coerce(other).inverse()
 
     def scalar_value(self) -> ScalarExact:
         """The value of a purely scalar expression (no factors, no INT)."""

@@ -288,16 +288,15 @@ def _instantiate(record: str, fld: str,
     return Corpus.load().expr(record, fld).substitute(values.get)
 
 
-def _substitution(record: str, fld: str) -> dict[Factor, Expression]:
+def _substitution(text: str) -> dict[Factor, Expression]:
     """A catalog substitution "X = text, ..." as {X: value}, with the
-    conjugate of each pair added, for `_instantiate`."""
+    conjugate of each pair added, for `_instantiate` (a `Corpus.expr` read)."""
     out = {}
-    for pair in Corpus.load().text(record, fld).split(","):
-        name, _, text = pair.partition("=")
+    for pair in text.split(","):
+        name, _, value = pair.partition("=")
         [(factor,)] = parse(name)._terms  # X is a single factor
-        value = parse(text)
-        out[factor] = value
-        out[factor.conjugate()] = value.conjugate()
+        out[factor] = parse(value)
+        out[factor.conjugate()] = out[factor].conjugate()
     return out
 
 
@@ -355,11 +354,11 @@ def script_3_7() -> Decide:
     W carries no derivative, so the check is canonicalization alone.  3.7
     has no target: all of it is built, and `decide` returns the result.
     """
-    cube = _substitution("3.7", "cube_root")
+    cube = Corpus.load().expr("3.7", "cube_root", _substitution)
     lhs, rhs, square = (_instantiate("3.7", fld, cube)
                         for fld in ("lhs", "rhs", "square"))
     residual = canonicalize(lhs - rhs - square)
-    tight = {**cube, **_substitution("3.7", "tight")}
+    tight = {**cube, **Corpus.load().expr("3.7", "tight", _substitution)}
     gap = canonicalize(_instantiate("3.7", "lhs", tight)
                        - _instantiate("3.7", "rhs", tight))
     steps = [("lhs with w = W^3", lhs), ("rhs", rhs),
@@ -498,15 +497,17 @@ def _run_mutated(decide: Decide, mutated: Expression) -> ScriptResult:
 def mutation_test(ident: str) -> dict:
     """Perturb each coefficient of the catalog target by +1; all must FAIL.
 
-    The unchanged target is decided first and must PASS: a mutant of a
-    target that fails is killed whatever the script checks.  If it fails,
-    the report is a `note` saying so, and no mutant is decided."""
+    Returns the record `verify --mutate` prints: PASS when every mutant is
+    killed, with the counts and survivors.  The unchanged target is decided
+    first and must PASS: a mutant of a target that fails is killed whatever
+    the script checks.  If it fails, the record is FAIL with a `note` saying
+    so, and no mutant is decided."""
     if ident not in MUTABLE_IDS:
         raise KeyError(f"identity {ident!r} does not support mutation testing")
     decide = SCRIPTS[ident][0]()
     base = _target(ident)
     if not decide(base).passed:
-        return {"identity": ident,
+        return {"status": "FAIL",
                 "note": "the catalog target fails, so no mutant is decided"}
     terms = base.items()
     survivors = []
@@ -514,14 +515,8 @@ def mutation_test(ident: str) -> dict:
         bump = Expression.from_term(1, factors, base.integrated)
         if _run_mutated(decide, base + bump).passed:
             survivors.append(str(bump))
-    return {
-        "identity": ident,
-        "total": len(terms),
-        "killed": len(terms) - len(survivors),
-        "survivors": survivors,
-        "kill_rate": (Fraction(len(terms) - len(survivors), len(terms))
-                      if terms else Fraction(1)),
-    }
+    return {"status": "FAIL" if survivors else "PASS", "mutants": len(terms),
+            "killed": len(terms) - len(survivors), "survivors": survivors}
 
 
 def catalog_ids() -> list[str]:

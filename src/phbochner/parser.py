@@ -7,7 +7,6 @@ Grammar (documented in README):
     atom       := NUMBER | 'i' | 's3' | FACTOR | '(' expression ')'
                 | 'INT[' expression ']' | '2Re[' expression ']' | '-' atom
     FACTOR     := SYMBOL [ '_{' [1b0]* '}' ]
-                | ('A'|'E'|'Q') '_{' ('11'|'b1b1') '}' [ '_{' [1b0]* '}' ]
 
 Symbols: f R A11 Ab1b1 E11 Eb1b1 Q11 Qb1b1 W Wb (W is a cube root of
 A11_{,1}; plus g/gb, a complex scalar, the free parameter of the 3.7 tight
@@ -28,7 +27,7 @@ from importlib import resources
 from .expr import DERIV_LETTERS, Expression, Factor, SYMBOLS
 from .scalar import I, SQRT3
 
-__all__ = ["parse", "ParseError", "Corpus"]
+__all__ = ["parse", "ParseError", "CatalogError", "Corpus"]
 
 
 class ParseError(ValueError):
@@ -163,18 +162,7 @@ class _Parser:
             return Expression.scalar(I)
         if name == "s3":
             return Expression.scalar(SQRT3)
-        if name in SYMBOLS:
-            symbol = name
-        elif name in ("A", "E", "Q"):
-            skind, svalue, spos = self.peek()
-            if skind != "suffix":
-                raise ParseError(f"symbol {name!r} requires base indices", pos)
-            base = svalue[2:-1]
-            if base not in ("11", "b1b1"):
-                raise ParseError(f"unknown base indices {base!r} for {name}", spos)
-            self.advance()
-            symbol = name + base
-        else:
+        if name not in SYMBOLS:
             raise ParseError(f"unknown symbol {name!r}", pos)
         derivs: tuple[str, ...] = ()
         skind, svalue, spos = self.peek()
@@ -185,7 +173,7 @@ class _Parser:
                 raise ParseError(f"unknown derivative letter {bad[0]!r}", spos)
             self.advance()
             derivs = tuple(letters)
-        return Expression.from_factor(Factor(symbol, derivs))
+        return Expression.from_factor(Factor(name, derivs))
 
 
 @cache
@@ -198,6 +186,10 @@ def parse(text: str) -> Expression:
     holds a few dozen texts.
     """
     return _Parser(text).parse()
+
+
+class CatalogError(ValueError):
+    """A catalog record or field that is missing or does not parse."""
 
 
 class Corpus:
@@ -216,7 +208,7 @@ class Corpus:
                 self.records[m.group("id")] = current
                 continue
             if current is None:
-                raise ValueError(f"corpus line outside a record: {line!r}")
+                raise CatalogError(f"catalog line outside a record: {line!r}")
             key, _, value = line.partition(":")
             current[key.strip()] = value.strip()
 
@@ -227,11 +219,15 @@ class Corpus:
         data = resources.files("phbochner") / "data" / "identities.corpus"
         return cls(data.read_text())
 
-    def text(self, record: str, fld: str) -> str:
+    def expr(self, record: str, fld: str, read=parse):
+        """read(the text of a field), by default its Expression.  A missing
+        record or field, or a text that `read` refuses with a ValueError (a
+        ParseError is one), raises CatalogError naming both."""
         try:
-            return self.records[record][fld]
+            text = self.records[record][fld]
         except KeyError:
-            raise KeyError(f"corpus has no field {fld!r} in record {record!r}")
-
-    def expr(self, record: str, fld: str) -> Expression:
-        return parse(self.text(record, fld))
+            raise CatalogError(f"catalog [{record}] {fld}: missing") from None
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise CatalogError(f"catalog [{record}] {fld}: {exc}") from None

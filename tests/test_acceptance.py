@@ -137,7 +137,7 @@ def test_criterion_8_mutation_sensitivity():
     survivors = []
     for ident in ids.MUTABLE_IDS:
         report = ids.mutation_test(ident)
-        total += report["total"]
+        total += report["mutants"]
         killed += report["killed"]
         survivors += [f"{ident}: {s}" for s in report["survivors"]]
     ok = total > 0 and killed == total

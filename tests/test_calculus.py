@@ -1,5 +1,6 @@
 """Rewriting engine: commutation, canonicalization, integration by parts."""
 
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,7 @@ import phbochner.calculus as calc
 from phbochner.calculus import (CalculusError, RewriteTrace, canonicalize,
                                 check_certificate, commute_swap,
                                 differentiate, equal_mod_ibp, ibp_residual)
-from phbochner.expr import Expression, Factor
+from phbochner.expr import SYMBOLS, Expression, Factor
 from phbochner.parser import ParseError, parse
 from phbochner.scalar import I, ONE, ZERO, ScalarExact, sub_mul
 
@@ -367,6 +368,72 @@ def test_sector_relations_stay_in_their_sector(monkeypatch):
             row = calc._relation_row(*rid)
             assert all(calc._sector(m) == sector for m in row), rid
             assert set(row) <= listed, rid
+
+
+def _strings_of_weight(weight):
+    # every string over {1, b, 0} of the weight, sorted or not
+    if weight == 0:
+        yield ()
+    for letter, w in (("1", 1), ("b", 1), ("0", 2)):
+        if w <= weight:
+            for rest in _strings_of_weight(weight - w):
+                yield (letter,) + rest
+
+
+def _monomials_by_brute_force(weight, balance, symbols):
+    """The canonical monomials of a sector, enumerated apart from
+    `_sector_monomials`: the factors of `symbols` and up to weight/2
+    curvature factors, each with every sorted string of every weight, kept
+    when the weights add up and the balances, counted letter by letter,
+    match."""
+    order = {"1": 0, "b": 1, "0": 2}
+    sorted_strings = [s for w in range(weight + 1)
+                      for s in _strings_of_weight(w)
+                      if list(s) == sorted(s, key=order.get)]
+    out = set()
+    for n in range(weight // 2 + 1):
+        for extra in itertools.combinations_with_replacement(
+                ("R", "A11", "Ab1b1"), n):
+            syms = symbols + extra
+            budget = weight - sum(SYMBOLS[s].base_weight for s in syms)
+            fitting = [s for s in sorted_strings
+                       if len(s) + s.count("0") <= budget]
+            for strings in itertools.product(fitting, repeat=len(syms)):
+                if (sum(len(s) + s.count("0") for s in strings) == budget
+                        and sum(SYMBOLS[sym].base_alpha + s.count("1")
+                                - s.count("b")
+                                for sym, s in zip(syms, strings)) == balance):
+                    out.add(tuple(sorted(map(Factor, syms, strings),
+                                         key=Factor.sort_key)))
+    return out
+
+
+def _mutation_run_sectors(monkeypatch):
+    import phbochner.identities as ids
+
+    monkeypatch.setattr(calc, "_system_cache", {})
+    for ident in ids.MUTABLE_IDS:
+        ids.mutation_test(ident)
+    return list(calc._system_cache)
+
+
+_BILINEAR = [(w, 0, symbols) for w in (2, 4, 6)
+             for symbols in (("f", "f"), ("E11", "Eb1b1"), ("E11", "E11"),
+                             ("Eb1b1", "Eb1b1"))]
+
+
+def test_sector_monomials_match_a_brute_force_enumeration(monkeypatch):
+    # the parent sectors of both directions of every sector that mutation
+    # testing builds, and of the bilinear sectors
+    sectors = _mutation_run_sectors(monkeypatch)
+    assert len(sectors) == 4
+    for weight, balance, symbols in sectors + _BILINEAR:
+        for d, shift in (("b", -1), ("1", 1)):
+            parent = (weight - 1, balance - shift, symbols)
+            listed = calc._sector_monomials(*parent)
+            assert len(set(listed)) == len(listed), parent
+            assert listed == sorted(listed, key=calc._monomial_sort_key)
+            assert set(listed) == _monomials_by_brute_force(*parent), parent
 
 
 def test_pass_replays_certificate_from_fresh_rows(monkeypatch):

@@ -94,6 +94,41 @@ def test_failed_identity_exits_1(ident, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith(f"[{ident}] FAIL\n")
 
 
+def _drop_bracket(records, monkeypatch):
+    # the 2.8 integral INT[ 2*A11*Ab1b1*f*f ] loses its closing bracket
+    text = records["2.8"]["integrals"]
+    broken = text.replace("Ab1b1*f*f ] +", "Ab1b1*f*f +", 1)
+    assert broken != text
+    monkeypatch.setitem(records["2.8"], "integrals", broken)
+
+
+_BROKEN_2_8 = ("phbochner: error: catalog [2.8] integrals: cannot add a plain "
+               "sum and an integral (at position 89)\n")
+
+
+# a catalog that cannot be read is an input error, not a failed proof
+@pytest.mark.parametrize("tamper, args, err", [
+    (_drop_bracket, ["verify", "2.8"], _BROKEN_2_8),
+    (_drop_bracket, ["trace", "2.11"], _BROKEN_2_8),
+    (_drop_bracket, ["verify", "all", "--mutate"], _BROKEN_2_8),
+    (lambda records, mp: mp.setitem(records, "3.2x", records.pop("3.2")),
+     ["verify", "3.4"], "phbochner: error: catalog [3.2] lhs: missing\n"),
+    (lambda records, mp: mp.delitem(records["3.1"], "rhs"),
+     ["ops", "DQJ_rhs"], "phbochner: error: catalog [3.1] rhs: missing\n"),
+], ids=["verify-bracket", "trace-bracket", "mutate-bracket", "renamed-record",
+        "missing-field"])
+def test_unreadable_catalog_exits_2(tamper, args, err, capsys, monkeypatch):
+    from phbochner.parser import Corpus
+
+    records = Corpus.load().records
+    monkeypatch.setattr(Corpus.load(), "records", dict(records))
+    tamper(Corpus.load().records, monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
 def test_check_sphere(capsys, sphere_file):
     assert main(["check", sphere_file, "--cond", "corollaryC"]) == 0
     out = capsys.readouterr().out

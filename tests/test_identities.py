@@ -317,7 +317,8 @@ def test_kernel_constant_bumps_fail_a_proof(monkeypatch):
 @pytest.mark.parametrize("ident", ["2.ibp", "3.2", "2.11"])
 def test_mutation_kill(ident):
     report = ids.mutation_test(ident)
-    assert report["kill_rate"] == 1.0, report["survivors"]
+    assert report["status"] == "PASS", report["survivors"]
+    assert report["killed"] == report["mutants"] > 0
 
 
 def test_mutation_test_formats_no_expression(monkeypatch):
@@ -359,7 +360,7 @@ def test_mutation_test_decides_the_unchanged_target_first(monkeypatch,
                         lambda *args: decisions.append(args) or run(*args))
     for ident in ("3.5", "3.8"):
         assert ids.mutation_test(ident) == {
-            "identity": ident,
+            "status": "FAIL",
             "note": "the catalog target fails, so no mutant is decided"}
     assert decisions == []
     assert main(["--format", "json", "verify", "3.5", "--mutate"]) == 1
