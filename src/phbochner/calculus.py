@@ -44,13 +44,14 @@ The engine implements
 The engine reads an Expression's terms in stored order and sorts only
 where the order reaches output.  A term is keyed by its sorted factor
 tuple; whether the sum is an integral is the Expression's one flag.
-Canonical forms, residuals and certificate replays are collected into one
-dict each, by the two helpers `Expression` itself sums with: `_add` adds a
-canonical term as it is, and `_subtract` subtracts a multiple of an
-expansion or a row by `sub_mul` and drops an entry that cancels.  A query,
-and a relation row (`differentiate` of its parent), canonicalizes an
-Expression like any other.  Every coefficient is exact, so the order in
-which terms are collected changes no value.
+`Expression.substitute` multiplies out the canonical forms of a factor's
+and a term's factors.  Canonical sums, residuals and certificate replays
+are collected into one dict each, by the two helpers `Expression` itself
+sums with: `_add` adds a canonical term as it is, and `_subtract`
+subtracts a multiple of an expansion or a row and drops an entry that
+cancels.  A query, and a relation row (`differentiate` of its parent),
+canonicalizes an Expression like any other.  Every coefficient is exact,
+so the order in which terms are collected changes no value.
 
 All operations are pure.  The module state is five memo tables that keep
 every entry for the life of the process:
@@ -76,7 +77,7 @@ from typing import Iterable, Mapping, Sequence
 from .expr import (_LETTER_ALPHA, _LETTER_WEIGHT, DERIV_LETTERS, SYMBOLS,
                    Expression, Factor, Monomial, _add, _sorted_factors,
                    _subtract, _term_str)
-from .scalar import I, ONE, ZERO, ScalarExact, sub_mul
+from .scalar import I, ONE, ScalarExact
 
 __all__ = [
     "CalculusError", "RewriteTrace",
@@ -215,54 +216,23 @@ _canon_cache: dict[Factor, Expression] = {}
 # coefficient 1, as a dict (a term's expansion is this scaled, plain or
 # integrated alike), or None when the term is canonical
 _term_cache: dict[Monomial, dict | None] = {}
-_UNSEEN = object()
 
 
 def canonicalize_factor(factor: Factor) -> Expression:
     """Canonical form of a factor that is not canonical (every caller tests
-    `Factor.is_canonical` first): its leftmost out-of-order pair swapped."""
+    `Factor.is_canonical` first): its leftmost out-of-order pair swapped,
+    the result's factors put in canonical form by `Expression.substitute`."""
     out = _canon_cache.get(factor)
     if out is None:
-        acc: dict = {}
-        swapped = commute_swap(factor, factor.first_disorder())
-        for factors, coeff in swapped._terms.items():
-            _product_into(acc, coeff, factors)
-        out = _canon_cache[factor] = Expression(acc)
+        out = _canon_cache[factor] = commute_swap(
+            factor, factor.first_disorder()).substitute(_canonical_value)
     return out
 
 
-def _product_into(acc: dict, coeff: ScalarExact,
-                  factors: tuple[Factor, ...]) -> None:
-    """acc[m] += coeff * c over the terms c * m of the product of the
-    canonical forms of `factors`, m a sorted monomial."""
-    prod = {(): coeff}
-    for f in factors:
-        if f.is_canonical():
-            prod = {m + (f,): c for m, c in prod.items()}
-            continue
-        terms = canonicalize_factor(f)._terms
-        new: dict = {}
-        for m1, c1 in prod.items():
-            neg = -c1
-            for m2, c2 in terms.items():
-                m = m1 + m2
-                new[m] = sub_mul(new.get(m, ZERO), neg, c2)
-        prod = new
-    for m, c in prod.items():
-        _add(acc, _sorted_factors(m), c)
-
-
-def _expand_term(factors: Monomial) -> dict | None:
-    """Canonical {monomial: coefficient} of a unit term, or None for a term
-    that is canonical already; remembered in `_term_cache`."""
-    if all(f.is_canonical() for f in factors):
-        expansion = None
-    else:
-        acc: dict = {}
-        _product_into(acc, ONE, factors)
-        expansion = {m: c for m, c in acc.items() if c}
-    _term_cache[factors] = expansion
-    return expansion
+def _canonical_value(f: Factor) -> Expression | None:
+    """The value `substitute` puts in place of f: None for a canonical f,
+    else its canonical form."""
+    return None if f.is_canonical() else canonicalize_factor(f)
 
 
 def canonicalize(e: Expression) -> Expression:
@@ -276,9 +246,12 @@ def canonicalize(e: Expression) -> Expression:
     """
     acc: dict = {}
     for key, coeff in e._terms.items():
-        expansion = _term_cache.get(key, _UNSEEN)
-        if expansion is _UNSEEN:
-            expansion = _expand_term(key)
+        try:
+            expansion = _term_cache[key]
+        except KeyError:
+            expansion = _term_cache[key] = (
+                None if all(map(Factor.is_canonical, key)) else
+                Expression({key: ONE}).substitute(_canonical_value)._terms)
         if expansion is None:
             _add(acc, key, coeff)
         else:
@@ -554,9 +527,10 @@ def check_certificate(a: Expression, b: Expression, trace: RewriteTrace,
 
     Every relation row is rebuilt from its id, never read from the system
     cache (canonical forms of factors and terms still come from
-    `_canon_cache` and `_term_cache`), and the combination is checked by
-    exact arithmetic, so a True result is an independent proof that the
-    recorded elimination was sound.  `modulo` must be empty.
+    `_canon_cache` and `_term_cache`, both multiplied out by
+    `Expression.substitute`), and the combination is checked by exact
+    arithmetic, so a True result is an independent proof that the recorded
+    elimination was sound.  `modulo` must be empty.
     """
     _no_modulo(modulo)
     total = dict(canonicalize(a - b)._terms)

@@ -25,7 +25,7 @@ ok)`, `trace`'s text report being one string, and `main` emits the report
 once: exit 0 when ok, 1 when a verification or condition failed.  Every
 usage or input error is one `phbochner: error:` line on stderr and exit 2
 (`_input_error`): argparse's own, and a catalog record or field that is
-missing or does not parse, named (`_from_catalog`), included.  Each argument
+missing, unparsable or of the wrong kind, named (`_from_catalog`), included.  Each argument
 is checked by its argparse `type` (`--samples` at most `MAX_SAMPLES`), and a
 name that needs a module (identity id, operator, `--cond`) by the command
 importing it, and `check` evaluates each `--cond` name once and `verify`

@@ -30,7 +30,7 @@ from typing import NamedTuple
 # `adjoint`) is imported by the functions that run it, so that listing the
 # registry, or building an operator that needs no calculus, does not load it
 from .expr import Expression, Factor, SYMBOLS, conj_letter
-from .parser import Corpus, parse
+from .parser import Corpus, parse, parse_plain
 from .scalar import I, ScalarExact
 
 __all__ = [
@@ -123,7 +123,7 @@ def build_DQJ_rhs() -> Expression:
     and only downstream consequences are verified by the identity suite.
     It is the `rhs` of catalog record 3.1.
     """
-    return Corpus.load().expr("3.1", "rhs")
+    return Corpus.load().expr("3.1", "rhs", parse_plain)
 
 
 # ---------------------------------------------------------------------------

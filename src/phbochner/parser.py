@@ -188,8 +188,31 @@ def parse(text: str) -> Expression:
     return _Parser(text).parse()
 
 
+def parse_plain(text: str) -> Expression:
+    """parse(text), refused with a ValueError if it is an integral."""
+    e = parse(text)
+    if e.integrated:
+        raise ValueError("a plain sum is expected, not an integral")
+    return e
+
+
+def parse_integral(text: str) -> Expression:
+    """parse(text), refused with a ValueError unless it is an integral (or
+    zero) each of whose terms has balance 0: a scalar, as the equality
+    engine decides it."""
+    e = parse(text)
+    if e._terms and not e.integrated:
+        raise ValueError("an integral INT[...] is expected, not a plain sum")
+    for factors, coeff in e._terms.items():
+        balance = sum(f.alpha() for f in factors)
+        if balance:
+            raise ValueError(f"{Expression({factors: coeff}, True)} has "
+                             f"balance {balance}, not the 0 of a scalar")
+    return e
+
+
 class CatalogError(ValueError):
-    """A catalog record or field that is missing or does not parse."""
+    """A catalog record or field that is missing or that a reader refuses."""
 
 
 class Corpus:

@@ -106,6 +106,25 @@ _BROKEN_2_8 = ("phbochner: error: catalog [2.8] integrals: cannot add a plain "
                "sum and an integral (at position 89)\n")
 
 
+def _set_cube_root(text):
+    def tamper(records, monkeypatch):
+        monkeypatch.setitem(records["3.7"], "cube_root", text)
+    return tamper
+
+
+def _integrals_2_8(edit):
+    # edit: the shipped 2.8 integrals -> the tampered ones
+    def tamper(records, monkeypatch):
+        monkeypatch.setitem(records["2.8"], "integrals",
+                            edit(records["2.8"]["integrals"]))
+    return tamper
+
+
+_CUBE_ROOT = "phbochner: error: catalog [3.7] cube_root: the left side {!r} "\
+             "is not a single factor\n"
+_KIND_2_8 = "phbochner: error: catalog [2.8] integrals: {}\n"
+
+
 # a catalog that cannot be read is an input error, not a failed proof
 @pytest.mark.parametrize("tamper, args, err", [
     (_drop_bracket, ["verify", "2.8"], _BROKEN_2_8),
@@ -115,8 +134,25 @@ _BROKEN_2_8 = ("phbochner: error: catalog [2.8] integrals: cannot add a plain "
      ["verify", "3.4"], "phbochner: error: catalog [3.2] lhs: missing\n"),
     (lambda records, mp: mp.delitem(records["3.1"], "rhs"),
      ["ops", "DQJ_rhs"], "phbochner: error: catalog [3.1] rhs: missing\n"),
+    # a left side with a coefficient, or of two terms, is no factor X
+    (_set_cube_root("2*A11_{1} = W*W*W"), ["verify", "3.7"],
+     _CUBE_ROOT.format("2*A11_{1}")),
+    (_set_cube_root("A11_{1} + f = W*W*W"), ["trace", "3.7"],
+     _CUBE_ROOT.format("A11_{1} + f")),
+    # a field that parses but is of the wrong kind: a plain sum, and an
+    # integral with a term of balance 1, where a scalar integral is read
+    (_integrals_2_8(lambda _: "-2*R*f_{1}*f_{b}"), ["verify", "2.8", "--mutate"],
+     _KIND_2_8.format("an integral INT[...] is expected, not a plain sum")),
+    (_integrals_2_8(lambda text: text + " + INT[ R_{1}*f*f ]"), ["trace", "2.11"],
+     _KIND_2_8.format("INT[f*f*R_{1}] has balance 1, not the 0 of a "
+                      "scalar")),
+    # the operator's own field: 3.1 rhs as an integral, read by 3.4
+    (lambda records, mp: mp.setitem(records["3.1"], "rhs", "INT[ E11 ]"),
+     ["verify", "3.4"], "phbochner: error: catalog [3.1] rhs: a plain sum is "
+     "expected, not an integral\n"),
 ], ids=["verify-bracket", "trace-bracket", "mutate-bracket", "renamed-record",
-        "missing-field"])
+        "missing-field", "cube-root-coefficient", "cube-root-two-terms",
+        "plain-integrals", "integrals-balance-1", "integral-operator"])
 def test_unreadable_catalog_exits_2(tamper, args, err, capsys, monkeypatch):
     from phbochner.parser import Corpus
 
