@@ -26,7 +26,7 @@ from .calculus import (RewriteTrace, canonicalize, equal_mod_ibp, ibp_residual,
 from .expr import Expression, Factor
 from .kernel import (FormInputs, _thm_a, corollary_c_minors, det,
                      form_entries, thm_b_minors, torsion_free_entries)
-from .parser import Corpus, parse, parse_integral, parse_plain
+from .parser import Corpus, parse
 from .scalar import ScalarExact
 
 __all__ = [
@@ -139,7 +139,7 @@ def script_2_7(alpha: ScalarExact = ops.ALPHA_SECTION2) -> Decide:
 
 
 def script_2_ibp() -> Decide:
-    lhs = _field("2.ibp", "lhs", True)
+    lhs = Corpus.load().expr("2.ibp", "lhs")
 
     def decide(rhs: Expression) -> ScriptResult:
         ok, trace = equal_mod_ibp(lhs, rhs)
@@ -149,7 +149,7 @@ def script_2_ibp() -> Decide:
 
 
 def script_2_8() -> Decide:
-    diff = _field("2.3", "target") - _field("2.7", "target")
+    diff = _target("2.3") - _target("2.7")
     paired = (diff * Factor("f")).integrate()
     canonical = canonicalize(paired)
 
@@ -168,7 +168,7 @@ def _f_squared(e: Expression) -> Expression:
 
 
 def script_2_11() -> Decide:
-    s = rewrite(_field("2.8", "integrals", True), ops.flatness_rules())
+    s = rewrite(Corpus.load().expr("2.8", "integrals"), ops.flatness_rules())
     twice = canonicalize(s * 2)
     bianchi = ops.bianchi_rule()
     # Theorem A: its value is the f^2 coefficient of 2.11
@@ -197,7 +197,7 @@ def script_2_11() -> Decide:
 # ---------------------------------------------------------------------------
 
 def script_3_2() -> Decide:
-    lhs = _field("3.2", "lhs")
+    lhs = Corpus.load().expr("3.2", "lhs")
 
     def decide(rhs: Expression) -> ScriptResult:
         residual = canonicalize(lhs - rhs)
@@ -209,8 +209,8 @@ def script_3_2() -> Decide:
 
 
 def script_3_3() -> Decide:
-    mid = _field("3.3", "mid", True)
-    ok1, trace = equal_mod_ibp(_field("3.3", "start", True), mid)
+    start, mid = (Corpus.load().expr("3.3", fld) for fld in ("start", "mid"))
+    ok1, trace = equal_mod_ibp(start, mid)
 
     def decide(final: Expression) -> ScriptResult:
         residual2 = canonicalize(mid - final)
@@ -229,7 +229,8 @@ def _pairing_with_E(expr: Expression) -> Expression:
 
 
 def _dqj_after_3_2() -> Expression:
-    return ops.build_DQJ_rhs() - _field("3.2", "lhs") + _field("3.2", "rhs")
+    lhs, rhs = (Corpus.load().expr("3.2", fld) for fld in ("lhs", "rhs"))
+    return ops.build_DQJ_rhs() - lhs + rhs
 
 
 def script_3_4() -> Decide:
@@ -255,16 +256,14 @@ def script_3_4() -> Decide:
 
 
 def script_3_5() -> Decide:
-    # the pairing with E, torsion kept, and the slice witness INT[DJ* E *
-    # slice] of the catalog, zero where DJ* E = 0
+    # 3.5 does not close modulo IBP alone, only once the slice witness
+    # INT[DJ* E * slice] of the catalog, zero where DJ* E = 0, is subtracted
     paired = _pairing_with_E(_dqj_after_3_2())
     witness = (ops.build_DJstar().expr
-               * _field("3.5", "slice")).integrate()
+               * Corpus.load().expr("3.5", "slice")).integrate()
     canonical = canonicalize(paired - witness)
 
     def decide(target: Expression) -> ScriptResult:
-        # 3.5 does not close modulo IBP alone, only once the slice witness,
-        # which vanishes where DJ* E = 0, is subtracted
         residual, trace = ibp_residual(canonical, target)
         ok = residual.is_zero()
         steps = [("pairing with E (torsion kept)", paired),
@@ -273,33 +272,6 @@ def script_3_5() -> Decide:
                  if ok else ("residual (verbatim)", residual)]
         return _finish("3.5", ok, steps, residual, trace)
     return decide
-
-
-def _field(record: str, fld: str, integral: bool = False) -> Expression:
-    """A catalog field read as a plain sum or, with `integral`, a scalar
-    integral; `Corpus.expr` refuses another kind with a CatalogError."""
-    return Corpus.load().expr(record, fld,
-                              parse_integral if integral else parse_plain)
-
-
-def _substitution(text: str) -> dict[Factor, Expression]:
-    """A catalog substitution "X = text, ..." as {X: value}, with the
-    conjugate of each pair added (a `Corpus.expr` read).  A left side that
-    is not one factor X, coefficient 1, and a value that is an integral
-    raise ValueError.  Its `get` instantiates a field as the replacement of
-    `Expression.substitute`, which matches a factor whole: a value for
-    Eb1b1 leaves Eb1b1_{1} as it is."""
-    out = {}
-    for pair in text.split(","):
-        name, _, value = pair.partition("=")
-        left = parse(name)
-        factors = [key[0] for key in left._terms if len(key) == 1]
-        if len(factors) != 1 or left != Expression.from_factor(factors[0]):
-            raise ValueError(f"the left side {name.strip()!r} is not a "
-                             "single factor")
-        out[factors[0]] = parse_plain(value)
-        out[factors[0].conjugate()] = out[factors[0]].conjugate()
-    return out
 
 
 # the free real parameters of Lemma 3.1; constants, never differentiated
@@ -326,7 +298,7 @@ def script_3_6() -> Decide:
     coefficient does, so each is decided on its own, and no query contains
     a parameter or rests on a bound of the degree.
     """
-    lhs, square = (_field("3.6", fld, True) for fld in ("lhs", "square"))
+    lhs, square = (Corpus.load().expr("3.6", fld) for fld in ("lhs", "square"))
 
     def decide(rhs: Expression) -> ScriptResult:
         diff = rhs - lhs - square
@@ -355,13 +327,12 @@ def script_3_7() -> Decide:
     W carries no derivative, so the check is canonicalization alone.  3.7
     has no target: all of it is built, and `decide` returns the result.
     """
-    cube = Corpus.load().expr("3.7", "cube_root", _substitution)
-    lhs, rhs, square = (_field("3.7", fld).substitute(cube.get)
-                        for fld in ("lhs", "rhs", "square"))
+    corpus = Corpus.load()
+    cube, tight = (corpus.expr("3.7", fld) for fld in ("cube_root", "tight"))
+    fields = [corpus.expr("3.7", fld) for fld in ("lhs", "rhs", "square")]
+    lhs, rhs, square = (e.substitute(cube.get) for e in fields)
     residual = canonicalize(lhs - rhs - square)
-    tight = {**cube, **Corpus.load().expr("3.7", "tight", _substitution)}
-    gap = canonicalize((_field("3.7", "lhs") - _field("3.7", "rhs"))
-                       .substitute(tight.get))
+    gap = canonicalize((fields[0] - fields[1]).substitute({**cube, **tight}.get))
     steps = [("lhs with w = W^3", lhs), ("rhs", rhs),
              ("square", square), ("lhs - rhs - square", residual),
              ("lhs - rhs on the tight family", gap)]
@@ -438,11 +409,12 @@ def script_3_8() -> Decide:
     plus the estimate's right side, term by term, and have the leading
     minors of Theorem B.
     """
-    deficit = (_field("3.6", "lhs", True)
-               - _field("3.6", "rhs", True)).substitute(_QUARTERS.get)
-    built = canonicalize(_field("3.5", "integrand", True)
-                         - _field("3.7", "lhs").integrate() + deficit)
-    rhs_3_7 = _field("3.7", "rhs").integrate()
+    corpus = Corpus.load()
+    deficit = (corpus.expr("3.6", "lhs")
+               - corpus.expr("3.6", "rhs")).substitute(_QUARTERS.get)
+    built = canonicalize(corpus.expr("3.5", "integrand")
+                         - corpus.expr("3.7", "lhs").integrate() + deficit)
+    rhs_3_7 = corpus.expr("3.7", "rhs").integrate()
     x = _inputs()
     form, minors = _numeric_form(form_entries(x, _constant),
                                  thm_b_minors(x, _constant, _abs2))
@@ -465,28 +437,28 @@ def script_3_8() -> Decide:
 # ---------------------------------------------------------------------------
 
 # identity -> (script, the field of its catalog record that mutation
-# perturbs, or None if it has no target, and whether that is an integral)
+# perturbs, or None if it has no target)
 SCRIPTS = {
-    "2.3": (script_2_3, "target", False),
-    "2.7": (script_2_7, "target", False),
-    "2.8": (script_2_8, "integrals", True),
-    "2.ibp": (script_2_ibp, "rhs", True),
-    "2.11": (script_2_11, "integrals", True),
-    "3.2": (script_3_2, "rhs", False),
-    "3.3": (script_3_3, "final", True),
-    "3.4": (script_3_4, "integrand", True),
-    "3.5": (script_3_5, "integrand", True),
-    "3.6": (script_3_6, "rhs", True),
-    "3.7": (script_3_7, None, False),
-    "3.8": (script_3_8, "integrand_exact", True),
+    "2.3": (script_2_3, "target"),
+    "2.7": (script_2_7, "target"),
+    "2.8": (script_2_8, "integrals"),
+    "2.ibp": (script_2_ibp, "rhs"),
+    "2.11": (script_2_11, "integrals"),
+    "3.2": (script_3_2, "rhs"),
+    "3.3": (script_3_3, "final"),
+    "3.4": (script_3_4, "integrand"),
+    "3.5": (script_3_5, "integrand"),
+    "3.6": (script_3_6, "rhs"),
+    "3.7": (script_3_7, None),
+    "3.8": (script_3_8, "integrand_exact"),
 }
-MUTABLE_IDS = [ident for ident, (_, fld, _) in SCRIPTS.items() if fld]
+MUTABLE_IDS = [ident for ident, (_, fld) in SCRIPTS.items() if fld]
 
 
 def _target(ident: str) -> Expression | None:
     """The catalog target of `ident` that mutation perturbs, if any."""
-    _, fld, integral = SCRIPTS[ident]
-    return _field(ident, fld, integral) if fld else None
+    fld = SCRIPTS[ident][1]
+    return Corpus.load().expr(ident, fld) if fld else None
 
 
 # one mutant's decision, a function of its own so that a profiler can time it

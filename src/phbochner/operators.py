@@ -14,11 +14,8 @@ Conventions (h_{1 1bar} = 1, all indices lowered):
 * Bianchi-type identity         R_{,0} = A11_{,1bar 1bar} + Ab1b1_{,11}
 
 Inner products used for adjoints: <u, v> = INT[u * conj(v)] for scalars and
-<S, T> = INT[2Re(S11 * T1bar1bar)] for deformation tensors.  Under INT the
-derivative string I of f_{,I} moves off f reversed and with the sign
-(-1)^|I|, so `adjoint` writes the adjoint of an operator on the real function
-f in closed form: each term c * f_{,I} gives (-1)^|I| (conj(c) u)_{,conj(rev I)}
-with u = f, or u = E11 plus (-1)^|I| (c Eb1b1)_{,rev I} for a tensor value.
+<S, T> = INT[2Re(S11 * T1bar1bar)] for deformation tensors; `adjoint` writes
+an operator's adjoint in closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import NamedTuple
 # `adjoint`) is imported by the functions that run it, so that listing the
 # registry, or building an operator that needs no calculus, does not load it
 from .expr import Expression, Factor, SYMBOLS, conj_letter
-from .parser import Corpus, parse, parse_plain
+from .parser import Corpus, parse
 from .scalar import I, ScalarExact
 
 __all__ = [
@@ -77,8 +74,7 @@ def apply_template(template: OperatorTemplate, argument: Expression) -> Expressi
 
 
 def is_linear(template: OperatorTemplate) -> bool:
-    conj_placeholder = SYMBOLS[template.placeholder].conj
-    names = {template.placeholder, conj_placeholder}
+    names = {template.placeholder, SYMBOLS[template.placeholder].conj}
     return all(sum(1 for f in factors if f.symbol in names) == 1
                for factors, _ in template.expr.items())
 
@@ -123,7 +119,7 @@ def build_DQJ_rhs() -> Expression:
     and only downstream consequences are verified by the identity suite.
     It is the `rhs` of catalog record 3.1.
     """
-    return Corpus.load().expr("3.1", "rhs", parse_plain)
+    return Corpus.load().expr("3.1", "rhs")
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ letter is applied first.  '2Re[X]' is expanded to X + conj(X) at parse time;
 there is no Re/Im node in the AST.  Division is only by scalar-valued
 subexpressions, and a sum is plain or of integrals INT[...], never both.
 
-`Corpus` reads the identity catalog, whose fields are texts in this grammar.
+`Corpus` reads the identity catalog, whose fields are texts in this grammar,
+each of the kind that the schema `FIELDS` declares for it.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import cache
 from importlib import resources
@@ -27,7 +29,7 @@ from importlib import resources
 from .expr import DERIV_LETTERS, Expression, Factor, SYMBOLS
 from .scalar import I, SQRT3
 
-__all__ = ["parse", "ParseError", "CatalogError", "Corpus"]
+__all__ = ["parse", "ParseError", "CatalogError", "Corpus", "FIELDS", "READERS"]
 
 
 class ParseError(ValueError):
@@ -52,8 +54,7 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    # every character starts a match (`bad` takes any other), so the
-    # matches tile the text
+    # `bad` takes any other character, so the matches tile the text
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -65,12 +66,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+_CONSTANTS = {"i": I, "s3": SQRT3}
+# opening token -> (its closing bracket, the atom made of what it encloses)
+_BRACKETS = {"(": (")", lambda e: e), "INT[": ("]", Expression.integrate),
+             "2Re[": ("]", lambda e: e + e.conjugate())}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
-
-    # -- token helpers ------------------------------------------------------
 
     def peek(self):
         return self.tokens[self.k]
@@ -78,12 +85,6 @@ class _Parser:
     def advance(self):
         tok = self.tokens[self.k]
         self.k += 1
-        return tok
-
-    def expect(self, kind: str, value: str | None = None):
-        tok = self.advance()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ParseError(f"expected {value or kind}, found {tok[1]!r}", tok[2])
         return tok
 
     # -- grammar ------------------------------------------------------------
@@ -99,32 +100,24 @@ class _Parser:
         return out
 
     def expression(self) -> Expression:
-        out = self.term()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                try:
-                    out = out + rhs if value == "+" else out - rhs
-                except ValueError as exc:
-                    raise ParseError(str(exc), pos) from None
-            else:
-                return out
+        return self.chain(self.term, "+-")
 
     def term(self) -> Expression:
-        out = self.atom()
+        return self.chain(self.atom, "*/")
+
+    def chain(self, operand, ops: str) -> Expression:
+        """operand (op operand)*, for op in `ops`, left to right."""
+        out = operand()
         while True:
             kind, value, pos = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.atom()
-                try:
-                    out = out * rhs if value == "*" else out / rhs
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ParseError(str(exc), pos) from None
-            else:
+            if kind != "op" or value not in ops:
                 return out
+            self.advance()
+            rhs = operand()
+            try:
+                out = _ARITHMETIC[value](out, rhs)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(str(exc), pos) from None
 
     def atom(self) -> Expression:
         kind, value, pos = self.peek()
@@ -134,34 +127,25 @@ class _Parser:
         if kind == "number":
             self.advance()
             return Expression.scalar(int(value))
-        if kind == "twore":
+        if value in _BRACKETS:
+            close, make = _BRACKETS[value]
             self.advance()
             inner = self.expression()
-            self.expect("op", "]")
-            return inner + inner.conjugate()
-        if kind == "int":
-            self.advance()
-            inner = self.expression()
-            self.expect("op", "]")
+            _, found, at = self.advance()
+            if found != close:
+                raise ParseError(f"expected {close}, found {found!r}", at)
             try:
-                return inner.integrate()
-            except ValueError:
+                return make(inner)
+            except ValueError:  # only INT[...] refuses what it encloses
                 raise ParseError("nested INT[...]", pos) from None
-        if kind == "op" and value == "(":
-            self.advance()
-            inner = self.expression()
-            self.expect("op", ")")
-            return inner
         if kind == "name":
             return self.factor_atom()
         raise ParseError(f"unexpected token {value!r}", pos)
 
     def factor_atom(self) -> Expression:
         kind, name, pos = self.advance()
-        if name == "i":
-            return Expression.scalar(I)
-        if name == "s3":
-            return Expression.scalar(SQRT3)
+        if name in _CONSTANTS:
+            return Expression.scalar(_CONSTANTS[name])
         if name not in SYMBOLS:
             raise ParseError(f"unknown symbol {name!r}", pos)
         derivs: tuple[str, ...] = ()
@@ -178,13 +162,10 @@ class _Parser:
 
 @cache
 def parse(text: str) -> Expression:
-    """Parse grammar text into an Expression.
-
-    Raises ParseError (with position) on syntax errors or unknown symbols;
-    errors are not cached.  Results are cached by text for the life of the
-    process, which is safe since an Expression is immutable; the corpus
-    holds a few dozen texts.
-    """
+    """Parse grammar text into an Expression, or raise ParseError, with
+    the position, on a syntax error or an unknown symbol.  Results, never
+    errors, are cached by text for the life of the process, which is safe
+    since an Expression is immutable; the catalog holds a few dozen texts."""
     return _Parser(text).parse()
 
 
@@ -211,29 +192,80 @@ def parse_integral(text: str) -> Expression:
     return e
 
 
+def parse_substitution(text: str) -> dict[Factor, Expression]:
+    """A substitution "X = text, ..." as {X: value}, each pair's conjugate
+    added; a left side that is not one factor X, coefficient 1, or a value
+    that is an integral raises ValueError.  Its `get` is a replacement for
+    `Expression.substitute`, so a value for Eb1b1 leaves Eb1b1_{1} as is."""
+    out = {}
+    for pair in text.split(","):
+        name, _, value = pair.partition("=")
+        left = parse(name)
+        factors = [key[0] for key in left._terms if len(key) == 1]
+        if len(factors) != 1 or left != Expression.from_factor(factors[0]):
+            raise ValueError(f"the left side {name.strip()!r} is not a "
+                             "single factor")
+        out[factors[0]] = parse_plain(value)
+        out[factors[0].conjugate()] = out[factors[0]].conjugate()
+    return out
+
+
+# The reader of each kind of catalog field; a display reads as its text.
+READERS = {"plain": parse_plain, "integral": parse_integral,
+           "substitution": parse_substitution, "display": str}
+
+# The catalog's schema: each record's fields and their kinds.  Every record
+# also holds its display `latex`.
+FIELDS = {record: {"latex": "display", **fields} for record, fields in {
+    "2.3": {"target": "plain"},
+    "2.7": {"target": "plain"},
+    "2.8": {"integrals": "integral"},
+    "2.ibp": {"lhs": "integral", "rhs": "integral"},
+    "2.11": {"integrals": "integral"},
+    "3.1": {"rhs": "plain"},
+    "3.2": {"lhs": "plain", "rhs": "plain"},
+    "3.3": {"start": "integral", "mid": "integral", "final": "integral"},
+    "3.4": {"integrand": "integral"},
+    "3.5": {"integrand": "integral", "slice": "plain"},
+    "3.6": {"lhs": "integral", "rhs": "integral", "square": "integral"},
+    "3.7": {"lhs": "plain", "rhs": "plain", "square": "plain",
+            "cube_root": "substitution", "tight": "substitution"},
+    "3.8": {"integrand_exact": "integral"},
+}.items()}
+
+
 class CatalogError(ValueError):
-    """A catalog record or field that is missing or that a reader refuses."""
+    """A catalog line off the schema, or a field missing or refused."""
 
 
 class Corpus:
-    """Loader for the identity catalog shipped with the package."""
+    """Loader for the identity catalog shipped with the package.  A header
+    or key that repeats, a line with no `:` and a record or field that
+    `FIELDS` does not declare raise CatalogError naming the line."""
 
     def __init__(self, text: str):
         self.records: dict[str, dict[str, str]] = {}
-        current: dict[str, str] | None = None
-        for raw in text.splitlines():
-            line = raw.rstrip()
-            if not line or line.lstrip().startswith("#"):
+        record = ident = None
+        for n, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
-            m = re.match(r"^\[(?P<id>[^\]]+)\]$", line)
-            if m:
-                current = {}
-                self.records[m.group("id")] = current
-                continue
-            if current is None:
-                raise CatalogError(f"catalog line outside a record: {line!r}")
-            key, _, value = line.partition(":")
-            current[key.strip()] = value.strip()
+            header = re.fullmatch(r"\[([^\]]+)\]", line)
+            key, colon, value = (part.strip() for part in line.partition(":"))
+            if header:
+                key = ident = header.group(1)
+                into, declared = self.records, FIELDS
+                value = record = {}
+            else:
+                into, declared = record, FIELDS.get(ident, ())
+            problem = ("outside a record" if into is None else
+                       "no ':'" if not (header or colon) else
+                       f"{key!r} repeats" if key in into else
+                       f"{key!r} is not declared" if key not in declared
+                       else None)
+            if problem:
+                raise CatalogError(f"catalog line {n}: {problem}: {line!r}")
+            into[key] = value
 
     @classmethod
     @cache
@@ -242,15 +274,15 @@ class Corpus:
         data = resources.files("phbochner") / "data" / "identities.corpus"
         return cls(data.read_text())
 
-    def expr(self, record: str, fld: str, read=parse):
-        """read(the text of a field), by default its Expression.  A missing
-        record or field, or a text that `read` refuses with a ValueError (a
-        ParseError is one), raises CatalogError naming both."""
+    def expr(self, record: str, fld: str):
+        """A field read by the reader of its kind in `FIELDS`.  A missing
+        record or field, or a text that the reader refuses with a ValueError
+        (a ParseError is one), raises CatalogError naming both."""
         try:
             text = self.records[record][fld]
         except KeyError:
             raise CatalogError(f"catalog [{record}] {fld}: missing") from None
         try:
-            return read(text)
+            return READERS[FIELDS[record][fld]](text)
         except ValueError as exc:
             raise CatalogError(f"catalog [{record}] {fld}: {exc}") from None

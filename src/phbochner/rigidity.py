@@ -202,7 +202,7 @@ def _magnitudes(x: FormInputs) -> FormInputs:
 
 def _float_inputs(s: dict) -> FormInputs:
     return FormInputs(
-        R=s["R"], t=(np.abs(s["A11_1"]) ** 2) ** (1.0 / 3.0),
+        R=s["R"], t=np.cbrt(np.abs(s["A11_1"]) ** 2),
         a2=np.abs(s["A11"]) ** 2, lapR=s["lapR"], imbb=s["A11_bb"].imag,
         Rb=np.conj(s["R1"]), Ab=np.conj(s["A11"]), Ab1=np.conj(s["A11_b"]),
         R0=s["R0"], rebb=s["A11_bb"].real, grad2=2.0 * np.abs(s["R1"]) ** 2)
@@ -423,9 +423,8 @@ def evaluate_conditions(columns: dict, conditions: list[str]) -> list[dict]:
 # Counting roundings as Higham does (ch. 3, |theta_n| <= gamma_n ~ n u), the
 # deepest value, 3.12 on scaled data, carries at most 44 along one path: a
 # scaled field carries 3 (pow, product), |z|^2 of one 11 (hypot, square), t
-# 10 (4 through the cube root, 2 for pow, 4 for the rounded exponent 1/3,
-# which moves t_k / t_0 by about |ln k| u / 2: within 4u while |ln k| <= 8),
-# and the products and sums of 3.12 the rest.  k^p v_0 adds 3 (pow, product).
+# 6 (4 through the cube root, 2 for cbrt), and the products and sums of
+# 3.12 the rest.  k^p v_0 adds 3 (pow, product).
 _HOMOGENEITY_C = 48
 _UNIT_ROUNDOFF = 2.0 ** -53
 

@@ -165,6 +165,90 @@ def test_unreadable_catalog_exits_2(tamper, args, err, capsys, monkeypatch):
     assert capsys.readouterr() == ("", err)
 
 
+def _shipped_catalog():
+    from importlib import resources
+    return (resources.files("phbochner") / "data"
+            / "identities.corpus").read_text().splitlines()
+
+
+def _insert_after(prefix, line):
+    """The shipped catalog with `line` inserted after its first line that
+    starts with `prefix`, and the number of the inserted line."""
+    lines = _shipped_catalog()
+    n = next(k for k, text in enumerate(lines, 1) if text.startswith(prefix))
+    return "\n".join(lines[:n] + [line] + lines[n:]), n + 1
+
+
+def _repeated_header():
+    # the shipped catalog with its 2.8 record copied to the end
+    lines = _shipped_catalog()
+    start = lines.index("[2.8]")
+    end = next(k for k in range(start + 1, len(lines))
+               if lines[k].startswith("["))
+    return "\n".join(lines + lines[start:end]), len(lines) + 1
+
+
+# a catalog that would lose or misread a line is an input error naming it
+@pytest.mark.parametrize("catalog, problem", [
+    (_repeated_header, "'2.8' repeats: '[2.8]'"),
+    (lambda: _insert_after("integrals: INT[ -2*R", "integrals: INT[ f*f ]"),
+     "'integrals' repeats: 'integrals: INT[ f*f ]'"),
+    (lambda: _insert_after("[2.8]", "no colon here"),
+     "no ':': 'no colon here'"),
+    (lambda: _insert_after("[2.8]", "integral: INT[ f*f ]"),
+     "'integral' is not declared: 'integral: INT[ f*f ]'"),
+], ids=["repeated-header", "repeated-key", "no-colon", "undeclared-field"])
+@pytest.mark.parametrize("args", [["verify", "all"], ["trace", "2.8"],
+                                  ["ops", "DQJ_rhs"]],
+                         ids=["verify", "trace", "ops"])
+def test_malformed_catalog_exits_2(catalog, problem, args, capsys,
+                                   monkeypatch):
+    from phbochner.parser import Corpus
+
+    text, n = catalog()
+    monkeypatch.setattr(Corpus, "load", classmethod(lambda cls: cls(text)))
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", f"phbochner: error: catalog line {n}: {problem}\n")
+
+
+def test_every_field_read_is_declared(capsys, monkeypatch):
+    """The (record, field) pairs that `verify all --mutate`, `trace` of
+    every id and `ops` of every operator read are the fields that the
+    schema declares, displays aside."""
+    from phbochner.identities import catalog_ids
+    from phbochner.operators import REGISTRY
+    from phbochner.parser import FIELDS, Corpus
+
+    read = set()
+    expr = Corpus.expr
+
+    def recording(self, record, fld):
+        read.add((record, fld))
+        return expr(self, record, fld)
+
+    monkeypatch.setattr(Corpus, "expr", recording)
+    runs = [["verify", "all", "--mutate"],
+            *(["trace", ident] for ident in catalog_ids()),
+            *(["ops", name] for name in REGISTRY)]
+    for args in runs:
+        assert main(args) == 0, args
+    capsys.readouterr()
+    assert read == {(record, fld) for record, fields in FIELDS.items()
+                    for fld, kind in fields.items() if kind != "display"}
+
+
+@pytest.mark.parametrize("k", ["1e-40", "1e50", "1e60"])
+def test_scaletest_passes_exact_scaling_at_large_k(k, tmp_path, capsys):
+    # t = |A11_{,1}|^{2/3} by a cube root, not by a power with the rounded
+    # exponent 1.0/3.0, whose error grows with |ln k|
+    path = tmp_path / "p.json"
+    path.write_text('[{"id": "p", "R": 1.0, "A11_1": [1.0, 0.0]}]')
+    assert main(["scaletest", str(path), "--k", k]) == 0
+
+
 def test_check_sphere(capsys, sphere_file):
     assert main(["check", sphere_file, "--cond", "corollaryC"]) == 0
     out = capsys.readouterr().out

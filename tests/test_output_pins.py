@@ -68,22 +68,22 @@ _CONDITIONS = ["--cond", "thm-a", "--cond", "thm-b", "--cond", "corollaryC",
 
 # (command, format) -> (exit status, sha256 of stdout)
 _PINS = {
-    ("check {full}", "text"): (1, "809e32ae66686ec8337f2c187f0c8e7c"
-                                  "bed59498e38f5f61a886e8f04dc648b9"),
-    ("check {full}", "json"): (1, "184a9f276d62debbd54d4391a9ad48ca"
-                                  "a1ebf02a27dd3b4fb04ac34c773c64a9"),
+    ("check {full}", "text"): (1, "e0285a117ca2416819da784d990f4c2e"
+                                  "f608af0c5f78e69ddcfa31569ff0730b"),
+    ("check {full}", "json"): (1, "d599cc407b83ae759c6c0d196d7bb484"
+                                  "783e1dd9334fe52ddc95ecac8bfd1811"),
     ("check {free}", "text"): (1, "e4164c1c802a6b7b4740976454fa8a97"
                                   "4b2ac0daee8104345a98e1ddbbdc8caf"),
     ("check {free}", "json"): (1, "265c080ca32dbb3afc8833c4eea5eedd"
                                   "9941fa6e7c80506fd6de1b8a14f46256"),
-    ("scaletest {full}", "text"): (0, "9d9edd8d0b5ed8ae6f805c8245836d33"
-                                      "e28bd04d3aa10f3636dd7a31920ba36d"),
-    ("scaletest {full}", "json"): (0, "666ad8ab3599de02ce233b2902b90c62"
-                                      "deaea68761f1ba2ddea1d0d389c9b89b"),
-    ("--samples 1000 equiv", "text"): (0, "b0b03897b3df53ef4659940f7b5a35d1"
-                                          "297925d4fee6679b8386ec52a0e5ced9"),
-    ("--samples 1000 equiv", "json"): (0, "8a75999f842e12fa1c966ce906f79bb9"
-                                          "9f1e2eec7d04ba9722038b681275aae8"),
+    ("scaletest {full}", "text"): (0, "22e145c6ff1ada41bdfb11b0128266d4"
+                                      "306cee712c93e1630dd8746ea5809a33"),
+    ("scaletest {full}", "json"): (0, "0633629bd1350afccbe8ebfdf427f761"
+                                      "28410800d3ef0578d14181e66d87584d"),
+    ("--samples 1000 equiv", "text"): (0, "cbf45e9e25192248947c5255b579f5ea"
+                                          "fadb48d3e17d02c6f6f72c7e83462909"),
+    ("--samples 1000 equiv", "json"): (0, "1f78b555ac6e6fdb1a91afd137e577df"
+                                          "39b9a6294dc430309cf8e93274852780"),
     ("--samples 1000 sylvester", "text"): (
         0, "207fe9264b742c00791c756bde209eaa05eec9a423eb4b1b6acd57e8ac27e4fb"),
     ("--samples 1000 sylvester", "json"): (

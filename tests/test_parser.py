@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from phbochner.expr import DERIV_LETTERS, SYMBOLS, Expression, Factor
-from phbochner.parser import Corpus, ParseError, parse
+from phbochner.parser import FIELDS, CatalogError, Corpus, ParseError, parse
 from phbochner.scalar import I, ScalarExact
 
 from test_expr import coefficient, random_expression
@@ -73,7 +73,7 @@ def test_corpus_roundtrip():
     exprs = []
     for rec, fields in corpus.records.items():
         for fld, text in fields.items():
-            if fld == "latex":
+            if FIELDS[rec][fld] == "display":
                 continue
             # a substitution "X = text, ..." holds expression texts
             exprs += [parse(side) for pair in text.split(",")
@@ -84,6 +84,44 @@ def test_corpus_roundtrip():
         s = str(e)
         assert parse(s) == e
         assert str(parse(s)) == s
+
+
+def test_every_declared_field_is_in_the_catalog():
+    # the loader refuses a field that is not declared, so the shipped
+    # catalog holds exactly the declared ones
+    records = Corpus.load().records
+    assert ({rec: set(fields) for rec, fields in records.items()}
+            == {rec: set(fields) for rec, fields in FIELDS.items()})
+
+
+def test_corpus_reads_each_kind():
+    corpus = Corpus.load()
+    assert not corpus.expr("3.2", "lhs").integrated
+    assert corpus.expr("3.3", "mid").integrated
+    cube = corpus.expr("3.7", "cube_root")
+    assert cube[Factor("A11", ("1",))] == parse("W*W*W")
+    assert cube[Factor("Ab1b1", ("b",))] == parse("Wb*Wb*Wb")
+    assert corpus.expr("2.3", "latex") == corpus.records["2.3"]["latex"]
+
+
+@pytest.mark.parametrize("text, message", [
+    # the first [2.8] would be replaced whole, and the first key dropped
+    ("[2.8]\nintegrals: INT[ f ]\nintegrals: INT[ R ]\n",
+     "catalog line 3: 'integrals' repeats: 'integrals: INT[ R ]'"),
+    ("[2.8]\nintegrals: INT[ f ]\n\n# a comment\n[2.8]\n",
+     "catalog line 5: '2.8' repeats: '[2.8]'"),
+    # a line with no ':' would be a key with an empty value
+    ("[2.8]\nintegrals: INT[ f ]\nno colon here\n",
+     "catalog line 3: no ':': 'no colon here'"),
+    ("[2.8]\nlhs: f\n", "catalog line 2: 'lhs' is not declared: 'lhs: f'"),
+    ("[9.9]\n", "catalog line 1: '9.9' is not declared: '[9.9]'"),
+    ("target: f\n[2.3]\n", "catalog line 1: outside a record: 'target: f'"),
+], ids=["repeated-key", "repeated-header", "no-colon", "undeclared-field",
+        "undeclared-record", "outside-a-record"])
+def test_corpus_refuses_a_line_it_would_drop(text, message):
+    with pytest.raises(CatalogError) as err:
+        Corpus(text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("text", [
